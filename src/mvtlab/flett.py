@@ -159,8 +159,7 @@ def meyers_points(v: MeyersVariant, f: Expr, iv: Interval,
     cfg = cfg or DEFAULT_CONFIG
     t1, t2 = _variant_terms(v, f, iv)
     hyp = meyers_hypothesis(v, f, iv, cfg)
-    return solve_residual(lambda x: t1(x) - t2(x), iv, cfg, TheoremId(v.value),
-                          terms=(t1, t2), hypothesis=hyp)
+    return solve_residual((t1, t2), iv, cfg, TheoremId(v.value), hypothesis=hyp)
 
 
 def quotient_sides(v: MeyersVariant, f: Expr, iv: Interval):

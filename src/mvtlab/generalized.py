@@ -62,8 +62,7 @@ def riedel_sahoo_points(f: Expr, iv: Interval,
     a = iv.a
     t1 = lambda x: fc(x) - fa + 0.5 * k * (x - a) ** 2
     t2 = lambda x: (x - a) * d1(x)
-    return solve_residual(lambda x: t1(x) - t2(x), iv, cfg,
-                          TheoremId.RIEDEL_SAHOO, terms=(t1, t2))
+    return solve_residual((t1, t2), iv, cfg, TheoremId.RIEDEL_SAHOO)
 
 
 def cakmak_tiryaki_points(f: Expr, iv: Interval,
@@ -84,8 +83,7 @@ def cakmak_tiryaki_points(f: Expr, iv: Interval,
     b = iv.b
     t1 = lambda x: fb - fc(x)
     t2 = lambda x: (b - x) * d1(x) + 0.5 * k * (b - x) ** 2
-    return solve_residual(lambda x: t1(x) - t2(x), iv, cfg,
-                          TheoremId.CAKMAK_TIRYAKI, terms=(t1, t2))
+    return solve_residual((t1, t2), iv, cfg, TheoremId.CAKMAK_TIRYAKI)
 
 
 def second_order_hypothesis(f: Expr, iv: Interval,
@@ -142,8 +140,7 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
         t1 = lambda x: fb - fc(x) + 0.5 * (b - x) ** 2 * d2(x)
         t2 = lambda x: (b - x) * d1(x)
         tid = TheoremId.SECOND_ORDER_B
-    return solve_residual(lambda x: t1(x) - t2(x), iv, cfg, tid,
-                          terms=(t1, t2), hypothesis=hyp)
+    return solve_residual((t1, t2), iv, cfg, tid, hypothesis=hyp)
 
 
 def pawlikowska_points(f: Expr, iv: Interval, n: int,
@@ -184,5 +181,5 @@ def pawlikowska_points(f: Expr, iv: Interval, n: int,
         return s
 
     t1 = lambda x: fc(x) - fa
-    return solve_residual(lambda x: t1(x) - total(x), iv, cfg,
-                          TheoremId.PAWLIKOWSKA, terms=(t1, total), hypothesis=hyp)
+    return solve_residual((t1, total), iv, cfg, TheoremId.PAWLIKOWSKA,
+                          hypothesis=hyp)

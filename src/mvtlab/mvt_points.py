@@ -38,7 +38,7 @@ def rolle_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> list
     cfg = cfg or DEFAULT_CONFIG
     d1 = compile_fn(differentiate(f))
     hyp = rolle_hypothesis(f, iv, cfg)
-    return solve_residual(d1, iv, cfg, TheoremId.ROLLE, terms=(d1,), hypothesis=hyp)
+    return solve_residual((d1,), iv, cfg, TheoremId.ROLLE, hypothesis=hyp)
 
 
 def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> list[PointResult]:
@@ -56,8 +56,8 @@ def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> l
     slope = (fb - fa) / iv.width
     d1 = compile_fn(differentiate(f))
     hyp = True if differentiable_on_interior(f, iv, cfg) else None
-    return solve_residual(lambda x: d1(x) - slope, iv, cfg, TheoremId.LAGRANGE,
-                          terms=(d1, lambda x: slope), hypothesis=hyp)
+    return solve_residual((d1, lambda x: slope), iv, cfg, TheoremId.LAGRANGE,
+                          hypothesis=hyp)
 
 
 def cauchy_points(f: Expr, g: Expr, iv: Interval,
@@ -80,8 +80,7 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
                    and differentiable_on_interior(g, iv, cfg)) else None
     t1 = lambda x: df(x) * dgv
     t2 = lambda x: dg(x) * dfv
-    return solve_residual(lambda x: t1(x) - t2(x), iv, cfg, TheoremId.CAUCHY,
-                          terms=(t1, t2), hypothesis=hyp)
+    return solve_residual((t1, t2), iv, cfg, TheoremId.CAUCHY, hypothesis=hyp)
 
 
 def integral_mvt_points(f: Expr, iv: Interval,
@@ -98,5 +97,5 @@ def integral_mvt_points(f: Expr, iv: Interval,
             raise DomainError(f"f is not finite at x={x!r}; the mean value "
                               "identity needs a continuous integrand")
     mean = integrate(fc, iv.a, iv.b, cfg) / iv.width
-    return solve_residual(lambda x: fc(x) - mean, iv, cfg, TheoremId.INTEGRAL_MVT,
-                          terms=(fc, lambda x: mean), closed=True)
+    return solve_residual((fc, lambda x: mean), iv, cfg, TheoremId.INTEGRAL_MVT,
+                          closed=True)

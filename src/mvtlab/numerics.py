@@ -1,11 +1,11 @@
 """Shared numerical kernels: grids, bracketing, root polishing, quadrature.
 
 Every theorem solver in this package reduces to the same loop: build a
-residual function whose interior roots are the points claimed to exist,
-scan a uniform grid for sign changes, polish each bracket, and report.
-:func:`solve_residual` implements that loop once; the kernels it rests on
-(:func:`bracket_scan`, :func:`refine_root`, :func:`integrate`,
-:func:`central_diff`) are exposed individually as well.
+residual whose interior roots are the points claimed to exist, scan a
+uniform grid for sign changes, polish each bracket, and report.
+:func:`solve_residual` implements that loop once; the kernels around it
+(:func:`refine_root`, :func:`integrate`, :func:`central_diff`) are exposed
+individually as well.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .expr import Expr, compile_fn, differentiate, evaluate, sign_sensitive_args
 
 __all__ = [
     "SolverError", "DomainError", "QuadratureError", "NoRootFound", "HypothesisError",
-    "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "PointResult", "GridScan",
-    "grid_points", "residual_scale", "bracket_scan", "refine_root",
-    "integrate", "central_diff", "solve_residual",
+    "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "PointResult",
+    "grid_points", "residual_scale", "refine_root", "integrate",
+    "central_diff", "fold_terms", "solve_residual",
     "one_sided_derivative", "differentiable_on_interior",
 ]
 
@@ -154,17 +154,6 @@ class PointResult:
     hypothesis_satisfied: bool | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class GridScan:
-    """Outcome of one uniform-grid pass over a residual."""
-
-    brackets: tuple[tuple[float, float], ...]
-    identically_zero: bool
-    finite_count: int
-    min_abs_x: float
-    min_abs_value: float
-
-
 def grid_points(iv: Interval, cfg: SolverConfig, margin: float | None = None) -> list[float]:
     """Uniform grid of cfg.scan_points inside [a+m*(b-a), b-m*(b-a)]."""
     m = cfg.endpoint_margin if margin is None else margin
@@ -189,52 +178,6 @@ def residual_scale(fns: Sequence[Callable[[float], float]], iv: Interval,
             if math.isfinite(v) and v > s:
                 s = v
     return s
-
-
-def bracket_scan(F: Callable[[float], float], iv: Interval, cfg: SolverConfig,
-                 scale: float | None = None, margin: float | None = None) -> GridScan:
-    """Locate strict sign changes of F on the scan grid.
-
-    Only adjacent pairs with two finite values of opposite sign become
-    brackets, and only when at least one of the two values rises above the
-    roundoff floor of evaluating F at the given scale; sign flips inside
-    that floor are cancellation noise, not crossings (residuals routinely
-    have exact non-crossing zeros at an interval endpoint). The scan also
-    reports the residual as identically zero when at least 99% of the
-    finite grid values sit within ``cfg.residual_tol * scale`` of zero.
-    """
-    xs = grid_points(iv, cfg, margin)
-    ys = [F(x) for x in xs]
-    finite = 0
-    near_zero = 0
-    min_x = math.nan
-    min_v = math.inf
-    for x, y in zip(xs, ys):
-        if math.isfinite(y):
-            finite += 1
-            a = abs(y)
-            if a < min_v:
-                min_v = a
-                min_x = x
-    if finite < 2:
-        raise DomainError("residual is not finite anywhere on the scan grid")
-    if scale is None:
-        scale = 1.0
-        for y in ys:
-            if math.isfinite(y) and abs(y) > scale:
-                scale = abs(y)
-    thr = cfg.residual_tol * scale
-    noise = _NOISE_ULPS * _EPS * scale
-    for y in ys:
-        if math.isfinite(y) and abs(y) <= thr:
-            near_zero += 1
-    brackets = []
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if math.isfinite(y0) and math.isfinite(y1) and (y0 < 0.0) != (y1 < 0.0) \
-                and y0 != 0.0 and y1 != 0.0 and max(abs(y0), abs(y1)) > noise:
-            brackets.append((xs[i], xs[i + 1]))
-    return GridScan(tuple(brackets), near_zero >= 0.99 * finite, finite, min_x, min_v)
 
 
 # Sign flips whose both bracket values sit this many ulps of the residual
@@ -346,7 +289,8 @@ def _adapt(F, lo, hi, a, fa, b, fb, m, fm, whole, eps, depth):
 
 
 def integrate(F: Callable[[float], float], lo: float, hi: float,
-              cfg: SolverConfig) -> float:
+              cfg: SolverConfig, *, fa: float | None = None,
+              fb: float | None = None) -> float:
     """Adaptive Simpson integral of F over [lo, hi].
 
     The error target is ``cfg.quad_tol * (1 + |result|)`` using the initial
@@ -355,13 +299,19 @@ def integrate(F: Callable[[float], float], lo: float, hi: float,
     derivative blows up at an endpoint (sqrt, asin) still converge; an
     unbounded integrand outruns the per-level error budget and raises
     QuadratureError once the recursion passes depth 60.
+
+    ``fa``/``fb`` are F(lo)/F(hi) when the caller has already sampled them
+    (adjacent panels share an endpoint); a missing or non-finite one is
+    sampled here as usual, so the result never depends on passing them.
     """
     if lo > hi:
         raise ValueError("integrate needs lo <= hi")
     if lo == hi:
         return 0.0
-    fa = _quad_sample(F, lo, lo, hi)
-    fb = _quad_sample(F, hi, lo, hi)
+    if fa is None or not math.isfinite(fa):
+        fa = _quad_sample(F, lo, lo, hi)
+    if fb is None or not math.isfinite(fb):
+        fb = _quad_sample(F, hi, lo, hi)
     m = 0.5 * (lo + hi)
     fm = _quad_sample(F, m, lo, hi)
     whole = (hi - lo) * (fa + 4.0 * fm + fb) / 6.0
@@ -429,41 +379,64 @@ def _confirmed_crossing(F: Callable[[float], float], root: float,
     return side(-1.0) * side(1.0) < 0.0
 
 
-def solve_residual(F: Callable[[float], float], iv: Interval, cfg: SolverConfig,
-                   theorem_id: TheoremId,
-                   terms: Sequence[Callable[[float], float]] = (),
+def fold_terms(terms: Sequence[Callable[[float], float]]) -> Callable[[float], float]:
+    """The residual x -> terms[0](x) - terms[1](x) - ... - terms[-1](x).
+
+    The subtractions run left to right, so a term that enters with a plus
+    sign is passed negated: x - (-d) == x + d holds exactly in IEEE
+    arithmetic.
+    """
+    head, tail = terms[0], terms[1:]
+
+    def F(x: float) -> float:
+        r = head(x)
+        for t in tail:
+            r -= t(x)
+        return r
+
+    return F
+
+
+def solve_residual(terms: Sequence[Callable[[float], float]], iv: Interval,
+                   cfg: SolverConfig, theorem_id: TheoremId,
                    hypothesis: bool | None = None,
                    closed: bool = False) -> list[PointResult]:
     """Find interior roots of a residual, reporting flat stretches as degenerate.
 
-    ``terms`` are the residual's constituent terms; the largest finite
-    magnitude any of them reaches on the grid sets the scale against which
-    "zero" is judged. With ``closed=True`` the scan includes the endpoints
-    (for identities whose point may sit on the boundary).
+    The residual is the left fold of ``terms`` (see :func:`fold_terms`):
+    terms[0] - terms[1] - ... - terms[-1]. The scan evaluates each term once
+    per grid point; the same values give the residual there and the scale,
+    max(1, largest finite term magnitude on the grid), against which "zero"
+    is judged. Brent polishing and crossing confirmation use the same fold.
+    With ``closed=True`` the scan includes the endpoints (for identities
+    whose point may sit on the boundary).
 
     Degenerate detection runs first: if the residual is near zero on at
     least 99% of the grid, or on a long contiguous stretch of it, that
     region is reported as a single representative midpoint with
     ``degenerate=True`` rather than as a root list. Sign changes whose
-    bracket values both sit inside the roundoff floor are discarded, the
-    same way :func:`bracket_scan` discards them.
+    bracket values both sit inside the roundoff floor are cancellation
+    noise and are discarded.
     """
+    F = fold_terms(terms)
+    head, tail = terms[0], terms[1:]
     margin = 0.0 if closed else None
     xs = grid_points(iv, cfg, margin)
-    ys = [F(x) for x in xs]
+    ys = []
+    scale = 1.0
+    for x in xs:
+        y = head(x)
+        if scale < abs(y) < math.inf:
+            scale = abs(y)
+        for t in tail:
+            v = t(x)
+            if scale < abs(v) < math.inf:
+                scale = abs(v)
+            y -= v
+        ys.append(y)
     finite = sum(1 for y in ys if math.isfinite(y))
     if finite < 2:
         raise DomainError("residual is not finite anywhere on the scan grid")
-
-    scale = 1.0
-    for t in (terms if terms else (F,)):
-        if t is F:
-            vals = ys
-        else:
-            vals = (t(x) for x in xs)
-        for v in vals:
-            if math.isfinite(v) and abs(v) > scale:
-                scale = abs(v)
     thr = cfg.residual_tol * scale
     noise = _NOISE_ULPS * _EPS * scale
 

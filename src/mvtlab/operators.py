@@ -3,8 +3,11 @@
 The operators combine a pointwise part with a running integral from the
 left endpoint, so a naive grid scan would perform a full quadrature per
 grid node. ``OperatorValue`` instead caches prefix sums of per-panel
-integrals over the scan grid once, after which an evaluation pays only for
-the fraction of a panel containing its argument.
+integrals once, with its nodes on exactly the grid that
+:func:`~mvtlab.numerics.solve_residual` scans. A scan therefore does no
+quadrature at all: a node hit returns its cached prefix, and only
+arguments off the grid (Brent polishing, crossing checks) pay for the
+fraction of a panel containing them.
 
 The identity solvers mirror the structure used elsewhere: multiply through
 so the residual is denominator-free, scan, refine, and stamp the theorem id
@@ -22,7 +25,7 @@ from typing import Callable
 from .expr import Expr, compile_fn, differentiate
 from .numerics import (
     DEFAULT_CONFIG, DomainError, HypothesisError, Interval, NoRootFound,
-    PointResult, SolverConfig, TheoremId, grid_points, integrate,
+    PointResult, SolverConfig, TheoremId, fold_terms, grid_points, integrate,
     one_sided_derivative, residual_scale, solve_residual,
 )
 
@@ -39,10 +42,13 @@ UNIT_INTERVAL = Interval(0.0, 1.0)
 class OperatorValue:
     """Callable t -> pointwise(t) + integral of a fixed integrand over [a, t].
 
-    The prefix cache is built eagerly over the closed scan grid and is
-    immutable afterwards, so evaluation is deterministic for a fixed config.
-    Arguments outside the grid range fall back to direct quadrature from the
-    nearest cached node.
+    The prefix cache is built eagerly on the scan grid ``grid_points(iv,
+    cfg)`` -- the very floats solve_residual evaluates -- with the partial
+    panel from a to the first node folded into the first prefix entry. It
+    is immutable afterwards, so evaluation is deterministic for a fixed
+    config. An argument on a node costs no quadrature; any other argument
+    adds direct quadrature between it and the nearest node at or below it
+    (the first node, for arguments left of the grid).
     """
 
     __slots__ = ("_pointwise", "_integrand", "_nodes", "_prefix", "_panel_cfg")
@@ -52,15 +58,19 @@ class OperatorValue:
                  iv: Interval = UNIT_INTERVAL,
                  cfg: SolverConfig | None = None):
         cfg = cfg or DEFAULT_CONFIG
-        nodes = grid_points(iv, cfg, margin=0.0)
+        nodes = grid_points(iv, cfg)
         # per-panel tolerance divided down so the accumulated prefix error
         # stays near the configured quadrature tolerance
         panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
-        prefix = [0.0]
-        acc = 0.0
+        # each node is sampled once and handed to both panels sharing it
+        fa = integrand(nodes[0])
+        acc = integrate(integrand, iv.a, nodes[0], panel_cfg, fb=fa)
+        prefix = [acc]
         for lo, hi in zip(nodes, nodes[1:]):
-            acc += integrate(integrand, lo, hi, panel_cfg)
+            fb = integrand(hi)
+            acc += integrate(integrand, lo, hi, panel_cfg, fa=fa, fb=fb)
             prefix.append(acc)
+            fa = fb
         self._pointwise = pointwise
         self._integrand = integrand
         self._nodes = nodes
@@ -76,7 +86,9 @@ class OperatorValue:
         else:
             j = bisect.bisect_right(nodes, t) - 1
         lo = nodes[j]
-        if t >= lo:
+        if t == lo:
+            run = self._prefix[j]
+        elif t > lo:
             run = self._prefix[j] + integrate(self._integrand, lo, t, self._panel_cfg)
         else:
             run = self._prefix[j] - integrate(self._integrand, t, lo, self._panel_cfg)
@@ -109,8 +121,9 @@ def apply_V_weighted(phi: Expr, psi: Expr,
     return OperatorValue(None, lambda x: wp(x) * pp(x), UNIT_INTERVAL, cfg)
 
 
-def _no_root_error(F: Callable[[float], float], iv: Interval,
+def _no_root_error(terms: tuple[Callable[[float], float], ...], iv: Interval,
                    cfg: SolverConfig, tid: TheoremId) -> NoRootFound:
+    F = fold_terms(terms)
     best_x, best_v = math.nan, math.inf
     for x in grid_points(iv, cfg):
         v = F(x)
@@ -126,11 +139,10 @@ def _no_root_error(F: Callable[[float], float], iv: Interval,
 def _single_point(t1: Callable[[float], float], t2: Callable[[float], float],
                   tid: TheoremId, cfg: SolverConfig,
                   iv: Interval = UNIT_INTERVAL) -> PointResult:
-    F = lambda x: t1(x) - t2(x)
-    pts = solve_residual(F, iv, cfg, tid, terms=(t1, t2))
+    pts = solve_residual((t1, t2), iv, cfg, tid)
     if pts:
         return pts[0]
-    raise _no_root_error(F, iv, cfg, tid)
+    raise _no_root_error((t1, t2), iv, cfg, tid)
 
 
 def lupu_4_6_points(f: Expr, g: Expr,
@@ -217,8 +229,8 @@ def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
     hyp = cauchy_flett_hypothesis(f, g, iv, cfg)
     t1 = lambda x: (fc(x) - fa) * dgc(x)
     t2 = lambda x: dfc(x) * (gc(x) - ga)
-    return solve_residual(lambda x: t1(x) - t2(x), iv, cfg,
-                          TheoremId.CAUCHY_FLETT, terms=(t1, t2), hypothesis=hyp)
+    return solve_residual((t1, t2), iv, cfg, TheoremId.CAUCHY_FLETT,
+                          hypothesis=hyp)
 
 
 def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
@@ -249,8 +261,8 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
     vfg = OperatorValue(None, lambda x: fc(x) * gc(x), iv, cfg)
     vf = OperatorValue(None, fc, iv, cfg)
     t2 = lambda t: ga * vf(t)
-    return solve_residual(lambda t: vfg(t) - t2(t), iv, cfg, TheoremId.THM_4_9,
-                          terms=(vfg, t2), hypothesis=True)
+    return solve_residual((vfg, t2), iv, cfg, TheoremId.THM_4_9,
+                          hypothesis=True)
 
 
 def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
@@ -282,10 +294,10 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     t1 = lambda t: vpf(t) * int_g
     t2 = lambda t: vpg(t) * int_f
     t3 = lambda t: phi0 * vf(t) * int_g
-    t4 = lambda t: phi0 * vg(t) * int_f
-    return solve_residual(lambda t: t1(t) - t2(t) - t3(t) + t4(t),
-                          UNIT_INTERVAL, cfg, TheoremId.THM_4_10,
-                          terms=(t1, t2, t3, t4))
+    # t4 enters with a plus sign, so it is folded in negated
+    neg_t4 = lambda t: -(phi0 * vg(t) * int_f)
+    return solve_residual((t1, t2, t3, neg_t4), UNIT_INTERVAL, cfg,
+                          TheoremId.THM_4_10)
 
 
 def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
@@ -322,11 +334,9 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
     ng = OperatorValue(None, lambda x: pc(x) * gc(x) ** 2, UNIT_INTERVAL, cfg)
     t1 = lambda t: nf(t) * int_g2
     t2 = lambda t: ng(t) * int_f2
-    F = lambda t: t1(t) - t2(t)
-    pts = solve_residual(F, UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM,
-                         terms=(t1, t2))
+    pts = solve_residual((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
     if not pts:
-        raise _no_root_error(F, UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
+        raise _no_root_error((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
     return pts[(len(pts) - 1) // 2]
 
 

@@ -38,12 +38,6 @@ _FLETT_FAMILY = {
     TheoremId.MEYERS_2_8, TheoremId.MEYERS_2_9,
 }
 
-_OPERATOR_FAMILY = {
-    TheoremId.THM_4_9, TheoremId.THM_4_10, TheoremId.WEIGHTED_NORM,
-    TheoremId.LUPU_4_6_T, TheoremId.LUPU_4_6_TS, TheoremId.LUPU_4_6_S,
-    TheoremId.LUPU_4_7_T, TheoremId.LUPU_4_7_S,
-}
-
 _NEEDS_G = {
     TheoremId.CAUCHY, TheoremId.CAUCHY_FLETT, TheoremId.THM_4_9,
     TheoremId.THM_4_10, TheoremId.LUPU_4_6_T, TheoremId.LUPU_4_6_S,

@@ -9,9 +9,9 @@ from hypothesis import given
 from mvtlab.expr import parse
 from mvtlab.numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, QuadratureError,
-    SolverConfig, TheoremId, bracket_scan, central_diff,
-    differentiable_on_interior, grid_points, integrate, one_sided_derivative,
-    refine_root, residual_scale, solve_residual,
+    SolverConfig, TheoremId, central_diff, differentiable_on_interior,
+    fold_terms, grid_points, integrate, one_sided_derivative, refine_root,
+    residual_scale, solve_residual,
 )
 
 CFG = DEFAULT_CONFIG
@@ -153,20 +153,20 @@ def test_central_diff_tracks_symbolic(c, h):
 
 class TestSolveResidual:
     def test_single_crossing(self):
-        pts = solve_residual(lambda x: x - 0.3, Interval(0.0, 1.0), CFG,
+        pts = solve_residual((lambda x: x - 0.3,), Interval(0.0, 1.0), CFG,
                              TheoremId.FLETT)
         assert len(pts) == 1
         assert pts[0].xi == pytest.approx(0.3, abs=1e-10)
         assert not pts[0].degenerate
 
     def test_multiple_crossings_sorted(self):
-        pts = solve_residual(math.sin, Interval(1.0, 10.0), CFG,
+        pts = solve_residual((math.sin,), Interval(1.0, 10.0), CFG,
                              TheoremId.ROLLE)
         want = [math.pi, 2 * math.pi, 3 * math.pi]
         assert [p.xi for p in pts] == pytest.approx(want, abs=1e-9)
 
     def test_identically_zero_is_degenerate(self):
-        pts = solve_residual(lambda x: 0.0, Interval(0.0, 1.0), CFG,
+        pts = solve_residual((lambda x: 0.0,), Interval(0.0, 1.0), CFG,
                              TheoremId.FLETT, hypothesis=True)
         assert len(pts) == 1
         assert pts[0].degenerate
@@ -174,10 +174,35 @@ class TestSolveResidual:
         assert pts[0].hypothesis_satisfied is True
 
     def test_tiny_residual_counts_as_zero(self):
-        # scale comes from the terms, so 1e-12 against unit terms is zero
-        pts = solve_residual(lambda x: 1e-12, Interval(0.0, 1.0), CFG,
-                             TheoremId.FLETT, terms=(lambda x: 1.0,))
+        # scale comes from the terms, so a 1e-7 residual between terms of
+        # size 1e3 is zero (against the unit floor it would not be)
+        pts = solve_residual((lambda x: 1e3, lambda x: 1e3 - 1e-7),
+                             Interval(0.0, 1.0), CFG, TheoremId.FLETT)
         assert pts[0].degenerate
+
+    def test_residual_is_left_fold_of_terms(self):
+        # 3 - x - 1 - (-x^2): the minus-signed fold of four terms
+        terms = (lambda x: 3.0, lambda x: x, lambda x: 1.0, lambda x: -x * x)
+        assert fold_terms(terms)(2.0) == 3.0 - 2.0 - 1.0 + 4.0
+        pts = solve_residual((lambda x: x * x, lambda x: 0.25),
+                             Interval(0.0, 1.0), CFG, TheoremId.FLETT)
+        assert [p.xi for p in pts] == pytest.approx([0.5], abs=1e-12)
+
+    def test_scan_evaluates_each_term_once_per_grid_point(self):
+        calls = [0, 0]
+
+        def t1(x):
+            calls[0] += 1
+            return x * x + 1.0
+
+        def t2(x):
+            calls[1] += 1
+            return x - 5.0
+
+        cfg = SolverConfig(scan_points=300)
+        pts = solve_residual((t1, t2), Interval(0.0, 1.0), cfg, TheoremId.FLETT)
+        assert pts == []
+        assert calls == [cfg.scan_points, cfg.scan_points]
 
     def test_zero_run_reported_once(self):
         def plateau(x):
@@ -187,7 +212,8 @@ class TestSolveResidual:
                 return 0.0
             return x - 0.6
 
-        pts = solve_residual(plateau, Interval(0.0, 1.0), CFG, TheoremId.FLETT)
+        pts = solve_residual((plateau,), Interval(0.0, 1.0), CFG,
+                             TheoremId.FLETT)
         assert len(pts) == 1
         assert pts[0].degenerate
         assert 0.4 < pts[0].xi < 0.5
@@ -195,14 +221,14 @@ class TestSolveResidual:
     def test_exact_grid_zero_is_reported(self):
         xs = grid_points(Interval(0.0, 1.0), CFG)
         target = xs[137]
-        pts = solve_residual(lambda x: x - target, Interval(0.0, 1.0), CFG,
+        pts = solve_residual((lambda x: x - target,), Interval(0.0, 1.0), CFG,
                              TheoremId.FLETT)
         assert [p.xi for p in pts] == [target]
 
     def test_exact_grid_touch_is_not_a_root(self):
         xs = grid_points(Interval(0.0, 1.0), CFG)
         target = xs[411]
-        pts = solve_residual(lambda x: (x - target) ** 2, Interval(0.0, 1.0),
+        pts = solve_residual((lambda x: (x - target) ** 2,), Interval(0.0, 1.0),
                              CFG, TheoremId.FLETT)
         assert pts == []
 
@@ -213,38 +239,36 @@ class TestSolveResidual:
         f = parse("x^3+2*x-1")
         from mvtlab.flett import flett_residual
         F = flett_residual(f, -2.0)
-        pts = solve_residual(F, Interval(-2.0, 2.0), CFG, TheoremId.FLETT)
+        pts = solve_residual((F,), Interval(-2.0, 2.0), CFG, TheoremId.FLETT)
         assert len(pts) == 1
         assert pts[0].xi == pytest.approx(1.0, abs=1e-8)
 
     def test_nonfinite_everywhere_raises(self):
         with pytest.raises(DomainError):
-            solve_residual(lambda x: math.nan, Interval(0.0, 1.0), CFG,
+            solve_residual((lambda x: math.nan,), Interval(0.0, 1.0), CFG,
                            TheoremId.FLETT)
 
     def test_theorem_id_attached(self):
-        pts = solve_residual(lambda x: x - 0.5, Interval(0.0, 1.0), CFG,
+        pts = solve_residual((lambda x: x - 0.5,), Interval(0.0, 1.0), CFG,
                              TheoremId.MEYERS_2_4)
         assert pts[0].theorem_id is TheoremId.MEYERS_2_4
 
 
 class TestBracketScan:
+    """The grid bracketing inside solve_residual."""
+
     def test_finds_brackets(self):
-        scan = bracket_scan(math.sin, Interval(1.0, 7.0), CFG)
-        assert len(scan.brackets) == 2
-        lo, hi = scan.brackets[0]
-        assert lo < math.pi < hi
+        pts = solve_residual((math.sin,), Interval(1.0, 7.0), CFG,
+                             TheoremId.ROLLE)
+        assert [p.xi for p in pts] == pytest.approx([math.pi, 2 * math.pi],
+                                                    abs=1e-9)
+        assert not any(p.degenerate for p in pts)
 
     def test_identically_zero_flag(self):
-        scan = bracket_scan(lambda x: 0.0, Interval(0.0, 1.0), CFG)
-        assert scan.identically_zero
-        assert scan.brackets == ()
-
-    def test_min_tracking(self):
-        scan = bracket_scan(lambda x: (x - 0.4) ** 2 + 1e-3,
-                            Interval(0.0, 1.0), CFG)
-        assert scan.min_abs_x == pytest.approx(0.4, abs=1e-3)
-        assert scan.min_abs_value == pytest.approx(1e-3, rel=1e-3)
+        pts = solve_residual((lambda x: 0.0,), Interval(0.0, 1.0), CFG,
+                             TheoremId.FLETT)
+        assert len(pts) == 1
+        assert pts[0].degenerate
 
 
 class TestSmoothnessChecks:

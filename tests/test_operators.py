@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from mvtlab.expr import parse
+from mvtlab.expr import compile_fn, parse
 from mvtlab.numerics import (
-    DomainError, HypothesisError, Interval, SolverConfig, TheoremId, integrate,
+    DomainError, HypothesisError, Interval, QuadratureError, SolverConfig,
+    TheoremId, grid_points, integrate,
 )
 from mvtlab.flett import find_flett_points
 from mvtlab.operators import (
@@ -35,6 +36,47 @@ class TestOperatorValue:
         v = OperatorValue(None, lambda x: 1.0, Interval(0.25, 0.75))
         assert v(0.1) == pytest.approx(-0.15, abs=1e-9)
         assert v(0.9) == pytest.approx(0.65, abs=1e-9)
+
+    def test_grid_nodes_cost_no_quadrature(self):
+        # the scan grid is the node set: evaluating there only reads the
+        # prefix, which still matches direct quadrature from a
+        calls = [0]
+
+        def integrand(x):
+            calls[0] += 1
+            return math.exp(x) * math.cos(3.0 * x)
+
+        iv, cfg = Interval(0.25, 1.75), SolverConfig(scan_points=512)
+        v = OperatorValue(lambda t: 2.0 * t, integrand, iv, cfg)
+        nodes = grid_points(iv, cfg)
+        calls[0] = 0
+        values = [v(t) for t in nodes]
+        assert calls[0] == 0
+        for t, got in zip(nodes, values):
+            want = 2.0 * t + integrate(integrand, iv.a, t, cfg)
+            assert abs(got - want) <= 10 * cfg.quad_tol * (1.0 + abs(got))
+
+    def test_nonfinite_node_matches_direct_quadrature(self):
+        # sin(x)/x is 0/0 at the interior node x = 0; the panels on both
+        # sides fall back to one-sided endpoint samples
+        sinc = compile_fn(parse("sin(x)/x"))
+        iv = Interval(-1.0, 1.0)
+        cfg = SolverConfig(scan_points=513, endpoint_margin=0.0)
+        nodes = grid_points(iv, cfg)
+        assert nodes[256] == 0.0 and math.isnan(sinc(0.0))
+        v = OperatorValue(None, sinc, iv, cfg)
+        for t in nodes[::8] + [0.0, 1e-3, 1.0]:
+            got = v(t)
+            # direct quadrature would sample 0 as an interior point: split there
+            if t <= 0.0:
+                want = integrate(sinc, iv.a, t, cfg)
+            else:
+                want = integrate(sinc, iv.a, 0.0, cfg) + integrate(sinc, 0.0, t, cfg)
+            assert abs(got - want) <= 10 * cfg.quad_tol * (1.0 + abs(got))
+
+    def test_unbounded_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            OperatorValue(None, compile_fn(parse("1/sqrt(x)")))
 
 
 class TestApplyHelpers:
