@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from .expr import Expr, ParseError, evaluate, parse
+from .expr import Expr, ParseError, Var, _walk, evaluate, parse
 from .numerics import (
     DomainError, HypothesisError, Interval, NoRootFound, PointResult,
     QuadratureError, SolverConfig, SolverError, TheoremId,
@@ -119,12 +119,12 @@ def _parse_endpoint(text: str, name: str) -> float:
         e = parse(text)
     except ParseError as exc:
         raise _UsageError(f"endpoint {name}: {exc}") from exc
-    v0, v1 = evaluate(e, 0.0), evaluate(e, 1.0)
-    if v0 != v1:
+    if any(isinstance(node, Var) for node in _walk(e)):
         raise _UsageError(f"endpoint {name} must be a constant expression, got {text!r}")
-    if not math.isfinite(v0):
+    v = evaluate(e, 0.0)
+    if not math.isfinite(v):
         raise _UsageError(f"endpoint {name} must be finite, got {text!r}")
-    return v0
+    return v
 
 
 def _parse_fn(text: str, name: str) -> Expr:

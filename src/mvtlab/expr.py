@@ -1,9 +1,12 @@
 """Expression trees for real functions of one variable.
 
 Function text is parsed by recursive descent into an immutable AST that can
-be evaluated on the extended real line, compiled to a fast callable,
-differentiated symbolically to any order, simplified, and printed back to
-parseable text.
+be evaluated on the extended real line, differentiated symbolically to any
+order, simplified, and printed back to parseable text. ``evaluate`` walks
+the tree once, for a single point; ``compile_fn`` lowers it to one
+generated Python function that evaluates each distinct subexpression once
+per call, for the many points of a scan or a quadrature. Input nested
+deeper than MAX_DEPTH levels is rejected by the parser.
 
 Grammar (no implicit multiplication; unary minus binds tighter than ``^``,
 which is right-associative)::
@@ -28,7 +31,7 @@ from typing import Callable, Iterator
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Bin", "Call",
-    "ParseError", "FUNCTIONS",
+    "ParseError", "FUNCTIONS", "MAX_DEPTH",
     "parse", "unparse", "evaluate", "compile_fn",
     "differentiate", "simplify", "substitute", "sign_sensitive_args",
 ]
@@ -37,6 +40,9 @@ FUNCTIONS = ("sin", "cos", "tan", "asin", "acos", "atan",
              "exp", "ln", "sqrt", "abs", "sgn")
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+
+# Deepest expression parse() accepts (see parse).
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -229,38 +235,79 @@ def evaluate(e: Expr, x: float) -> float:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+# Names the generated code reads from its globals. Locals are t0, t1, ...
+# and constants c0, c1, ..., so neither can shadow these.
+_CODEGEN_GLOBALS = {"__builtins__": {}, "float": float, "_div": _div, "_pow": _pow,
+                    **{f"fn_{name}": fn for name, fn in _FN_EVAL.items()}}
+
+
 def compile_fn(e: Expr) -> Callable[[float], float]:
     """Build a plain callable for ``e``.
 
-    Semantics are identical to :func:`evaluate`; the closure form just skips
-    the per-call tree dispatch, which matters on dense scan grids.
+    Semantics are identical to :func:`evaluate`, bit for bit. The tree is
+    lowered to the source of one straight-line Python function with a local
+    variable per distinct subexpression, so a subtree that a derivative
+    repeats many times is evaluated once per call, and a call costs no
+    per-node dispatch. The lowering walks the tree without recursion, so
+    any depth compiles.
     """
-    if isinstance(e, Const):
-        v = e.value
-        return lambda x: v
-    if isinstance(e, Var):
-        return float
-    if isinstance(e, Neg):
-        c = compile_fn(e.child)
-        return lambda x: -c(x)
-    if isinstance(e, Bin):
-        lf = compile_fn(e.left)
-        rf = compile_fn(e.right)
-        op = e.op
-        if op == "+":
-            return lambda x: lf(x) + rf(x)
-        if op == "-":
-            return lambda x: lf(x) - rf(x)
-        if op == "*":
-            return lambda x: lf(x) * rf(x)
-        if op == "/":
-            return lambda x: _div(lf(x), rf(x))
-        return lambda x: _pow(lf(x), rf(x))
-    if isinstance(e, Call):
-        g = _FN_EVAL[e.fn]
-        c = compile_fn(e.arg)
-        return lambda x: g(c(x))
-    raise TypeError(f"not an Expr node: {e!r}")
+    glb = dict(_CODEGEN_GLOBALS)
+    lines: list[str] = []
+    name_of: dict[int, str] = {}   # id(node) -> local or constant name
+    by_key: dict[tuple, str] = {}  # structural key -> local or constant name
+    # post-order: a node is pushed once unready, then again ready above its
+    # children, and lowered when popped ready
+    stack: list[tuple[Expr, bool]] = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in name_of:
+            continue
+        kind = type(node)
+        # keys hold the children's names, never the nodes: hashing a frozen
+        # dataclass walks its whole subtree
+        if kind is Bin:
+            if not ready:
+                stack += ((node, True), (node.right, False), (node.left, False))
+                continue
+            a, b = name_of[id(node.left)], name_of[id(node.right)]
+            key = (node.op, a, b)
+        elif kind is Neg or kind is Call:
+            child = node.child if kind is Neg else node.arg
+            if not ready:
+                stack += ((node, True), (child, False))
+                continue
+            a = name_of[id(child)]
+            key = ("neg" if kind is Neg else node.fn, a)
+        elif kind is Const:
+            # repr keeps 0.0 and -0.0 apart, which == would merge
+            key = ("const", repr(node.value))
+        elif kind is Var:
+            key = ("x",)
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        name = by_key.get(key)
+        if name is None:
+            if kind is Const:
+                name = f"c{len(by_key)}"
+                glb[name] = node.value
+            else:
+                name = f"t{len(by_key)}"
+                if kind is Var:
+                    rhs = "float(x)"
+                elif kind is Neg:
+                    rhs = f"-{a}"
+                elif kind is Call:
+                    rhs = f"fn_{node.fn}({a})"
+                elif node.op in "+-*":
+                    rhs = f"{a} {node.op} {b}"
+                else:
+                    rhs = f"{'_div' if node.op == '/' else '_pow'}({a}, {b})"
+                lines.append(f"    {name} = {rhs}\n")
+            by_key[key] = name
+        name_of[id(node)] = name
+    src = "def compiled(x):\n" + "".join(lines) + f"    return {name_of[id(e)]}\n"
+    exec(compile(src, "<mvtlab.expr.compile_fn>", "exec"), glb)
+    return glb["compiled"]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +333,12 @@ class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.pos = 0
+        self.nesting = 0  # open parentheses, calls, unary minuses and powers
+
+    def descend(self) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(self.pos, f"expression nested deeper than {MAX_DEPTH} levels")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.source) and self.source[self.pos].isspace():
@@ -338,21 +391,28 @@ class _Parser:
         e = self.unary()
         if self.peek() == "^":
             self.pos += 1
-            return Bin("^", e, self.factor())
+            self.descend()
+            e = Bin("^", e, self.factor())
+            self.nesting -= 1
         return e
 
     def unary(self) -> Expr:
         if self.peek() == "-":
             self.pos += 1
-            return Neg(self.unary())
+            self.descend()
+            e = Neg(self.unary())
+            self.nesting -= 1
+            return e
         return self.atom()
 
     def atom(self) -> Expr:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
+            self.descend()
             e = self.expr()
             self.expect(")")
+            self.nesting -= 1
             return e
         m = _NUMBER_RE.match(self.source, self.pos)
         if m:
@@ -372,17 +432,44 @@ class _Parser:
                     raise ParseError(self.pos, f"function {name!r} needs an argument",
                                      expected="'('")
                 self.pos += 1
+                self.descend()
                 arg = self.expr()
                 self.expect(")")
+                self.nesting -= 1
                 return Call(name, arg)
             raise ParseError(start, f"unknown name {name!r}")
         raise ParseError(self.pos, f"unexpected {self.describe()}",
                          expected="a number, name, or '('")
 
 
+def _depth(e: Expr) -> int:
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, Bin):
+            stack += ((node.left, d + 1), (node.right, d + 1))
+        elif isinstance(node, Neg):
+            stack.append((node.child, d + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, d + 1))
+    return deepest
+
+
 def parse(source: str) -> Expr:
-    """Parse function text in the single variable ``x`` into an AST."""
-    return _Parser(source).parse()
+    """Parse function text in the single variable ``x`` into an AST.
+
+    Raises ParseError for malformed text, and for text nested deeper than
+    MAX_DEPTH levels: parenthesised, or as a tree (a sum of MAX_DEPTH + 1
+    terms is a tree that deep). Differentiation, simplification and
+    printing recurse over the tree, and the cap keeps them, and the
+    parser itself, well inside Python's recursion limit.
+    """
+    e = _Parser(source).parse()
+    if _depth(e) > MAX_DEPTH:
+        raise ParseError(0, f"expression tree deeper than {MAX_DEPTH} levels")
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -260,14 +260,22 @@ def _quad_sample(F: Callable[[float], float], x: float,
     v = F(x)
     if math.isfinite(v):
         return v
-    # a non-finite endpoint value is replaced by a one-sided interior sample
+    span = hi - lo
     if x == lo or x == hi:
-        span = hi - lo
+        # a non-finite endpoint value is replaced by a one-sided interior sample
         sgn = 1.0 if x == lo else -1.0
         for k in (1e-13, 1e-11, 1e-9, 1e-7):
             v = F(x + sgn * k * span)
             if math.isfinite(v):
                 return v
+    else:
+        # an interior one only where F has a finite one-sided limit there (a
+        # removable singularity such as sin(x)/x at 0). Two samples to the
+        # left must agree: near a pole or a log singularity they differ
+        # widely, and bridging those would return a finite, wrong integral.
+        near, far = F(x - 1e-13 * span), F(x - 1e-11 * span)
+        if math.isfinite(near) and abs(near - far) <= 1e-6 * (1.0 + abs(near)):
+            return near
     raise QuadratureError(f"integrand not finite at x={x!r}")
 
 
@@ -298,7 +306,9 @@ def integrate(F: Callable[[float], float], lo: float, hi: float,
     replaced with a one-sided interior sample, so bounded integrands whose
     derivative blows up at an endpoint (sqrt, asin) still converge; an
     unbounded integrand outruns the per-level error budget and raises
-    QuadratureError once the recursion passes depth 60.
+    QuadratureError once the recursion passes depth 60. A non-finite
+    interior sample is replaced likewise where F has a finite limit there
+    (a removable singularity), and raises QuadratureError otherwise.
 
     ``fa``/``fb`` are F(lo)/F(hi) when the caller has already sampled them
     (adjacent panels share an endpoint); a missing or non-finite one is

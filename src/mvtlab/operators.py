@@ -328,10 +328,10 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
     phi0 = pc(0.0)
     if not math.isfinite(phi0) or abs(phi0) > cfg.residual_tol:
         raise HypothesisError(f"the weight must vanish at 0, got phi(0) = {phi0!r}")
-    int_f2 = integrate(lambda x: fc(x) ** 2, 0.0, 1.0, cfg)
-    int_g2 = integrate(lambda x: gc(x) ** 2, 0.0, 1.0, cfg)
-    nf = OperatorValue(None, lambda x: pc(x) * fc(x) ** 2, UNIT_INTERVAL, cfg)
-    ng = OperatorValue(None, lambda x: pc(x) * gc(x) ** 2, UNIT_INTERVAL, cfg)
+    int_f2 = integrate(lambda x: (v := fc(x)) * v, 0.0, 1.0, cfg)
+    int_g2 = integrate(lambda x: (v := gc(x)) * v, 0.0, 1.0, cfg)
+    nf = OperatorValue(None, lambda x: pc(x) * ((v := fc(x)) * v), UNIT_INTERVAL, cfg)
+    ng = OperatorValue(None, lambda x: pc(x) * ((v := gc(x)) * v), UNIT_INTERVAL, cfg)
     t1 = lambda t: nf(t) * int_g2
     t2 = lambda t: ng(t) * int_f2
     pts = solve_residual((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
@@ -345,6 +345,6 @@ def weighted_norms(f: Expr, g: Expr, phi: Expr, xi: float,
     """The two phi-weighted prefix L2 norms over (0, xi), for reporting."""
     cfg = cfg or DEFAULT_CONFIG
     fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
-    a = integrate(lambda x: pc(x) * fc(x) ** 2, 0.0, xi, cfg)
-    b = integrate(lambda x: pc(x) * gc(x) ** 2, 0.0, xi, cfg)
+    a = integrate(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg)
+    b = integrate(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg)
     return math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))

@@ -157,10 +157,10 @@ def verify_point(theorem_id: TheoremId | str, xi: float, f: Expr,
         return _check(lhs, rhs, qtol)
     if tid is TheoremId.WEIGHTED_NORM:
         gc, pc = compile_fn(g), compile_fn(weight)
-        int_f2 = integrate(lambda x: fc(x) ** 2, 0.0, 1.0, vcfg)
-        int_g2 = integrate(lambda x: gc(x) ** 2, 0.0, 1.0, vcfg)
-        lhs = integrate(lambda x: pc(x) * fc(x) ** 2, 0.0, xi, vcfg) * int_g2
-        rhs = integrate(lambda x: pc(x) * gc(x) ** 2, 0.0, xi, vcfg) * int_f2
+        int_f2 = integrate(lambda x: (v := fc(x)) * v, 0.0, 1.0, vcfg)
+        int_g2 = integrate(lambda x: (v := gc(x)) * v, 0.0, 1.0, vcfg)
+        lhs = integrate(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, vcfg) * int_g2
+        rhs = integrate(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, vcfg) * int_f2
         return _check(lhs, rhs, qtol)
 
     def t_of(h):

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from mvtlab.cli import main
+from mvtlab.expr import parse
+from mvtlab.numerics import Interval
+from mvtlab.verify import verify_point
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -125,6 +128,41 @@ class TestUsageErrors:
                            "-a", "x", "-b", "1")
         assert code == 2
         assert "constant" in err
+
+    @pytest.mark.parametrize("endpoint", ["abs(x-0.5)", "x-x", "0*x"])
+    def test_endpoint_containing_x_rejected(self, capsys, endpoint):
+        # each of these takes one value at both x=0 and x=1
+        code, _, err = run(capsys, "solve", "flett", "--fn", "x^3",
+                           "-a", endpoint, "-b", "1")
+        assert code == 2
+        assert "constant" in err
+
+    @pytest.mark.parametrize("fn", ["+".join(["x"] * 3000),
+                                    "(" * 3000 + "x" + ")" * 3000])
+    def test_too_deep_expression_is_a_usage_error(self, capsys, fn):
+        code, out, err = run(capsys, "solve", "flett", "--fn", fn,
+                             "-a", "0", "-b", "1")
+        assert code == 2
+        assert out == ""
+        assert "deeper than" in err and "Traceback" not in err
+
+    def test_weighted_norm_overflow_exits_3(self, capsys):
+        code, _, err = run(capsys, "solve", "weighted-norm",
+                           "--fn", "exp(400*x)", "--gn", "1", "--weight", "x")
+        assert code == 3
+        assert "numeric failure" in err
+
+    def test_removable_singularity_inside_interval(self, capsys):
+        code, rep, _ = run_json(capsys, "solve", "integral-mvt",
+                                "--fn", "sin(x-0.5)/(x-0.5)", "-a", "0",
+                                "-b", "1")
+        assert code == 0
+        (grp,) = rep["results"]
+        assert grp["points"]
+        f = parse("sin(x-0.5)/(x-0.5)")
+        for p in grp["points"]:
+            assert verify_point("integral-mvt", p["xi"], f,
+                                iv=Interval(0.0, 1.0)).ok
 
 
 class TestDeterminism:

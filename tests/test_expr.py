@@ -4,10 +4,10 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 
 from mvtlab.expr import (
-    Bin, Call, Const, FUNCTIONS, Neg, ParseError, Var,
+    Bin, Call, Const, FUNCTIONS, MAX_DEPTH, Neg, ParseError, Var,
     compile_fn, differentiate, evaluate, parse, sign_sensitive_args,
     simplify, substitute, unparse,
 )
@@ -101,6 +101,17 @@ class TestParsing:
         with pytest.raises(ParseError, match="trailing"):
             parse("x 2")
 
+    def test_depth_cap(self):
+        assert ev("+".join(["x"] * MAX_DEPTH), 1.0) == MAX_DEPTH
+        assert ev("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 2.0) == 2.0
+        with pytest.raises(ParseError, match="deeper"):
+            parse("+".join(["x"] * (MAX_DEPTH + 1)))
+        for src in ("+".join(["x"] * 3000), "(" * 3000 + "x" + ")" * 3000,
+                    "-" * 3000 + "x", "^".join(["x"] * 3000),
+                    "sin(" * 3000 + "x" + ")" * 3000):
+            with pytest.raises(ParseError, match="deeper"):
+                parse(src)
+
 
 class TestEvaluation:
     def test_division_by_zero_signed(self):
@@ -160,11 +171,55 @@ def test_unparse_parse_round_trip(e):
     assert parse(unparse(e)) == e
 
 
-@given(_expr, st.floats(-4.0, 4.0, allow_nan=False))
+def same_float(a, b):
+    """Equal as floats, with the sign of zero, and any nan equal to nan."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# trees beyond what the parser produces: signed and non-finite constants,
+# and subtrees shared by identity, as differentiation creates them
+_any_const = st.builds(Const, st.one_of(
+    st.floats(-8.0, 8.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf])))
+_any_expr = st.recursive(
+    st.one_of(_any_const, st.just(Var())),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(lambda op, t: Bin(op, t, t), st.sampled_from("+-*/^"), sub),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub),
+    ),
+    max_leaves=16,
+)
+_any_x = st.one_of(st.floats(-4.0, 4.0),
+                   st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@seed(20211)
+@given(_any_expr, _any_x)
 def test_compile_matches_evaluate(e, x):
-    a = evaluate(e, x)
-    b = compile_fn(e)(x)
-    assert a == b or (math.isnan(a) and math.isnan(b))
+    assert same_float(compile_fn(e)(x), evaluate(e, x))
+    d = differentiate(e)
+    assert same_float(compile_fn(d)(x), evaluate(d, x))
+
+
+class TestCompile:
+    def test_signed_zero_constants_stay_apart(self):
+        e = Bin("-", Bin("/", Const(1.0), Const(0.0)),
+                Bin("/", Const(1.0), Const(-0.0)))
+        assert compile_fn(e)(0.0) == math.inf
+
+    def test_deep_tree_compiles(self):
+        e = Var()
+        for _ in range(3000):
+            e = Bin("+", e, Var())
+        assert compile_fn(e)(1.0) == 3001.0
+
+    def test_shared_subexpressions_get_one_local_each(self):
+        # the tree has 2,696 nodes but 93 distinct operations
+        d = differentiate(parse("exp(sin(x))*ln(x+2)"), 5)
+        assert compile_fn(d).__code__.co_nlocals <= 100
 
 
 @given(_expr, st.floats(-4.0, 4.0, allow_nan=False))

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from mvtlab.expr import parse
+from mvtlab.expr import compile_fn, parse
 from mvtlab.numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, QuadratureError,
     SolverConfig, TheoremId, central_diff, differentiable_on_interior,
@@ -105,6 +105,19 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(lambda x: 1.0 / math.sqrt(x) if x > 0 else math.inf,
                       0.0, 1.0, CFG)
+
+    def test_removable_singularity_at_interior_sample(self):
+        # the first midpoint is 0.5, where the formula reads 0/0
+        f = compile_fn(parse("sin(x-0.5)/(x-0.5)"))
+        assert math.isnan(f(0.5))
+        v = integrate(f, 0.0, 1.0, CFG)
+        assert v == pytest.approx(0.986214836086133, abs=1e-9)  # 2*Si(0.5)
+
+    @pytest.mark.parametrize("src", ["1/(x-0.5)", "1/(x-0.5)^2",
+                                     "ln(abs(x-0.5))"])
+    def test_pole_at_interior_sample_raises(self, src):
+        with pytest.raises(QuadratureError):
+            integrate(compile_fn(parse(src)), 0.0, 1.0, CFG)
 
 
 class TestRefineRoot:
