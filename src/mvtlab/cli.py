@@ -14,6 +14,7 @@ report whose points fail re-verification).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -406,7 +407,10 @@ def _cmd_corpus(args, cfg: SolverConfig) -> tuple[dict, list, int]:
 # Entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused after:
+    # building costs about ten times what parsing one request does
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--scan-points", dest="scan_points", type=int)
     shared.add_argument("--root-tol", dest="root_tol", type=float)

@@ -3,10 +3,13 @@
 Function text is parsed by recursive descent into an immutable AST that can
 be evaluated on the extended real line, differentiated symbolically to any
 order, simplified, and printed back to parseable text. ``evaluate`` walks
-the tree once, for a single point; ``compile_fn`` lowers it to one
-generated Python function that evaluates each distinct subexpression once
-per call, for the many points of a scan or a quadrature. Input nested
-deeper than MAX_DEPTH levels is rejected by the parser.
+the tree once, for a single point. For many points, one lowering turns
+trees into generated straight-line Python that evaluates each distinct
+subexpression once per point: ``compile_fn`` wraps one tree as a callable
+(quadrature, endpoint values), and ``compile_terms`` wraps the terms of a
+residual as a whole-grid loop plus their difference at one point (the
+grid scan and root polishing). Input nested deeper than MAX_DEPTH levels
+is rejected by the parser.
 
 Grammar (no implicit multiplication; unary minus binds tighter than ``^``,
 which is right-associative)::
@@ -27,12 +30,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Bin", "Call",
     "ParseError", "FUNCTIONS", "MAX_DEPTH",
-    "parse", "unparse", "evaluate", "compile_fn",
+    "parse", "unparse", "evaluate", "compile_fn", "compile_terms",
     "differentiate", "simplify", "substitute", "sign_sensitive_args",
 ]
 
@@ -123,8 +126,9 @@ def _coerce(v: Expr | float) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Extended-real arithmetic helpers. evaluate() and compile_fn() both go
-# through these so the two paths cannot drift apart.
+# Extended-real arithmetic helpers. They define the semantics: evaluate()
+# calls them, and generated code (compile_fn, compile_terms) calls them
+# everywhere except on the ranges where they reduce to one plain operation.
 
 _NAN = math.nan
 _INF = math.inf
@@ -235,29 +239,55 @@ def evaluate(e: Expr, x: float) -> float:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-# Names the generated code reads from its globals. Locals are t0, t1, ...
-# and constants c0, c1, ..., so neither can shadow these.
+# Names the generated code reads from its globals. Locals are x, t0, t1, ...
+# (and xs, col0, put0, ... in grid loops), constants c0, c1, ..., so none
+# of them can shadow these.
 _CODEGEN_GLOBALS = {"__builtins__": {}, "float": float, "_div": _div, "_pow": _pow,
-                    **{f"fn_{name}": fn for name, fn in _FN_EVAL.items()}}
+                    **{f"fn_{name}": fn for name, fn in _FN_EVAL.items()},
+                    "m_sin": math.sin, "m_cos": math.cos, "m_tan": math.tan,
+                    "m_asin": math.asin, "m_acos": math.acos, "m_atan": math.atan,
+                    "m_exp": math.exp, "m_ln": math.log, "m_sqrt": math.sqrt}
+
+# Argument ranges on which the bare math function returns what the guarded
+# helper in _FN_EVAL returns: inside them math raises nothing and the
+# helper's special cases do not apply. Generated code calls the math
+# function there and the helper everywhere else. 1e999 reads as inf.
+_FAST_RANGE = {
+    "sin": "-1e999 < {0} < 1e999", "cos": "-1e999 < {0} < 1e999",
+    "tan": "-1e999 < {0} < 1e999", "atan": "-1e999 < {0} < 1e999",
+    "asin": "-1.0 <= {0} <= 1.0", "acos": "-1.0 <= {0} <= 1.0",
+    "exp": "-1e999 < {0} < 709.0",
+    "ln": "0.0 < {0} < 1e999",
+    "sqrt": "0.0 <= {0} < 1e999",
+}
 
 
-def compile_fn(e: Expr) -> Callable[[float], float]:
-    """Build a plain callable for ``e``.
+def _lower_pow(a: str, b: str, exponent: Expr) -> str:
+    # a ** k for a constant integer k in [1, 1023] equals math.pow(a, k)
+    # (so _pow) bit for bit while |a| < 2^(1023 // k), where a^k cannot
+    # overflow; nan, inf and larger bases take _pow
+    k = exponent.value if type(exponent) is Const else 0.0
+    if 1.0 <= k <= 1023.0 and k == math.floor(k):
+        k = int(k)
+        lim = repr(2.0 ** (1023 // k))
+        return f"{a} ** {k} if -{lim} < {a} < {lim} else _pow({a}, {b})"
+    return f"_pow({a}, {b})"
 
-    Semantics are identical to :func:`evaluate`, bit for bit. The tree is
-    lowered to the source of one straight-line Python function with a local
-    variable per distinct subexpression, so a subtree that a derivative
-    repeats many times is evaluated once per call, and a call costs no
-    per-node dispatch. The lowering walks the tree without recursion, so
-    any depth compiles.
+
+def _lower(roots: Sequence[Expr], glb: dict) -> tuple[list[str], list[str]]:
+    """Straight-line statements that compute every root, and each root's name.
+
+    The statements read the variable as ``x`` and assign one local per
+    distinct subexpression across all roots, so subtrees that roots share
+    (f and its derivatives share many) are computed once. Constants are
+    added to ``glb``. The walk uses an explicit stack, so any depth lowers.
     """
-    glb = dict(_CODEGEN_GLOBALS)
     lines: list[str] = []
     name_of: dict[int, str] = {}   # id(node) -> local or constant name
     by_key: dict[tuple, str] = {}  # structural key -> local or constant name
     # post-order: a node is pushed once unready, then again ready above its
     # children, and lowered when popped ready
-    stack: list[tuple[Expr, bool]] = [(e, False)]
+    stack: list[tuple[Expr, bool]] = [(r, False) for r in reversed(roots)]
     while stack:
         node, ready = stack.pop()
         if id(node) in name_of:
@@ -297,17 +327,76 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
                 elif kind is Neg:
                     rhs = f"-{a}"
                 elif kind is Call:
+                    fast = _FAST_RANGE.get(node.fn)
                     rhs = f"fn_{node.fn}({a})"
+                    if fast is not None:
+                        rhs = f"m_{node.fn}({a}) if {fast.format(a)} else {rhs}"
                 elif node.op in "+-*":
                     rhs = f"{a} {node.op} {b}"
+                elif node.op == "/":
+                    # a nonzero (or nan) divisor is where _div is plain a / b
+                    rhs = f"{a} / {b} if {b} else _div({a}, {b})"
                 else:
-                    rhs = f"{'_div' if node.op == '/' else '_pow'}({a}, {b})"
-                lines.append(f"    {name} = {rhs}\n")
+                    rhs = _lower_pow(a, b, node.right)
+                lines.append(f"{name} = {rhs}")
             by_key[key] = name
         name_of[id(node)] = name
-    src = "def compiled(x):\n" + "".join(lines) + f"    return {name_of[id(e)]}\n"
+    return lines, [name_of[id(r)] for r in roots]
+
+
+def _indent(lines: list[str], depth: int) -> str:
+    pad = "    " * depth
+    return "".join(f"{pad}{line}\n" for line in lines)
+
+
+def compile_fn(e: Expr) -> Callable[[float], float]:
+    """Build a plain callable for ``e``.
+
+    Semantics are identical to :func:`evaluate`, bit for bit. The tree is
+    lowered to the source of one straight-line Python function with a
+    local variable per distinct subexpression, so a subtree that a
+    derivative repeats many times is evaluated once per call, and a call
+    costs no per-node dispatch. Division, integer powers and the math
+    functions run inline where the guarded helper provably gives the same
+    result, and call the helper otherwise. :func:`compile_terms` shares
+    the lowering and evaluates several trees over a whole grid.
+    """
+    glb = dict(_CODEGEN_GLOBALS)
+    lines, (name,) = _lower((e,), glb)
+    src = "def compiled(x):\n" + _indent(lines, 1) + f"    return {name}\n"
     exec(compile(src, "<mvtlab.expr.compile_fn>", "exec"), glb)
     return glb["compiled"]
+
+
+def compile_terms(exprs: Sequence[Expr]) -> tuple[
+        Callable[[Iterable[float]], list[list[float]]], Callable[[float], float]]:
+    """Build ``(grid, fold)`` for the terms of a residual.
+
+    ``grid(xs)`` evaluates every expression at every x of ``xs`` in one
+    generated loop and returns one list of values per expression; a
+    subexpression common to several expressions is computed once per
+    point. ``fold(x)`` is exprs[0] - exprs[1] - ... - exprs[-1] at one x,
+    the subtractions running left to right (see
+    :func:`~mvtlab.numerics.fold_terms`), computed by ``grid`` on that one
+    point. Values equal :func:`evaluate` bit for bit. Both functions come
+    from one ``compile`` call over one copy of the lowered code: compiling
+    is most of the cost of a short grid, while ``fold`` serves only the
+    few dozen evaluations of root polishing.
+    """
+    glb = dict(_CODEGEN_GLOBALS)
+    lines, names = _lower(exprs, glb)
+    cols = [f"col{i}" for i in range(len(names))]
+    src = ("def grid(xs):\n"
+           + _indent([f"{c} = []" for c in cols]
+                     + [f"put{i} = {c}.append" for i, c in enumerate(cols)], 1)
+           + "    for x in xs:\n"
+           + _indent(lines + [f"put{i}({n})" for i, n in enumerate(names)], 2)
+           + f"    return [{', '.join(cols)}]\n"
+           + "def fold(x):\n"
+           + "    at = grid((x,))\n"
+           + f"    return {' - '.join(f'at[{i}][0]' for i in range(len(cols)))}\n")
+    exec(compile(src, "<mvtlab.expr.compile_terms>", "exec"), glb)
+    return glb["grid"], glb["fold"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from enum import Enum
 from typing import Callable
 
-from .expr import Expr, compile_fn, differentiate
+from .expr import Const, Expr, Var, compile_fn, differentiate
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, SolverConfig, TheoremId,
     one_sided_derivative, solve_residual,
@@ -82,10 +82,10 @@ def find_flett_points(f: Expr, iv: Interval,
     return meyers_points(MeyersVariant.Flett_2_2, f, iv, cfg)
 
 
-def _variant_terms(v: MeyersVariant, f: Expr, iv: Interval):
+def _variant_terms(v: MeyersVariant, f: Expr, iv: Interval) -> tuple[Expr, Expr]:
     """Left and right term of the multiplied-through residual r = t1 - t2."""
     fc = compile_fn(f)
-    d1 = compile_fn(differentiate(f))
+    d1 = differentiate(f)
     a, b, w = iv.a, iv.b, iv.width
     fa, fb = fc(a), fc(b)
     need_a = v in (MeyersVariant.Flett_2_2, MeyersVariant.Meyers_2_5,
@@ -98,22 +98,23 @@ def _variant_terms(v: MeyersVariant, f: Expr, iv: Interval):
         raise DomainError("f(a) is not finite")
     if need_b and not math.isfinite(fb):
         raise DomainError("f(b) is not finite")
+    x = Var()
     if v is MeyersVariant.Flett_2_2:
-        return (lambda x: d1(x) * (x - a)), (lambda x: fc(x) - fa)
+        return d1 * (x - a), f - fa
     if v is MeyersVariant.Meyers_2_3:
-        return (lambda x: d1(x) * (b - x)), (lambda x: fb - fc(x))
+        return d1 * (b - x), fb - f
     if v is MeyersVariant.Meyers_2_4:
-        return (lambda x: d1(x) * (x - a)), (lambda x: fb - fc(x))
+        return d1 * (x - a), fb - f
     if v is MeyersVariant.Meyers_2_5:
-        return (lambda x: d1(x) * (b - x)), (lambda x: fc(x) - fa)
+        return d1 * (b - x), f - fa
     if v is MeyersVariant.Meyers_2_6:
-        return (lambda x: d1(x) * (x - a)), (lambda x: fb - fa)
+        return d1 * (x - a), Const(fb - fa)
     if v is MeyersVariant.Meyers_2_7:
-        return (lambda x: d1(x) * (b - x)), (lambda x: fb - fa)
+        return d1 * (b - x), Const(fb - fa)
     if v is MeyersVariant.Meyers_2_8:
-        return (lambda x: d1(x) * w), (lambda x: fc(x) - fa)
+        return d1 * w, f - fa
     if v is MeyersVariant.Meyers_2_9:
-        return (lambda x: d1(x) * w), (lambda x: fb - fc(x))
+        return d1 * w, fb - f
     raise ValueError(f"unknown variant {v!r}")
 
 

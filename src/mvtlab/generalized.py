@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import Expr, compile_fn, differentiate
+from .expr import Const, Expr, Var, compile_fn, differentiate
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, SolverConfig, TheoremId,
     one_sided_derivative, solve_residual,
@@ -52,16 +52,14 @@ def riedel_sahoo_points(f: Expr, iv: Interval,
     satisfy the identity everywhere and come back degenerate.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc = compile_fn(f)
-    d1 = compile_fn(differentiate(f))
-    fa = fc(iv.a)
+    fa = compile_fn(f)(iv.a)
     if not math.isfinite(fa):
         raise DomainError("f(a) is not finite")
     da, db = _endpoint_slopes(f, iv, cfg)
     k = (db - da) / iv.width
-    a = iv.a
-    t1 = lambda x: fc(x) - fa + 0.5 * k * (x - a) ** 2
-    t2 = lambda x: (x - a) * d1(x)
+    h = Var() - iv.a
+    t1 = f - fa + 0.5 * k * h ** 2
+    t2 = h * differentiate(f)
     return solve_residual((t1, t2), iv, cfg, TheoremId.RIEDEL_SAHOO)
 
 
@@ -73,16 +71,14 @@ def cakmak_tiryaki_points(f: Expr, iv: Interval,
     riedel_sahoo_points under x -> a+b-x.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc = compile_fn(f)
-    d1 = compile_fn(differentiate(f))
-    fb = fc(iv.b)
+    fb = compile_fn(f)(iv.b)
     if not math.isfinite(fb):
         raise DomainError("f(b) is not finite")
     da, db = _endpoint_slopes(f, iv, cfg)
     k = (db - da) / iv.width
-    b = iv.b
-    t1 = lambda x: fb - fc(x)
-    t2 = lambda x: (b - x) * d1(x) + 0.5 * k * (b - x) ** 2
+    h = iv.b - Var()
+    t1 = fb - f
+    t2 = h * differentiate(f) + 0.5 * k * h ** 2
     return solve_residual((t1, t2), iv, cfg, TheoremId.CAKMAK_TIRYAKI)
 
 
@@ -120,25 +116,24 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
     if variant not in ("anchored_at_a", "anchored_at_b"):
         raise ValueError(f"variant must be 'anchored_at_a' or 'anchored_at_b', got {variant!r}")
     fc = compile_fn(f)
-    df = differentiate(f)
-    d1 = compile_fn(df)
-    d2 = compile_fn(differentiate(df))
+    d1 = differentiate(f)
+    d2 = differentiate(d1)
     hyp = second_order_hypothesis(f, iv, cfg)
     if variant == "anchored_at_a":
         fa = fc(iv.a)
         if not math.isfinite(fa):
             raise DomainError("f(a) is not finite")
-        a = iv.a
-        t1 = lambda x: fc(x) - fa + 0.5 * (x - a) ** 2 * d2(x)
-        t2 = lambda x: (x - a) * d1(x)
+        h = Var() - iv.a
+        t1 = f - fa + 0.5 * h ** 2 * d2
+        t2 = h * d1
         tid = TheoremId.SECOND_ORDER_A
     else:
         fb = fc(iv.b)
         if not math.isfinite(fb):
             raise DomainError("f(b) is not finite")
-        b = iv.b
-        t1 = lambda x: fb - fc(x) + 0.5 * (b - x) ** 2 * d2(x)
-        t2 = lambda x: (b - x) * d1(x)
+        h = iv.b - Var()
+        t1 = fb - f + 0.5 * h ** 2 * d2
+        t2 = h * d1
         tid = TheoremId.SECOND_ORDER_B
     return solve_residual((t1, t2), iv, cfg, tid, hypothesis=hyp)
 
@@ -158,28 +153,19 @@ def pawlikowska_points(f: Expr, iv: Interval, n: int,
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > MAX_SUM_ORDER:
         raise ValueError(f"n capped at {MAX_SUM_ORDER}, got {n}")
-    fc = compile_fn(f)
-    fa = fc(iv.a)
+    fa = compile_fn(f)(iv.a)
     if not math.isfinite(fa):
         raise DomainError("f(a) is not finite")
-    exprs = []
-    g = f
-    for _ in range(n):
-        g = differentiate(g)
-        exprs.append(g)
-    dfs = [compile_fn(e) for e in exprs]
-    coeffs = [(-1.0) ** (i + 1) / math.factorial(i) for i in range(1, n + 1)]
     hyp = pawlikowska_hypothesis(f, iv, n, cfg)
-    a = iv.a
-
-    def total(x: float) -> float:
-        s = 0.0
-        p = 1.0
-        for c, d in zip(coeffs, dfs):
-            p *= x - a
-            s += c * p * d(x)
-        return s
-
-    t1 = lambda x: fc(x) - fa
-    return solve_residual((t1, total), iv, cfg, TheoremId.PAWLIKOWSKA,
+    # the sum starts from 0.0 and the power from 1.0, as a running float
+    # sum does: 0.0 + -0.0 is 0.0, so a sum of signed zeros is +0.0
+    h = Var() - iv.a
+    total = Const(0.0)
+    p = Const(1.0)
+    g = f
+    for i in range(1, n + 1):
+        g = differentiate(g)
+        p = p * h
+        total = total + (-1.0) ** (i + 1) / math.factorial(i) * p * g
+    return solve_residual((f - fa, total), iv, cfg, TheoremId.PAWLIKOWSKA,
                           hypothesis=hyp)

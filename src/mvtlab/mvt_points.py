@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import Expr, compile_fn, differentiate
+from .expr import Const, Expr, compile_fn, differentiate
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, SolverConfig, TheoremId,
     differentiable_on_interior, grid_points, integrate, solve_residual,
@@ -36,9 +36,9 @@ def rolle_hypothesis(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> 
 def rolle_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> list[PointResult]:
     """Interior zeros of f'. Reported whether or not f(a) = f(b) holds."""
     cfg = cfg or DEFAULT_CONFIG
-    d1 = compile_fn(differentiate(f))
     hyp = rolle_hypothesis(f, iv, cfg)
-    return solve_residual((d1,), iv, cfg, TheoremId.ROLLE, hypothesis=hyp)
+    return solve_residual((differentiate(f),), iv, cfg, TheoremId.ROLLE,
+                          hypothesis=hyp)
 
 
 def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> list[PointResult]:
@@ -54,10 +54,9 @@ def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> l
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError("f must evaluate finite at the interval endpoints")
     slope = (fb - fa) / iv.width
-    d1 = compile_fn(differentiate(f))
     hyp = True if differentiable_on_interior(f, iv, cfg) else None
-    return solve_residual((d1, lambda x: slope), iv, cfg, TheoremId.LAGRANGE,
-                          hypothesis=hyp)
+    return solve_residual((differentiate(f), Const(slope)), iv, cfg,
+                          TheoremId.LAGRANGE, hypothesis=hyp)
 
 
 def cauchy_points(f: Expr, g: Expr, iv: Interval,
@@ -73,13 +72,11 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
     ga, gb = gc(iv.a), gc(iv.b)
     if not all(math.isfinite(v) for v in (fa, fb, ga, gb)):
         raise DomainError("f and g must evaluate finite at the interval endpoints")
-    df = compile_fn(differentiate(f))
-    dg = compile_fn(differentiate(g))
     dfv, dgv = fb - fa, gb - ga
     hyp = True if (differentiable_on_interior(f, iv, cfg)
                    and differentiable_on_interior(g, iv, cfg)) else None
-    t1 = lambda x: df(x) * dgv
-    t2 = lambda x: dg(x) * dfv
+    t1 = differentiate(f) * dgv
+    t2 = differentiate(g) * dfv
     return solve_residual((t1, t2), iv, cfg, TheoremId.CAUCHY, hypothesis=hyp)
 
 
@@ -97,5 +94,5 @@ def integral_mvt_points(f: Expr, iv: Interval,
             raise DomainError(f"f is not finite at x={x!r}; the mean value "
                               "identity needs a continuous integrand")
     mean = integrate(fc, iv.a, iv.b, cfg) / iv.width
-    return solve_residual((fc, lambda x: mean), iv, cfg, TheoremId.INTEGRAL_MVT,
+    return solve_residual((f, Const(mean)), iv, cfg, TheoremId.INTEGRAL_MVT,
                           closed=True)

@@ -11,12 +11,16 @@ individually as well.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Callable, Sequence
 
-from .expr import Expr, compile_fn, differentiate, evaluate, sign_sensitive_args
+from .expr import (
+    Expr, compile_fn, compile_terms, differentiate, evaluate, sign_sensitive_args,
+)
 
 __all__ = [
     "SolverError", "DomainError", "QuadratureError", "NoRootFound", "HypothesisError",
@@ -291,6 +295,11 @@ def _adapt(F, lo, hi, a, fa, b, fb, m, fm, whole, eps, depth):
         return sl + sr + delta / 15.0
     if depth <= 0:
         raise QuadratureError("adaptive subdivision depth exhausted")
+    # a panel that floats cannot split any further never meets the error
+    # test (an interior pole that no sample lands on); recursing on it
+    # would double the work at every level down to the depth cap
+    if not a < lm < m < rm < b:
+        raise QuadratureError(f"adaptive subdivision reached float resolution at x={m!r}")
     half = 0.5 * eps
     return (_adapt(F, lo, hi, a, fa, m, fm, lm, flm, sl, half, depth - 1)
             + _adapt(F, lo, hi, m, fm, b, fb, rm, frm, sr, half, depth - 1))
@@ -306,7 +315,9 @@ def integrate(F: Callable[[float], float], lo: float, hi: float,
     replaced with a one-sided interior sample, so bounded integrands whose
     derivative blows up at an endpoint (sqrt, asin) still converge; an
     unbounded integrand outruns the per-level error budget and raises
-    QuadratureError once the recursion passes depth 60. A non-finite
+    QuadratureError once the recursion passes depth 60, or once a panel
+    that fails the error test is too narrow to split in floating point
+    (an interior pole between samples). A non-finite
     interior sample is replaced likewise where F has a finite limit there
     (a removable singularity), and raises QuadratureError otherwise.
 
@@ -355,15 +366,17 @@ def central_diff(F: Callable[[float], float], x: float, order: int = 1) -> float
 
 
 def _zero_runs(flags: list[bool], min_len: int) -> list[tuple[int, int]]:
+    """(first, last) index of every run of at least min_len true flags."""
     runs = []
-    start = None
-    for i, f in enumerate(flags + [False]):
-        if f and start is None:
+    start, last = 0, -1  # an empty run
+    for i in compress(range(len(flags)), flags):
+        if i != last + 1:
+            if last - start + 1 >= min_len:
+                runs.append((start, last))
             start = i
-        elif not f and start is not None:
-            if i - start >= min_len:
-                runs.append((start, i - 1))
-            start = None
+        last = i
+    if last - start + 1 >= min_len:
+        runs.append((start, last))
     return runs
 
 
@@ -407,17 +420,22 @@ def fold_terms(terms: Sequence[Callable[[float], float]]) -> Callable[[float], f
     return F
 
 
-def solve_residual(terms: Sequence[Callable[[float], float]], iv: Interval,
+def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
+                   iv: Interval,
                    cfg: SolverConfig, theorem_id: TheoremId,
                    hypothesis: bool | None = None,
                    closed: bool = False) -> list[PointResult]:
     """Find interior roots of a residual, reporting flat stretches as degenerate.
 
     The residual is the left fold of ``terms`` (see :func:`fold_terms`):
-    terms[0] - terms[1] - ... - terms[-1]. The scan evaluates each term once
-    per grid point; the same values give the residual there and the scale,
-    max(1, largest finite term magnitude on the grid), against which "zero"
-    is judged. Brent polishing and crossing confirmation use the same fold.
+    terms[0] - terms[1] - ... - terms[-1]. The terms are either all
+    expressions or all callables. Expressions are compiled together with
+    :func:`~mvtlab.expr.compile_terms`, so the whole grid is evaluated in
+    one generated loop and subexpressions the terms share are computed once
+    per point; callables (operator values) are called once per grid point
+    each. The same values give the residual and the scale, max(1, largest
+    finite term magnitude on the grid), against which "zero" is judged.
+    Brent polishing and crossing confirmation use the same fold.
     With ``closed=True`` the scan includes the endpoints (for identities
     whose point may sit on the boundary).
 
@@ -428,29 +446,31 @@ def solve_residual(terms: Sequence[Callable[[float], float]], iv: Interval,
     bracket values both sit inside the roundoff floor are cancellation
     noise and are discarded.
     """
-    F = fold_terms(terms)
-    head, tail = terms[0], terms[1:]
-    margin = 0.0 if closed else None
-    xs = grid_points(iv, cfg, margin)
-    ys = []
+    xs = grid_points(iv, cfg, 0.0 if closed else None)
+    if isinstance(terms[0], Expr):
+        grid, F = compile_terms(terms)
+        cols = grid(xs)
+    else:
+        F = fold_terms(terms)
+        cols = [[t(x) for x in xs] for t in terms]
+    ys = cols[0]
+    for col in cols[1:]:
+        ys = list(map(operator.sub, ys, col))
     scale = 1.0
-    for x in xs:
-        y = head(x)
-        if scale < abs(y) < math.inf:
-            scale = abs(y)
-        for t in tail:
-            v = t(x)
-            if scale < abs(v) < math.inf:
-                scale = abs(v)
-            y -= v
-        ys.append(y)
-    finite = sum(1 for y in ys if math.isfinite(y))
+    for col in cols:
+        m = max(map(abs, col))
+        if not m < math.inf:  # an inf, or a leading nan, hides the finite maximum
+            m = max((v for v in map(abs, col) if v < math.inf), default=0.0)
+        scale = max(scale, m)
+    finite = sum(map(math.isfinite, ys))
     if finite < 2:
         raise DomainError("residual is not finite anywhere on the scan grid")
     thr = cfg.residual_tol * scale
     noise = _NOISE_ULPS * _EPS * scale
 
-    near = [math.isfinite(y) and abs(y) <= thr for y in ys]
+    # finite and |y| <= thr; capping thr at the largest float keeps inf out
+    # even when thr itself overflowed
+    near = list(map(min(thr, sys.float_info.max).__ge__, map(abs, ys)))
     if sum(near) >= 0.99 * finite:
         mid = iv.midpoint
         return [PointResult(mid, F(mid), theorem_id, degenerate=True,
@@ -466,21 +486,23 @@ def solve_residual(terms: Sequence[Callable[[float], float]], iv: Interval,
 
     lo, hi = xs[0], xs[-1]
     step = xs[1] - xs[0]
-    for i, y in enumerate(ys):
-        # an exact grid-point zero never enters a bracket, so report it
-        # directly when the sign genuinely flips across it
-        if y == 0.0 and i not in run_members \
+    # an exact grid-point zero never enters a bracket, so report it directly
+    # when the sign genuinely flips across it (not_ is true on +-0.0 only)
+    for i in compress(range(len(ys)), map(operator.not_, ys)):
+        if i not in run_members \
                 and _confirmed_crossing(F, xs[i], lo, hi, step, noise):
             results.append(PointResult(xs[i], 0.0, theorem_id,
                                        hypothesis_satisfied=hypothesis))
 
-    for i in range(len(xs) - 1):
+    # a bracket needs y < 0 on exactly one side; the loop checks the rest
+    below = [y < 0.0 for y in ys]
+    for i in compress(range(len(ys) - 1), map(operator.ne, below, below[1:])):
         if i in run_members or (i + 1) in run_members:
             continue
         y0, y1 = ys[i], ys[i + 1]
         if not (math.isfinite(y0) and math.isfinite(y1)):
             continue
-        if y0 == 0.0 or y1 == 0.0 or (y0 < 0.0) == (y1 < 0.0):
+        if y0 == 0.0 or y1 == 0.0:
             continue
         if max(abs(y0), abs(y1)) <= noise:
             continue
@@ -515,14 +537,11 @@ def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig) -> bool
     there -- the symbolic derivative is blind to those kinks and jumps.
     """
     xs = grid_points(iv, cfg)
-    fc = compile_fn(f)
-    d1 = compile_fn(differentiate(f))
-    for x in xs:
-        if not math.isfinite(fc(x)):
-            return False
-        v = d1(x)
-        if not math.isfinite(v) or abs(v) > cfg.singular_threshold:
-            return False
+    grid, _ = compile_terms((f, differentiate(f)))
+    fv, dv = grid(xs)
+    if not (all(map(math.isfinite, fv)) and all(map(math.isfinite, dv))
+            and max(map(abs, dv)) <= cfg.singular_threshold):
+        return False
     for arg in sign_sensitive_args(f):
         g = compile_fn(arg)
         last = 0.0  # last nonzero sign seen

@@ -216,19 +216,18 @@ def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
     is meaningful. The flag reports whether f'/g' agrees at both endpoints.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc, gc = compile_fn(f), compile_fn(g)
-    dfc = compile_fn(differentiate(f))
-    dgc = compile_fn(differentiate(g))
-    fa, ga = fc(iv.a), gc(iv.a)
+    fa, ga = compile_fn(f)(iv.a), compile_fn(g)(iv.a)
     if not (math.isfinite(fa) and math.isfinite(ga)):
         raise DomainError("f(a) and g(a) must be finite")
+    dg = differentiate(g)
+    dgc = compile_fn(dg)
     for x in grid_points(iv, cfg):
         v = dgc(x)
         if not math.isfinite(v) or v == 0.0:
             raise DomainError(f"g' vanishes or is not finite at x = {x!r}")
     hyp = cauchy_flett_hypothesis(f, g, iv, cfg)
-    t1 = lambda x: (fc(x) - fa) * dgc(x)
-    t2 = lambda x: dfc(x) * (gc(x) - ga)
+    t1 = (f - fa) * dg
+    t2 = differentiate(f) * (g - ga)
     return solve_residual((t1, t2), iv, cfg, TheoremId.CAUCHY_FLETT,
                           hypothesis=hyp)
 

@@ -1,8 +1,12 @@
-"""Acceptance scoreboard shared between test_acceptance and the reporter.
+"""Acceptance scoreboard shared between test_acceptance and the reporter,
+and helpers shared between test modules.
 
 test_acceptance records one entry per headline check; the hook below prints
 them after the run so every session ends with a PASS/FAIL line per check.
 """
+
+import contextlib
+import signal
 
 ACCEPTANCE: list[tuple[str, bool]] = []
 
@@ -17,3 +21,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance checks")
     for label, ok in ACCEPTANCE:
         terminalreporter.write_line(("PASS" if ok else "FAIL") + "  " + label)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import deadline
+import mvtlab
 from mvtlab.cli import main
 from mvtlab.expr import parse
 from mvtlab.numerics import Interval
@@ -152,6 +157,15 @@ class TestUsageErrors:
         assert code == 3
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("theorem", ["riedel-sahoo", "cakmak-tiryaki",
+                                         "second-order-a", "second-order-b"])
+    def test_squared_width_overflow_exits_3(self, capsys, theorem):
+        # (x-a)^2 overflows on a 2e200-wide interval: inf, not OverflowError
+        code, _, err = run(capsys, "solve", theorem, "--fn", "sin(x)",
+                           "--a=-1e200", "-b", "1e200")
+        assert code == 3
+        assert "numeric failure" in err
+
     def test_removable_singularity_inside_interval(self, capsys):
         code, rep, _ = run_json(capsys, "solve", "integral-mvt",
                                 "--fn", "sin(x-0.5)/(x-0.5)", "-a", "0",
@@ -210,6 +224,41 @@ class TestClassifyCommand:
         assert vec["malesevic_m1"] == "NotSatisfied"
         assert vec["has_flett_point"] is True
         assert vec["M"] == 0.0
+
+    def test_pole_between_grid_points_is_not_applicable(self, capsys):
+        # Tong's means integrate f; no sample lands on the pole at 0.5
+        with deadline(1.0):
+            code, rep, _ = run_json(capsys, "classify", "--fn", "1/(x-0.5)",
+                                    "-a", "0", "-b", "0.9", "--scan-points", "256")
+        assert code == 0
+        assert rep["condition_vector"]["tong"] == "NotApplicable"
+
+
+class TestOneProcess:
+    """The parser is built once per process; main stays stateless."""
+
+    REQUESTS = (
+        ("solve", "flett", "--fn", "x^3+2*x-1", "--a=-2", "-b", "2", "--stable"),
+        ("solve", "no-such-theorem", "--fn", "x"),
+        ("classify", "--fn", "x^3", "--a=-1", "-b", "1", "--stable"),
+    )
+
+    def test_requests_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.delenv("MVT_LAB_CONFIG", raising=False)
+        env = {k: v for k, v in os.environ.items() if k != "MVT_LAB_CONFIG"}
+        env["PYTHONPATH"] = str(Path(mvtlab.__file__).parents[1])
+        codes = []
+        for argv in self.REQUESTS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "mvtlab", *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(code)
+        assert codes == [0, 2, 0]
 
 
 class TestCorpus:

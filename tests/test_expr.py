@@ -4,11 +4,12 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, seed
+from hypothesis import given, seed, settings
 
 from mvtlab.expr import (
     Bin, Call, Const, FUNCTIONS, MAX_DEPTH, Neg, ParseError, Var,
-    compile_fn, differentiate, evaluate, parse, sign_sensitive_args,
+    compile_fn, compile_terms, differentiate, evaluate, parse,
+    sign_sensitive_args,
     simplify, substitute, unparse,
 )
 
@@ -182,21 +183,33 @@ def same_float(a, b):
 # and subtrees shared by identity, as differentiation creates them
 _any_const = st.builds(Const, st.one_of(
     st.floats(-8.0, 8.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf])))
+# constant exponents: the integers 1-12 that generated code raises inline,
+# and non-integer and negative ones that it leaves to the helper
+_exponent = st.builds(Const, st.one_of(
+    st.integers(1, 12).map(float), st.integers(-12, -1).map(float),
+    st.floats(-12.0, 12.0)))
 _any_expr = st.recursive(
     st.one_of(_any_const, st.just(Var())),
     lambda sub: st.one_of(
         st.builds(Neg, sub),
         st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
         st.builds(lambda op, t: Bin(op, t, t), st.sampled_from("+-*/^"), sub),
+        st.builds(lambda t, k: Bin("^", t, k), sub, _exponent),
         st.builds(Call, st.sampled_from(FUNCTIONS), sub),
     ),
     max_leaves=16,
 )
-_any_x = st.one_of(st.floats(-4.0, 4.0),
-                   st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+# the edges of the inline fast paths' ranges: asin/acos at +-1, exp near
+# its overflow, x^2 and x^3 near 2^511 and 2^341, and the extremes
+_ulp_edges = [y for v in (1.0, -1.0, 2.0 ** 511, -2.0 ** 511, 2.0 ** 341)
+              for y in (v, math.nextafter(v, 0.0), math.nextafter(v, 2.0 * v))]
+_edge_x = _ulp_edges + [709.0, 709.8, 1e154, -1e154, 1e300, -1e300,
+                        5e-324, -5e-324, 0.0, -0.0, math.inf, -math.inf, math.nan]
+_any_x = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_edge_x))
 
 
 @seed(20211)
+@settings(max_examples=400)
 @given(_any_expr, _any_x)
 def test_compile_matches_evaluate(e, x):
     assert same_float(compile_fn(e)(x), evaluate(e, x))
@@ -204,7 +217,37 @@ def test_compile_matches_evaluate(e, x):
     assert same_float(compile_fn(d)(x), evaluate(d, x))
 
 
+@seed(20212)
+@given(st.lists(_any_expr, min_size=1, max_size=3), st.lists(_any_x, max_size=6))
+def test_compile_terms_matches_compile_fn(exprs, xs):
+    grid, fold = compile_terms(exprs)
+    fns = [compile_fn(e) for e in exprs]
+    cols = grid(xs)
+    assert len(cols) == len(exprs)
+    for fn, col in zip(fns, cols):
+        assert len(col) == len(xs)
+        assert all(same_float(v, fn(x)) for x, v in zip(xs, col))
+    for x in xs:
+        r = fns[0](x)
+        for fn in fns[1:]:
+            r -= fn(x)
+        assert same_float(fold(x), r)
+
+
 class TestCompile:
+    def test_fast_paths_at_range_edges(self):
+        # every function, and x^k for k = 1..12, at the edges of the
+        # ranges where generated code skips the helpers
+        trees = [Call(fn, Var()) for fn in FUNCTIONS]
+        trees += [Bin("^", Var(), Const(float(k))) for k in range(1, 13)]
+        lims = [2.0 ** (1023 // k) for k in range(1, 13)]
+        xs = _edge_x + [y for v in lims + [-v for v in lims]
+                        for y in (v, math.nextafter(v, 0.0))]
+        for e in trees:
+            f = compile_fn(e)
+            for x in xs:
+                assert same_float(f(x), evaluate(e, x)), (e, x)
+
     def test_signed_zero_constants_stay_apart(self):
         e = Bin("-", Bin("/", Const(1.0), Const(0.0)),
                 Bin("/", Const(1.0), Const(-0.0)))
@@ -220,6 +263,17 @@ class TestCompile:
         # the tree has 2,696 nodes but 93 distinct operations
         d = differentiate(parse("exp(sin(x))*ln(x+2)"), 5)
         assert compile_fn(d).__code__.co_nlocals <= 100
+
+    def test_terms_share_subexpressions(self):
+        # f' and f'' repeat most of each other's subtrees; the shared grid
+        # loop computes them once, so it needs far fewer locals than the
+        # two compiled separately
+        d1 = differentiate(parse("exp(sin(x))*ln(x+2)"), 4)
+        d2 = differentiate(d1)
+        grid, _ = compile_terms([d1, d2])
+        apart = (compile_fn(d1).__code__.co_nlocals
+                 + compile_fn(d2).__code__.co_nlocals)
+        assert grid.__code__.co_nlocals < 0.75 * apart
 
 
 @given(_expr, st.floats(-4.0, 4.0, allow_nan=False))

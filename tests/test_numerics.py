@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from mvtlab.expr import compile_fn, parse
+from conftest import deadline
+from mvtlab.expr import Const, Var, compile_fn, differentiate, parse
 from mvtlab.numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, QuadratureError,
     SolverConfig, TheoremId, central_diff, differentiable_on_interior,
@@ -118,6 +119,14 @@ class TestIntegrate:
     def test_pole_at_interior_sample_raises(self, src):
         with pytest.raises(QuadratureError):
             integrate(compile_fn(parse(src)), 0.0, 1.0, CFG)
+
+    @pytest.mark.parametrize("src", ["1/(x-0.5)", "1/(x-0.5)^2"])
+    def test_pole_between_samples_raises_promptly(self, src):
+        # no sample lands on 0.5: the panels around it shrink to float
+        # resolution without meeting the error test; splitting on down to
+        # the depth cap would double the work at every level
+        with deadline(1.0), pytest.raises(QuadratureError):
+            integrate(compile_fn(parse(src)), 0.0, 0.9, CFG)
 
 
 class TestRefineRoot:
@@ -265,6 +274,60 @@ class TestSolveResidual:
         pts = solve_residual((lambda x: x - 0.5,), Interval(0.0, 1.0), CFG,
                              TheoremId.MEYERS_2_4)
         assert pts[0].theorem_id is TheoremId.MEYERS_2_4
+
+
+class TestExpressionTerms:
+    """Expression terms scan exactly like the callables they mirror."""
+
+    def test_flett(self):
+        f = parse("x^3+2*x-1")
+        iv = Interval(-2.0, 2.0)
+        fc, d1 = compile_fn(f), compile_fn(differentiate(f))
+        fa = fc(iv.a)
+        callables = (lambda x: d1(x) * (x - iv.a), lambda x: fc(x) - fa)
+        exprs = (differentiate(f) * (Var() - iv.a), f - fa)
+        want = solve_residual(callables, iv, CFG, TheoremId.FLETT)
+        assert [p.xi for p in want] == pytest.approx([1.0], abs=1e-8)
+        assert solve_residual(exprs, iv, CFG, TheoremId.FLETT) == want
+
+    def test_pawlikowska_order_3(self):
+        f = parse("exp(sin(x))*ln(x+2)")
+        iv = Interval(-1.0, 2.0)
+        a = iv.a
+        fc = compile_fn(f)
+        fa = fc(a)
+        ds = [differentiate(f, i) for i in (1, 2, 3)]
+        coeffs = [1.0, -0.5, 1.0 / 6.0]
+        dfs = [compile_fn(d) for d in ds]
+
+        def total(x):
+            s, p = 0.0, 1.0
+            for c, d in zip(coeffs, dfs):
+                p *= x - a
+                s += c * p * d(x)
+            return s
+
+        h = Var() - a
+        sum_expr, p = Const(0.0), Const(1.0)
+        for c, d in zip(coeffs, ds):
+            p = p * h
+            sum_expr = sum_expr + c * p * d
+        want = solve_residual((lambda x: fc(x) - fa, total), iv, CFG,
+                              TheoremId.PAWLIKOWSKA)
+        assert want
+        assert solve_residual((f - fa, sum_expr), iv, CFG,
+                              TheoremId.PAWLIKOWSKA) == want
+
+    def test_integral_mvt_closed(self):
+        f = parse("x^2")
+        iv = Interval(0.0, 1.0)
+        fc = compile_fn(f)
+        mean = integrate(fc, iv.a, iv.b, CFG) / iv.width
+        want = solve_residual((fc, lambda x: mean), iv, CFG,
+                              TheoremId.INTEGRAL_MVT, closed=True)
+        assert [p.xi for p in want] == pytest.approx([3 ** -0.5], abs=1e-8)
+        assert solve_residual((f, Const(mean)), iv, CFG, TheoremId.INTEGRAL_MVT,
+                              closed=True) == want
 
 
 class TestBracketScan:
