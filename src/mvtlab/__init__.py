@@ -11,7 +11,7 @@ from .numerics import (
     PointResult, QuadratureError, SolverConfig, SolverError, TheoremId,
 )
 from .mvt_points import cauchy_points, integral_mvt_points, lagrange_points, rolle_points
-from .flett import MeyersVariant, find_flett_points, flett_residual, meyers_points
+from .flett import find_flett_points, flett_residual, meyers_points
 from .conditions import ConditionVector, Verdict, classify
 from .generalized import (
     cakmak_tiryaki_points, pawlikowska_points, riedel_sahoo_points, second_order_points,
@@ -32,7 +32,7 @@ __all__ = [
     "SolverError", "DomainError", "QuadratureError", "NoRootFound",
     "HypothesisError",
     "rolle_points", "lagrange_points", "cauchy_points", "integral_mvt_points",
-    "MeyersVariant", "flett_residual", "find_flett_points", "meyers_points",
+    "flett_residual", "find_flett_points", "meyers_points",
     "Verdict", "ConditionVector", "classify",
     "riedel_sahoo_points", "cakmak_tiryaki_points", "second_order_points",
     "pawlikowska_points",

@@ -30,35 +30,77 @@ from .mvt_points import (
     cauchy_points, integral_mvt_points, lagrange_points, rolle_hypothesis,
     rolle_points,
 )
-from .flett import MeyersVariant, find_flett_points, flett_hypothesis, meyers_hypothesis, meyers_points
+from .flett import meyers_hypothesis, meyers_points
 from .conditions import classify
 from .generalized import (
     cakmak_tiryaki_points, pawlikowska_hypothesis, pawlikowska_points,
-    riedel_sahoo_points, second_order_hypothesis, second_order_points,
+    riedel_sahoo_points, second_order_points,
 )
 from .operators import (
     cauchy_flett_hypothesis, cauchy_flett_points, lupu_4_6_points,
     lupu_4_7_points, thm_4_9_points, thm_4_10_points, weighted_norm_point,
     weighted_norms,
 )
-from .verify import verify_point
+from .verify import THEOREMS, Inputs, verify_point
 
 __all__ = ["main"]
 
-_SOLVE_THEOREMS = (
-    "rolle", "lagrange", "cauchy", "integral-mvt", "flett",
-    "meyers-2.3", "meyers-2.4", "meyers-2.5", "meyers-2.6", "meyers-2.7",
-    "meyers-2.8", "meyers-2.9",
-    "riedel-sahoo", "cakmak-tiryaki", "second-order-a", "second-order-b",
-    "pawlikowska", "cauchy-flett", "thm-4.9", "thm-4.10", "weighted-norm",
-    "lupu-4.6", "lupu-4.7",
-)
-_UNIT_ONLY = {"lupu-4.6", "lupu-4.7", "thm-4.10", "weighted-norm"}
-_NEEDS_G = {"cauchy", "cauchy-flett", "thm-4.9", "thm-4.10", "weighted-norm",
-            "lupu-4.6", "lupu-4.7"}
-_NEEDS_WEIGHT = {"thm-4.10", "weighted-norm"}
 _CONFIG_FIELDS = ("scan_points", "root_tol", "residual_tol", "quad_tol",
                   "endpoint_margin", "singular_threshold")
+
+
+def _flett_family(tid: TheoremId):
+    return ((tid,), lambda q: [meyers_points(tid, q.f, q.iv, q.cfg)],
+            lambda q: meyers_hypothesis(tid, q.f, q.iv, q.cfg))
+
+
+# solve command -> (the theorem ids it reports, the call giving one point
+# list per id, the call giving the hypothesis flag of a group without
+# points or None). A group with points reads the flag from them: every
+# solver stamps it on each point. The calls go through the names imported
+# above, which the benchmark's tracer (bench/tracer.py) wraps.
+_SOLVES = {
+    "rolle": ((TheoremId.ROLLE,), lambda q: [rolle_points(q.f, q.iv, q.cfg)],
+              lambda q: rolle_hypothesis(q.f, q.iv, q.cfg)),
+    "lagrange": ((TheoremId.LAGRANGE,), lambda q: [lagrange_points(q.f, q.iv, q.cfg)], None),
+    "cauchy": ((TheoremId.CAUCHY,), lambda q: [cauchy_points(q.f, q.g, q.iv, q.cfg)], None),
+    "integral-mvt": ((TheoremId.INTEGRAL_MVT,),
+                     lambda q: [integral_mvt_points(q.f, q.iv, q.cfg)], None),
+    "flett": _flett_family(TheoremId.FLETT),
+    "meyers-2.3": _flett_family(TheoremId.MEYERS_2_3),
+    "meyers-2.4": _flett_family(TheoremId.MEYERS_2_4),
+    "meyers-2.5": _flett_family(TheoremId.MEYERS_2_5),
+    "meyers-2.6": _flett_family(TheoremId.MEYERS_2_6),
+    "meyers-2.7": _flett_family(TheoremId.MEYERS_2_7),
+    "meyers-2.8": _flett_family(TheoremId.MEYERS_2_8),
+    "meyers-2.9": _flett_family(TheoremId.MEYERS_2_9),
+    "riedel-sahoo": ((TheoremId.RIEDEL_SAHOO,),
+                     lambda q: [riedel_sahoo_points(q.f, q.iv, q.cfg)], None),
+    "cakmak-tiryaki": ((TheoremId.CAKMAK_TIRYAKI,),
+                       lambda q: [cakmak_tiryaki_points(q.f, q.iv, q.cfg)], None),
+    "second-order-a": ((TheoremId.SECOND_ORDER_A,),
+                       lambda q: [second_order_points("anchored_at_a", q.f, q.iv, q.cfg)],
+                       lambda q: pawlikowska_hypothesis(q.f, q.iv, 2, q.cfg)),
+    "second-order-b": ((TheoremId.SECOND_ORDER_B,),
+                       lambda q: [second_order_points("anchored_at_b", q.f, q.iv, q.cfg)],
+                       lambda q: pawlikowska_hypothesis(q.f, q.iv, 2, q.cfg)),
+    "pawlikowska": ((TheoremId.PAWLIKOWSKA,),
+                    lambda q: [pawlikowska_points(q.f, q.iv, q.n, q.cfg)],
+                    lambda q: pawlikowska_hypothesis(q.f, q.iv, q.n, q.cfg)),
+    "cauchy-flett": ((TheoremId.CAUCHY_FLETT,),
+                     lambda q: [cauchy_flett_points(q.f, q.g, q.iv, q.cfg)],
+                     lambda q: cauchy_flett_hypothesis(q.f, q.g, q.iv, q.cfg)),
+    "thm-4.9": ((TheoremId.THM_4_9,), lambda q: [thm_4_9_points(q.f, q.g, q.iv, q.cfg)],
+                lambda q: True),
+    "thm-4.10": ((TheoremId.THM_4_10,),
+                 lambda q: [thm_4_10_points(q.f, q.g, q.weight, q.cfg)], None),
+    "weighted-norm": ((TheoremId.WEIGHTED_NORM,),
+                      lambda q: [[weighted_norm_point(q.f, q.g, q.weight, q.cfg)]], None),
+    "lupu-4.6": ((TheoremId.LUPU_4_6_T, TheoremId.LUPU_4_6_TS, TheoremId.LUPU_4_6_S),
+                 lambda q: [[p] for p in lupu_4_6_points(q.f, q.g, q.cfg)], None),
+    "lupu-4.7": ((TheoremId.LUPU_4_7_T, TheoremId.LUPU_4_7_S),
+                 lambda q: [[p] for p in lupu_4_7_points(q.f, q.g, q.cfg)], None),
+}
 
 
 class _UsageError(Exception):
@@ -161,16 +203,16 @@ def _collect_config(args) -> dict:
     return {k: overrides[k] for k in _CONFIG_FIELDS if k in overrides}
 
 
-def _interval_for(args, theorem: str | None) -> Interval:
-    unit = theorem in _UNIT_ONLY
-    if args.a is None and args.b is None and unit:
+def _interval_for(args, unit_only: str | None) -> Interval:
+    """The request's interval; ``unit_only`` names a theorem defined on [0, 1]."""
+    if args.a is None and args.b is None and unit_only:
         return Interval(0.0, 1.0)
     if args.a is None or args.b is None:
         raise _UsageError("both -a and -b are required")
     a = _parse_endpoint(args.a, "-a")
     b = _parse_endpoint(args.b, "-b")
-    if unit and (a != 0.0 or b != 1.0):
-        raise _UsageError(f"theorem {theorem} is defined on [0, 1]; "
+    if unit_only and (a != 0.0 or b != 1.0):
+        raise _UsageError(f"theorem {unit_only} is defined on [0, 1]; "
                           "omit -a/-b or pass 0 and 1")
     try:
         return Interval(a, b)
@@ -193,80 +235,38 @@ def _group(tid: TheoremId, pts: list[PointResult],
 # Commands
 
 
+def _input_fn(text: str | None, flag: str, theorem: str, taken: bool) -> Expr | None:
+    if taken and text is None:
+        raise _UsageError(f"theorem {theorem} needs {flag}")
+    if text is not None and not taken:
+        raise _UsageError(f"theorem {theorem} takes no {flag}")
+    return None if text is None else _parse_fn(text, flag)
+
+
 def _cmd_solve(args, cfg: SolverConfig) -> tuple[dict, list, int]:
     theorem = args.theorem
+    ids, find_points, hypothesis = _SOLVES[theorem]
+    thms = [THEOREMS[tid] for tid in ids]
     f = _parse_fn(args.fn, "--fn")
-    g = weight = None
-    if theorem in _NEEDS_G:
-        if args.gn is None:
-            raise _UsageError(f"theorem {theorem} needs --gn")
-        g = _parse_fn(args.gn, "--gn")
-    if theorem in _NEEDS_WEIGHT:
-        if args.weight is None:
-            raise _UsageError(f"theorem {theorem} needs --weight")
-        weight = _parse_fn(args.weight, "--weight")
-    iv = _interval_for(args, theorem)
+    g = _input_fn(args.gn, "--gn", theorem, any(t.needs_g for t in thms))
+    weight = _input_fn(args.weight, "--weight", theorem,
+                       any(t.needs_weight for t in thms))
+    if args.n is not None and not any(t.takes_n for t in thms):
+        raise _UsageError(f"theorem {theorem} takes no --n")
+    iv = _interval_for(args, theorem if any(t.unit_only for t in thms) else None)
     n = args.n if args.n is not None else 1
+    q = Inputs(f, g, weight, iv, n, cfg)
 
     groups: list[tuple[TheoremId, list[PointResult], bool | None]] = []
     code = 0
     try:
-        if theorem == "rolle":
-            groups.append((TheoremId.ROLLE, rolle_points(f, iv, cfg),
-                           rolle_hypothesis(f, iv, cfg)))
-        elif theorem == "lagrange":
-            groups.append((TheoremId.LAGRANGE, lagrange_points(f, iv, cfg), None))
-        elif theorem == "cauchy":
-            groups.append((TheoremId.CAUCHY, cauchy_points(f, g, iv, cfg), None))
-        elif theorem == "integral-mvt":
-            groups.append((TheoremId.INTEGRAL_MVT, integral_mvt_points(f, iv, cfg), None))
-        elif theorem == "flett":
-            groups.append((TheoremId.FLETT, find_flett_points(f, iv, cfg),
-                           flett_hypothesis(f, iv, cfg)))
-        elif theorem.startswith("meyers-"):
-            v = MeyersVariant(theorem)
-            groups.append((TheoremId(theorem), meyers_points(v, f, iv, cfg),
-                           meyers_hypothesis(v, f, iv, cfg)))
-        elif theorem == "riedel-sahoo":
-            groups.append((TheoremId.RIEDEL_SAHOO, riedel_sahoo_points(f, iv, cfg), None))
-        elif theorem == "cakmak-tiryaki":
-            groups.append((TheoremId.CAKMAK_TIRYAKI, cakmak_tiryaki_points(f, iv, cfg), None))
-        elif theorem in ("second-order-a", "second-order-b"):
-            variant = "anchored_at_a" if theorem.endswith("a") else "anchored_at_b"
-            groups.append((TheoremId(theorem),
-                           second_order_points(variant, f, iv, cfg),
-                           second_order_hypothesis(f, iv, cfg)))
-        elif theorem == "pawlikowska":
-            groups.append((TheoremId.PAWLIKOWSKA, pawlikowska_points(f, iv, n, cfg),
-                           pawlikowska_hypothesis(f, iv, n, cfg)))
-        elif theorem == "cauchy-flett":
-            groups.append((TheoremId.CAUCHY_FLETT, cauchy_flett_points(f, g, iv, cfg),
-                           cauchy_flett_hypothesis(f, g, iv, cfg)))
-        elif theorem == "thm-4.9":
-            groups.append((TheoremId.THM_4_9, thm_4_9_points(f, g, iv, cfg), True))
-        elif theorem == "thm-4.10":
-            groups.append((TheoremId.THM_4_10, thm_4_10_points(f, g, weight, cfg), None))
-        elif theorem == "weighted-norm":
-            groups.append((TheoremId.WEIGHTED_NORM,
-                           [weighted_norm_point(f, g, weight, cfg)], None))
-        elif theorem == "lupu-4.6":
-            x1, x2, x3 = lupu_4_6_points(f, g, cfg)
-            groups.extend([(TheoremId.LUPU_4_6_T, [x1], None),
-                           (TheoremId.LUPU_4_6_TS, [x2], None),
-                           (TheoremId.LUPU_4_6_S, [x3], None)])
-        elif theorem == "lupu-4.7":
-            x1, x2 = lupu_4_7_points(f, g, cfg)
-            groups.extend([(TheoremId.LUPU_4_7_T, [x1], None),
-                           (TheoremId.LUPU_4_7_S, [x2], None)])
+        groups = [(tid, pts, hypothesis(q) if hypothesis and not pts else None)
+                  for tid, pts in zip(ids, find_points(q))]
     except HypothesisError as exc:
-        # only raised by identities whose command name is also a theorem id
         print(f"hypothesis not satisfied: {exc}", file=sys.stderr)
-        groups = [(TheoremId(theorem), [], False)]
+        groups = [(tid, [], False) for tid in ids]
         code = 1
-    except NoRootFound as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        code = 3
-    except (DomainError, QuadratureError) as exc:
+    except (NoRootFound, DomainError, QuadratureError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         code = 3
     except ValueError as exc:
@@ -347,6 +347,16 @@ def _expect_matches(expect: dict, got: dict) -> bool:
     return True
 
 
+def _record_endpoint(v, name: str) -> float:
+    """A corpus record's endpoint: a JSON number or an expression string."""
+    if isinstance(v, str):
+        return _parse_endpoint(v, name)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise _UsageError(f"endpoint {name} must be a number or an expression, "
+                      f"got {json.dumps(v)}")
+
+
 def _cmd_corpus(args, cfg: SolverConfig) -> tuple[dict, list, int]:
     try:
         with open(args.path, encoding="utf-8") as fh:
@@ -369,12 +379,10 @@ def _cmd_corpus(args, cfg: SolverConfig) -> tuple[dict, list, int]:
             raise _UsageError(f"line {lineno}: each record needs fn, a, b")
         try:
             f = parse(rec["fn"])
-            a = float(rec["a"]) if isinstance(rec["a"], (int, float)) \
-                else _parse_endpoint(rec["a"], "a")
-            b = float(rec["b"]) if isinstance(rec["b"], (int, float)) \
-                else _parse_endpoint(rec["b"], "b")
+            a = _record_endpoint(rec["a"], "a")
+            b = _record_endpoint(rec["b"], "b")
             iv = Interval(a, b)
-        except (ParseError, ValueError, _UsageError) as exc:
+        except (ParseError, ValueError, OverflowError, _UsageError) as exc:
             raise _UsageError(f"line {lineno}: {exc}")
         expect = rec.get("expect")
         if expect is not None and not isinstance(expect, dict):
@@ -430,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", parents=[shared],
                         help="find the points of one identity")
-    ps.add_argument("theorem", choices=_SOLVE_THEOREMS, metavar="theorem")
+    ps.add_argument("theorem", choices=_SOLVES, metavar="theorem")
     ps.add_argument("--fn", required=True, help="function text, e.g. 'x^3+2*x-1'")
     ps.add_argument("--gn", help="second function where the identity needs one")
     ps.add_argument("--weight", help="weight function where the identity needs one")

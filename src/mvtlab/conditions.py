@@ -21,9 +21,12 @@ from enum import Enum
 
 from .expr import Expr, compile_fn, differentiate, evaluate
 from .flett import find_flett_points
+from .generalized import endpoint_slopes, pawlikowska_hypothesis
+from .mvt_points import integral_mean
+# integrate and one_sided_derivative are unused here but bench/tracer.py patches them
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, SolverConfig, SolverError,
-    central_diff, differentiable_on_interior, grid_points, integrate,
+    central_diff, close, differentiable_on_interior, integrate,
     one_sided_derivative,
 )
 
@@ -78,21 +81,16 @@ class ConditionVector:
         }
 
 
-def _endpoint_slopes(f: Expr, iv: Interval, cfg: SolverConfig):
-    return one_sided_derivative(f, iv.a, cfg), one_sided_derivative(f, iv.b, cfg)
-
-
 def check_flett_condition(f: Expr, iv: Interval,
                           cfg: SolverConfig | None = None) -> Verdict:
     """Equal one-sided endpoint slopes, within residual_tol of each other."""
     cfg = cfg or DEFAULT_CONFIG
     if not differentiable_on_interior(f, iv, cfg):
         return Verdict.NotApplicable
-    da, db = _endpoint_slopes(f, iv, cfg)
-    if da is None or db is None:
+    agree = pawlikowska_hypothesis(f, iv, 1, cfg)
+    if agree is None:
         return Verdict.NotApplicable
-    close = abs(da - db) <= cfg.residual_tol * max(1.0, abs(da), abs(db))
-    return Verdict.Satisfied if close else Verdict.NotSatisfied
+    return Verdict.Satisfied if agree else Verdict.NotSatisfied
 
 
 def _band(p: float, cfg: SolverConfig) -> float:
@@ -102,7 +100,7 @@ def _band(p: float, cfg: SolverConfig) -> float:
 def _trahan(f: Expr, iv: Interval, cfg: SolverConfig):
     if not differentiable_on_interior(f, iv, cfg):
         return Verdict.NotApplicable, None
-    da, db = _endpoint_slopes(f, iv, cfg)
+    da, db = endpoint_slopes(f, iv, cfg)
     if da is None or db is None:
         return Verdict.NotApplicable, None
     fc = compile_fn(f)
@@ -132,14 +130,8 @@ def tong_means(f: Expr, iv: Interval,
 
     Raises DomainError when f is not finite on the closed grid.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    fc = compile_fn(f)
-    for x in grid_points(iv, cfg, margin=0.0):
-        if not math.isfinite(fc(x)):
-            raise DomainError(f"f is not finite at x={x!r}")
-    m = 0.5 * (fc(iv.a) + fc(iv.b))
-    i = integrate(fc, iv.a, iv.b, cfg) / iv.width
-    return m, i
+    fc, i = integral_mean(f, iv, cfg or DEFAULT_CONFIG)
+    return 0.5 * (fc(iv.a) + fc(iv.b)), i
 
 
 def check_tong(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verdict:
@@ -149,8 +141,12 @@ def check_tong(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verdic
         m, i = tong_means(f, iv, cfg)
     except DomainError:
         return Verdict.NotApplicable
-    tol = max(cfg.quad_tol, cfg.residual_tol) * max(1.0, abs(m), abs(i))
-    return Verdict.Satisfied if abs(m - i) <= tol else Verdict.NotSatisfied
+    return _tong_verdict(m, i, cfg)
+
+
+def _tong_verdict(m: float, i: float, cfg: SolverConfig) -> Verdict:
+    tol = max(cfg.quad_tol, cfg.residual_tol)
+    return Verdict.Satisfied if close(m, i, tol) else Verdict.NotSatisfied
 
 
 def phi1(f: Expr, a: float):
@@ -209,7 +205,7 @@ def check_malesevic(f: Expr, iv: Interval,
     cfg = cfg or DEFAULT_CONFIG
     if not differentiable_on_interior(f, iv, cfg):
         return Verdict.NotApplicable, Verdict.NotApplicable
-    da, db = _endpoint_slopes(f, iv, cfg)
+    da, db = endpoint_slopes(f, iv, cfg)
     fc = compile_fn(f)
     fa, fb = fc(iv.a), fc(iv.b)
     if da is None or not (math.isfinite(fa) and math.isfinite(fb)):
@@ -243,8 +239,7 @@ def classify(f: Expr, iv: Interval,
     m = i = None
     try:
         m, i = tong_means(f, iv, cfg)
-        tol = max(cfg.quad_tol, cfg.residual_tol) * max(1.0, abs(m), abs(i))
-        tong_v = Verdict.Satisfied if abs(m - i) <= tol else Verdict.NotSatisfied
+        tong_v = _tong_verdict(m, i, cfg)
     except SolverError:
         tong_v, m, i = Verdict.NotApplicable, None, None
     try:

@@ -13,12 +13,12 @@ import math
 from .expr import Const, Expr, Var, compile_fn, differentiate
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, SolverConfig, TheoremId,
-    one_sided_derivative, solve_residual,
+    close, one_sided_derivative, solve_residual,
 )
 
 __all__ = [
-    "MAX_SUM_ORDER", "riedel_sahoo_points", "cakmak_tiryaki_points",
-    "second_order_points", "second_order_hypothesis",
+    "MAX_SUM_ORDER", "endpoint_slopes", "riedel_sahoo_points",
+    "cakmak_tiryaki_points", "second_order_points",
     "pawlikowska_points", "pawlikowska_hypothesis",
 ]
 
@@ -27,20 +27,36 @@ __all__ = [
 MAX_SUM_ORDER = 12
 
 
-def _endpoint_slopes(f: Expr, iv: Interval, cfg: SolverConfig) -> tuple[float, float]:
-    da = one_sided_derivative(f, iv.a, cfg)
-    db = one_sided_derivative(f, iv.b, cfg)
+def endpoint_slopes(f: Expr, iv: Interval,
+                    cfg: SolverConfig) -> tuple[float | None, float | None]:
+    """(f'(a), f'(b)), one-sided; None for one that does not exist finitely."""
+    return one_sided_derivative(f, iv.a, cfg), one_sided_derivative(f, iv.b, cfg)
+
+
+def _slope_gap_rate(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
+    da, db = endpoint_slopes(f, iv, cfg)
     if da is None:
         raise DomainError("one-sided derivative at the left endpoint does not exist finitely")
     if db is None:
         raise DomainError("one-sided derivative at the right endpoint does not exist finitely")
-    return da, db
+    return (db - da) / iv.width
 
 
-def _close(u: float | None, v: float | None, cfg: SolverConfig) -> bool | None:
-    if u is None or v is None:
+def pawlikowska_hypothesis(f: Expr, iv: Interval, n: int,
+                           cfg: SolverConfig | None = None) -> bool | None:
+    """Whether the n-th derivatives at the endpoints agree, one-sided.
+
+    n = 1 is Flett's hypothesis, n = 2 the second-order one; None when
+    either value does not exist finitely.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    pre = f
+    for _ in range(n - 1):
+        pre = differentiate(pre)
+    da, db = endpoint_slopes(pre, iv, cfg)
+    if da is None or db is None:
         return None
-    return abs(u - v) <= cfg.residual_tol * max(1.0, abs(u), abs(v))
+    return close(da, db, cfg.residual_tol)
 
 
 def riedel_sahoo_points(f: Expr, iv: Interval,
@@ -55,8 +71,7 @@ def riedel_sahoo_points(f: Expr, iv: Interval,
     fa = compile_fn(f)(iv.a)
     if not math.isfinite(fa):
         raise DomainError("f(a) is not finite")
-    da, db = _endpoint_slopes(f, iv, cfg)
-    k = (db - da) / iv.width
+    k = _slope_gap_rate(f, iv, cfg)
     h = Var() - iv.a
     t1 = f - fa + 0.5 * k * h ** 2
     t2 = h * differentiate(f)
@@ -74,32 +89,11 @@ def cakmak_tiryaki_points(f: Expr, iv: Interval,
     fb = compile_fn(f)(iv.b)
     if not math.isfinite(fb):
         raise DomainError("f(b) is not finite")
-    da, db = _endpoint_slopes(f, iv, cfg)
-    k = (db - da) / iv.width
+    k = _slope_gap_rate(f, iv, cfg)
     h = iv.b - Var()
     t1 = fb - f
     t2 = h * differentiate(f) + 0.5 * k * h ** 2
     return solve_residual((t1, t2), iv, cfg, TheoremId.CAKMAK_TIRYAKI)
-
-
-def second_order_hypothesis(f: Expr, iv: Interval,
-                            cfg: SolverConfig | None = None) -> bool | None:
-    """Whether f''(a) = f''(b), one-sided; None if either side blows up."""
-    cfg = cfg or DEFAULT_CONFIG
-    df = differentiate(f)
-    return _close(one_sided_derivative(df, iv.a, cfg),
-                  one_sided_derivative(df, iv.b, cfg), cfg)
-
-
-def pawlikowska_hypothesis(f: Expr, iv: Interval, n: int,
-                           cfg: SolverConfig | None = None) -> bool | None:
-    """Whether the n-th derivatives at the endpoints agree, one-sided."""
-    cfg = cfg or DEFAULT_CONFIG
-    pre = f
-    for _ in range(n - 1):
-        pre = differentiate(pre)
-    return _close(one_sided_derivative(pre, iv.a, cfg),
-                  one_sided_derivative(pre, iv.b, cfg), cfg)
 
 
 def second_order_points(variant: str, f: Expr, iv: Interval,
@@ -118,7 +112,7 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
     fc = compile_fn(f)
     d1 = differentiate(f)
     d2 = differentiate(d1)
-    hyp = second_order_hypothesis(f, iv, cfg)
+    hyp = pawlikowska_hypothesis(f, iv, 2, cfg)
     if variant == "anchored_at_a":
         fa = fc(iv.a)
         if not math.isfinite(fa):

@@ -10,16 +10,17 @@ hypotheses.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .expr import Const, Expr, compile_fn, differentiate
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, SolverConfig, TheoremId,
-    differentiable_on_interior, grid_points, integrate, solve_residual,
+    close, differentiable_on_interior, grid_points, integrate, solve_residual,
 )
 
 __all__ = [
     "rolle_points", "rolle_hypothesis", "lagrange_points",
-    "cauchy_points", "integral_mvt_points",
+    "cauchy_points", "integral_mean", "integral_mvt_points",
 ]
 
 
@@ -30,7 +31,7 @@ def rolle_hypothesis(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> 
     fa, fb = fc(iv.a), fc(iv.b)
     if not (math.isfinite(fa) and math.isfinite(fb)):
         return None
-    return abs(fa - fb) <= cfg.residual_tol * max(1.0, abs(fa), abs(fb))
+    return close(fa, fb, cfg.residual_tol)
 
 
 def rolle_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> list[PointResult]:
@@ -80,6 +81,17 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
     return solve_residual((t1, t2), iv, cfg, TheoremId.CAUCHY, hypothesis=hyp)
 
 
+def integral_mean(f: Expr, iv: Interval,
+                  cfg: SolverConfig) -> tuple[Callable[[float], float], float]:
+    """(compiled f, mean of f over [a, b]); DomainError if f is not finite on the closed grid."""
+    fc = compile_fn(f)
+    for x in grid_points(iv, cfg, margin=0.0):
+        if not math.isfinite(fc(x)):
+            raise DomainError(f"f is not finite at x={x!r}; the mean value "
+                              "identity needs a continuous integrand")
+    return fc, integrate(fc, iv.a, iv.b, cfg) / iv.width
+
+
 def integral_mvt_points(f: Expr, iv: Interval,
                         cfg: SolverConfig | None = None) -> list[PointResult]:
     """Points where f equals its average value over [a, b].
@@ -88,11 +100,6 @@ def integral_mvt_points(f: Expr, iv: Interval,
     endpoints included; f must be finite on the whole closed grid.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc = compile_fn(f)
-    for x in grid_points(iv, cfg, margin=0.0):
-        if not math.isfinite(fc(x)):
-            raise DomainError(f"f is not finite at x={x!r}; the mean value "
-                              "identity needs a continuous integrand")
-    mean = integrate(fc, iv.a, iv.b, cfg) / iv.width
+    _, mean = integral_mean(f, iv, cfg)
     return solve_residual((f, Const(mean)), iv, cfg, TheoremId.INTEGRAL_MVT,
                           closed=True)

@@ -26,7 +26,7 @@ __all__ = [
     "SolverError", "DomainError", "QuadratureError", "NoRootFound", "HypothesisError",
     "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "PointResult",
     "grid_points", "residual_scale", "refine_root", "integrate",
-    "central_diff", "fold_terms", "solve_residual",
+    "central_diff", "fold_terms", "solve_residual", "tolerance", "close",
     "one_sided_derivative", "differentiable_on_interior",
 ]
 
@@ -138,6 +138,16 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+
+def tolerance(u: float, v: float, unit: float) -> float:
+    """unit * max(1, |u|, |v|): how far apart u and v may lie and still agree."""
+    return unit * max(1.0, abs(u), abs(v))
+
+
+def close(u: float, v: float, unit: float) -> bool:
+    """|u - v| <= tolerance(u, v, unit), the package's one agreement test."""
+    return abs(u - v) <= tolerance(u, v, unit)
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,10 +23,12 @@ from dataclasses import replace
 from typing import Callable
 
 from .expr import Expr, compile_fn, differentiate
+from .generalized import endpoint_slopes
+# one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, DomainError, HypothesisError, Interval, NoRootFound,
-    PointResult, SolverConfig, TheoremId, fold_terms, grid_points, integrate,
-    one_sided_derivative, residual_scale, solve_residual,
+    PointResult, SolverConfig, TheoremId, close, fold_terms, grid_points,
+    integrate, one_sided_derivative, residual_scale, solve_residual,
 )
 
 __all__ = [
@@ -145,6 +147,21 @@ def _single_point(t1: Callable[[float], float], t2: Callable[[float], float],
     raise _no_root_error((t1, t2), iv, cfg, tid)
 
 
+def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
+    """Terms of the T pair and the S pair, then Tf and Sf.
+
+    The pairs are coupled by c_f and c_g, the integrals of weighted(f) and
+    weighted(g) over [0, 1]: c_f·(Tg)(x) = c_g·(Tf)(x), and likewise for S.
+    """
+    fc, gc = compile_fn(f), compile_fn(g)
+    cf = integrate(weighted(fc), 0.0, 1.0, cfg)
+    cg = integrate(weighted(gc), 0.0, 1.0, cfg)
+    tf, tg = apply_T(f, cfg), apply_T(g, cfg)
+    sf, sg = apply_S(f, cfg), apply_S(g, cfg)
+    return ((lambda x: cf * tg(x), lambda x: cg * tf(x)),
+            (lambda x: cf * sg(x), lambda x: cg * sf(x)), tf, sf)
+
+
 def lupu_4_6_points(f: Expr, g: Expr,
                     cfg: SolverConfig | None = None
                     ) -> tuple[PointResult, PointResult, PointResult]:
@@ -159,17 +176,10 @@ def lupu_4_6_points(f: Expr, g: Expr,
     others carry genuine roots.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc, gc = compile_fn(f), compile_fn(g)
-    int_f = integrate(fc, 0.0, 1.0, cfg)
-    int_g = integrate(gc, 0.0, 1.0, cfg)
-    tf, tg = apply_T(f, cfg), apply_T(g, cfg)
-    sf, sg = apply_S(f, cfg), apply_S(g, cfg)
-    xi1 = _single_point(lambda x: int_f * tg(x), lambda x: int_g * tf(x),
-                        TheoremId.LUPU_4_6_T, cfg)
-    xi2 = _single_point(tf, sf, TheoremId.LUPU_4_6_TS, cfg)
-    xi3 = _single_point(lambda x: int_f * sg(x), lambda x: int_g * sf(x),
-                        TheoremId.LUPU_4_6_S, cfg)
-    return xi1, xi2, xi3
+    t_pair, s_pair, tf, sf = _coupled_terms(f, g, lambda h: h, cfg)
+    return (_single_point(*t_pair, TheoremId.LUPU_4_6_T, cfg),
+            _single_point(tf, sf, TheoremId.LUPU_4_6_TS, cfg),
+            _single_point(*s_pair, TheoremId.LUPU_4_6_S, cfg))
 
 
 def lupu_4_7_points(f: Expr, g: Expr,
@@ -182,30 +192,32 @@ def lupu_4_7_points(f: Expr, g: Expr,
     the S pair.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc, gc = compile_fn(f), compile_fn(g)
-    wf = integrate(lambda x: (1.0 - x) * fc(x), 0.0, 1.0, cfg)
-    wg = integrate(lambda x: (1.0 - x) * gc(x), 0.0, 1.0, cfg)
-    tf, tg = apply_T(f, cfg), apply_T(g, cfg)
-    sf, sg = apply_S(f, cfg), apply_S(g, cfg)
-    xi1 = _single_point(lambda x: wf * tg(x), lambda x: wg * tf(x),
-                        TheoremId.LUPU_4_7_T, cfg)
-    xi2 = _single_point(lambda x: wf * sg(x), lambda x: wg * sf(x),
-                        TheoremId.LUPU_4_7_S, cfg)
-    return xi1, xi2
+    t_pair, s_pair, _, _ = _coupled_terms(f, g, lambda h: lambda x: (1.0 - x) * h(x), cfg)
+    return (_single_point(*t_pair, TheoremId.LUPU_4_7_T, cfg),
+            _single_point(*s_pair, TheoremId.LUPU_4_7_S, cfg))
+
+
+def _nonvanishing_derivative(h: Expr, iv: Interval, cfg: SolverConfig,
+                             name: str) -> Expr:
+    """h', once it is checked finite and nonzero at every scan-grid point."""
+    dh = differentiate(h)
+    dhc = compile_fn(dh)
+    for x in grid_points(iv, cfg):
+        v = dhc(x)
+        if not math.isfinite(v) or v == 0.0:
+            raise DomainError(f"{name} vanishes or is not finite at x = {x!r}")
+    return dh
 
 
 def cauchy_flett_hypothesis(f: Expr, g: Expr, iv: Interval,
                             cfg: SolverConfig | None = None) -> bool | None:
     """Whether f'/g' agrees at the two endpoints (one-sided values)."""
     cfg = cfg or DEFAULT_CONFIG
-    da = one_sided_derivative(f, iv.a, cfg)
-    db = one_sided_derivative(f, iv.b, cfg)
-    ea = one_sided_derivative(g, iv.a, cfg)
-    eb = one_sided_derivative(g, iv.b, cfg)
+    da, db = endpoint_slopes(f, iv, cfg)
+    ea, eb = endpoint_slopes(g, iv, cfg)
     if None in (da, db, ea, eb) or ea == 0.0 or eb == 0.0:
         return None
-    ra, rb = da / ea, db / eb
-    return abs(ra - rb) <= cfg.residual_tol * max(1.0, abs(ra), abs(rb))
+    return close(da / ea, db / eb, cfg.residual_tol)
 
 
 def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
@@ -219,12 +231,7 @@ def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
     fa, ga = compile_fn(f)(iv.a), compile_fn(g)(iv.a)
     if not (math.isfinite(fa) and math.isfinite(ga)):
         raise DomainError("f(a) and g(a) must be finite")
-    dg = differentiate(g)
-    dgc = compile_fn(dg)
-    for x in grid_points(iv, cfg):
-        v = dgc(x)
-        if not math.isfinite(v) or v == 0.0:
-            raise DomainError(f"g' vanishes or is not finite at x = {x!r}")
+    dg = _nonvanishing_derivative(g, iv, cfg, "g'")
     hyp = cauchy_flett_hypothesis(f, g, iv, cfg)
     t1 = (f - fa) * dg
     t2 = differentiate(f) * (g - ga)
@@ -243,11 +250,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
     """
     cfg = cfg or DEFAULT_CONFIG
     fc, gc = compile_fn(f), compile_fn(g)
-    dgc = compile_fn(differentiate(g))
-    for x in grid_points(iv, cfg):
-        v = dgc(x)
-        if not math.isfinite(v) or v == 0.0:
-            raise DomainError(f"g' vanishes or is not finite at x = {x!r}")
+    _nonvanishing_derivative(g, iv, cfg, "g'")
     ga = gc(iv.a)
     if not math.isfinite(ga):
         raise DomainError("g(a) is not finite")
@@ -277,12 +280,7 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     """
     cfg = cfg or DEFAULT_CONFIG
     fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
-    dpc = compile_fn(differentiate(phi))
-    for x in grid_points(UNIT_INTERVAL, cfg):
-        v = dpc(x)
-        if not math.isfinite(v) or v == 0.0:
-            raise DomainError(f"the weight's derivative vanishes or is not "
-                              f"finite at x = {x!r}")
+    _nonvanishing_derivative(phi, UNIT_INTERVAL, cfg, "the weight's derivative")
     int_f = integrate(fc, 0.0, 1.0, cfg)
     int_g = integrate(gc, 0.0, 1.0, cfg)
     phi0 = pc(0.0)
@@ -318,12 +316,7 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
     """
     cfg = cfg or DEFAULT_CONFIG
     fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
-    dpc = compile_fn(differentiate(phi))
-    for x in grid_points(UNIT_INTERVAL, cfg):
-        v = dpc(x)
-        if not math.isfinite(v) or v == 0.0:
-            raise DomainError(f"the weight's derivative vanishes or is not "
-                              f"finite at x = {x!r}")
+    _nonvanishing_derivative(phi, UNIT_INTERVAL, cfg, "the weight's derivative")
     phi0 = pc(0.0)
     if not math.isfinite(phi0) or abs(phi0) > cfg.residual_tol:
         raise HypothesisError(f"the weight must vanish at 0, got phi(0) = {phi0!r}")

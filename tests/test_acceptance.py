@@ -20,7 +20,7 @@ from mvtlab.conditions import (
     Verdict, check_flett_condition, check_malesevic, classify, tong_means,
 )
 from mvtlab.expr import compile_fn, differentiate, parse, substitute
-from mvtlab.flett import MeyersVariant, find_flett_points, meyers_points
+from mvtlab.flett import find_flett_points, meyers_points
 from mvtlab.generalized import (
     cakmak_tiryaki_points, pawlikowska_points, riedel_sahoo_points,
     second_order_points,
@@ -237,7 +237,7 @@ def test_criterion_8b_reflection_duality():
             fl = sorted(p.xi for p in find_flett_points(f, iv, FAST)
                         if not p.degenerate)
             m3 = sorted(iv.a + iv.b - p.xi
-                        for p in meyers_points(MeyersVariant.Meyers_2_3, g,
+                        for p in meyers_points(TheoremId.MEYERS_2_3, g,
                                                iv, FAST)
                         if not p.degenerate)
             rs = sorted(p.xi for p in riedel_sahoo_points(f, iv, FAST)

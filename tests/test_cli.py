@@ -10,12 +10,14 @@ import pytest
 
 from conftest import deadline
 import mvtlab
-from mvtlab.cli import main
+import mvtlab.numerics
+from mvtlab.cli import _SOLVES, main
 from mvtlab.expr import parse
-from mvtlab.numerics import Interval
-from mvtlab.verify import verify_point
+from mvtlab.numerics import Interval, TheoremId
+from mvtlab.verify import THEOREMS, IdentityCheck, verify_point
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -309,6 +311,17 @@ class TestCorpus:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("endpoint", ["true", "false", "null", "[1]", "{}"])
+    def test_endpoint_that_is_no_number_nor_text_exits_2(self, capsys, tmp_path,
+                                                         endpoint):
+        # JSON true is a Python bool, and bool is an int subclass
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"fn": "x^3", "a": -1, "b": 1}\n'
+                     f'{{"fn": "x^3", "a": {endpoint}, "b": 2}}\n')
+        code, out, err = run(capsys, "corpus", str(p))
+        assert code == 2 and out == ""
+        assert "usage error: line 2" in err and "Traceback" not in err
+
 
 class TestConfig:
     def test_env_file_applies_and_is_echoed(self, capsys, tmp_path, monkeypatch):
@@ -345,3 +358,88 @@ class TestConfig:
                            "-a", "0", "-b", "1")
         assert code == 2
         assert "MVT_LAB_CONFIG" in err
+
+
+def _takes(name, field):
+    return any(getattr(THEOREMS[tid], field) for tid in _SOLVES[name][0])
+
+
+def _inputs(name, skip=""):
+    """solve argv for the command, with every function it takes but ``skip``."""
+    argv = ["solve", name, "--fn", "x"]
+    if _takes(name, "needs_g") and skip != "--gn":
+        argv += ["--gn", "x^2+1"]
+    if _takes(name, "needs_weight") and skip != "--weight":
+        argv += ["--weight", "x"]
+    return argv
+
+
+class TestTheoremTable:
+    """Checks that run over the solve table and the theorem table."""
+
+    def test_every_theorem_id_is_reported_by_a_command(self):
+        reported = [tid for ids, _, _ in _SOLVES.values() for tid in ids]
+        assert sorted(reported) == sorted(TheoremId)
+        assert set(THEOREMS) == set(TheoremId)
+
+    def test_every_command_has_a_golden_case(self):
+        lines = (FIXTURES / "stable_golden.jsonl").read_text().splitlines()
+        assert {json.loads(line)["argv"][1] for line in lines} == set(_SOLVES)
+
+    def test_readme_lists_the_table_names(self):
+        text = README.read_text(encoding="utf-8")
+        sentence = text.split("Theorem names for `solve`:", 1)[1].split("`.", 1)[0]
+        names = [n.strip(" `\n") for n in sentence.split(",")]
+        assert names == list(_SOLVES)
+
+    @pytest.mark.parametrize("name", list(_SOLVES))
+    def test_every_reported_id_has_a_verify_form(self, name):
+        for tid in _SOLVES[name][0]:
+            chk = verify_point(tid, 0.5, parse("x"), g=parse("x^2+1"),
+                               weight=parse("x"), iv=Interval(0.0, 1.0), n=2)
+            assert isinstance(chk, IdentityCheck)
+
+    @pytest.mark.parametrize("name,flag", [
+        (name, flag) for name in _SOLVES
+        for flag, field in (("--gn", "needs_g"), ("--weight", "needs_weight"))
+        if _takes(name, field)])
+    def test_missing_function_exits_2(self, capsys, name, flag):
+        code, out, err = run(capsys, *_inputs(name, skip=flag), "-a", "0", "-b", "1")
+        assert code == 2 and out == ""
+        assert f"needs {flag}" in err
+
+    @pytest.mark.parametrize("name,flag,value", [
+        (name, flag, value) for name in _SOLVES
+        for flag, value, field in (("--gn", "x", "needs_g"),
+                                   ("--weight", "x", "needs_weight"),
+                                   ("--n", "7", "takes_n"))
+        if not _takes(name, field)])
+    def test_input_the_theorem_does_not_take_exits_2(self, capsys, name, flag, value):
+        code, out, err = run(capsys, *_inputs(name), flag, value, "-a", "0", "-b", "1")
+        assert code == 2 and out == ""
+        assert f"takes no {flag}" in err
+
+    @pytest.mark.parametrize("name", [n for n in _SOLVES if _takes(n, "unit_only")])
+    def test_unit_only_theorem_rejects_other_intervals(self, capsys, name):
+        code, out, err = run(capsys, *_inputs(name), "-a", "0", "-b", "2")
+        assert code == 2 and out == ""
+        assert "[0, 1]" in err
+
+    def test_flett_point_computes_its_hypothesis_once(self, capsys, monkeypatch):
+        # f'(a) and f'(b) are taken once: the solver stamps the flag on its
+        # points, and the report reads it there
+        calls = []
+        original = mvtlab.numerics.one_sided_derivative
+
+        def counted(f, x, cfg):
+            calls.append(x)
+            return original(f, x, cfg)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("mvtlab") and \
+                    getattr(mod, "one_sided_derivative", None) is original:
+                monkeypatch.setattr(mod, "one_sided_derivative", counted)
+        code, rep, _ = run_json(capsys, "solve", "flett", "--fn", "x^3+2*x-1",
+                                "--a=-2", "-b", "2")
+        assert code == 0 and rep["results"][0]["hypothesis_satisfied"] is True
+        assert sorted(calls) == [-2.0, 2.0]

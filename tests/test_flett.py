@@ -6,13 +6,15 @@ import pytest
 
 from mvtlab.expr import evaluate, parse, substitute
 from mvtlab.flett import (
-    MeyersVariant, find_flett_points, flett_hypothesis, flett_residual,
-    meyers_hypothesis, meyers_points, quotient_sides,
+    find_flett_points, flett_residual, meyers_hypothesis, meyers_points,
 )
 from mvtlab.numerics import DEFAULT_CONFIG, Interval, TheoremId
+from mvtlab.verify import verify_point
 
 PI = math.pi
-V = MeyersVariant
+FAMILY = (TheoremId.FLETT, TheoremId.MEYERS_2_3, TheoremId.MEYERS_2_4,
+          TheoremId.MEYERS_2_5, TheoremId.MEYERS_2_6, TheoremId.MEYERS_2_7,
+          TheoremId.MEYERS_2_8, TheoremId.MEYERS_2_9)
 
 
 def xs(points):
@@ -84,14 +86,15 @@ class TestFlettResidual:
 
 class TestHypotheses:
     def test_flett_hypothesis_cases(self):
-        assert flett_hypothesis(parse("x^3"), Interval(-1.0, 1.0)) is True
-        assert flett_hypothesis(parse("x^3"), Interval(-0.5, 1.0)) is False
-        assert flett_hypothesis(parse("asin(x)"), Interval(-1.0, 1.0)) is None
+        flett = TheoremId.FLETT
+        assert meyers_hypothesis(flett, parse("x^3"), Interval(-1.0, 1.0)) is True
+        assert meyers_hypothesis(flett, parse("x^3"), Interval(-0.5, 1.0)) is False
+        assert meyers_hypothesis("flett", parse("asin(x)"), Interval(-1.0, 1.0)) is None
 
     def test_first_four_variants_share_equal_slopes(self):
         f = parse("x^3")
         iv = Interval(-1.0, 1.0)
-        for v in (V.Flett_2_2, V.Meyers_2_3, V.Meyers_2_4, V.Meyers_2_5):
+        for v in FAMILY[:4]:
             assert meyers_hypothesis(v, f, iv) is True
 
     def test_product_conditions_on_cubic(self):
@@ -99,25 +102,25 @@ class TestHypotheses:
         # f'(a) = 4/3, f'(b) = 3
         f = parse("x^3")
         iv = Interval(-2 / 3, 1.0)
-        assert meyers_hypothesis(V.Meyers_2_6, f, iv) is True
-        assert meyers_hypothesis(V.Meyers_2_7, f, iv) is True
-        assert meyers_hypothesis(V.Meyers_2_8, f, iv) is False
-        assert meyers_hypothesis(V.Meyers_2_9, f, iv) is False
+        assert meyers_hypothesis(TheoremId.MEYERS_2_6, f, iv) is True
+        assert meyers_hypothesis(TheoremId.MEYERS_2_7, f, iv) is True
+        assert meyers_hypothesis(TheoremId.MEYERS_2_8, f, iv) is False
+        assert meyers_hypothesis(TheoremId.MEYERS_2_9, f, iv) is False
 
     def test_product_conditions_none_when_slope_missing(self):
         f = parse("asin(x)")
         iv = Interval(-1.0, 1.0)
-        for v in (V.Meyers_2_6, V.Meyers_2_7, V.Meyers_2_8, V.Meyers_2_9):
+        for v in FAMILY[4:]:
             assert meyers_hypothesis(v, f, iv) is None
 
 
 class TestMeyersVariants:
     def test_2_4_frozen_root(self):
-        pts = meyers_points(V.Meyers_2_4, parse("x^3"), Interval(-0.5, 1.0))
+        pts = meyers_points(TheoremId.MEYERS_2_4, parse("x^3"), Interval(-0.5, 1.0))
         assert xs(pts) == pytest.approx([0.5265832935870833], abs=1e-9)
 
     def test_2_3_reflected_cubic(self):
-        pts = meyers_points(V.Meyers_2_3, parse("(1/2-x)^3"),
+        pts = meyers_points(TheoremId.MEYERS_2_3, parse("(1/2-x)^3"),
                             Interval(-0.5, 1.0))
         assert xs(pts) == pytest.approx([0.25], abs=1e-9)
 
@@ -127,11 +130,11 @@ class TestMeyersVariants:
         # reflect through the midpoint: g(x) = f(a+b-x)
         g = substitute(f, parse(f"{iv.a + iv.b}-x"))
         flett = xs(find_flett_points(f, iv))
-        dual = sorted(iv.a + iv.b - x for x in xs(meyers_points(V.Meyers_2_3, g, iv)))
+        dual = sorted(iv.a + iv.b - x for x in xs(meyers_points(TheoremId.MEYERS_2_3, g, iv)))
         assert dual == pytest.approx(flett, abs=1e-9)
 
     def test_2_6_point(self):
-        pts = meyers_points(V.Meyers_2_6, parse("x^3"), Interval(-2 / 3, 1.0))
+        pts = meyers_points(TheoremId.MEYERS_2_6, parse("x^3"), Interval(-2 / 3, 1.0))
         assert len(pts) == 1
         assert pts[0].hypothesis_satisfied is True
         # residual 3x^2(x+2/3) - 35/27 at the root
@@ -141,13 +144,13 @@ class TestMeyersVariants:
     def test_2_8_linear_has_no_points(self):
         # the residual of a nonconstant linear f is a nonzero constant, so
         # there is nothing to find and the strict product test fails on zero
-        pts = meyers_points(V.Meyers_2_8, parse("3*x+1"), Interval(0.0, 1.0))
+        pts = meyers_points(TheoremId.MEYERS_2_8, parse("3*x+1"), Interval(0.0, 1.0))
         assert pts == []
-        assert meyers_hypothesis(V.Meyers_2_8, parse("3*x+1"),
+        assert meyers_hypothesis(TheoremId.MEYERS_2_8, parse("3*x+1"),
                                  Interval(0.0, 1.0)) is False
 
     def test_2_8_constant_degenerate(self):
-        pts = meyers_points(V.Meyers_2_8, parse("5"), Interval(0.0, 1.0))
+        pts = meyers_points(TheoremId.MEYERS_2_8, parse("5"), Interval(0.0, 1.0))
         assert len(pts) == 1
         assert pts[0].degenerate
 
@@ -155,25 +158,23 @@ class TestMeyersVariants:
         f = parse("x^3-x")
         iv = Interval(-0.25, 1.5)
         cfg = DEFAULT_CONFIG
-        for v in V:
-            d1, rhs = quotient_sides(v, f, iv)
+        for v in FAMILY:
             for p in meyers_points(v, f, iv, cfg):
                 if p.degenerate:
                     continue
-                assert d1(p.xi) == pytest.approx(rhs(p.xi), rel=1e-7, abs=1e-7), v
-
-    def test_theorem_ids_line_up(self):
-        for v in V:
-            assert TheoremId(v.value).value == v.value
+                chk = verify_point(v, p.xi, f, iv=iv, cfg=cfg)
+                assert chk.lhs == pytest.approx(chk.rhs, rel=1e-7, abs=1e-7), v
 
 
 class TestQuotientSides:
+    """The stated quotient form, as re-verification evaluates it."""
+
     def test_flett_quotient_matches_residual_roots(self):
-        f = parse("x^3+2*x-1")
-        iv = Interval(-2.0, 2.0)
-        d1, rhs = quotient_sides(V.Flett_2_2, f, iv)
-        assert d1(1.0) == pytest.approx(rhs(1.0), abs=1e-12)
+        chk = verify_point(TheoremId.FLETT, 1.0, parse("x^3+2*x-1"),
+                           iv=Interval(-2.0, 2.0))
+        assert chk.lhs == pytest.approx(chk.rhs, abs=1e-12)
 
     def test_quotient_blows_up_at_anchor(self):
-        d1, rhs = quotient_sides(V.Flett_2_2, parse("x^2"), Interval(0.0, 1.0))
-        assert rhs(1e-300) == pytest.approx(1e-300, abs=1e-12)
+        chk = verify_point(TheoremId.FLETT, 1e-300, parse("x^2"),
+                           iv=Interval(0.0, 1.0))
+        assert chk.rhs == pytest.approx(1e-300, abs=1e-12)

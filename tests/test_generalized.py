@@ -7,7 +7,7 @@ import pytest
 from mvtlab.expr import parse, substitute
 from mvtlab.generalized import (
     MAX_SUM_ORDER, cakmak_tiryaki_points, pawlikowska_hypothesis,
-    pawlikowska_points, riedel_sahoo_points, second_order_hypothesis,
+    pawlikowska_points, riedel_sahoo_points,
     second_order_points,
 )
 from mvtlab.flett import find_flett_points
@@ -88,10 +88,10 @@ class TestSecondOrder:
             second_order_points("anchored_at_c", parse("x^3"), Interval(0, 1))
 
     def test_hypothesis_helper(self):
-        assert second_order_hypothesis(parse("x^4-2*x^2"),
-                                       Interval(-1.0, 1.0)) is True
-        assert second_order_hypothesis(parse("x^3"),
-                                       Interval(0.0, 1.0)) is False
+        assert pawlikowska_hypothesis(parse("x^4-2*x^2"),
+                                      Interval(-1.0, 1.0), 2) is True
+        assert pawlikowska_hypothesis(parse("x^3"),
+                                      Interval(0.0, 1.0), 2) is False
 
     def test_quadratic_degenerate(self):
         pts = second_order_points("anchored_at_a", parse("x^2+x"),

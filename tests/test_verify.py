@@ -5,7 +5,7 @@ import math
 import pytest
 
 from mvtlab.expr import parse
-from mvtlab.flett import MeyersVariant, find_flett_points, meyers_points
+from mvtlab.flett import find_flett_points, meyers_points
 from mvtlab.generalized import (
     cakmak_tiryaki_points, pawlikowska_points, riedel_sahoo_points,
     second_order_points,
@@ -77,12 +77,11 @@ def _located():
             [weighted_norm_point(sin2, cos2, parse("x")).xi],
             sin2, cos2, parse("x"), UNIT, 1, 0.123456789),
     }
-    for v in (MeyersVariant.Meyers_2_3, MeyersVariant.Meyers_2_4,
-              MeyersVariant.Meyers_2_5, MeyersVariant.Meyers_2_6,
-              MeyersVariant.Meyers_2_7, MeyersVariant.Meyers_2_8,
-              MeyersVariant.Meyers_2_9):
+    for v in (TheoremId.MEYERS_2_3, TheoremId.MEYERS_2_4, TheoremId.MEYERS_2_5,
+              TheoremId.MEYERS_2_6, TheoremId.MEYERS_2_7, TheoremId.MEYERS_2_8,
+              TheoremId.MEYERS_2_9):
         pts = meyers_points(v, CUBIC, WIDE)
-        cases[TheoremId(v.value)] = ([p.xi for p in pts], CUBIC, None, None,
+        cases[v] = ([p.xi for p in pts], CUBIC, None, None,
                                      WIDE, 1, 0.333)
     l1, l2, l3 = lupu_4_6_points(parse("x"), parse("x^2"))
     for tid, p in ((TheoremId.LUPU_4_6_T, l1), (TheoremId.LUPU_4_6_TS, l2),
