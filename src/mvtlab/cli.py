@@ -27,19 +27,17 @@ from .numerics import (
     QuadratureError, SolverConfig, SolverError, TheoremId,
 )
 from .mvt_points import (
-    cauchy_points, integral_mvt_points, lagrange_points, rolle_hypothesis,
-    rolle_points,
+    cauchy_points, integral_mvt_points, lagrange_points, rolle_points,
 )
-from .flett import meyers_hypothesis, meyers_points
+from .flett import meyers_points
 from .conditions import classify
 from .generalized import (
-    cakmak_tiryaki_points, pawlikowska_hypothesis, pawlikowska_points,
-    riedel_sahoo_points, second_order_points,
+    cakmak_tiryaki_points, pawlikowska_points, riedel_sahoo_points,
+    second_order_points,
 )
 from .operators import (
-    cauchy_flett_hypothesis, cauchy_flett_points, lupu_4_6_points,
-    lupu_4_7_points, thm_4_9_points, thm_4_10_points, weighted_norm_point,
-    weighted_norms,
+    cauchy_flett_points, lupu_4_6_points, lupu_4_7_points, thm_4_9_points,
+    thm_4_10_points, weighted_norm_point, weighted_norms,
 )
 from .verify import THEOREMS, Inputs, verify_point
 
@@ -50,22 +48,23 @@ _CONFIG_FIELDS = ("scan_points", "root_tol", "residual_tol", "quad_tol",
 
 
 def _flett_family(tid: TheoremId):
-    return ((tid,), lambda q: [meyers_points(tid, q.f, q.iv, q.cfg)],
-            lambda q: meyers_hypothesis(tid, q.f, q.iv, q.cfg))
+    return ((tid,), lambda q: [meyers_points(tid, q.f, q.iv, q.cfg)], True)
 
 
 # solve command -> (the theorem ids it reports, the call giving one point
-# list per id, the call giving the hypothesis flag of a group without
-# points or None). A group with points reads the flag from them: every
-# solver stamps it on each point. The calls go through the names imported
-# above, which the benchmark's tracer (bench/tracer.py) wraps.
+# list per id, whether a group without points reports its hypothesis
+# flag). A group with points reads the flag from them: every solver stamps
+# it on each point. A group without points reads it from the Points list
+# solve_residual returned. The calls go through the names imported above,
+# which the benchmark's tracer (bench/tracer.py) wraps.
 _SOLVES = {
-    "rolle": ((TheoremId.ROLLE,), lambda q: [rolle_points(q.f, q.iv, q.cfg)],
-              lambda q: rolle_hypothesis(q.f, q.iv, q.cfg)),
-    "lagrange": ((TheoremId.LAGRANGE,), lambda q: [lagrange_points(q.f, q.iv, q.cfg)], None),
-    "cauchy": ((TheoremId.CAUCHY,), lambda q: [cauchy_points(q.f, q.g, q.iv, q.cfg)], None),
+    "rolle": ((TheoremId.ROLLE,), lambda q: [rolle_points(q.f, q.iv, q.cfg)], True),
+    "lagrange": ((TheoremId.LAGRANGE,), lambda q: [lagrange_points(q.f, q.iv, q.cfg)],
+                 False),
+    "cauchy": ((TheoremId.CAUCHY,), lambda q: [cauchy_points(q.f, q.g, q.iv, q.cfg)],
+               False),
     "integral-mvt": ((TheoremId.INTEGRAL_MVT,),
-                     lambda q: [integral_mvt_points(q.f, q.iv, q.cfg)], None),
+                     lambda q: [integral_mvt_points(q.f, q.iv, q.cfg)], False),
     "flett": _flett_family(TheoremId.FLETT),
     "meyers-2.3": _flett_family(TheoremId.MEYERS_2_3),
     "meyers-2.4": _flett_family(TheoremId.MEYERS_2_4),
@@ -75,31 +74,29 @@ _SOLVES = {
     "meyers-2.8": _flett_family(TheoremId.MEYERS_2_8),
     "meyers-2.9": _flett_family(TheoremId.MEYERS_2_9),
     "riedel-sahoo": ((TheoremId.RIEDEL_SAHOO,),
-                     lambda q: [riedel_sahoo_points(q.f, q.iv, q.cfg)], None),
+                     lambda q: [riedel_sahoo_points(q.f, q.iv, q.cfg)], False),
     "cakmak-tiryaki": ((TheoremId.CAKMAK_TIRYAKI,),
-                       lambda q: [cakmak_tiryaki_points(q.f, q.iv, q.cfg)], None),
+                       lambda q: [cakmak_tiryaki_points(q.f, q.iv, q.cfg)], False),
     "second-order-a": ((TheoremId.SECOND_ORDER_A,),
                        lambda q: [second_order_points("anchored_at_a", q.f, q.iv, q.cfg)],
-                       lambda q: pawlikowska_hypothesis(q.f, q.iv, 2, q.cfg)),
+                       True),
     "second-order-b": ((TheoremId.SECOND_ORDER_B,),
                        lambda q: [second_order_points("anchored_at_b", q.f, q.iv, q.cfg)],
-                       lambda q: pawlikowska_hypothesis(q.f, q.iv, 2, q.cfg)),
+                       True),
     "pawlikowska": ((TheoremId.PAWLIKOWSKA,),
-                    lambda q: [pawlikowska_points(q.f, q.iv, q.n, q.cfg)],
-                    lambda q: pawlikowska_hypothesis(q.f, q.iv, q.n, q.cfg)),
+                    lambda q: [pawlikowska_points(q.f, q.iv, q.n, q.cfg)], True),
     "cauchy-flett": ((TheoremId.CAUCHY_FLETT,),
-                     lambda q: [cauchy_flett_points(q.f, q.g, q.iv, q.cfg)],
-                     lambda q: cauchy_flett_hypothesis(q.f, q.g, q.iv, q.cfg)),
+                     lambda q: [cauchy_flett_points(q.f, q.g, q.iv, q.cfg)], True),
     "thm-4.9": ((TheoremId.THM_4_9,), lambda q: [thm_4_9_points(q.f, q.g, q.iv, q.cfg)],
-                lambda q: True),
+                True),
     "thm-4.10": ((TheoremId.THM_4_10,),
-                 lambda q: [thm_4_10_points(q.f, q.g, q.weight, q.cfg)], None),
+                 lambda q: [thm_4_10_points(q.f, q.g, q.weight, q.cfg)], False),
     "weighted-norm": ((TheoremId.WEIGHTED_NORM,),
-                      lambda q: [[weighted_norm_point(q.f, q.g, q.weight, q.cfg)]], None),
+                      lambda q: [[weighted_norm_point(q.f, q.g, q.weight, q.cfg)]], False),
     "lupu-4.6": ((TheoremId.LUPU_4_6_T, TheoremId.LUPU_4_6_TS, TheoremId.LUPU_4_6_S),
-                 lambda q: [[p] for p in lupu_4_6_points(q.f, q.g, q.cfg)], None),
+                 lambda q: [[p] for p in lupu_4_6_points(q.f, q.g, q.cfg)], False),
     "lupu-4.7": ((TheoremId.LUPU_4_7_T, TheoremId.LUPU_4_7_S),
-                 lambda q: [[p] for p in lupu_4_7_points(q.f, q.g, q.cfg)], None),
+                 lambda q: [[p] for p in lupu_4_7_points(q.f, q.g, q.cfg)], False),
 }
 
 
@@ -243,9 +240,9 @@ def _input_fn(text: str | None, flag: str, theorem: str, taken: bool) -> Expr | 
     return None if text is None else _parse_fn(text, flag)
 
 
-def _cmd_solve(args, cfg: SolverConfig) -> tuple[dict, list, int]:
+def _cmd_solve(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, int]:
     theorem = args.theorem
-    ids, find_points, hypothesis = _SOLVES[theorem]
+    ids, find_points, reports_flag = _SOLVES[theorem]
     thms = [THEOREMS[tid] for tid in ids]
     f = _parse_fn(args.fn, "--fn")
     g = _input_fn(args.gn, "--gn", theorem, any(t.needs_g for t in thms))
@@ -260,7 +257,7 @@ def _cmd_solve(args, cfg: SolverConfig) -> tuple[dict, list, int]:
     groups: list[tuple[TheoremId, list[PointResult], bool | None]] = []
     code = 0
     try:
-        groups = [(tid, pts, hypothesis(q) if hypothesis and not pts else None)
+        groups = [(tid, pts, pts.hypothesis_satisfied if reports_flag and not pts else None)
                   for tid, pts in zip(ids, find_points(q))]
     except HypothesisError as exc:
         print(f"hypothesis not satisfied: {exc}", file=sys.stderr)
@@ -306,7 +303,7 @@ def _cmd_solve(args, cfg: SolverConfig) -> tuple[dict, list, int]:
         "command": "solve", "theorem": theorem, "fn": args.fn,
         "gn": args.gn, "weight": args.weight,
         "a": iv.a, "b": iv.b, "n": args.n,
-        "config_overrides": _collect_config(args),
+        "config_overrides": overrides,
     }
     report = {"request": request, "results": result_dicts}
     rows = [(d["theorem_id"], p["xi"], p["residual"], d["degenerate"],
@@ -315,13 +312,13 @@ def _cmd_solve(args, cfg: SolverConfig) -> tuple[dict, list, int]:
     return report, rows, code
 
 
-def _cmd_classify(args, cfg: SolverConfig) -> tuple[dict, list, int]:
+def _cmd_classify(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, int]:
     f = _parse_fn(args.fn, "--fn")
     iv = _interval_for(args, None)
     vec = classify(f, iv, cfg)
     request = {
         "command": "classify", "fn": args.fn, "a": iv.a, "b": iv.b,
-        "config_overrides": _collect_config(args),
+        "config_overrides": overrides,
     }
     report = {"request": request, "condition_vector": vec.to_json_dict()}
     return report, [], 0
@@ -357,7 +354,7 @@ def _record_endpoint(v, name: str) -> float:
                       f"got {json.dumps(v)}")
 
 
-def _cmd_corpus(args, cfg: SolverConfig) -> tuple[dict, list, int]:
+def _cmd_corpus(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, int]:
     try:
         with open(args.path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -401,7 +398,7 @@ def _cmd_corpus(args, cfg: SolverConfig) -> tuple[dict, list, int]:
                       file=sys.stderr)
         records.append(entry)
     request = {"command": "corpus", "path": args.path,
-               "config_overrides": _collect_config(args)}
+               "config_overrides": overrides}
     report = {
         "request": request,
         "records": records,
@@ -473,11 +470,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args.command == "solve":
-            report, rows, code = _cmd_solve(args, cfg)
+            report, rows, code = _cmd_solve(args, cfg, overrides)
         elif args.command == "classify":
-            report, rows, code = _cmd_classify(args, cfg)
+            report, rows, code = _cmd_classify(args, cfg, overrides)
         else:
-            report, rows, code = _cmd_corpus(args, cfg)
+            report, rows, code = _cmd_corpus(args, cfg, overrides)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -18,8 +18,8 @@ from .expr import Const, Expr, Var, compile_fn, differentiate
 from .generalized import endpoint_slopes, pawlikowska_hypothesis
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, PointResult, SolverConfig, TheoremId,
-    one_sided_derivative, solve_residual,
+    DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
+    TheoremId, one_sided_derivative, solve_residual,
 )
 
 __all__ = [
@@ -122,7 +122,7 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
 
 
 def meyers_points(v: TheoremId | str, f: Expr, iv: Interval,
-                  cfg: SolverConfig | None = None) -> list[PointResult]:
+                  cfg: SolverConfig | None = None) -> Points:
     """Interior roots of the variant residual, hypothesis noted on each.
 
     ``v`` is a Flett-family theorem id or its string value, e.g.

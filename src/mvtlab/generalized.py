@@ -12,8 +12,8 @@ import math
 
 from .expr import Const, Expr, Var, compile_fn, differentiate
 from .numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, PointResult, SolverConfig, TheoremId,
-    close, one_sided_derivative, solve_residual,
+    DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
+    TheoremId, close, one_sided_derivative, solve_residual,
 )
 
 __all__ = [
@@ -97,7 +97,7 @@ def cakmak_tiryaki_points(f: Expr, iv: Interval,
 
 
 def second_order_points(variant: str, f: Expr, iv: Interval,
-                        cfg: SolverConfig | None = None) -> list[PointResult]:
+                        cfg: SolverConfig | None = None) -> Points:
     """Identities with a second-derivative correction at the point itself.
 
     variant "anchored_at_a": roots of
@@ -133,7 +133,7 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
 
 
 def pawlikowska_points(f: Expr, iv: Interval, n: int,
-                       cfg: SolverConfig | None = None) -> list[PointResult]:
+                       cfg: SolverConfig | None = None) -> Points:
     """Roots of the order-n alternating sum identity anchored at a.
 
         f(x) - f(a) = sum_{i=1}^{n} ((-1)^(i+1) / i!) (x-a)^i f^(i)(x)

@@ -14,8 +14,8 @@ from typing import Callable
 
 from .expr import Const, Expr, compile_fn, differentiate
 from .numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, PointResult, SolverConfig, TheoremId,
-    close, differentiable_on_interior, grid_points, integrate, solve_residual,
+    DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
+    TheoremId, close, differentiable_on_interior, grid_points, integrate, solve_residual,
 )
 
 __all__ = [
@@ -34,7 +34,7 @@ def rolle_hypothesis(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> 
     return close(fa, fb, cfg.residual_tol)
 
 
-def rolle_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> list[PointResult]:
+def rolle_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Points:
     """Interior zeros of f'. Reported whether or not f(a) = f(b) holds."""
     cfg = cfg or DEFAULT_CONFIG
     hyp = rolle_hypothesis(f, iv, cfg)

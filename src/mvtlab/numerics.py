@@ -24,7 +24,7 @@ from .expr import (
 
 __all__ = [
     "SolverError", "DomainError", "QuadratureError", "NoRootFound", "HypothesisError",
-    "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "PointResult",
+    "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "PointResult", "Points",
     "grid_points", "residual_scale", "refine_root", "integrate",
     "central_diff", "fold_terms", "solve_residual", "tolerance", "close",
     "one_sided_derivative", "differentiable_on_interior",
@@ -166,6 +166,21 @@ class PointResult:
     theorem_id: TheoremId
     degenerate: bool = False
     hypothesis_satisfied: bool | None = None
+
+
+class Points(list):
+    """The points :func:`solve_residual` located, with the hypothesis flag.
+
+    ``hypothesis_satisfied`` is the flag every point is stamped with, kept
+    on the list as well so that a search finding no point still reports
+    the flag its solver computed.
+    """
+
+    __slots__ = ("hypothesis_satisfied",)
+
+    def __init__(self, points=(), hypothesis_satisfied: bool | None = None):
+        super().__init__(points)
+        self.hypothesis_satisfied = hypothesis_satisfied
 
 
 def grid_points(iv: Interval, cfg: SolverConfig, margin: float | None = None) -> list[float]:
@@ -434,7 +449,7 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
                    iv: Interval,
                    cfg: SolverConfig, theorem_id: TheoremId,
                    hypothesis: bool | None = None,
-                   closed: bool = False) -> list[PointResult]:
+                   closed: bool = False) -> Points:
     """Find interior roots of a residual, reporting flat stretches as degenerate.
 
     The residual is the left fold of ``terms`` (see :func:`fold_terms`):
@@ -454,7 +469,8 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     region is reported as a single representative midpoint with
     ``degenerate=True`` rather than as a root list. Sign changes whose
     bracket values both sit inside the roundoff floor are cancellation
-    noise and are discarded.
+    noise and are discarded. The :class:`Points` returned carry
+    ``hypothesis``, so an empty result still reports it.
     """
     xs = grid_points(iv, cfg, 0.0 if closed else None)
     if isinstance(terms[0], Expr):
@@ -483,10 +499,10 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     near = list(map(min(thr, sys.float_info.max).__ge__, map(abs, ys)))
     if sum(near) >= 0.99 * finite:
         mid = iv.midpoint
-        return [PointResult(mid, F(mid), theorem_id, degenerate=True,
-                            hypothesis_satisfied=hypothesis)]
+        return Points([PointResult(mid, F(mid), theorem_id, degenerate=True,
+                                   hypothesis_satisfied=hypothesis)], hypothesis)
 
-    results: list[PointResult] = []
+    results = Points(hypothesis_satisfied=hypothesis)
     run_members: set[int] = set()
     for i0, i1 in _zero_runs(near, max(3, cfg.scan_points // 100)):
         run_members.update(range(i0, i1 + 1))

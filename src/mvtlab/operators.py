@@ -4,10 +4,22 @@ The operators combine a pointwise part with a running integral from the
 left endpoint, so a naive grid scan would perform a full quadrature per
 grid node. ``OperatorValue`` instead caches prefix sums of per-panel
 integrals once, with its nodes on exactly the grid that
-:func:`~mvtlab.numerics.solve_residual` scans. A scan therefore does no
-quadrature at all: a node hit returns its cached prefix, and only
-arguments off the grid (Brent polishing, crossing checks) pay for the
-fraction of a panel containing them.
+:func:`~mvtlab.numerics.solve_residual` scans, and a table of pointwise
+part plus prefix at every node. A scan therefore does no quadrature and no
+pointwise call: a node hit reads the table, and only arguments off the
+grid (Brent polishing, crossing checks) pay for the fraction of a panel
+containing them.
+
+A solver builds all its operator values in one pass with
+:func:`operator_values`. Their pointwise parts and integrands are
+expressions compiled together, so the functions they share are computed
+once per sample, and the grid is evaluated a fixed run of panels at a
+time. The first step of adaptive Simpson on every panel (whole panel,
+two halves, error test) is done from those batched samples with exactly
+the arithmetic :func:`~mvtlab.numerics.integrate` performs; a panel that
+fails the test, or has a non-finite sample, is integrated by ``integrate``
+itself. The prefixes are therefore the ones a running ``integrate`` per
+panel gives, bit for bit.
 
 The identity solvers mirror the structure used elsewhere: multiply through
 so the residual is denominator-free, scan, refine, and stamp the theorem id
@@ -20,66 +32,67 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Sequence
 
-from .expr import Expr, compile_fn, differentiate
+from .expr import Expr, Var, compile_fn, compile_terms, differentiate
 from .generalized import endpoint_slopes
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, DomainError, HypothesisError, Interval, NoRootFound,
-    PointResult, SolverConfig, TheoremId, close, fold_terms, grid_points,
-    integrate, one_sided_derivative, residual_scale, solve_residual,
+    PointResult, Points, QuadratureError, SolverConfig, TheoremId, close,
+    fold_terms, grid_points, integrate, one_sided_derivative, residual_scale,
+    solve_residual,
 )
 
 __all__ = [
-    "UNIT_INTERVAL", "OperatorValue", "apply_T", "apply_S", "apply_V",
-    "apply_V_weighted", "lupu_4_6_points", "lupu_4_7_points",
-    "cauchy_flett_points", "cauchy_flett_hypothesis", "thm_4_9_points",
+    "UNIT_INTERVAL", "OperatorValue", "operator_values", "apply_T", "apply_S",
+    "apply_V", "apply_V_weighted", "lupu_4_6_points", "lupu_4_7_points",
+    "cauchy_flett_hypothesis", "cauchy_flett_points", "thm_4_9_points",
     "thm_4_10_points", "weighted_norm_point", "weighted_norms",
 ]
 
 UNIT_INTERVAL = Interval(0.0, 1.0)
 
+_X = Var()
+
+# Panels whose samples one grid call evaluates: bounds the sample columns
+# held at once (a whole 4,096-point grid at once costs megabytes).
+_CHUNK_PANELS = 256
+
+_Fn = Expr | Callable[[float], float]
+
 
 class OperatorValue:
     """Callable t -> pointwise(t) + integral of a fixed integrand over [a, t].
 
-    The prefix cache is built eagerly on the scan grid ``grid_points(iv,
-    cfg)`` -- the very floats solve_residual evaluates -- with the partial
-    panel from a to the first node folded into the first prefix entry. It
-    is immutable afterwards, so evaluation is deterministic for a fixed
-    config. An argument on a node costs no quadrature; any other argument
-    adds direct quadrature between it and the nearest node at or below it
-    (the first node, for arguments left of the grid).
+    ``pointwise`` (or None) and ``integrand`` are expressions or plain
+    callables. The prefix cache is built eagerly on the scan grid
+    ``grid_points(iv, cfg)`` -- the very floats solve_residual evaluates --
+    with the partial panel from a to the first node folded into the first
+    prefix entry; see :func:`operator_values`, which builds several values
+    on one grid in one pass. It is immutable afterwards, so evaluation is
+    deterministic for a fixed config. An argument on a node reads a table
+    of pointwise part plus prefix; any other argument adds direct
+    quadrature between it and the nearest node at or below it (the first
+    node, for arguments left of the grid).
     """
 
-    __slots__ = ("_pointwise", "_integrand", "_nodes", "_prefix", "_panel_cfg")
+    __slots__ = ("_pointwise", "_integrand", "_nodes", "_index", "_prefix",
+                 "_table", "_panel_cfg")
 
-    def __init__(self, pointwise: Callable[[float], float] | None,
-                 integrand: Callable[[float], float],
-                 iv: Interval = UNIT_INTERVAL,
-                 cfg: SolverConfig | None = None):
-        cfg = cfg or DEFAULT_CONFIG
-        nodes = grid_points(iv, cfg)
-        # per-panel tolerance divided down so the accumulated prefix error
-        # stays near the configured quadrature tolerance
-        panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
-        # each node is sampled once and handed to both panels sharing it
-        fa = integrand(nodes[0])
-        acc = integrate(integrand, iv.a, nodes[0], panel_cfg, fb=fa)
-        prefix = [acc]
-        for lo, hi in zip(nodes, nodes[1:]):
-            fb = integrand(hi)
-            acc += integrate(integrand, lo, hi, panel_cfg, fa=fa, fb=fb)
-            prefix.append(acc)
-            fa = fb
-        self._pointwise = pointwise
-        self._integrand = integrand
-        self._nodes = nodes
-        self._prefix = prefix
-        self._panel_cfg = panel_cfg
+    def __init__(self, pointwise: _Fn | None, integrand: _Fn,
+                 iv: Interval = UNIT_INTERVAL, cfg: SolverConfig | None = None,
+                 _built: tuple | None = None):
+        # _built is this value's share of an operator_values() build
+        if _built is None:
+            (_built,) = _build(((pointwise, integrand),), iv, cfg)
+        (self._pointwise, self._integrand, self._nodes, self._index,
+         self._prefix, self._table, self._panel_cfg) = _built
 
     def __call__(self, t: float) -> float:
+        j = self._index.get(t)
+        if j is not None:
+            return self._table[j]
         nodes = self._nodes
         if t <= nodes[0]:
             j = 0
@@ -99,28 +112,123 @@ class OperatorValue:
         return self._pointwise(t) + run
 
 
+def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
+                    iv: Interval = UNIT_INTERVAL,
+                    cfg: SolverConfig | None = None) -> list[OperatorValue]:
+    """One OperatorValue per (pointwise, integrand) pair, built in one pass.
+
+    Equal, value for value, to ``[OperatorValue(p, q, iv, cfg) for p, q in
+    pairs]``, and it raises what the first of those builds to fail raises.
+    When every function is an expression, one generated grid loop computes
+    them all, so subexpressions they share are evaluated once per sample.
+    """
+    return [OperatorValue(p, q, iv, cfg, built)
+            for (p, q), built in zip(pairs, _build(pairs, iv, cfg))]
+
+
+def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
+           cfg: SolverConfig | None) -> list[tuple]:
+    """Each pair's OperatorValue state, from one pass over the grid.
+
+    Panel k runs from node k-1 to node k, panel 0 from iv.a to node 0. Each
+    panel [a, b] is sampled at a, lm, m, rm and b, the floats integrate()
+    samples first; panels share their endpoint samples. The first Simpson
+    step is taken here and accepted exactly when integrate() would accept
+    it; other panels, and those with a non-finite sample (whose arithmetic
+    the error test alone does not guard), go to integrate() itself.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    nodes = grid_points(iv, cfg)
+    # per-panel tolerance divided down so the accumulated prefix error
+    # stays near the configured quadrature tolerance
+    panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
+    tol = panel_cfg.quad_tol
+    fns = [fn for pair in pairs for fn in pair if fn is not None]
+    # point by point: off-grid arguments and fallback panels
+    calls = [compile_fn(fn) if isinstance(fn, Expr) else fn for fn in fns]
+    if all(isinstance(fn, Expr) for fn in fns):
+        grid = compile_terms(fns)[0]
+    else:
+        grid = lambda xs: [[fn(x) for x in xs] for fn in calls]
+    column = {id(fn): i for i, fn in enumerate(fns)}
+    ends = [iv.a] + nodes
+    prefixes: list[list[float]] = [[] for _ in pairs]
+    tables: list[list[float]] = [[] for _ in pairs]
+    accs = [-0.0] * len(pairs)  # -0.0 + v is v for every v, 0.0 and -0.0 too
+    errors: list[QuadratureError | None] = [None] * len(pairs)
+    for p0 in range(0, len(nodes), _CHUNK_PANELS):
+        panels = []
+        xs = [ends[p0]]
+        for a, b in zip(ends[p0:p0 + _CHUNK_PANELS], ends[p0 + 1:p0 + _CHUNK_PANELS + 1]):
+            m = 0.5 * (a + b)
+            xs += (0.5 * (a + m), m, 0.5 * (m + b), b)
+            panels.append((a, b, m - a, b - m, b - a))
+        cols = grid(xs)
+        for k, (pw, fn) in enumerate(pairs):
+            if errors[k] is not None:
+                continue
+            F, col = calls[column[id(fn)]], cols[column[id(fn)]]
+            acc, prefix = accs[k], prefixes[k]
+            try:
+                for (a, b, wl, wr, w), fa, flm, fm, frm, fb in zip(
+                        panels, col[0::4], col[1::4], col[2::4], col[3::4], col[4::4]):
+                    # integrate() and _adapt()'s expressions, in their order
+                    whole = w * (fa + 4.0 * fm + fb) / 6.0
+                    sl = wl * (fa + 4.0 * flm + fm) / 6.0
+                    sr = wr * (fm + 4.0 * frm + fb) / 6.0
+                    delta = sl + sr - whole
+                    if abs(delta) <= 15.0 * (tol * (1.0 + abs(whole))):
+                        part = sl + sr + delta / 15.0
+                        # every sample enters sl or sr with a positive weight
+                        # (or makes it nan), so a finite part means finite
+                        # samples, none of which integrate() would replace
+                        if part - part == 0.0:
+                            acc += part
+                            prefix.append(acc)
+                            continue
+                    acc += integrate(F, a, b, panel_cfg, fa=fa, fb=fb)
+                    prefix.append(acc)
+            except QuadratureError as exc:
+                errors[k] = exc
+                continue
+            accs[k] = acc
+            if pw is None:
+                tables[k] = prefix
+            else:
+                tables[k] += [v + run for v, run in zip(cols[column[id(pw)]][4::4],
+                                                        prefix[-len(panels):])]
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    index = {x: j for j, x in enumerate(nodes) if x}
+    if nodes[0]:
+        # a node repeated by rounding maps to its last copy, except the
+        # first node: the copy whose prefix __call__'s bisect path reads
+        index[nodes[0]] = 0
+    return [(pw if pw is None else calls[column[id(pw)]], calls[column[id(fn)]],
+             nodes, index, prefix, table, panel_cfg)
+            for (pw, fn), prefix, table in zip(pairs, prefixes, tables)]
+
+
 def apply_T(phi: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
     """t -> phi(t) - integral of phi over [0, t]."""
-    p = compile_fn(phi)
-    return OperatorValue(p, lambda x: -p(x), UNIT_INTERVAL, cfg)
+    return OperatorValue(phi, -phi, UNIT_INTERVAL, cfg)
 
 
 def apply_S(psi: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
     """t -> t*psi(t) - integral of x*psi(x) over [0, t]."""
-    p = compile_fn(psi)
-    return OperatorValue(lambda t: t * p(t), lambda x: -x * p(x), UNIT_INTERVAL, cfg)
+    return OperatorValue(_X * psi, -_X * psi, UNIT_INTERVAL, cfg)
 
 
 def apply_V(f: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
     """t -> integral of f over [0, t]."""
-    return OperatorValue(None, compile_fn(f), UNIT_INTERVAL, cfg)
+    return OperatorValue(None, f, UNIT_INTERVAL, cfg)
 
 
 def apply_V_weighted(phi: Expr, psi: Expr,
                      cfg: SolverConfig | None = None) -> OperatorValue:
     """t -> integral of phi(x)*psi(x) over [0, t]."""
-    wp, pp = compile_fn(phi), compile_fn(psi)
-    return OperatorValue(None, lambda x: wp(x) * pp(x), UNIT_INTERVAL, cfg)
+    return OperatorValue(None, phi * psi, UNIT_INTERVAL, cfg)
 
 
 def _no_root_error(terms: tuple[Callable[[float], float], ...], iv: Interval,
@@ -156,8 +264,8 @@ def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
     fc, gc = compile_fn(f), compile_fn(g)
     cf = integrate(weighted(fc), 0.0, 1.0, cfg)
     cg = integrate(weighted(gc), 0.0, 1.0, cfg)
-    tf, tg = apply_T(f, cfg), apply_T(g, cfg)
-    sf, sg = apply_S(f, cfg), apply_S(g, cfg)
+    tf, tg, sf, sg = operator_values(
+        ((f, -f), (g, -g), (_X * f, -_X * f), (_X * g, -_X * g)), UNIT_INTERVAL, cfg)
     return ((lambda x: cf * tg(x), lambda x: cg * tf(x)),
             (lambda x: cf * sg(x), lambda x: cg * sf(x)), tf, sf)
 
@@ -201,10 +309,10 @@ def _nonvanishing_derivative(h: Expr, iv: Interval, cfg: SolverConfig,
                              name: str) -> Expr:
     """h', once it is checked finite and nonzero at every scan-grid point."""
     dh = differentiate(h)
-    dhc = compile_fn(dh)
-    for x in grid_points(iv, cfg):
-        v = dhc(x)
-        if not math.isfinite(v) or v == 0.0:
+    xs = grid_points(iv, cfg)
+    (dv,) = compile_terms((dh,))[0](xs)
+    for x, v in zip(xs, dv):
+        if not (v and math.isfinite(v)):
             raise DomainError(f"{name} vanishes or is not finite at x = {x!r}")
     return dh
 
@@ -221,7 +329,7 @@ def cauchy_flett_hypothesis(f: Expr, g: Expr, iv: Interval,
 
 
 def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
-                        cfg: SolverConfig | None = None) -> list[PointResult]:
+                        cfg: SolverConfig | None = None) -> Points:
     """Two-function tangent-chord points: (f(x)-f(a)) g'(x) = f'(x) (g(x)-g(a)).
 
     g' must be nonzero across the scan grid so the identity's quotient form
@@ -240,7 +348,7 @@ def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
 
 
 def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
-                   cfg: SolverConfig | None = None) -> list[PointResult]:
+                   cfg: SolverConfig | None = None) -> Points:
     """Roots of R(t) = int_a^t f·g - g(a)·int_a^t f, for zero-mean f.
 
     The zero-mean membership is a hard precondition: a nonzero integral of
@@ -260,8 +368,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
         raise HypothesisError(
             f"integral of f over [{iv.a:g}, {iv.b:g}] is {total:.6g}, not 0; "
             "the identity only applies to zero-mean f")
-    vfg = OperatorValue(None, lambda x: fc(x) * gc(x), iv, cfg)
-    vf = OperatorValue(None, fc, iv, cfg)
+    vfg, vf = operator_values(((None, f * g), (None, f)), iv, cfg)
     t2 = lambda t: ga * vf(t)
     return solve_residual((vfg, t2), iv, cfg, TheoremId.THM_4_9,
                           hypothesis=True)
@@ -284,10 +391,8 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     int_f = integrate(fc, 0.0, 1.0, cfg)
     int_g = integrate(gc, 0.0, 1.0, cfg)
     phi0 = pc(0.0)
-    vpf = apply_V_weighted(phi, f, cfg)
-    vpg = apply_V_weighted(phi, g, cfg)
-    vf = apply_V(f, cfg)
-    vg = apply_V(g, cfg)
+    vpf, vpg, vf, vg = operator_values(
+        ((None, phi * f), (None, phi * g), (None, f), (None, g)), UNIT_INTERVAL, cfg)
     t1 = lambda t: vpf(t) * int_g
     t2 = lambda t: vpg(t) * int_f
     t3 = lambda t: phi0 * vf(t) * int_g
@@ -322,8 +427,8 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
         raise HypothesisError(f"the weight must vanish at 0, got phi(0) = {phi0!r}")
     int_f2 = integrate(lambda x: (v := fc(x)) * v, 0.0, 1.0, cfg)
     int_g2 = integrate(lambda x: (v := gc(x)) * v, 0.0, 1.0, cfg)
-    nf = OperatorValue(None, lambda x: pc(x) * ((v := fc(x)) * v), UNIT_INTERVAL, cfg)
-    ng = OperatorValue(None, lambda x: pc(x) * ((v := gc(x)) * v), UNIT_INTERVAL, cfg)
+    nf, ng = operator_values(((None, phi * (f * f)), (None, phi * (g * g))),
+                             UNIT_INTERVAL, cfg)
     t1 = lambda t: nf(t) * int_g2
     t2 = lambda t: ng(t) * int_f2
     pts = solve_residual((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)

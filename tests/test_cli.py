@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
+import builtins
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import deadline
 import mvtlab
+import mvtlab.flett
 import mvtlab.numerics
 from mvtlab.cli import _SOLVES, main
 from mvtlab.expr import parse
@@ -352,6 +354,25 @@ class TestConfig:
         assert code == 2
         assert "grid" in err
 
+    def test_env_file_is_read_once_per_request(self, capsys, tmp_path, monkeypatch):
+        # main reads the file once and hands the overrides down for the echo
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"scan_points": 256}')
+        monkeypatch.setenv("MVT_LAB_CONFIG", str(cfgfile))
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            if str(file) == str(cfgfile):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        code, rep, _ = run_json(capsys, "classify", "--fn", "x^3", "-a", "0", "-b", "1")
+        assert code == 0
+        assert rep["request"]["config_overrides"] == {"scan_points": 256}
+        assert len(opened) == 1
+
     def test_unreadable_config_path_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MVT_LAB_CONFIG", str(tmp_path / "nope.json"))
         code, _, err = run(capsys, "solve", "flett", "--fn", "x^3",
@@ -443,3 +464,24 @@ class TestTheoremTable:
                                 "--a=-2", "-b", "2")
         assert code == 0 and rep["results"][0]["hypothesis_satisfied"] is True
         assert sorted(calls) == [-2.0, 2.0]
+
+    def test_flett_without_points_computes_its_hypothesis_once(self, capsys, monkeypatch):
+        # x^2 on [0, 1] has no interior Flett point; the empty result the
+        # solver returns carries the flag it computed (f'(0) != f'(1))
+        calls = []
+        original = mvtlab.flett.meyers_hypothesis
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("mvtlab") and \
+                    getattr(mod, "meyers_hypothesis", None) is original:
+                monkeypatch.setattr(mod, "meyers_hypothesis", counted)
+        code, rep, err = run_json(capsys, "solve", "flett", "--fn", "x^2",
+                                  "-a", "0", "-b", "1")
+        assert code == 1 and "hypothesis not satisfied" in err
+        assert rep["results"][0]["points"] == []
+        assert rep["results"][0]["hypothesis_satisfied"] is False
+        assert len(calls) == 1

@@ -2,17 +2,20 @@
 
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from mvtlab.expr import compile_fn, parse
+import mvtlab.operators
+from mvtlab.expr import Var, compile_fn, parse
 from mvtlab.numerics import (
     DomainError, HypothesisError, Interval, QuadratureError, SolverConfig,
     TheoremId, grid_points, integrate,
 )
 from mvtlab.flett import find_flett_points
 from mvtlab.operators import (
-    OperatorValue, apply_S, apply_T, apply_V, apply_V_weighted,
+    UNIT_INTERVAL, OperatorValue, apply_S, apply_T, apply_V, apply_V_weighted, operator_values,
     cauchy_flett_hypothesis, cauchy_flett_points, lupu_4_6_points,
     lupu_4_7_points, thm_4_9_points, thm_4_10_points, weighted_norm_point,
     weighted_norms,
@@ -77,6 +80,146 @@ class TestOperatorValue:
     def test_unbounded_integrand_raises(self):
         with pytest.raises(QuadratureError):
             OperatorValue(None, compile_fn(parse("1/sqrt(x)")))
+
+
+def running_prefix(F, iv, cfg):
+    """The prefix the build must reproduce: one adaptive integrate() per
+    panel, accumulated from iv.a, written out independently of the build."""
+    nodes = grid_points(iv, cfg)
+    panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
+    fa = F(nodes[0])
+    acc = integrate(F, iv.a, nodes[0], panel_cfg, fb=fa)
+    prefix = [acc]
+    for lo, hi in zip(nodes, nodes[1:]):
+        fb = F(hi)
+        acc += integrate(F, lo, hi, panel_cfg, fa=fa, fb=fb)
+        prefix.append(acc)
+        fa = fb
+    return nodes, prefix
+
+
+def count_integrate(monkeypatch):
+    calls = []
+    original = mvtlab.operators.integrate
+
+    def counted(F, lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return original(F, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(mvtlab.operators, "integrate", counted)
+    return calls
+
+
+class TestBatchedBuild:
+    """The batched first Simpson step gives the per-panel prefixes bit for bit."""
+
+    @pytest.mark.parametrize("text,iv,cfg,fallbacks", [
+        ("exp(0.7*x)", Interval(0.0, 1.0), SolverConfig(), False),
+        ("sin(6*pi*x)", Interval(0.0, 1.0), SolverConfig(), False),
+        # the panels next to 0 fail the first error test
+        ("sqrt(x)", Interval(0.0, 1.0), SolverConfig(), True),
+        # 0/0 at the node x = 0
+        ("sin(x)/x", Interval(-1.0, 1.0),
+         SolverConfig(scan_points=513, endpoint_margin=0.0), True),
+    ])
+    def test_prefix_equals_running_integrate(self, monkeypatch, text, iv, cfg, fallbacks):
+        f = parse(text)
+        nodes, want = running_prefix(compile_fn(f), iv, cfg)
+        calls = count_integrate(monkeypatch)
+        v = OperatorValue(None, f, iv, cfg)
+        assert bool(calls) == fallbacks and len(calls) < len(nodes) // 10
+        assert [v(t) for t in nodes] == want
+
+    def test_pointwise_table_equals_pointwise_plus_prefix(self):
+        f = parse("sin(6*pi*x)")
+        fc = compile_fn(f)
+        cfg = SolverConfig(scan_points=1000)
+        nodes, want = running_prefix(lambda x: -fc(x), UNIT_INTERVAL, cfg)
+        v = apply_T(f, cfg)
+        assert [v(t) for t in nodes] == [fc(t) + p for t, p in zip(nodes, want)]
+
+    def test_callables_and_expressions_build_alike(self):
+        f = parse("exp(0.7*x)*cos(3*x)")
+        fc = compile_fn(f)
+        cfg = SolverConfig(scan_points=700)
+        by_expr = OperatorValue(Var() * f, f, UNIT_INTERVAL, cfg)
+        by_fn = OperatorValue(lambda t: t * fc(t), fc, UNIT_INTERVAL, cfg)
+        for t in grid_points(UNIT_INTERVAL, cfg) + SAMPLE_TS:
+            assert by_expr(t) == by_fn(t)
+
+    def test_group_equals_separate_builds(self):
+        f, g, phi = parse("exp(0.7*x)"), parse("1.2*x^3-0.5*x^2+x+0.3"), parse("sin(x)")
+        x = Var()
+        cfg = SolverConfig(scan_points=600)
+        pairs = [(f, -f), (g, -g), (x * f, -x * f), (None, phi * (g * g)),
+                 (None, f * g)]
+        group = operator_values(pairs, UNIT_INTERVAL, cfg)
+        alone = [OperatorValue(p, q, UNIT_INTERVAL, cfg) for p, q in pairs]
+        ts = grid_points(UNIT_INTERVAL, cfg) + SAMPLE_TS + [0.123456789, -0.5, 1.5]
+        for u, w in zip(group, alone):
+            assert [u(t) for t in ts] == [w(t) for t in ts]
+
+    @staticmethod
+    def _overflow_panel(pole):
+        # on one panel: fa = fb = 1, fm = 1e308, flm = -inf. The samples
+        # overflow the whole-panel estimate to inf, so the first error test
+        # passes (eps = inf) whatever flm is; integrate() replaces the -inf
+        # by a one-sided sample, or raises when that looks like a pole
+        cfg = SolverConfig(scan_points=8, endpoint_margin=0.0)
+        nodes = grid_points(UNIT_INTERVAL, cfg)
+        a, b = nodes[3], nodes[4]
+        m = 0.5 * (a + b)
+        lm = 0.5 * (a + m)
+
+        def F(x):
+            if x == m:
+                return 1e308
+            if x == lm:
+                return -math.inf
+            if pole and abs(x - lm) < 1e-6:
+                return 1.0 / (lm - x)
+            return 1.0
+
+        return F, cfg, (a, b)
+
+    def test_nonfinite_sample_takes_the_fallback(self, monkeypatch):
+        F, cfg, panel = self._overflow_panel(pole=False)
+        nodes, want = running_prefix(F, UNIT_INTERVAL, cfg)
+        calls = count_integrate(monkeypatch)
+        v = OperatorValue(None, F, UNIT_INTERVAL, cfg)
+        assert calls == [panel]
+        assert [v(t) for t in nodes] == want
+
+    def test_nonfinite_sample_at_a_pole_raises(self):
+        F, cfg, _ = self._overflow_panel(pole=True)
+        with pytest.raises(QuadratureError):
+            running_prefix(F, UNIT_INTERVAL, cfg)
+        with pytest.raises(QuadratureError):
+            OperatorValue(None, F, UNIT_INTERVAL, cfg)
+
+    def test_first_failing_pair_raises(self):
+        # what the first of the separate builds would raise, although the
+        # panel where 1/(x-0.5)^2 fails is evaluated after 1/sqrt(x)'s
+        cfg = SolverConfig()
+        bad1, bad2 = parse("1/sqrt(x)"), parse("1/(x-0.5)^2")
+        for pairs in ([(None, bad1), (None, bad2)], [(None, bad2), (None, bad1)]):
+            with pytest.raises(QuadratureError) as alone:
+                OperatorValue(*pairs[0], UNIT_INTERVAL, cfg)
+            with pytest.raises(QuadratureError) as grouped:
+                operator_values(pairs, UNIT_INTERVAL, cfg)
+            assert str(grouped.value) == str(alone.value)
+
+    def test_lupu_4_6_peak_memory(self):
+        # samples are evaluated a run of panels at a time, not all at once
+        f, g = parse("exp(0.7*x)"), parse("1.2*x^3-0.5*x^2+x+0.3")
+        lupu_4_6_points(f, g)
+        tracemalloc.start()
+        try:
+            lupu_4_6_points(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 class TestApplyHelpers:
