@@ -11,15 +11,16 @@ grid (Brent polishing, crossing checks) pay for the fraction of a panel
 containing them.
 
 A solver builds all its operator values in one pass with
-:func:`operator_values`. Their pointwise parts and integrands are
-expressions compiled together, so the functions they share are computed
-once per sample, and the grid is evaluated a fixed run of panels at a
-time. The first step of adaptive Simpson on every panel (whole panel,
-two halves, error test) is done from those batched samples with exactly
-the arithmetic :func:`~mvtlab.numerics.integrate` performs; a panel that
-fails the test, or has a non-finite sample, is integrated by ``integrate``
-itself. The prefixes are therefore the ones a running ``integrate`` per
-panel gives, bit for bit.
+:func:`operator_values`. Their integrands are expressions compiled into
+one grid, so the functions they share are computed once per sample, and
+their pointwise parts into another, evaluated at the nodes only; the
+grids run a fixed number of panels at a time. The first step of adaptive
+Simpson on every panel (whole panel, two halves, error test) is done from
+those batched samples with exactly the arithmetic
+:func:`~mvtlab.numerics.integrate` performs; a panel that fails the test,
+or has a non-finite sample, is integrated by ``integrate`` itself. The
+prefixes are therefore the ones a running ``integrate`` per panel gives,
+bit for bit.
 
 The identity solvers mirror the structure used elsewhere: multiply through
 so the residual is denominator-free, scan, refine, and stamp the theorem id
@@ -69,8 +70,8 @@ class OperatorValue:
     callables. The prefix cache is built eagerly on the scan grid
     ``grid_points(iv, cfg)`` -- the very floats solve_residual evaluates --
     with the partial panel from a to the first node folded into the first
-    prefix entry; see :func:`operator_values`, which builds several values
-    on one grid in one pass. It is immutable afterwards, so evaluation is
+    prefix entry; :func:`operator_values` builds several values on one grid
+    in one pass. It is immutable afterwards, so evaluation is
     deterministic for a fixed config. An argument on a node reads a table
     of pointwise part plus prefix; any other argument adds direct
     quadrature between it and the nearest node at or below it (the first
@@ -81,13 +82,21 @@ class OperatorValue:
                  "_table", "_panel_cfg")
 
     def __init__(self, pointwise: _Fn | None, integrand: _Fn,
-                 iv: Interval = UNIT_INTERVAL, cfg: SolverConfig | None = None,
-                 _built: tuple | None = None):
-        # _built is this value's share of an operator_values() build
-        if _built is None:
-            (_built,) = _build(((pointwise, integrand),), iv, cfg)
-        (self._pointwise, self._integrand, self._nodes, self._index,
-         self._prefix, self._table, self._panel_cfg) = _built
+                 iv: Interval = UNIT_INTERVAL, cfg: SolverConfig | None = None):
+        (state,) = _build(((pointwise, integrand),), iv, cfg)
+        self._set(*state)
+
+    @classmethod
+    def _of(cls, state: tuple) -> OperatorValue:
+        """A value from its share of an operator_values() build."""
+        self = cls.__new__(cls)
+        self._set(*state)
+        return self
+
+    def _set(self, pointwise, integrand, nodes, index, prefix, table, panel_cfg):
+        self._pointwise, self._integrand = pointwise, integrand
+        self._nodes, self._index, self._prefix = nodes, index, prefix
+        self._table, self._panel_cfg = table, panel_cfg
 
     def __call__(self, t: float) -> float:
         j = self._index.get(t)
@@ -119,11 +128,11 @@ def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
 
     Equal, value for value, to ``[OperatorValue(p, q, iv, cfg) for p, q in
     pairs]``, and it raises what the first of those builds to fail raises.
-    When every function is an expression, one generated grid loop computes
-    them all, so subexpressions they share are evaluated once per sample.
+    When the integrands are expressions, one generated grid loop computes
+    them all, so subexpressions they share are evaluated once per sample;
+    likewise the pointwise parts, at the nodes.
     """
-    return [OperatorValue(p, q, iv, cfg, built)
-            for (p, q), built in zip(pairs, _build(pairs, iv, cfg))]
+    return [OperatorValue._of(state) for state in _build(pairs, iv, cfg)]
 
 
 def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
@@ -131,11 +140,12 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
     """Each pair's OperatorValue state, from one pass over the grid.
 
     Panel k runs from node k-1 to node k, panel 0 from iv.a to node 0. Each
-    panel [a, b] is sampled at a, lm, m, rm and b, the floats integrate()
-    samples first; panels share their endpoint samples. The first Simpson
-    step is taken here and accepted exactly when integrate() would accept
-    it; other panels, and those with a non-finite sample (whose arithmetic
-    the error test alone does not guard), go to integrate() itself.
+    panel [a, b] has its integrands sampled at a, lm, m, rm and b, the
+    floats integrate() samples first (panels share their endpoint samples),
+    and its pointwise parts at b only. The first Simpson step is taken here
+    and accepted exactly when integrate() would accept it; other panels,
+    and those with a non-finite sample (whose arithmetic the error test
+    alone does not guard), go to integrate() itself.
     """
     cfg = cfg or DEFAULT_CONFIG
     nodes = grid_points(iv, cfg)
@@ -143,14 +153,12 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
     # stays near the configured quadrature tolerance
     panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
     tol = panel_cfg.quad_tol
-    fns = [fn for pair in pairs for fn in pair if fn is not None]
+    integrands = [q for _, q in pairs]
+    pointwise = [p for p, _ in pairs if p is not None]
     # point by point: off-grid arguments and fallback panels
-    calls = [compile_fn(fn) if isinstance(fn, Expr) else fn for fn in fns]
-    if all(isinstance(fn, Expr) for fn in fns):
-        grid = compile_terms(fns)[0]
-    else:
-        grid = lambda xs: [[fn(x) for x in xs] for fn in calls]
-    column = {id(fn): i for i, fn in enumerate(fns)}
+    q_calls, p_calls = _point_calls(integrands), _point_calls(pointwise)
+    sample, at_nodes = _grid(integrands, q_calls), _grid(pointwise, p_calls)
+    p_calls = _per_pair(pairs, p_calls)
     ends = [iv.a] + nodes
     prefixes: list[list[float]] = [[] for _ in pairs]
     tables: list[list[float]] = [[] for _ in pairs]
@@ -163,11 +171,10 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
             m = 0.5 * (a + b)
             xs += (0.5 * (a + m), m, 0.5 * (m + b), b)
             panels.append((a, b, m - a, b - m, b - a))
-        cols = grid(xs)
-        for k, (pw, fn) in enumerate(pairs):
+        p_cols = _per_pair(pairs, at_nodes(nodes[p0:p0 + _CHUNK_PANELS]))
+        for k, (F, col, p_col) in enumerate(zip(q_calls, sample(xs), p_cols)):
             if errors[k] is not None:
                 continue
-            F, col = calls[column[id(fn)]], cols[column[id(fn)]]
             acc, prefix = accs[k], prefixes[k]
             try:
                 for (a, b, wl, wr, w), fa, flm, fm, frm, fb in zip(
@@ -192,11 +199,10 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
                 errors[k] = exc
                 continue
             accs[k] = acc
-            if pw is None:
+            if p_col is None:
                 tables[k] = prefix
             else:
-                tables[k] += [v + run for v, run in zip(cols[column[id(pw)]][4::4],
-                                                        prefix[-len(panels):])]
+                tables[k] += [v + run for v, run in zip(p_col, prefix[-len(panels):])]
     for exc in errors:
         if exc is not None:
             raise exc
@@ -205,19 +211,51 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
         # a node repeated by rounding maps to its last copy, except the
         # first node: the copy whose prefix __call__'s bisect path reads
         index[nodes[0]] = 0
-    return [(pw if pw is None else calls[column[id(pw)]], calls[column[id(fn)]],
-             nodes, index, prefix, table, panel_cfg)
-            for (pw, fn), prefix, table in zip(pairs, prefixes, tables)]
+    return [(P, F, nodes, index, prefix, table, panel_cfg)
+            for P, F, prefix, table in zip(p_calls, q_calls, prefixes, tables)]
+
+
+def _point_calls(fns: Sequence[_Fn]) -> list[Callable[[float], float]]:
+    return [compile_fn(fn) if isinstance(fn, Expr) else fn for fn in fns]
+
+
+def _grid(fns: Sequence[_Fn], calls: Sequence[Callable[[float], float]]):
+    """xs -> one column of values per function: one generated loop when
+    there are expressions only, else the callables point by point."""
+    if fns and all(isinstance(fn, Expr) for fn in fns):
+        return compile_terms(fns)[0]
+    return lambda xs: [[F(x) for x in xs] for F in calls]
+
+
+def _per_pair(pairs, given: list) -> list:
+    """``given`` (one entry per pair with a pointwise part) spread over all
+    the pairs, None for a pair without one."""
+    it = iter(given)
+    return [None if p is None else next(it) for p, _ in pairs]
+
+
+# The operators as (pointwise part, integrand) pairs, for operator_values().
+
+def _t_pair(phi: Expr) -> tuple[Expr, Expr]:
+    return phi, -phi
+
+
+def _s_pair(psi: Expr) -> tuple[Expr, Expr]:
+    return _X * psi, -_X * psi
+
+
+def _v_weighted_pair(phi: Expr, psi: Expr) -> tuple[None, Expr]:
+    return None, phi * psi
 
 
 def apply_T(phi: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
     """t -> phi(t) - integral of phi over [0, t]."""
-    return OperatorValue(phi, -phi, UNIT_INTERVAL, cfg)
+    return OperatorValue(*_t_pair(phi), UNIT_INTERVAL, cfg)
 
 
 def apply_S(psi: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
     """t -> t*psi(t) - integral of x*psi(x) over [0, t]."""
-    return OperatorValue(_X * psi, -_X * psi, UNIT_INTERVAL, cfg)
+    return OperatorValue(*_s_pair(psi), UNIT_INTERVAL, cfg)
 
 
 def apply_V(f: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
@@ -228,7 +266,7 @@ def apply_V(f: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
 def apply_V_weighted(phi: Expr, psi: Expr,
                      cfg: SolverConfig | None = None) -> OperatorValue:
     """t -> integral of phi(x)*psi(x) over [0, t]."""
-    return OperatorValue(None, phi * psi, UNIT_INTERVAL, cfg)
+    return OperatorValue(*_v_weighted_pair(phi, psi), UNIT_INTERVAL, cfg)
 
 
 def _no_root_error(terms: tuple[Callable[[float], float], ...], iv: Interval,
@@ -265,7 +303,7 @@ def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
     cf = integrate(weighted(fc), 0.0, 1.0, cfg)
     cg = integrate(weighted(gc), 0.0, 1.0, cfg)
     tf, tg, sf, sg = operator_values(
-        ((f, -f), (g, -g), (_X * f, -_X * f), (_X * g, -_X * g)), UNIT_INTERVAL, cfg)
+        (_t_pair(f), _t_pair(g), _s_pair(f), _s_pair(g)), UNIT_INTERVAL, cfg)
     return ((lambda x: cf * tg(x), lambda x: cg * tf(x)),
             (lambda x: cf * sg(x), lambda x: cg * sf(x)), tf, sf)
 
@@ -368,7 +406,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
         raise HypothesisError(
             f"integral of f over [{iv.a:g}, {iv.b:g}] is {total:.6g}, not 0; "
             "the identity only applies to zero-mean f")
-    vfg, vf = operator_values(((None, f * g), (None, f)), iv, cfg)
+    vfg, vf = operator_values((_v_weighted_pair(f, g), (None, f)), iv, cfg)
     t2 = lambda t: ga * vf(t)
     return solve_residual((vfg, t2), iv, cfg, TheoremId.THM_4_9,
                           hypothesis=True)
@@ -392,7 +430,8 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     int_g = integrate(gc, 0.0, 1.0, cfg)
     phi0 = pc(0.0)
     vpf, vpg, vf, vg = operator_values(
-        ((None, phi * f), (None, phi * g), (None, f), (None, g)), UNIT_INTERVAL, cfg)
+        (_v_weighted_pair(phi, f), _v_weighted_pair(phi, g), (None, f), (None, g)),
+        UNIT_INTERVAL, cfg)
     t1 = lambda t: vpf(t) * int_g
     t2 = lambda t: vpg(t) * int_f
     t3 = lambda t: phi0 * vf(t) * int_g
@@ -427,8 +466,8 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
         raise HypothesisError(f"the weight must vanish at 0, got phi(0) = {phi0!r}")
     int_f2 = integrate(lambda x: (v := fc(x)) * v, 0.0, 1.0, cfg)
     int_g2 = integrate(lambda x: (v := gc(x)) * v, 0.0, 1.0, cfg)
-    nf, ng = operator_values(((None, phi * (f * f)), (None, phi * (g * g))),
-                             UNIT_INTERVAL, cfg)
+    nf, ng = operator_values(
+        (_v_weighted_pair(phi, f * f), _v_weighted_pair(phi, g * g)), UNIT_INTERVAL, cfg)
     t1 = lambda t: nf(t) * int_g2
     t2 = lambda t: ng(t) * int_f2
     pts = solve_residual((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)

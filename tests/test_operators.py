@@ -138,6 +138,18 @@ class TestBatchedBuild:
         v = apply_T(f, cfg)
         assert [v(t) for t in nodes] == [fc(t) + p for t, p in zip(nodes, want)]
 
+    def test_pointwise_part_is_evaluated_at_the_nodes_only(self):
+        seen = []
+
+        def pointwise(t):
+            seen.append(t)
+            return t
+
+        cfg = SolverConfig(scan_points=700)
+        operator_values([(pointwise, parse("x")), (None, parse("x^2"))],
+                        UNIT_INTERVAL, cfg)
+        assert seen == grid_points(UNIT_INTERVAL, cfg)
+
     def test_callables_and_expressions_build_alike(self):
         f = parse("exp(0.7*x)*cos(3*x)")
         fc = compile_fn(f)

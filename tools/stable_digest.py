@@ -2,7 +2,8 @@
 
 Runs every request of the seed-1 and seed-2 request lists of the four
 benchmark workloads (``bench/workloads.py``) in-process through
-``mvtlab.cli.main`` with ``--stable``, and prints for each request
+``mvtlab.cli.main`` (every request carries ``--stable``), and prints for
+each request
 
     workload seed index exit-code sha256(stdout) sha256(stderr)
 
@@ -12,13 +13,12 @@ Two checkouts give the same answers when their outputs compare equal:
     python3 tools/stable_digest.py > after.txt     # in the other
     cmp before.txt after.txt
 
-``--workload`` and ``--seeds`` narrow the run. The script imports the
-package from the ``src`` directory next to it and edits nothing.
+The script imports the package from the ``src`` directory next to it and
+edits nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -37,9 +37,7 @@ def _sha(text: str) -> str:
 
 
 def digest(argv: list[str]) -> tuple[int | str, str, str]:
-    """(exit code, sha256 of stdout, sha256 of stderr) of one stable request."""
-    if "--stable" not in argv:
-        argv = argv + ["--stable"]
+    """(exit code, sha256 of stdout, sha256 of stderr) of one request."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -51,15 +49,9 @@ def digest(argv: list[str]) -> tuple[int | str, str, str]:
     return code, _sha(out.getvalue()), _sha(err.getvalue())
 
 
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", choices=WORKLOADS, action="append",
-                   help="limit to this workload (repeatable; default: all four)")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
-                   help="request-list seeds (default: 1 2)")
-    args = p.parse_args(argv)
-    for workload in args.workload or WORKLOADS:
-        for seed in args.seeds:
+def main() -> int:
+    for workload in WORKLOADS:
+        for seed in (1, 2):
             for i, req in enumerate(request_list(workload, seed)):
                 code, so, se = digest(list(req.argv))
                 print(workload, seed, i, code, so, se, flush=True)
