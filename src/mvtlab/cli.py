@@ -292,7 +292,7 @@ def _cmd_solve(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, in
             for tid, pts, _ in groups:
                 for p in pts:
                     chk = verify_point(tid, p.xi, f, g=g, weight=weight,
-                                       iv=iv, n=n, cfg=cfg)
+                                       iv=iv, n=n, cfg=cfg, inputs=q)
                     if not chk.ok:
                         print(f"self-check failed for {tid} at xi={p.xi!r}: "
                               f"|{chk.lhs!r} - {chk.rhs!r}| > {chk.tolerance!r}",

@@ -6,10 +6,12 @@ order, simplified, and printed back to parseable text. ``evaluate`` walks
 the tree once, for a single point. For many points, one lowering turns
 trees into generated straight-line Python that evaluates each distinct
 subexpression once per point: ``compile_fn`` wraps one tree as a callable
-(quadrature, endpoint values), and ``compile_terms`` wraps the terms of a
+(quadrature, endpoint values), ``compile_terms`` wraps the terms of a
 residual as a whole-grid loop plus their difference at one point (the
-grid scan and root polishing). Input nested deeper than MAX_DEPTH levels
-is rejected by the parser.
+grid scan and root polishing), and ``compile_panels`` wraps the
+integrands of running integrals as one loop that takes every grid
+panel's first Simpson step (operator prefix builds). Input nested deeper
+than MAX_DEPTH levels is rejected by the parser.
 
 Grammar (no implicit multiplication; unary minus binds tighter than ``^``,
 which is right-associative)::
@@ -35,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Bin", "Call",
     "ParseError", "FUNCTIONS", "MAX_DEPTH",
-    "parse", "unparse", "evaluate", "compile_fn", "compile_terms",
+    "parse", "unparse", "evaluate", "compile_fn", "compile_terms", "compile_panels",
     "differentiate", "simplify", "substitute", "sign_sensitive_args",
 ]
 
@@ -274,13 +276,16 @@ def _lower_pow(a: str, b: str, exponent: Expr) -> str:
     return f"_pow({a}, {b})"
 
 
-def _lower(roots: Sequence[Expr], glb: dict) -> tuple[list[str], list[str]]:
+def _lower(roots: Sequence[Expr], glb: dict, var: str = "float(x)",
+           tag: str = "") -> tuple[list[str], list[str]]:
     """Straight-line statements that compute every root, and each root's name.
 
-    The statements read the variable as ``x`` and assign one local per
+    The statements read the variable as ``var`` and assign one local per
     distinct subexpression across all roots, so subtrees that roots share
     (f and its derivatives share many) are computed once. Constants are
-    added to ``glb``. The walk uses an explicit stack, so any depth lowers.
+    added to ``glb``. Every name ends in ``tag``, so lowerings that share
+    one ``glb`` (or one function body) need distinct tags. The walk uses
+    an explicit stack, so any depth lowers.
     """
     lines: list[str] = []
     name_of: dict[int, str] = {}   # id(node) -> local or constant name
@@ -318,12 +323,12 @@ def _lower(roots: Sequence[Expr], glb: dict) -> tuple[list[str], list[str]]:
         name = by_key.get(key)
         if name is None:
             if kind is Const:
-                name = f"c{len(by_key)}"
+                name = f"c{len(by_key)}{tag}"
                 glb[name] = node.value
             else:
-                name = f"t{len(by_key)}"
+                name = f"t{len(by_key)}{tag}"
                 if kind is Var:
-                    rhs = "float(x)"
+                    rhs = var
                 elif kind is Neg:
                     rhs = f"-{a}"
                 elif kind is Call:
@@ -381,7 +386,9 @@ def compile_terms(exprs: Sequence[Expr]) -> tuple[
     point. Values equal :func:`evaluate` bit for bit. Both functions come
     from one ``compile`` call over one copy of the lowered code: compiling
     is most of the cost of a short grid, while ``fold`` serves only the
-    few dozen evaluations of root polishing.
+    few dozen evaluations of root polishing. Its sibling
+    :func:`compile_panels` evaluates the integrands of running integrals
+    panel by panel.
     """
     glb = dict(_CODEGEN_GLOBALS)
     lines, names = _lower(exprs, glb)
@@ -397,6 +404,107 @@ def compile_terms(exprs: Sequence[Expr]) -> tuple[
            + f"    return {' - '.join(f'at[{i}][0]' for i in range(len(cols)))}\n")
     exec(compile(src, "<mvtlab.expr.compile_terms>", "exec"), glb)
     return glb["grid"], glb["fold"]
+
+
+_Fn = Expr | Callable[[float], float]
+
+
+def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -> tuple[
+        Callable, list[Callable[[float], float]], list[Callable[[float], float] | None]]:
+    """Build ``(panels, q_points, p_points)`` for a running-integral build.
+
+    ``integrands[k]`` and ``pointwise[k]`` (None for none) are expressions
+    or plain callables; callables enter the generated code as globals it
+    calls. ``q_points`` and ``p_points`` hold a point function for each:
+    the expression compiled as :func:`compile_fn` compiles it, or the
+    callable itself (None where there is no pointwise part).
+
+    ``panels(ends, tol, fallback)`` is one generated loop over the panels
+    [ends[i-1], ends[i]]. On each panel [a, b] it evaluates the integrands
+    at the points adaptive Simpson samples first, its quarter points and
+    midpoint, and the integrands and pointwise parts together at b, so a
+    subexpression they share is computed once; a panel's values at a are
+    the previous panel's at b. Each integrand's first Simpson step is
+    taken with the expressions :func:`~mvtlab.numerics.integrate` uses, in
+    their order, and accepted when ``integrate`` would accept it at
+    tolerance ``tol`` and the result is finite; otherwise the panel's
+    integral is ``fallback(k, a, b, fa, fb)``. It returns the prefixes,
+    each integrand's running sum after every panel, and the tables, that
+    sum plus the pointwise part at b (the prefix where there is none).
+    Values equal the point functions' bit for bit. :func:`compile_terms`
+    is the sibling that evaluates a residual's terms over a grid.
+    """
+    glb = dict(_CODEGEN_GLOBALS, abs=abs)
+    nq = len(integrands)
+    fns = [*integrands, *pointwise]  # pointwise part k is fns[nq + k]
+    for j, fn in enumerate(fns):
+        if fn is not None and not isinstance(fn, Expr):
+            glb[f"ext{j}"] = fn
+
+    def lower(js: Iterable[int], x: str, tag: str,
+              var: str | None = None) -> tuple[list[str], list[str | None]]:
+        # statements computing fns[j] at x for each j of js, and the names
+        # of the values (None for a missing pointwise part); expressions
+        # read x as var, callables get x itself
+        js = [j for j in js if fns[j] is not None]
+        lines, names = _lower([fns[j] for j in js if isinstance(fns[j], Expr)],
+                              glb, var or x, tag)
+        exprs = iter(names)
+        out: list[str | None] = [None] * len(fns)
+        for j in js:
+            if isinstance(fns[j], Expr):
+                out[j] = next(exprs)
+            else:
+                out[j] = f"e{j}{tag}"
+                lines.append(f"e{j}{tag} = ext{j}({x})")
+        return lines, out
+
+    qs = range(nq)
+    # the points past ends[0] are floats already
+    at_a, fa = lower(qs, "a", "_a", "float(a)")
+    at_lm, flm = lower(qs, "lm", "_lm")
+    at_m, fm = lower(qs, "m", "_m")
+    at_rm, frm = lower(qs, "rm", "_rm")
+    at_b, fb = lower(range(len(fns)), "b", "_b")
+    head = ["a = ends[0]", *at_a]
+    body = ["m = 0.5 * (a + b)", "lm = 0.5 * (a + m)", "rm = 0.5 * (m + b)",
+            "wl = m - a", "wr = b - m", "w = b - a", *at_lm, *at_m, *at_rm, *at_b]
+    tables = []
+    for k in qs:
+        head += [f"prefix{k} = []", f"put{k} = prefix{k}.append",
+                 f"fa{k} = {fa[k]}", f"acc{k} = -0.0"]
+        # integrate() and _adapt()'s expressions, in their order
+        body += [f"whole = w * (fa{k} + 4.0 * {fm[k]} + {fb[k]}) / 6.0",
+                 f"sl = wl * (fa{k} + 4.0 * {flm[k]} + {fm[k]}) / 6.0",
+                 f"sr = wr * ({fm[k]} + 4.0 * {frm[k]} + {fb[k]}) / 6.0",
+                 "delta = sl + sr - whole",
+                 "part = sl + sr + delta / 15.0",
+                 # every sample enters sl or sr with a positive weight (or
+                 # makes it nan), so a finite part means finite samples, none
+                 # of which integrate() would replace
+                 "if not (abs(delta) <= 15.0 * (tol * (1.0 + abs(whole)))"
+                 " and part - part == 0.0):",
+                 f"    part = fallback({k}, a, b, fa{k}, {fb[k]})",
+                 f"acc{k} += part",
+                 f"put{k}(acc{k})",
+                 f"fa{k} = {fb[k]}"]
+        if fb[nq + k] is None:
+            tables.append(f"prefix{k}")
+        else:
+            head += [f"table{k} = []", f"tput{k} = table{k}.append"]
+            body.append(f"tput{k}({fb[nq + k]} + acc{k})")
+            tables.append(f"table{k}")
+    body.append("a = b")
+    src = ("def panels(ends, tol, fallback):\n" + _indent(head, 1)
+           + "    for b in ends[1:]:\n" + _indent(body, 2)
+           + f"    return [{', '.join(f'prefix{k}' for k in qs)}], [{', '.join(tables)}]\n")
+    for j, fn in enumerate(fns):
+        if isinstance(fn, Expr):
+            lines, (name,) = _lower((fn,), glb, tag=f"_{j}")
+            src += f"def point{j}(x):\n" + _indent(lines, 1) + f"    return {name}\n"
+    exec(compile(src, "<mvtlab.expr.compile_panels>", "exec"), glb)
+    points = [glb[f"point{j}"] if isinstance(fn, Expr) else fn for j, fn in enumerate(fns)]
+    return glb["panels"], points[:nq], points[nq:]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from .expr import (
 
 __all__ = [
     "SolverError", "DomainError", "QuadratureError", "NoRootFound", "HypothesisError",
-    "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "PointResult", "Points",
+    "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "MAX_SCAN_POINTS",
+    "PointResult", "Points",
     "grid_points", "residual_scale", "refine_root", "integrate",
     "central_diff", "fold_terms", "solve_residual", "tolerance", "close",
     "one_sided_derivative", "differentiable_on_interior",
@@ -109,6 +110,10 @@ class Interval:
         return 0.5 * (self.a + self.b)
 
 
+# Largest grid a SolverConfig accepts (2**20 points).
+MAX_SCAN_POINTS = 2 ** 20
+
+
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
     """Knobs shared by every solver.
@@ -127,8 +132,10 @@ class SolverConfig:
     singular_threshold: float = 1e12
 
     def __post_init__(self):
-        if self.scan_points < 8:
-            raise ValueError("scan_points must be at least 8")
+        # the upper cap keeps a request from building grids of gigabytes
+        if not (isinstance(self.scan_points, int)
+                and 8 <= self.scan_points <= MAX_SCAN_POINTS):
+            raise ValueError(f"scan_points must be an integer in [8, {MAX_SCAN_POINTS}]")
         for name in ("root_tol", "residual_tol", "quad_tol", "singular_threshold"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
@@ -457,9 +464,12 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     expressions or all callables. Expressions are compiled together with
     :func:`~mvtlab.expr.compile_terms`, so the whole grid is evaluated in
     one generated loop and subexpressions the terms share are computed once
-    per point; callables (operator values) are called once per grid point
-    each. The same values give the residual and the scale, max(1, largest
-    finite term magnitude on the grid), against which "zero" is judged.
+    per point. A callable that has a ``column`` method (an operator value,
+    or a solver's term over one) gives its whole grid column,
+    ``t.column(xs)``, which must equal ``[t(x) for x in xs]``; any other
+    callable is called once per grid point. The same values give the
+    residual and the scale, max(1, largest finite term magnitude on the
+    grid), against which "zero" is judged.
     Brent polishing and crossing confirmation use the same fold.
     With ``closed=True`` the scan includes the endpoints (for identities
     whose point may sit on the boundary).
@@ -478,7 +488,8 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
         cols = grid(xs)
     else:
         F = fold_terms(terms)
-        cols = [[t(x) for x in xs] for t in terms]
+        cols = [t.column(xs) if hasattr(t, "column") else [t(x) for x in xs]
+                for t in terms]
     ys = cols[0]
     for col in cols[1:]:
         ys = list(map(operator.sub, ys, col))

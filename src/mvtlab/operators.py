@@ -5,18 +5,18 @@ left endpoint, so a naive grid scan would perform a full quadrature per
 grid node. ``OperatorValue`` instead caches prefix sums of per-panel
 integrals once, with its nodes on exactly the grid that
 :func:`~mvtlab.numerics.solve_residual` scans, and a table of pointwise
-part plus prefix at every node. A scan therefore does no quadrature and no
-pointwise call: a node hit reads the table, and only arguments off the
-grid (Brent polishing, crossing checks) pay for the fraction of a panel
-containing them.
+part plus prefix at every node. A scan reads a value's whole table as one
+column and makes no call; a call at a node reads one table entry, and
+only arguments off the grid (Brent polishing, crossing checks) pay for
+the fraction of a panel containing them.
 
 A solver builds all its operator values in one pass with
-:func:`operator_values`. Their integrands are expressions compiled into
-one grid, so the functions they share are computed once per sample, and
-their pointwise parts into another, evaluated at the nodes only; the
-grids run a fixed number of panels at a time. The first step of adaptive
-Simpson on every panel (whole panel, two halves, error test) is done from
-those batched samples with exactly the arithmetic
+:func:`operator_values`: one generated panel kernel
+(:func:`~mvtlab.expr.compile_panels`) runs over the grid's panels,
+evaluating every integrand at each panel's first adaptive Simpson samples
+and every pointwise part at its right end, with the subexpressions they
+share computed once. The kernel takes the first Simpson step of every
+panel (whole panel, two halves, error test) with exactly the arithmetic
 :func:`~mvtlab.numerics.integrate` performs; a panel that fails the test,
 or has a non-finite sample, is integrated by ``integrate`` itself. The
 prefixes are therefore the ones a running ``integrate`` per panel gives,
@@ -24,8 +24,10 @@ bit for bit.
 
 The identity solvers mirror the structure used elsewhere: multiply through
 so the residual is denominator-free, scan, refine, and stamp the theorem id
-on every located point. The two-constant identities are searched per
-identity; a tuple result never mixes them.
+on every located point. Their terms are operator values scaled by
+constants (``_Scaled``), whose scan columns are the values' columns scaled.
+The two-constant identities are searched per identity; a tuple result
+never mixes them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .expr import Expr, Var, compile_fn, compile_terms, differentiate
+from .expr import Expr, Var, compile_fn, compile_panels, compile_terms, differentiate
 from .generalized import endpoint_slopes
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
@@ -56,10 +58,6 @@ UNIT_INTERVAL = Interval(0.0, 1.0)
 
 _X = Var()
 
-# Panels whose samples one grid call evaluates: bounds the sample columns
-# held at once (a whole 4,096-point grid at once costs megabytes).
-_CHUNK_PANELS = 256
-
 _Fn = Expr | Callable[[float], float]
 
 
@@ -70,16 +68,17 @@ class OperatorValue:
     callables. The prefix cache is built eagerly on the scan grid
     ``grid_points(iv, cfg)`` -- the very floats solve_residual evaluates --
     with the partial panel from a to the first node folded into the first
-    prefix entry; :func:`operator_values` builds several values on one grid
-    in one pass. It is immutable afterwards, so evaluation is
+    prefix entry; :func:`operator_values` builds several values with one
+    generated panel kernel. It is immutable afterwards, so evaluation is
     deterministic for a fixed config. An argument on a node reads a table
-    of pointwise part plus prefix; any other argument adds direct
-    quadrature between it and the nearest node at or below it (the first
-    node, for arguments left of the grid).
+    of pointwise part plus prefix, and :meth:`column` reads the table for
+    the whole grid at once; any other argument adds direct quadrature
+    between it and the nearest node at or below it (the first node, for
+    arguments left of the grid).
     """
 
-    __slots__ = ("_pointwise", "_integrand", "_nodes", "_index", "_prefix",
-                 "_table", "_panel_cfg")
+    __slots__ = ("_pointwise", "_integrand", "_nodes", "_index", "_at", "_zeros",
+                 "_prefix", "_table", "_panel_cfg")
 
     def __init__(self, pointwise: _Fn | None, integrand: _Fn,
                  iv: Interval = UNIT_INTERVAL, cfg: SolverConfig | None = None):
@@ -93,10 +92,11 @@ class OperatorValue:
         self._set(*state)
         return self
 
-    def _set(self, pointwise, integrand, nodes, index, prefix, table, panel_cfg):
+    def _set(self, pointwise, integrand, nodes, index, at, zeros, prefix, table,
+             panel_cfg):
         self._pointwise, self._integrand = pointwise, integrand
-        self._nodes, self._index, self._prefix = nodes, index, prefix
-        self._table, self._panel_cfg = table, panel_cfg
+        self._nodes, self._index, self._at, self._zeros = nodes, index, at, zeros
+        self._prefix, self._table, self._panel_cfg = prefix, table, panel_cfg
 
     def __call__(self, t: float) -> float:
         j = self._index.get(t)
@@ -120,6 +120,47 @@ class OperatorValue:
             return run
         return self._pointwise(t) + run
 
+    def column(self, xs: Sequence[float]) -> list[float]:
+        """``[self(x) for x in xs]``, read from the table when xs are the nodes."""
+        if xs != self._nodes:
+            return [self(x) for x in xs]
+        table = self._table
+        col = table[:] if self._at is None else list(map(table.__getitem__, self._at))
+        for j in self._zeros:
+            # -0.0 == 0.0 passed the test above, but a pointwise part may
+            # tell them apart
+            col[j] = self(xs[j])
+        return col
+
+
+class _Scaled:
+    """x -> c * value(x) * d, negated when ``neg``: a solver's residual term.
+
+    The products run left to right, and a factor given as None is left
+    out. The scan column is the value's column put through the same
+    operations, one list operation per factor, so a scan makes no call to
+    the value.
+    """
+
+    __slots__ = ("value", "c", "d", "neg")
+
+    def __init__(self, value: OperatorValue, c: float | None = None,
+                 d: float | None = None, neg: bool = False):
+        self.value, self.c, self.d, self.neg = value, c, d, neg
+
+    def __call__(self, x: float) -> float:
+        return self._scale([self.value(x)])[0]
+
+    def column(self, xs: Sequence[float]) -> list[float]:
+        return self._scale(self.value.column(xs))
+
+    def _scale(self, col: list[float]) -> list[float]:
+        if self.c is not None:
+            col = [self.c * v for v in col]
+        if self.d is not None:
+            col = [v * self.d for v in col]
+        return [-v for v in col] if self.neg else col
+
 
 def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
                     iv: Interval = UNIT_INTERVAL,
@@ -128,81 +169,45 @@ def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
 
     Equal, value for value, to ``[OperatorValue(p, q, iv, cfg) for p, q in
     pairs]``, and it raises what the first of those builds to fail raises.
-    When the integrands are expressions, one generated grid loop computes
-    them all, so subexpressions they share are evaluated once per sample;
-    likewise the pointwise parts, at the nodes.
+    One generated panel kernel evaluates all the integrands and pointwise
+    parts, so subexpressions they share are evaluated once per sample.
     """
     return [OperatorValue._of(state) for state in _build(pairs, iv, cfg)]
 
 
 def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
            cfg: SolverConfig | None) -> list[tuple]:
-    """Each pair's OperatorValue state, from one pass over the grid.
+    """Each pair's OperatorValue state, from one run of a panel kernel.
 
-    Panel k runs from node k-1 to node k, panel 0 from iv.a to node 0. Each
-    panel [a, b] has its integrands sampled at a, lm, m, rm and b, the
-    floats integrate() samples first (panels share their endpoint samples),
-    and its pointwise parts at b only. The first Simpson step is taken here
-    and accepted exactly when integrate() would accept it; other panels,
-    and those with a non-finite sample (whose arithmetic the error test
-    alone does not guard), go to integrate() itself.
+    Panel k runs from node k-1 to node k, panel 0 from iv.a to node 0. The
+    kernel (:func:`~mvtlab.expr.compile_panels`) samples each panel's
+    integrands at the floats integrate() samples first, and its pointwise
+    parts at its right end only. It takes the first Simpson step itself
+    and accepts it exactly when integrate() would; other panels, and those
+    with a non-finite sample (whose arithmetic the error test alone does
+    not guard), go to integrate() itself. The prefixes are therefore the
+    ones a running integrate() per panel gives, bit for bit.
     """
     cfg = cfg or DEFAULT_CONFIG
     nodes = grid_points(iv, cfg)
     # per-panel tolerance divided down so the accumulated prefix error
     # stays near the configured quadrature tolerance
     panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
-    tol = panel_cfg.quad_tol
-    integrands = [q for _, q in pairs]
-    pointwise = [p for p, _ in pairs if p is not None]
-    # point by point: off-grid arguments and fallback panels
-    q_calls, p_calls = _point_calls(integrands), _point_calls(pointwise)
-    sample, at_nodes = _grid(integrands, q_calls), _grid(pointwise, p_calls)
-    p_calls = _per_pair(pairs, p_calls)
-    ends = [iv.a] + nodes
-    prefixes: list[list[float]] = [[] for _ in pairs]
-    tables: list[list[float]] = [[] for _ in pairs]
-    accs = [-0.0] * len(pairs)  # -0.0 + v is v for every v, 0.0 and -0.0 too
+    panels, q_calls, p_calls = compile_panels([q for _, q in pairs],
+                                              [p for p, _ in pairs])
     errors: list[QuadratureError | None] = [None] * len(pairs)
-    for p0 in range(0, len(nodes), _CHUNK_PANELS):
-        panels = []
-        xs = [ends[p0]]
-        for a, b in zip(ends[p0:p0 + _CHUNK_PANELS], ends[p0 + 1:p0 + _CHUNK_PANELS + 1]):
-            m = 0.5 * (a + b)
-            xs += (0.5 * (a + m), m, 0.5 * (m + b), b)
-            panels.append((a, b, m - a, b - m, b - a))
-        p_cols = _per_pair(pairs, at_nodes(nodes[p0:p0 + _CHUNK_PANELS]))
-        for k, (F, col, p_col) in enumerate(zip(q_calls, sample(xs), p_cols)):
-            if errors[k] is not None:
-                continue
-            acc, prefix = accs[k], prefixes[k]
+
+    def fallback(k: int, a: float, b: float, fa: float, fb: float) -> float:
+        # a pair whose integrand has raised makes no further integrate()
+        # calls: its values are never used, the error is raised below
+        if errors[k] is None:
             try:
-                for (a, b, wl, wr, w), fa, flm, fm, frm, fb in zip(
-                        panels, col[0::4], col[1::4], col[2::4], col[3::4], col[4::4]):
-                    # integrate() and _adapt()'s expressions, in their order
-                    whole = w * (fa + 4.0 * fm + fb) / 6.0
-                    sl = wl * (fa + 4.0 * flm + fm) / 6.0
-                    sr = wr * (fm + 4.0 * frm + fb) / 6.0
-                    delta = sl + sr - whole
-                    if abs(delta) <= 15.0 * (tol * (1.0 + abs(whole))):
-                        part = sl + sr + delta / 15.0
-                        # every sample enters sl or sr with a positive weight
-                        # (or makes it nan), so a finite part means finite
-                        # samples, none of which integrate() would replace
-                        if part - part == 0.0:
-                            acc += part
-                            prefix.append(acc)
-                            continue
-                    acc += integrate(F, a, b, panel_cfg, fa=fa, fb=fb)
-                    prefix.append(acc)
+                return integrate(q_calls[k], a, b, panel_cfg, fa=fa, fb=fb)
             except QuadratureError as exc:
                 errors[k] = exc
-                continue
-            accs[k] = acc
-            if p_col is None:
-                tables[k] = prefix
-            else:
-                tables[k] += [v + run for v, run in zip(p_col, prefix[-len(panels):])]
+        return math.nan
+
+    prefixes, tables = panels([iv.a] + nodes, panel_cfg.quad_tol, fallback)
     for exc in errors:
         if exc is not None:
             raise exc
@@ -211,27 +216,15 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
         # a node repeated by rounding maps to its last copy, except the
         # first node: the copy whose prefix __call__'s bisect path reads
         index[nodes[0]] = 0
-    return [(P, F, nodes, index, prefix, table, panel_cfg)
+    # column() leaves the nodes at 0.0, which the index leaves out, to
+    # __call__; where nodes repeat, ``at`` is the table entry __call__ reads
+    # at each node
+    zeros = range(bisect.bisect_left(nodes, 0.0), bisect.bisect_right(nodes, 0.0))
+    at = None
+    if len(index) + len(zeros) < len(nodes):
+        at = [index.get(x, j) for j, x in enumerate(nodes)]
+    return [(P, F, nodes, index, at, zeros, prefix, table, panel_cfg)
             for P, F, prefix, table in zip(p_calls, q_calls, prefixes, tables)]
-
-
-def _point_calls(fns: Sequence[_Fn]) -> list[Callable[[float], float]]:
-    return [compile_fn(fn) if isinstance(fn, Expr) else fn for fn in fns]
-
-
-def _grid(fns: Sequence[_Fn], calls: Sequence[Callable[[float], float]]):
-    """xs -> one column of values per function: one generated loop when
-    there are expressions only, else the callables point by point."""
-    if fns and all(isinstance(fn, Expr) for fn in fns):
-        return compile_terms(fns)[0]
-    return lambda xs: [[F(x) for x in xs] for F in calls]
-
-
-def _per_pair(pairs, given: list) -> list:
-    """``given`` (one entry per pair with a pointwise part) spread over all
-    the pairs, None for a pair without one."""
-    it = iter(given)
-    return [None if p is None else next(it) for p, _ in pairs]
 
 
 # The operators as (pointwise part, integrand) pairs, for operator_values().
@@ -304,8 +297,8 @@ def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
     cg = integrate(weighted(gc), 0.0, 1.0, cfg)
     tf, tg, sf, sg = operator_values(
         (_t_pair(f), _t_pair(g), _s_pair(f), _s_pair(g)), UNIT_INTERVAL, cfg)
-    return ((lambda x: cf * tg(x), lambda x: cg * tf(x)),
-            (lambda x: cf * sg(x), lambda x: cg * sf(x)), tf, sf)
+    return ((_Scaled(tg, c=cf), _Scaled(tf, c=cg)),
+            (_Scaled(sg, c=cf), _Scaled(sf, c=cg)), tf, sf)
 
 
 def lupu_4_6_points(f: Expr, g: Expr,
@@ -407,7 +400,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
             f"integral of f over [{iv.a:g}, {iv.b:g}] is {total:.6g}, not 0; "
             "the identity only applies to zero-mean f")
     vfg, vf = operator_values((_v_weighted_pair(f, g), (None, f)), iv, cfg)
-    t2 = lambda t: ga * vf(t)
+    t2 = _Scaled(vf, c=ga)
     return solve_residual((vfg, t2), iv, cfg, TheoremId.THM_4_9,
                           hypothesis=True)
 
@@ -432,11 +425,11 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     vpf, vpg, vf, vg = operator_values(
         (_v_weighted_pair(phi, f), _v_weighted_pair(phi, g), (None, f), (None, g)),
         UNIT_INTERVAL, cfg)
-    t1 = lambda t: vpf(t) * int_g
-    t2 = lambda t: vpg(t) * int_f
-    t3 = lambda t: phi0 * vf(t) * int_g
+    t1 = _Scaled(vpf, d=int_g)
+    t2 = _Scaled(vpg, d=int_f)
+    t3 = _Scaled(vf, c=phi0, d=int_g)
     # t4 enters with a plus sign, so it is folded in negated
-    neg_t4 = lambda t: -(phi0 * vg(t) * int_f)
+    neg_t4 = _Scaled(vg, c=phi0, d=int_f, neg=True)
     return solve_residual((t1, t2, t3, neg_t4), UNIT_INTERVAL, cfg,
                           TheoremId.THM_4_10)
 
@@ -468,8 +461,8 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
     int_g2 = integrate(lambda x: (v := gc(x)) * v, 0.0, 1.0, cfg)
     nf, ng = operator_values(
         (_v_weighted_pair(phi, f * f), _v_weighted_pair(phi, g * g)), UNIT_INTERVAL, cfg)
-    t1 = lambda t: nf(t) * int_g2
-    t2 = lambda t: ng(t) * int_f2
+    t1 = _Scaled(nf, d=int_g2)
+    t2 = _Scaled(ng, d=int_f2)
     pts = solve_residual((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
     if not pts:
         raise _no_root_error((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)

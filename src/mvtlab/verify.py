@@ -35,12 +35,24 @@ class IdentityCheck:
 
 
 class Inputs:
-    """One request's inputs; f, g and f' compile on first use."""
+    """One request's inputs, and what verifying its points shares.
+
+    The compiled functions (f, g, f', f'', g' and the weight) and the
+    integrals over [0, 1] that do not depend on the point are made on first
+    use and kept, so a request that verifies several points compiles and
+    integrates them once. ``quad_cfg`` is ``cfg`` at a hundredth of its
+    quadrature tolerance: the quadrature identities' sides are recomputed
+    at it.
+    """
 
     def __init__(self, f: Expr, g: Expr | None, weight: Expr | None,
                  iv: Interval, n: int, cfg: SolverConfig):
         self.f, self.g, self.weight, self.iv, self.n, self.cfg = f, g, weight, iv, n, cfg
         self.a, self.b, self.w = iv.a, iv.b, iv.width
+
+    @cached_property
+    def quad_cfg(self) -> SolverConfig:
+        return replace(self.cfg, quad_tol=self.cfg.quad_tol / 100.0)
 
     @cached_property
     def fc(self) -> Callable[[float], float]:
@@ -51,8 +63,50 @@ class Inputs:
         return compile_fn(self.g)
 
     @cached_property
+    def pc(self) -> Callable[[float], float]:
+        return compile_fn(self.weight)
+
+    @cached_property
     def d1(self) -> Callable[[float], float]:
         return compile_fn(differentiate(self.f))
+
+    @cached_property
+    def d2(self) -> Callable[[float], float]:
+        return compile_fn(differentiate(self.f, 2))
+
+    @cached_property
+    def dg(self) -> Callable[[float], float]:
+        return compile_fn(differentiate(self.g))
+
+    def _over_unit(self, F: Callable[[float], float]) -> float:
+        return integrate(F, 0.0, 1.0, self.quad_cfg)
+
+    @cached_property
+    def int_f(self) -> float:
+        return self._over_unit(self.fc)
+
+    @cached_property
+    def int_g(self) -> float:
+        return self._over_unit(self.gc)
+
+    @cached_property
+    def int_f2(self) -> float:
+        fc = self.fc
+        return self._over_unit(lambda x: (v := fc(x)) * v)
+
+    @cached_property
+    def int_g2(self) -> float:
+        gc = self.gc
+        return self._over_unit(lambda x: (v := gc(x)) * v)
+
+    @cached_property
+    def int_1mx_f(self) -> float:
+        """The integral of (1-x)·f over [0, 1]."""
+        return self._over_unit(_one_minus_x(self.fc))
+
+    @cached_property
+    def int_1mx_g(self) -> float:
+        return self._over_unit(_one_minus_x(self.gc))
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +144,7 @@ def _pawlikowska(q: Inputs, xi: float) -> tuple[float, float]:
 
 
 def _cauchy_flett(q: Inputs, xi: float) -> tuple[float, float]:
-    fc, gc, a = q.fc, q.gc, q.a
-    dg = compile_fn(differentiate(q.g))
+    fc, gc, dg, a = q.fc, q.gc, q.dg, q.a
     lhs = (fc(xi) - fc(a)) / (gc(xi) - gc(a))
     rhs = q.d1(xi) / dg(xi)
     if math.isfinite(lhs) and math.isfinite(rhs):
@@ -102,52 +155,56 @@ def _cauchy_flett(q: Inputs, xi: float) -> tuple[float, float]:
 
 
 def _thm_4_9(q: Inputs, xi: float) -> tuple[float, float]:
-    fc, gc, a = q.fc, q.gc, q.a
-    return integrate(lambda x: fc(x) * gc(x), a, xi, q.cfg), gc(a) * integrate(fc, a, xi, q.cfg)
+    fc, gc, a, cfg = q.fc, q.gc, q.a, q.quad_cfg
+    return integrate(lambda x: fc(x) * gc(x), a, xi, cfg), gc(a) * integrate(fc, a, xi, cfg)
 
 
 # the identities below live on [0, 1] regardless of iv
 
 
 def _thm_4_10(q: Inputs, xi: float) -> tuple[float, float]:
-    fc, gc, pc = q.fc, q.gc, compile_fn(q.weight)
-    int_f = integrate(fc, 0.0, 1.0, q.cfg)
-    int_g = integrate(gc, 0.0, 1.0, q.cfg)
-    vpf = integrate(lambda x: pc(x) * fc(x), 0.0, xi, q.cfg)
-    vpg = integrate(lambda x: pc(x) * gc(x), 0.0, xi, q.cfg)
-    vf = integrate(fc, 0.0, xi, q.cfg)
-    vg = integrate(gc, 0.0, xi, q.cfg)
+    fc, gc, pc, cfg = q.fc, q.gc, q.pc, q.quad_cfg
+    int_f, int_g = q.int_f, q.int_g
+    vpf = integrate(lambda x: pc(x) * fc(x), 0.0, xi, cfg)
+    vpg = integrate(lambda x: pc(x) * gc(x), 0.0, xi, cfg)
+    vf = integrate(fc, 0.0, xi, cfg)
+    vg = integrate(gc, 0.0, xi, cfg)
     return vpf * int_g - vpg * int_f, pc(0.0) * (vf * int_g - vg * int_f)
 
 
 def _weighted_norm(q: Inputs, xi: float) -> tuple[float, float]:
-    fc, gc, pc = q.fc, q.gc, compile_fn(q.weight)
-    int_f2 = integrate(lambda x: (v := fc(x)) * v, 0.0, 1.0, q.cfg)
-    int_g2 = integrate(lambda x: (v := gc(x)) * v, 0.0, 1.0, q.cfg)
-    lhs = integrate(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, q.cfg) * int_g2
-    rhs = integrate(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, q.cfg) * int_f2
+    fc, gc, pc, cfg = q.fc, q.gc, q.pc, q.quad_cfg
+    lhs = integrate(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg) * q.int_g2
+    rhs = integrate(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg) * q.int_f2
     return lhs, rhs
 
 
 def _t_of(q: Inputs, h, xi: float) -> float:
-    return h(xi) - integrate(h, 0.0, xi, q.cfg)
+    return h(xi) - integrate(h, 0.0, xi, q.quad_cfg)
 
 
 def _s_of(q: Inputs, h, xi: float) -> float:
-    return xi * h(xi) - integrate(lambda x: x * h(x), 0.0, xi, q.cfg)
+    return xi * h(xi) - integrate(lambda x: x * h(x), 0.0, xi, q.quad_cfg)
 
 
-def _coupled(op, weighted):
-    """Sides c_f·op(g)(xi) and c_g·op(f)(xi), c_h the integral of weighted(h)."""
+def _coupled(op, constants):
+    """Sides c_f·op(g)(xi) and c_g·op(f)(xi), (c_f, c_g) = constants(q)."""
     def sides(q: Inputs, xi: float) -> tuple[float, float]:
-        cf = integrate(weighted(q.fc), 0.0, 1.0, q.cfg)
-        cg = integrate(weighted(q.gc), 0.0, 1.0, q.cfg)
+        cf, cg = constants(q)
         return cf * op(q, q.gc, xi), cg * op(q, q.fc, xi)
     return sides
 
 
 def _one_minus_x(h):
     return lambda x: (1.0 - x) * h(x)
+
+
+def _plain(q: Inputs) -> tuple[float, float]:
+    return q.int_f, q.int_g
+
+
+def _one_minus_x_weighted(q: Inputs) -> tuple[float, float]:
+    return q.int_1mx_f, q.int_1mx_g
 
 
 # the operator identities: defined on [0, 1], sides by quadrature
@@ -157,8 +214,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.ROLLE: Theorem(lambda q, x: (q.d1(x), 0.0)),
     TheoremId.LAGRANGE: Theorem(lambda q, x: (q.d1(x), (q.fc(q.b) - q.fc(q.a)) / q.w)),
     TheoremId.CAUCHY: Theorem(lambda q, x: (
-        q.d1(x) * (q.gc(q.b) - q.gc(q.a)),
-        compile_fn(differentiate(q.g))(x) * (q.fc(q.b) - q.fc(q.a))), needs_g=True),
+        q.d1(x) * (q.gc(q.b) - q.gc(q.a)), q.dg(x) * (q.fc(q.b) - q.fc(q.a))), needs_g=True),
     TheoremId.INTEGRAL_MVT: Theorem(lambda q, x: (
         q.fc(x), integrate(q.fc, q.a, q.b, q.cfg) / q.w)),
     # Flett's identity and the Meyers variants: f' equals a difference quotient
@@ -176,47 +232,51 @@ THEOREMS: dict[TheoremId, Theorem] = {
         q.fc(q.b) - q.fc(x), (q.b - x) * q.d1(x) + 0.5 * _slope_gap(q) * (q.b - x) ** 2)),
     TheoremId.SECOND_ORDER_A: Theorem(lambda q, x: (
         q.fc(x) - q.fc(q.a),
-        (x - q.a) * q.d1(x) - 0.5 * (x - q.a) ** 2 * compile_fn(differentiate(q.f, 2))(x))),
+        (x - q.a) * q.d1(x) - 0.5 * (x - q.a) ** 2 * q.d2(x))),
     TheoremId.SECOND_ORDER_B: Theorem(lambda q, x: (
         q.fc(q.b) - q.fc(x),
-        (q.b - x) * q.d1(x) - 0.5 * (q.b - x) ** 2 * compile_fn(differentiate(q.f, 2))(x))),
+        (q.b - x) * q.d1(x) - 0.5 * (q.b - x) ** 2 * q.d2(x))),
     TheoremId.PAWLIKOWSKA: Theorem(_pawlikowska, takes_n=True),
     TheoremId.CAUCHY_FLETT: Theorem(_cauchy_flett, needs_g=True),
     TheoremId.THM_4_9: Theorem(_thm_4_9, needs_g=True, quadrature=True),
     TheoremId.THM_4_10: Theorem(_thm_4_10, needs_g=True, needs_weight=True, **_OPERATOR),
     TheoremId.WEIGHTED_NORM: Theorem(_weighted_norm, needs_g=True, needs_weight=True,
                                      **_OPERATOR),
-    TheoremId.LUPU_4_6_T: Theorem(_coupled(_t_of, lambda h: h), needs_g=True, **_OPERATOR),
+    TheoremId.LUPU_4_6_T: Theorem(_coupled(_t_of, _plain), needs_g=True, **_OPERATOR),
     TheoremId.LUPU_4_6_TS: Theorem(lambda q, x: (_t_of(q, q.fc, x), _s_of(q, q.fc, x)),
                                    **_OPERATOR),
-    TheoremId.LUPU_4_6_S: Theorem(_coupled(_s_of, lambda h: h), needs_g=True, **_OPERATOR),
-    TheoremId.LUPU_4_7_T: Theorem(_coupled(_t_of, _one_minus_x), needs_g=True, **_OPERATOR),
-    TheoremId.LUPU_4_7_S: Theorem(_coupled(_s_of, _one_minus_x), needs_g=True, **_OPERATOR),
+    TheoremId.LUPU_4_6_S: Theorem(_coupled(_s_of, _plain), needs_g=True, **_OPERATOR),
+    TheoremId.LUPU_4_7_T: Theorem(_coupled(_t_of, _one_minus_x_weighted), needs_g=True,
+                                  **_OPERATOR),
+    TheoremId.LUPU_4_7_S: Theorem(_coupled(_s_of, _one_minus_x_weighted), needs_g=True,
+                                  **_OPERATOR),
 }
 
 
 def verify_point(theorem_id: TheoremId | str, xi: float, f: Expr,
                  g: Expr | None = None, weight: Expr | None = None,
                  iv: Interval | None = None, n: int = 1,
-                 cfg: SolverConfig | None = None) -> IdentityCheck:
+                 cfg: SolverConfig | None = None, *,
+                 inputs: Inputs | None = None) -> IdentityCheck:
     """Evaluate both sides of the named identity at xi and compare.
 
     Agreement is judged relative to max(1, |lhs|, |rhs|): residual_tol for
     the pointwise identities, 100*quad_tol for the quadrature-based ones
-    (whose sides are recomputed here at quad_tol/100).
+    (whose sides are recomputed here at quad_tol/100). ``inputs``, when
+    given, is the :class:`Inputs` of these same arguments, and is used in
+    their place: a caller verifying several points of one request passes
+    the same one each time, so what they share is computed once.
     """
     tid = TheoremId(theorem_id)
     thm = THEOREMS[tid]
-    cfg = cfg or DEFAULT_CONFIG
     if thm.needs_g and g is None:
         raise ValueError(f"{tid} needs g")
     if thm.needs_weight and weight is None:
         raise ValueError(f"{tid} needs a weight")
-    unit = cfg.residual_tol
-    if thm.quadrature:
-        unit = 100.0 * cfg.quad_tol
-        cfg = replace(cfg, quad_tol=cfg.quad_tol / 100.0)
-    lhs, rhs = thm.sides(Inputs(f, g, weight, iv or Interval(0.0, 1.0), n, cfg), xi)
+    if inputs is None:
+        inputs = Inputs(f, g, weight, iv or Interval(0.0, 1.0), n, cfg or DEFAULT_CONFIG)
+    unit = 100.0 * inputs.cfg.quad_tol if thm.quadrature else inputs.cfg.residual_tol
+    lhs, rhs = thm.sides(inputs, xi)
     defect = abs(lhs - rhs)
     tol = tolerance(lhs, rhs, unit)
     return IdentityCheck(math.isfinite(defect) and defect <= tol, defect, tol, lhs, rhs)

@@ -13,6 +13,7 @@ from conftest import deadline
 import mvtlab
 import mvtlab.flett
 import mvtlab.numerics
+import mvtlab.verify
 from mvtlab.cli import _SOLVES, main
 from mvtlab.expr import parse
 from mvtlab.numerics import Interval, TheoremId
@@ -373,6 +374,26 @@ class TestConfig:
         assert rep["request"]["config_overrides"] == {"scan_points": 256}
         assert len(opened) == 1
 
+    def test_scan_points_past_the_cap_exit_2(self, capsys, tmp_path, monkeypatch):
+        # rejected when the config is made, before any grid is built
+        too_many = mvtlab.numerics.MAX_SCAN_POINTS + 1
+        code, _, err = run(capsys, "solve", "lupu-4.6", "--fn", "exp(x)", "--gn", "x+1",
+                           "--scan-points", str(too_many))
+        assert code == 2 and "scan_points" in err
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scan_points": too_many}))
+        monkeypatch.setenv("MVT_LAB_CONFIG", str(cfgfile))
+        code, _, err = run(capsys, "solve", "lupu-4.6", "--fn", "exp(x)", "--gn", "x+1")
+        assert code == 2 and "scan_points" in err
+
+    def test_fractional_scan_points_in_the_file_exit_2(self, capsys, tmp_path, monkeypatch):
+        # used to end in a TypeError traceback from range()
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"scan_points": 512.0}')
+        monkeypatch.setenv("MVT_LAB_CONFIG", str(cfgfile))
+        code, _, err = run(capsys, "solve", "flett", "--fn", "x^3", "-a", "0", "-b", "1")
+        assert code == 2 and "scan_points must be an integer" in err
+
     def test_unreadable_config_path_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MVT_LAB_CONFIG", str(tmp_path / "nope.json"))
         code, _, err = run(capsys, "solve", "flett", "--fn", "x^3",
@@ -464,6 +485,22 @@ class TestTheoremTable:
                                 "--a=-2", "-b", "2")
         assert code == 0 and rep["results"][0]["hypothesis_satisfied"] is True
         assert sorted(calls) == [-2.0, 2.0]
+
+    def test_a_request_compiles_its_functions_once_for_verification(self, capsys,
+                                                                    monkeypatch):
+        # lupu-4.6 verifies three points; they share one Inputs, so f and g
+        # are compiled once each and c_f, c_g integrated once each
+        compiled = []
+        original = mvtlab.verify.compile_fn
+
+        def counted(e):
+            compiled.append(e)
+            return original(e)
+
+        monkeypatch.setattr(mvtlab.verify, "compile_fn", counted)
+        code, rep, _ = run_json(capsys, "solve", "lupu-4.6", "--fn", "x", "--gn", "x^2")
+        assert code == 0 and sum(len(r["points"]) for r in rep["results"]) == 3
+        assert compiled == [parse("x"), parse("x^2")]
 
     def test_flett_without_points_computes_its_hypothesis_once(self, capsys, monkeypatch):
         # x^2 on [0, 1] has no interior Flett point; the empty result the

@@ -9,7 +9,7 @@ from hypothesis import given
 from conftest import deadline
 from mvtlab.expr import Const, Var, compile_fn, differentiate, parse
 from mvtlab.numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, PointResult, QuadratureError,
+    DEFAULT_CONFIG, MAX_SCAN_POINTS, DomainError, Interval, PointResult, QuadratureError,
     SolverConfig, TheoremId, central_diff, differentiable_on_interior,
     fold_terms, grid_points, integrate, one_sided_derivative, refine_root,
     residual_scale, solve_residual,
@@ -48,6 +48,9 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(scan_points=4)
+        assert SolverConfig(scan_points=MAX_SCAN_POINTS).scan_points == MAX_SCAN_POINTS
+        with pytest.raises(ValueError):
+            SolverConfig(scan_points=MAX_SCAN_POINTS + 1)
         with pytest.raises(ValueError):
             SolverConfig(root_tol=0.0)
         with pytest.raises(ValueError):

@@ -8,15 +8,15 @@ from dataclasses import replace
 import pytest
 
 import mvtlab.operators
-from mvtlab.expr import Var, compile_fn, parse
+from mvtlab.expr import Var, compile_fn, compile_panels, parse
 from mvtlab.numerics import (
     DomainError, HypothesisError, Interval, QuadratureError, SolverConfig,
     TheoremId, grid_points, integrate,
 )
 from mvtlab.flett import find_flett_points
 from mvtlab.operators import (
-    UNIT_INTERVAL, OperatorValue, apply_S, apply_T, apply_V, apply_V_weighted, operator_values,
-    cauchy_flett_hypothesis, cauchy_flett_points, lupu_4_6_points,
+    UNIT_INTERVAL, OperatorValue, _Scaled, apply_S, apply_T, apply_V, apply_V_weighted,
+    operator_values, cauchy_flett_hypothesis, cauchy_flett_points, lupu_4_6_points,
     lupu_4_7_points, thm_4_9_points, thm_4_10_points, weighted_norm_point,
     weighted_norms,
 )
@@ -222,7 +222,7 @@ class TestBatchedBuild:
             assert str(grouped.value) == str(alone.value)
 
     def test_lupu_4_6_peak_memory(self):
-        # samples are evaluated a run of panels at a time, not all at once
+        # the panel kernel keeps no sample lists (measured: 2.12 MB)
         f, g = parse("exp(0.7*x)"), parse("1.2*x^3-0.5*x^2+x+0.3")
         lupu_4_6_points(f, g)
         tracemalloc.start()
@@ -232,6 +232,119 @@ class TestBatchedBuild:
         finally:
             tracemalloc.stop()
         assert peak < 2.5e6
+
+    def test_compile_panels_equals_running_integrate_for_callables(self):
+        iv, cfg = UNIT_INTERVAL, SolverConfig(scan_points=700)
+        # sqrt(x) takes the fallback on the panels next to 0
+        F = compile_fn(parse("sqrt(x)"))
+        G = lambda x: math.exp(0.7 * x) * math.cos(3.0 * x)
+        nodes = grid_points(iv, cfg)
+        panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
+        panels, q_points, p_points = compile_panels([F, G], [None, G])
+        assert q_points == [F, G] and p_points == [None, G]
+
+        def fallback(k, a, b, fa, fb):
+            return integrate(q_points[k], a, b, panel_cfg, fa=fa, fb=fb)
+
+        prefixes, tables = panels([iv.a] + nodes, panel_cfg.quad_tol, fallback)
+        assert prefixes == [running_prefix(F, iv, cfg)[1], running_prefix(G, iv, cfg)[1]]
+        assert tables[0] is prefixes[0]
+        assert tables[1] == [G(t) + p for t, p in zip(nodes, prefixes[1])]
+
+    def test_a_failed_pair_makes_no_further_integrate_calls(self, monkeypatch):
+        # 1/sqrt(x) raises on the first panel; sqrt(x) goes on to fall back
+        # on several panels after it
+        bad, good = compile_fn(parse("1/sqrt(x)")), compile_fn(parse("sqrt(x)"))
+        calls = []
+        original = mvtlab.operators.integrate
+
+        def counted(F, lo, hi, *args, **kwargs):
+            calls.append(F)
+            return original(F, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(mvtlab.operators, "integrate", counted)
+        with pytest.raises(QuadratureError):
+            operator_values([(None, bad), (None, good)], UNIT_INTERVAL, SolverConfig())
+        assert calls.count(bad) == 1 and calls.count(good) > 1
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+# rounding repeats nodes: the steps are half an ulp of 1
+REPEATED_NODES = (Interval(1.0, 1.0 + 32 * 2.0 ** -52), SolverConfig(scan_points=64))
+NODE_AT_ZERO = (Interval(-1.0, 1.0), SolverConfig(scan_points=513, endpoint_margin=0.0))
+
+
+class TestColumns:
+    """A value's column, and a solver term's, equal calling it at each point."""
+
+    @staticmethod
+    def _values(iv, cfg):
+        sign = lambda t: math.copysign(1.0, t)
+        return operator_values([(parse("cos(x)"), parse("exp(x)")), (None, parse("x^2")),
+                                (sign, lambda x: 1.0)], iv, cfg)
+
+    @pytest.mark.parametrize("iv,cfg", [
+        (UNIT_INTERVAL, SolverConfig(scan_points=600)), REPEATED_NODES, NODE_AT_ZERO,
+    ], ids=["unit", "repeated-nodes", "node-at-zero"])
+    def test_column_equals_calls(self, iv, cfg):
+        nodes = grid_points(iv, cfg)
+        # -0.0 == 0.0, so a list holding it still equals the nodes
+        signed = [-0.0 if x == 0.0 else x for x in nodes]
+        for v in self._values(iv, cfg):
+            for xs in (nodes, list(nodes), signed, nodes[::-1], nodes + [0.5 * (iv.a + iv.b)]):
+                assert _bits(v.column(xs)) == _bits([v(x) for x in xs])
+
+    def test_the_grids_above_repeat_a_node_and_hold_zero(self):
+        assert len(set(grid_points(*REPEATED_NODES))) < REPEATED_NODES[1].scan_points
+        nodes = grid_points(*NODE_AT_ZERO)
+        signed = [-0.0 if x == 0.0 else x for x in nodes]
+        sign_value = self._values(*NODE_AT_ZERO)[2]
+        assert sign_value.column(signed) != sign_value.column(nodes)
+
+    def test_a_repeated_node_reads_the_copy_a_call_reads(self):
+        # the first panel's part is -0.0 (its quarter-point samples are so
+        # small that the products underflow); the zero-width panel to the
+        # first node's second copy adds +0.0, so the two copies' table
+        # entries differ in sign, and a call at that node reads the first
+        iv = Interval(1.0, 1.0 + 32 * 2.0 ** -52)
+        cfg = SolverConfig(scan_points=64, endpoint_margin=0.25)
+        nodes = grid_points(iv, cfg)
+        m0 = 0.5 * (iv.a + nodes[0])
+        v = OperatorValue(None, lambda x: -1e-310 if iv.a < x < nodes[0] and x != m0 else 0.0,
+                          iv, cfg)
+        assert nodes[0] == nodes[1]
+        assert _bits(v.column(nodes)) == _bits([v(x) for x in nodes])
+        assert _bits(v.column(nodes)[:2]) == ["-0x0.0p+0"] * 2
+
+    def test_scaled_terms_keep_their_order(self):
+        cfg = SolverConfig(scan_points=300)
+        (v,) = operator_values([(parse("sin(3*x)"), parse("exp(x)"))], UNIT_INTERVAL, cfg)
+        nodes = grid_points(UNIT_INTERVAL, cfg)
+        c, d = 1.0 / 3.0, 0.1
+        terms = [(_Scaled(v, c=c), lambda t: c * v(t)),
+                 (_Scaled(v, d=d), lambda t: v(t) * d),
+                 (_Scaled(v, c=c, d=d), lambda t: c * v(t) * d),
+                 (_Scaled(v, c=c, d=d, neg=True), lambda t: -(c * v(t) * d))]
+        for term, written in terms:
+            assert _bits(term.column(nodes)) == _bits([written(t) for t in nodes])
+            assert _bits([term(t) for t in SAMPLE_TS]) == _bits([written(t) for t in SAMPLE_TS])
+
+    def test_lupu_4_6_scan_reads_columns(self, monkeypatch):
+        # the scan reads whole columns; only Brent polishing and crossing
+        # checks call a value (24,624 calls when the scan called them)
+        calls = [0]
+        original = OperatorValue.__call__
+
+        def counted(self, t):
+            calls[0] += 1
+            return original(self, t)
+
+        monkeypatch.setattr(OperatorValue, "__call__", counted)
+        lupu_4_6_points(parse("exp(0.7*x)"), parse("1.2*x^3-0.5*x^2+x+0.3"))
+        assert 0 < calls[0] < 100
 
 
 class TestApplyHelpers:

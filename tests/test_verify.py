@@ -13,12 +13,12 @@ from mvtlab.generalized import (
 from mvtlab.mvt_points import (
     cauchy_points, integral_mvt_points, lagrange_points, rolle_points,
 )
-from mvtlab.numerics import Interval, TheoremId
+from mvtlab.numerics import DEFAULT_CONFIG, Interval, TheoremId
 from mvtlab.operators import (
     cauchy_flett_points, lupu_4_6_points, lupu_4_7_points, thm_4_9_points,
     thm_4_10_points, weighted_norm_point,
 )
-from mvtlab.verify import verify_point
+from mvtlab.verify import Inputs, verify_point
 
 CUBIC = parse("x^3+2*x-1")
 QUARTIC = parse("x^4-2*x^2")
@@ -108,11 +108,15 @@ ALL_IDS = sorted(TheoremId, key=lambda t: t.value)
 def test_located_points_verify(tid, located):
     xis, f, g, weight, iv, n, _ = located[tid]
     assert xis, f"no points located for {tid}"
+    # one Inputs shared by every point, as the CLI shares it
+    shared = Inputs(f, g, weight, iv, n, DEFAULT_CONFIG)
     for xi in xis:
         ic = verify_point(tid, xi, f, g=g, weight=weight, iv=iv, n=n)
         assert ic.ok, f"{tid} failed at {xi}: {ic}"
         assert ic.defect <= ic.tolerance
         assert math.isfinite(ic.lhs) and math.isfinite(ic.rhs)
+        assert verify_point(tid, xi, f, g=g, weight=weight, iv=iv, n=n,
+                            inputs=shared) == ic
 
 
 @pytest.mark.parametrize("tid", ALL_IDS, ids=lambda t: t.value)
