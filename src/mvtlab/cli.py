@@ -39,7 +39,8 @@ from .operators import (
     cauchy_flett_points, lupu_4_6_points, lupu_4_7_points, thm_4_9_points,
     thm_4_10_points, weighted_norm_point, weighted_norms,
 )
-from .verify import THEOREMS, Inputs, verify_point
+# verify_point is unused here but bench/tracer.py patches it
+from .verify import THEOREMS, Inputs, _check, verify_point
 
 __all__ = ["main"]
 
@@ -291,8 +292,7 @@ def _cmd_solve(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, in
         else:
             for tid, pts, _ in groups:
                 for p in pts:
-                    chk = verify_point(tid, p.xi, f, g=g, weight=weight,
-                                       iv=iv, n=n, cfg=cfg, inputs=q)
+                    chk = _check(tid, q, p.xi)
                     if not chk.ok:
                         print(f"self-check failed for {tid} at xi={p.xi!r}: "
                               f"|{chk.lhs!r} - {chk.rhs!r}| > {chk.tolerance!r}",

@@ -77,7 +77,7 @@ class OperatorValue:
     arguments left of the grid).
     """
 
-    __slots__ = ("_pointwise", "_integrand", "_nodes", "_index", "_at", "_zeros",
+    __slots__ = ("_pointwise", "_integrand", "_nodes", "_index", "_repeats", "_zeros",
                  "_prefix", "_table", "_panel_cfg")
 
     def __init__(self, pointwise: _Fn | None, integrand: _Fn,
@@ -92,10 +92,10 @@ class OperatorValue:
         self._set(*state)
         return self
 
-    def _set(self, pointwise, integrand, nodes, index, at, zeros, prefix, table,
+    def _set(self, pointwise, integrand, nodes, index, repeats, zeros, prefix, table,
              panel_cfg):
         self._pointwise, self._integrand = pointwise, integrand
-        self._nodes, self._index, self._at, self._zeros = nodes, index, at, zeros
+        self._nodes, self._index, self._repeats, self._zeros = nodes, index, repeats, zeros
         self._prefix, self._table, self._panel_cfg = prefix, table, panel_cfg
 
     def __call__(self, t: float) -> float:
@@ -121,11 +121,14 @@ class OperatorValue:
         return self._pointwise(t) + run
 
     def column(self, xs: Sequence[float]) -> list[float]:
-        """``[self(x) for x in xs]``, read from the table when xs are the nodes."""
-        if xs != self._nodes:
+        """``[self(x) for x in xs]``, read from the table when xs are the nodes.
+
+        A grid whose rounding repeats a node (an interval a few thousand
+        ulps wide) is called point by point.
+        """
+        if self._repeats or xs != self._nodes:
             return [self(x) for x in xs]
-        table = self._table
-        col = table[:] if self._at is None else list(map(table.__getitem__, self._at))
+        col = self._table[:]
         for j in self._zeros:
             # -0.0 == 0.0 passed the test above, but a pointwise part may
             # tell them apart
@@ -217,13 +220,10 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
         # first node: the copy whose prefix __call__'s bisect path reads
         index[nodes[0]] = 0
     # column() leaves the nodes at 0.0, which the index leaves out, to
-    # __call__; where nodes repeat, ``at`` is the table entry __call__ reads
-    # at each node
+    # __call__, and all of them when nodes repeat
     zeros = range(bisect.bisect_left(nodes, 0.0), bisect.bisect_right(nodes, 0.0))
-    at = None
-    if len(index) + len(zeros) < len(nodes):
-        at = [index.get(x, j) for j, x in enumerate(nodes)]
-    return [(P, F, nodes, index, at, zeros, prefix, table, panel_cfg)
+    repeats = len(index) + len(zeros) < len(nodes)
+    return [(P, F, nodes, index, repeats, zeros, prefix, table, panel_cfg)
             for P, F, prefix, table in zip(p_calls, q_calls, prefixes, tables)]
 
 

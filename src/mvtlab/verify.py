@@ -256,16 +256,12 @@ THEOREMS: dict[TheoremId, Theorem] = {
 def verify_point(theorem_id: TheoremId | str, xi: float, f: Expr,
                  g: Expr | None = None, weight: Expr | None = None,
                  iv: Interval | None = None, n: int = 1,
-                 cfg: SolverConfig | None = None, *,
-                 inputs: Inputs | None = None) -> IdentityCheck:
+                 cfg: SolverConfig | None = None) -> IdentityCheck:
     """Evaluate both sides of the named identity at xi and compare.
 
     Agreement is judged relative to max(1, |lhs|, |rhs|): residual_tol for
     the pointwise identities, 100*quad_tol for the quadrature-based ones
-    (whose sides are recomputed here at quad_tol/100). ``inputs``, when
-    given, is the :class:`Inputs` of these same arguments, and is used in
-    their place: a caller verifying several points of one request passes
-    the same one each time, so what they share is computed once.
+    (whose sides are recomputed here at quad_tol/100).
     """
     tid = TheoremId(theorem_id)
     thm = THEOREMS[tid]
@@ -273,10 +269,16 @@ def verify_point(theorem_id: TheoremId | str, xi: float, f: Expr,
         raise ValueError(f"{tid} needs g")
     if thm.needs_weight and weight is None:
         raise ValueError(f"{tid} needs a weight")
-    if inputs is None:
-        inputs = Inputs(f, g, weight, iv or Interval(0.0, 1.0), n, cfg or DEFAULT_CONFIG)
-    unit = 100.0 * inputs.cfg.quad_tol if thm.quadrature else inputs.cfg.residual_tol
-    lhs, rhs = thm.sides(inputs, xi)
+    return _check(tid, Inputs(f, g, weight, iv or Interval(0.0, 1.0), n,
+                              cfg or DEFAULT_CONFIG), xi)
+
+
+def _check(tid: TheoremId, q: Inputs, xi: float) -> IdentityCheck:
+    """verify_point() of q's inputs: a request verifying several points
+    passes the same q each time, so what they share is computed once."""
+    thm = THEOREMS[tid]
+    unit = 100.0 * q.cfg.quad_tol if thm.quadrature else q.cfg.residual_tol
+    lhs, rhs = thm.sides(q, xi)
     defect = abs(lhs - rhs)
     tol = tolerance(lhs, rhs, unit)
     return IdentityCheck(math.isfinite(defect) and defect <= tol, defect, tol, lhs, rhs)

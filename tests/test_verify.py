@@ -18,7 +18,7 @@ from mvtlab.operators import (
     cauchy_flett_points, lupu_4_6_points, lupu_4_7_points, thm_4_9_points,
     thm_4_10_points, weighted_norm_point,
 )
-from mvtlab.verify import Inputs, verify_point
+from mvtlab.verify import Inputs, _check, verify_point
 
 CUBIC = parse("x^3+2*x-1")
 QUARTIC = parse("x^4-2*x^2")
@@ -115,8 +115,7 @@ def test_located_points_verify(tid, located):
         assert ic.ok, f"{tid} failed at {xi}: {ic}"
         assert ic.defect <= ic.tolerance
         assert math.isfinite(ic.lhs) and math.isfinite(ic.rhs)
-        assert verify_point(tid, xi, f, g=g, weight=weight, iv=iv, n=n,
-                            inputs=shared) == ic
+        assert _check(tid, shared, xi) == ic
 
 
 @pytest.mark.parametrize("tid", ALL_IDS, ids=lambda t: t.value)
