@@ -13,6 +13,13 @@ integrands of running integrals as one loop that takes every grid
 panel's first Simpson step (operator prefix builds). Input nested deeper
 than MAX_DEPTH levels is rejected by the parser.
 
+Each node memoizes its own first derivative (``differentiate``) and its
+compiled callable (``compile_fn``) in two slots outside its fields, so every
+consumer of one tree shares one derivative chain and one compile per tree.
+The memo lives exactly as long as the node: a request that parses fresh
+trees starts with none, and equality, hashing, printing, pickling and
+copying see only the fields.
+
 Grammar (no implicit multiplication; unary minus binds tighter than ``^``,
 which is right-associative)::
 
@@ -57,7 +64,9 @@ MAX_DEPTH = 100
 class Expr:
     """Base node. All nodes are immutable, hashable, and comparable."""
 
-    __slots__ = ()
+    # memo slots, set once by differentiate and compile_fn (see the module
+    # docstring); they are not dataclass fields
+    __slots__ = ("_derivative", "_compiled")
 
     def __add__(self, other: Expr | float) -> Expr:
         return Bin("+", self, _coerce(other))
@@ -365,12 +374,19 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     functions run inline where the guarded helper provably gives the same
     result, and call the helper otherwise. :func:`compile_terms` shares
     the lowering and evaluates several trees over a whole grid.
+
+    The callable is memoized on ``e``: every later call with the same node
+    object returns the same callable, for as long as the node lives.
     """
-    glb = dict(_CODEGEN_GLOBALS)
-    lines, (name,) = _lower((e,), glb)
-    src = "def compiled(x):\n" + _indent(lines, 1) + f"    return {name}\n"
-    exec(compile(src, "<mvtlab.expr.compile_fn>", "exec"), glb)
-    return glb["compiled"]
+    fn = getattr(e, "_compiled", None)
+    if fn is None:
+        glb = dict(_CODEGEN_GLOBALS)
+        lines, (name,) = _lower((e,), glb)
+        src = "def compiled(x):\n" + _indent(lines, 1) + f"    return {name}\n"
+        exec(compile(src, "<mvtlab.expr.compile_fn>", "exec"), glb)
+        fn = glb["compiled"]
+        object.__setattr__(e, "_compiled", fn)  # the node is frozen
+    return fn
 
 
 def compile_terms(exprs: Sequence[Expr]) -> tuple[
@@ -777,12 +793,22 @@ def _d(e: Expr) -> Expr:
 
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
-    """Symbolic derivative of the given order (simplified between orders)."""
+    """Symbolic derivative of the given order (simplified between orders).
+
+    Each order step is memoized on the node it differentiates, so
+    ``differentiate(f, 3) is differentiate(differentiate(differentiate(f)))``
+    and a chain f, f', f'', ... is built once however many callers walk it,
+    for as long as f lives.
+    """
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"derivative order must be a positive integer, got {order!r}")
     out = e
     for _ in range(order):
-        out = simplify(_d(out))
+        d = getattr(out, "_derivative", None)
+        if d is None:
+            d = simplify(_d(out))
+            object.__setattr__(out, "_derivative", d)  # the node is frozen
+        out = d
     return out
 
 

@@ -37,12 +37,14 @@ class IdentityCheck:
 class Inputs:
     """One request's inputs, and what verifying its points shares.
 
-    The compiled functions (f, g, f', f'', g' and the weight) and the
-    integrals over [0, 1] that do not depend on the point are made on first
-    use and kept, so a request that verifies several points compiles and
-    integrates them once. ``quad_cfg`` is ``cfg`` at a hundredth of its
-    quadrature tolerance: the quadrature identities' sides are recomputed
-    at it.
+    The compiled functions (f, g, f', f'', g' and the weight) are plain
+    reads through :func:`~mvtlab.expr.compile_fn` and
+    :func:`~mvtlab.expr.differentiate`, which memoize them on the request's
+    trees, so the solver, the hypothesis and every point verified share one
+    derivative chain and one compile per tree. The integrals over [0, 1]
+    that do not depend on the point are made on first use and kept.
+    ``quad_cfg`` is ``cfg`` at a hundredth of its quadrature tolerance: the
+    quadrature identities' sides are recomputed at it.
     """
 
     def __init__(self, f: Expr, g: Expr | None, weight: Expr | None,
@@ -54,29 +56,12 @@ class Inputs:
     def quad_cfg(self) -> SolverConfig:
         return replace(self.cfg, quad_tol=self.cfg.quad_tol / 100.0)
 
-    @cached_property
-    def fc(self) -> Callable[[float], float]:
-        return compile_fn(self.f)
-
-    @cached_property
-    def gc(self) -> Callable[[float], float]:
-        return compile_fn(self.g)
-
-    @cached_property
-    def pc(self) -> Callable[[float], float]:
-        return compile_fn(self.weight)
-
-    @cached_property
-    def d1(self) -> Callable[[float], float]:
-        return compile_fn(differentiate(self.f))
-
-    @cached_property
-    def d2(self) -> Callable[[float], float]:
-        return compile_fn(differentiate(self.f, 2))
-
-    @cached_property
-    def dg(self) -> Callable[[float], float]:
-        return compile_fn(differentiate(self.g))
+    fc = property(lambda self: compile_fn(self.f))
+    gc = property(lambda self: compile_fn(self.g))
+    pc = property(lambda self: compile_fn(self.weight))
+    d1 = property(lambda self: compile_fn(differentiate(self.f)))
+    d2 = property(lambda self: compile_fn(differentiate(self.f, 2)))
+    dg = property(lambda self: compile_fn(differentiate(self.g)))
 
     def _over_unit(self, F: Callable[[float], float]) -> float:
         return integrate(F, 0.0, 1.0, self.quad_cfg)

@@ -488,19 +488,23 @@ class TestTheoremTable:
 
     def test_a_request_compiles_its_functions_once_for_verification(self, capsys,
                                                                     monkeypatch):
-        # lupu-4.6 verifies three points; they share one Inputs, so f and g
-        # are compiled once each and c_f, c_g integrated once each
-        compiled = []
+        # lupu-4.6 verifies three points; they share one Inputs and its
+        # c_f, c_g, and f and g are compiled once each: every read of a
+        # tree's compiled function returns the one callable compile_fn
+        # memoized on it
+        compiled = {}  # id(tree) -> (tree, callables returned for it)
         original = mvtlab.verify.compile_fn
 
         def counted(e):
-            compiled.append(e)
-            return original(e)
+            fn = original(e)
+            compiled.setdefault(id(e), (e, set()))[1].add(fn)
+            return fn
 
         monkeypatch.setattr(mvtlab.verify, "compile_fn", counted)
         code, rep, _ = run_json(capsys, "solve", "lupu-4.6", "--fn", "x", "--gn", "x^2")
         assert code == 0 and sum(len(r["points"]) for r in rep["results"]) == 3
-        assert compiled == [parse("x"), parse("x^2")]
+        assert [e for e, _ in compiled.values()] == [parse("x"), parse("x^2")]
+        assert [len(fns) for _, fns in compiled.values()] == [1, 1]
 
     def test_flett_without_points_computes_its_hypothesis_once(self, capsys, monkeypatch):
         # x^2 on [0, 1] has no interior Flett point; the empty result the

@@ -1,11 +1,17 @@
 """Parser, evaluator, and symbolic-derivative tests."""
 
+import contextlib
+import copy
+import io
 import math
+import pickle
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, seed, settings
 
+import mvtlab.expr
+from mvtlab.cli import main
 from mvtlab.expr import (
     Bin, Call, Const, FUNCTIONS, MAX_DEPTH, Neg, ParseError, Var,
     compile_fn, compile_terms, differentiate, evaluate, parse,
@@ -340,6 +346,69 @@ class TestDifferentiation:
             differentiate(parse("x"), 0)
         with pytest.raises(ValueError):
             differentiate(parse("x"), 1.5)
+
+
+class TestMemo:
+    """differentiate and compile_fn keep their results on the node."""
+
+    SOURCES = ["exp(sin(x))*ln(x+2)", "-x^-0.5/(1-x)", "abs(x)*sgn(x-1)+2^x"]
+
+    def test_a_chain_is_built_once(self):
+        f = parse("exp(sin(x))*ln(x+2)")
+        assert differentiate(f, 3) is differentiate(differentiate(differentiate(f)))
+        assert differentiate(differentiate(f), 2) is differentiate(f, 3)
+
+    def test_a_tree_is_compiled_once(self):
+        f = parse("exp(sin(x))*ln(x+2)")
+        assert compile_fn(f) is compile_fn(f)
+        d = differentiate(f)
+        assert compile_fn(d) is compile_fn(differentiate(f))
+
+    def test_the_memo_belongs_to_the_node_not_its_value(self):
+        # equal trees parsed apart keep memos of their own
+        f, g = parse("x^2"), parse("x^2")
+        assert f == g and compile_fn(f) is not compile_fn(g)
+        assert differentiate(f) is not differentiate(g)
+
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_the_memo_is_not_part_of_the_value(self, src):
+        f = parse(src)
+        compile_fn(differentiate(f, 2))
+        compile_fn(differentiate(f))
+        compile_fn(f)
+        fresh = parse(src)
+        assert f == fresh and hash(f) == hash(fresh)
+        assert repr(f) == repr(fresh) and unparse(f) == unparse(fresh)
+        for back in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert back == fresh and hash(back) == hash(fresh)
+            assert unparse(back) == unparse(fresh)
+            assert differentiate(back, 2) == differentiate(f, 2)
+
+    def test_a_request_builds_each_derivative_order_once(self, monkeypatch):
+        # the solver, the endpoint hypothesis (and its one-sided derivative)
+        # and the verification of every point walk the same chain; only the
+        # outermost _d call of an order step counts, not its recursion
+        built = []
+        depth = [0]
+        original = mvtlab.expr._d
+
+        def counted(e):
+            if depth[0] == 0:
+                built.append(e)
+            depth[0] += 1
+            try:
+                return original(e)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(mvtlab.expr, "_d", counted)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["solve", "pawlikowska", "--fn", "exp(sin(x))*ln(x+2)",
+                         "-a", "0", "-b", "3", "--n", "4"])
+        assert code == 0 and '"points": [' in out.getvalue()
+        assert len(built) == 4
+        assert built[0] == parse("exp(sin(x))*ln(x+2)")
 
 
 class TestSimplify:

@@ -9,8 +9,9 @@ the order alternates from seed to seed. Then it prints, for every
 end-to-end metric that ``BENCHMARK.json`` names, the parent's median and
 quartiles, the change's median, their ratio, and in how many pairs the
 change was better (the metric's ``better`` direction; ties count for
-neither side), followed by ``correct`` and ``failed`` per seed for both
-sides. ``--seeds`` takes a range (``1-10``) or a list (``1,3,5``).
+neither side), and a verdict (see ``verdict``), followed by ``correct`` and
+``failed`` per seed for both sides. ``--seeds`` takes a range (``1-10``) or
+a list (``1,3,5``).
 
 The script runs the benchmark as it is in each checkout and edits nothing.
 """
@@ -47,6 +48,40 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def values(runs: list[dict], name: str) -> list[float]:
+    return [r["metrics"][name]["value"] for r in runs]
+
+
+def verdict(metric: dict, parent: list[dict], change: list[dict]) -> str:
+    """One metric's verdict over paired runs (``parent[i]`` with ``change[i]``).
+
+    ``metric`` is the metric's entry in ``BENCHMARK.json``. In order:
+
+    - ``gain``: the change was better in at least 9 of every 10 pairs, and
+      its median is better than the parent's by more than the parent's
+      interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median;
+    - ``unresolved``: the parent's interquartile range exceeds ``bound``
+      times its median, and not every change run beats every parent run;
+    - ``ok`` otherwise.
+    """
+    sign = -1.0 if metric["better"] == "lower" else 1.0  # sign * value: higher is better
+    par = [sign * v for v in values(parent, metric["name"])]
+    chg = [sign * v for v in values(change, metric["name"])]
+    q1, _, q3 = statistics.quantiles(par, n=4)
+    pm = statistics.median(par)
+    gap = statistics.median(chg) - pm  # > 0: the change is better
+    wins = sum(new > old for old, new in zip(par, chg))
+    if 10 * wins >= 9 * len(par) and gap > q3 - q1:
+        return "gain"
+    if -gap > metric["bound"] * abs(pm):
+        return "worse"
+    if q3 - q1 > metric["bound"] * abs(pm) and not min(chg) > max(par):
+        return "unresolved"
+    return "ok"
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description="paired benchmark runs, parent vs change")
     p.add_argument("--parent", required=True, type=Path, help="the parent checkout")
@@ -66,16 +101,16 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds}")
     print("metric: parent median [parent q1, q3] -> change median (ratio), "
-          "pairs the change won")
+          "pairs the change won, verdict")
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
-        par = [r["metrics"][name]["value"] for r in runs["parent"]]
-        chg = [r["metrics"][name]["value"] for r in runs["change"]]
+        par, chg = values(runs["parent"], name), values(runs["change"], name)
         q1, _, q3 = statistics.quantiles(par, n=4)
         wins = sum(new < old if lower else new > old for old, new in zip(par, chg))
         pm, cm = statistics.median(par), statistics.median(chg)
         print(f"{name}: {pm:.5g} [{q1:.5g}, {q3:.5g}] -> {cm:.5g} "
-              f"(x{cm / pm:.3f}), {wins}/{len(par)}")
+              f"(x{cm / pm:.3f}), {wins}/{len(par)}, "
+              f"{verdict(m, runs['parent'], runs['change'])}")
     print("seed: parent correct/failed, change correct/failed")
     for seed, rp, rc in zip(args.seeds, runs["parent"], runs["change"]):
         print(f"{seed}: {rp['correct']}/{rp['failed']}, {rc['correct']}/{rc['failed']}")
