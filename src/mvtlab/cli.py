@@ -458,6 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if [] in vars(args).values():  # argparse's value for a lone "--" (--fn=--)
+        _build_parser().error("an option value may not be a lone '--'")
     if args.csv and args.command != "solve":
         print("--csv applies to solve only", file=sys.stderr)
         return 2

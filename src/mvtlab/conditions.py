@@ -27,7 +27,7 @@ from .mvt_points import integral_mean
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, SolverConfig, SolverError,
     central_diff, close, differentiable_on_interior, integrate,
-    one_sided_derivative,
+    one_sided_derivative, tolerance,
 )
 
 __all__ = [
@@ -93,10 +93,6 @@ def check_flett_condition(f: Expr, iv: Interval,
     return Verdict.Satisfied if agree else Verdict.NotSatisfied
 
 
-def _band(p: float, cfg: SolverConfig) -> float:
-    return cfg.residual_tol * max(1.0, abs(p))
-
-
 def _trahan(f: Expr, iv: Interval, cfg: SolverConfig):
     if not differentiable_on_interior(f, iv, cfg):
         return Verdict.NotApplicable, None
@@ -109,7 +105,7 @@ def _trahan(f: Expr, iv: Interval, cfg: SolverConfig):
         return Verdict.NotApplicable, None
     s = (fb - fa) / iv.width
     p = (db - s) * (da - s)
-    if abs(p) <= _band(p, cfg):
+    if abs(p) <= tolerance(p, 0.0, cfg.residual_tol):
         # the underlying test is non-strict, so zero still passes
         return Verdict.Satisfied, Verdict.Boundary
     return (Verdict.Satisfied if p > 0.0 else Verdict.NotSatisfied), None
@@ -189,7 +185,7 @@ def phi1_prime_at_a(f: Expr, a: float,
 
 
 def _strict_negative(p: float, cfg: SolverConfig) -> Verdict:
-    if abs(p) <= _band(p, cfg):
+    if abs(p) <= tolerance(p, 0.0, cfg.residual_tol):
         return Verdict.Boundary
     return Verdict.Satisfied if p < 0.0 else Verdict.NotSatisfied
 

@@ -15,6 +15,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import compress
 from typing import Callable, Sequence
 
@@ -26,7 +27,7 @@ __all__ = [
     "SolverError", "DomainError", "QuadratureError", "NoRootFound", "HypothesisError",
     "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "MAX_SCAN_POINTS",
     "PointResult", "Points",
-    "grid_points", "residual_scale", "refine_root", "integrate",
+    "grid_points", "refine_root", "integrate",
     "central_diff", "fold_terms", "solve_residual", "tolerance", "close",
     "one_sided_derivative", "differentiable_on_interior",
 ]
@@ -90,7 +91,7 @@ class TheoremId(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """Closed interval [a, b] with a < b, both finite."""
+    """Closed interval [a, b] with a < b, both finite, and a finite width."""
 
     a: float
     b: float
@@ -100,6 +101,8 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"interval needs a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"interval width b - a overflows, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:
@@ -190,30 +193,24 @@ class Points(list):
         self.hypothesis_satisfied = hypothesis_satisfied
 
 
+_GRID_MEMO = 4  # grids grid_points keeps: every grid that one request scans
+
+
 def grid_points(iv: Interval, cfg: SolverConfig, margin: float | None = None) -> list[float]:
-    """Uniform grid of cfg.scan_points inside [a+m*(b-a), b-m*(b-a)]."""
-    m = cfg.endpoint_margin if margin is None else margin
+    """Uniform grid of cfg.scan_points inside [a+m*(b-a), b-m*(b-a)].
+
+    A shared, read-only list: the same interval, point count and margin
+    give the same list object, from a small memo of recent grids.
+    """
+    return _grid(iv, cfg.scan_points, cfg.endpoint_margin if margin is None else margin)
+
+
+@lru_cache(maxsize=_GRID_MEMO)
+def _grid(iv: Interval, n: int, m: float) -> list[float]:
     lo = iv.a + m * iv.width
     hi = iv.b - m * iv.width
-    n = cfg.scan_points
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
-
-
-def residual_scale(fns: Sequence[Callable[[float], float]], iv: Interval,
-                   cfg: SolverConfig, margin: float | None = None) -> float:
-    """max(1, largest finite magnitude of any constituent term on the grid).
-
-    Residuals are differences of terms that can be individually large, so
-    "close to zero" is always judged relative to this scale.
-    """
-    s = 1.0
-    for x in grid_points(iv, cfg, margin):
-        for fn in fns:
-            v = abs(fn(x))
-            if math.isfinite(v) and v > s:
-                s = v
-    return s
 
 
 # Sign flips whose both bracket values sit this many ulps of the residual
@@ -434,6 +431,17 @@ def _confirmed_crossing(F: Callable[[float], float], root: float,
     return side(-1.0) * side(1.0) < 0.0
 
 
+def _scale(cols: Sequence[Sequence[float]]) -> float:
+    """max(1, largest finite magnitude in the columns): the size "zero" is judged by."""
+    scale = 1.0
+    for col in cols:
+        m = max(map(abs, col))
+        if not m < math.inf:  # an inf, or a leading nan, hides the finite maximum
+            m = max((v for v in map(abs, col) if v < math.inf), default=0.0)
+        scale = max(scale, m)
+    return scale
+
+
 def fold_terms(terms: Sequence[Callable[[float], float]]) -> Callable[[float], float]:
     """The residual x -> terms[0](x) - terms[1](x) - ... - terms[-1](x).
 
@@ -493,12 +501,7 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     ys = cols[0]
     for col in cols[1:]:
         ys = list(map(operator.sub, ys, col))
-    scale = 1.0
-    for col in cols:
-        m = max(map(abs, col))
-        if not m < math.inf:  # an inf, or a leading nan, hides the finite maximum
-            m = max((v for v in map(abs, col) if v < math.inf), default=0.0)
-        scale = max(scale, m)
+    scale = _scale(cols)
     finite = sum(map(math.isfinite, ys))
     if finite < 2:
         raise DomainError("residual is not finite anywhere on the scan grid")

@@ -5,10 +5,11 @@ left endpoint, so a naive grid scan would perform a full quadrature per
 grid node. ``OperatorValue`` instead caches prefix sums of per-panel
 integrals once, with its nodes on exactly the grid that
 :func:`~mvtlab.numerics.solve_residual` scans, and a table of pointwise
-part plus prefix at every node. A scan reads a value's whole table as one
-column and makes no call; a call at a node reads one table entry, and
-only arguments off the grid (Brent polishing, crossing checks) pay for
-the fraction of a panel containing them.
+part plus prefix at every node. A scan hands a value the node list itself,
+which :func:`~mvtlab.numerics.grid_points` shares, and reads the table
+as one column without a call; a call bisects for its node, and only
+arguments off the grid (Brent polishing, crossing checks) pay for the
+fraction of a panel containing them.
 
 A solver builds all its operator values in one pass with
 :func:`operator_values`: one generated panel kernel
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import replace
 from typing import Callable, Sequence
 
@@ -42,9 +44,8 @@ from .generalized import endpoint_slopes
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, DomainError, HypothesisError, Interval, NoRootFound,
-    PointResult, Points, QuadratureError, SolverConfig, TheoremId, close,
-    fold_terms, grid_points, integrate, one_sided_derivative, residual_scale,
-    solve_residual,
+    PointResult, Points, QuadratureError, SolverConfig, TheoremId, _scale, close,
+    grid_points, integrate, one_sided_derivative, solve_residual,
 )
 
 __all__ = [
@@ -70,14 +71,13 @@ class OperatorValue:
     with the partial panel from a to the first node folded into the first
     prefix entry; :func:`operator_values` builds several values with one
     generated panel kernel. It is immutable afterwards, so evaluation is
-    deterministic for a fixed config. An argument on a node reads a table
-    of pointwise part plus prefix, and :meth:`column` reads the table for
-    the whole grid at once; any other argument adds direct quadrature
-    between it and the nearest node at or below it (the first node, for
-    arguments left of the grid).
+    deterministic for a fixed config. A call reads the prefix at the last
+    node at or below its argument (the first node, for arguments left of
+    the grid), adds direct quadrature from there when off the node, and
+    the pointwise part; :meth:`column` reads the table of both instead.
     """
 
-    __slots__ = ("_pointwise", "_integrand", "_nodes", "_index", "_repeats", "_zeros",
+    __slots__ = ("_pointwise", "_integrand", "_nodes", "_repeats",
                  "_prefix", "_table", "_panel_cfg")
 
     def __init__(self, pointwise: _Fn | None, integrand: _Fn,
@@ -92,16 +92,12 @@ class OperatorValue:
         self._set(*state)
         return self
 
-    def _set(self, pointwise, integrand, nodes, index, repeats, zeros, prefix, table,
-             panel_cfg):
+    def _set(self, pointwise, integrand, nodes, repeats, prefix, table, panel_cfg):
         self._pointwise, self._integrand = pointwise, integrand
-        self._nodes, self._index, self._repeats, self._zeros = nodes, index, repeats, zeros
+        self._nodes, self._repeats = nodes, repeats
         self._prefix, self._table, self._panel_cfg = prefix, table, panel_cfg
 
     def __call__(self, t: float) -> float:
-        j = self._index.get(t)
-        if j is not None:
-            return self._table[j]
         nodes = self._nodes
         if t <= nodes[0]:
             j = 0
@@ -121,19 +117,14 @@ class OperatorValue:
         return self._pointwise(t) + run
 
     def column(self, xs: Sequence[float]) -> list[float]:
-        """``[self(x) for x in xs]``, read from the table when xs are the nodes.
+        """``[self(x) for x in xs]``, a copy of the table when xs is the node list.
 
-        A grid whose rounding repeats a node (an interval a few thousand
-        ulps wide) is called point by point.
+        Any other list, even an equal one, and nodes that rounding repeats
+        (an interval a few thousand ulps wide) are called point by point.
         """
-        if self._repeats or xs != self._nodes:
-            return [self(x) for x in xs]
-        col = self._table[:]
-        for j in self._zeros:
-            # -0.0 == 0.0 passed the test above, but a pointwise part may
-            # tell them apart
-            col[j] = self(xs[j])
-        return col
+        if xs is self._nodes and not self._repeats:
+            return self._table[:]
+        return [self(x) for x in xs]
 
 
 class _Scaled:
@@ -214,16 +205,9 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
     for exc in errors:
         if exc is not None:
             raise exc
-    index = {x: j for j, x in enumerate(nodes) if x}
-    if nodes[0]:
-        # a node repeated by rounding maps to its last copy, except the
-        # first node: the copy whose prefix __call__'s bisect path reads
-        index[nodes[0]] = 0
-    # column() leaves the nodes at 0.0, which the index leaves out, to
-    # __call__, and all of them when nodes repeat
-    zeros = range(bisect.bisect_left(nodes, 0.0), bisect.bisect_right(nodes, 0.0))
-    repeats = len(index) + len(zeros) < len(nodes)
-    return [(P, F, nodes, index, repeats, zeros, prefix, table, panel_cfg)
+    # the grid never decreases, so a repeated node sits next to its copy
+    repeats = any(map(operator.eq, nodes, nodes[1:]))
+    return [(P, F, nodes, repeats, prefix, table, panel_cfg)
             for P, F, prefix, table in zip(p_calls, q_calls, prefixes, tables)]
 
 
@@ -262,12 +246,11 @@ def apply_V_weighted(phi: Expr, psi: Expr,
     return OperatorValue(*_v_weighted_pair(phi, psi), UNIT_INTERVAL, cfg)
 
 
-def _no_root_error(terms: tuple[Callable[[float], float], ...], iv: Interval,
-                   cfg: SolverConfig, tid: TheoremId) -> NoRootFound:
-    F = fold_terms(terms)
+def _no_root_error(t1: OperatorValue | _Scaled, t2: OperatorValue | _Scaled,
+                   iv: Interval, cfg: SolverConfig, tid: TheoremId) -> NoRootFound:
+    xs = grid_points(iv, cfg)
     best_x, best_v = math.nan, math.inf
-    for x in grid_points(iv, cfg):
-        v = F(x)
+    for x, v in zip(xs, map(operator.sub, t1.column(xs), t2.column(xs))):
         if math.isfinite(v) and abs(v) < best_v:
             best_x, best_v = x, abs(v)
     err = NoRootFound(f"no sign change found for {tid}; the smallest grid "
@@ -277,13 +260,13 @@ def _no_root_error(terms: tuple[Callable[[float], float], ...], iv: Interval,
     return err
 
 
-def _single_point(t1: Callable[[float], float], t2: Callable[[float], float],
+def _single_point(t1: OperatorValue | _Scaled, t2: OperatorValue | _Scaled,
                   tid: TheoremId, cfg: SolverConfig,
                   iv: Interval = UNIT_INTERVAL) -> PointResult:
     pts = solve_residual((t1, t2), iv, cfg, tid)
     if pts:
         return pts[0]
-    raise _no_root_error((t1, t2), iv, cfg, tid)
+    raise _no_root_error(t1, t2, iv, cfg, tid)
 
 
 def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
@@ -394,7 +377,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
     if not math.isfinite(ga):
         raise DomainError("g(a) is not finite")
     total = integrate(fc, iv.a, iv.b, cfg)
-    scale = residual_scale((fc,), iv, cfg, margin=0.0) * iv.width
+    scale = _scale(compile_terms((f,))[0](grid_points(iv, cfg, 0.0))) * iv.width
     if abs(total) > cfg.quad_tol * max(1.0, scale):
         raise HypothesisError(
             f"integral of f over [{iv.a:g}, {iv.b:g}] is {total:.6g}, not 0; "
@@ -465,7 +448,7 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
     t2 = _Scaled(ng, d=int_f2)
     pts = solve_residual((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
     if not pts:
-        raise _no_root_error((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
+        raise _no_root_error(t1, t2, UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
     return pts[(len(pts) - 1) // 2]
 
 

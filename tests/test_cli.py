@@ -128,6 +128,18 @@ class TestUsageErrors:
         assert code == 2
         assert "--gn" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "flett", "--fn=--", "-a", "0", "-b", "1"),
+        ("solve", "flett", "--fn", "x", "--a=--", "-b", "1"),
+        ("classify", "--fn", "x", "-a", "0", "-b", "1", "--scan-points=--"),
+    ], ids=["fn", "a", "scan-points"])
+    def test_lone_double_dash_value_is_a_usage_error(self, capsys, argv):
+        # argparse stores [] for the value "--"; parsing [] raised TypeError
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "lone '--'" in capsys.readouterr().err
+
     def test_unknown_theorem_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "meyers-9.9", "--fn", "x"])
@@ -170,6 +182,18 @@ class TestUsageErrors:
                            "--a=-1e200", "-b", "1e200")
         assert code == 3
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "lagrange", "--fn", "x"),
+        ("solve", "integral-mvt", "--fn", "1e308*x"),
+        ("classify", "--fn", "sin(x)"),
+    ], ids=["lagrange", "integral-mvt", "classify"])
+    def test_interval_whose_width_overflows_exits_2(self, capsys, argv):
+        # both endpoints are finite, but b - a is inf: a grid of such an
+        # interval would be all nan
+        code, out, err = run(capsys, *argv, "--a=-1e308", "-b", "1e308")
+        assert code == 2 and out == ""
+        assert "usage error" in err and "width" in err
 
     def test_removable_singularity_inside_interval(self, capsys):
         code, rep, _ = run_json(capsys, "solve", "integral-mvt",
@@ -313,6 +337,14 @@ class TestCorpus:
         code, _, err = run(capsys, "corpus", str(tmp_path / "absent.jsonl"))
         assert code == 2
         assert "usage error" in err
+
+    def test_record_whose_width_overflows_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"fn": "x^3", "a": -1, "b": 1}\n'
+                     '{"fn": "sin(x)", "a": -1e308, "b": 1e308}\n')
+        code, out, err = run(capsys, "corpus", str(p))
+        assert code == 2 and out == ""
+        assert "usage error: line 2" in err and "width" in err
 
     @pytest.mark.parametrize("endpoint", ["true", "false", "null", "[1]", "{}"])
     def test_endpoint_that_is_no_number_nor_text_exits_2(self, capsys, tmp_path,

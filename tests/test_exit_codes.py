@@ -3,10 +3,10 @@
 Every request ends in exit 0 (points found and re-verified), 1 (hypothesis
 not satisfied), 2 (usage error, argparse's included) or 3 (numeric failure
 or no points), and never lets an exception escape. Requests are random
-function text, some well formed and some not, random endpoints and every
-``solve`` theorem, with and without the second function, weight and order
-each theorem may or may not take. The grid is small, so the whole fuzz
-fits its time budget inside the default test run.
+function text, some well formed and some not, random endpoints, and
+``classify`` or any ``solve`` theorem, with and without the second
+function, weight and order each theorem may or may not take. The grid is
+small, so the whole fuzz fits its time budget inside the default test run.
 """
 
 import contextlib
@@ -42,23 +42,28 @@ _soup = st.lists(st.sampled_from(["x", "1", "+", "-", "*", "/", "^", "(", ")", "
                                   "ln(", "foo", ",", " ", ".", "e", "x^x", "nan", "inf"]),
                  max_size=8).map("".join)
 
-_endpoint = st.sampled_from(["0", "1", "-1", "pi", "-pi/2", "1e300", "-1e308", "1e999",
-                             "x", "", "nan", "1/0", "0/0", "sin("])
+_endpoint = st.sampled_from(["0", "1", "-1", "pi", "-pi/2", "1e300", "-1e308", "1e308",
+                             "1e999", "x", "", "nan", "1/0", "0/0", "sin("])
 _interval = st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 4.0)).map(
     lambda aw: (repr(aw[0]), repr(aw[0] + aw[1])))
 
 
 @st.composite
 def _request(draw):
-    """Three requests in four are well formed: well-formed text, the inputs
-    the theorem takes and no other, an interval with a < b or none where the
-    theorem lives on [0, 1]. The fourth mixes in malformed text, inputs
-    given or left out at random, and any endpoints."""
-    theorem = draw(st.sampled_from(sorted(_SOLVES)))
-    thms = [THEOREMS[tid] for tid in _SOLVES[theorem][0]]
+    """One request in four is a classify, which takes f and an interval
+    only; the others solve a theorem. Three requests in four are well formed:
+    well-formed text, the inputs the theorem takes and no other, an
+    interval with a < b or none where the theorem lives on [0, 1]. The
+    fourth mixes in malformed text, inputs given or left out at random, and
+    any endpoints."""
+    if draw(st.sampled_from([False, False, False, True])):
+        command, thms = ["classify"], []
+    else:
+        theorem = draw(st.sampled_from(sorted(_SOLVES)))
+        command, thms = ["solve", theorem], [THEOREMS[tid] for tid in _SOLVES[theorem][0]]
     loose = draw(st.sampled_from([False, False, False, True]))
     fn = st.one_of(_text, _soup) if loose else _text
-    argv = ["solve", theorem, f"--fn={draw(fn)}", "--scan-points", "256", "--stable"]
+    argv = [*command, f"--fn={draw(fn)}", "--scan-points", "256", "--stable"]
     for flag, taken in (("--gn", any(t.needs_g for t in thms)),
                         ("--weight", any(t.needs_weight for t in thms)),
                         ("--n", any(t.takes_n for t in thms))):

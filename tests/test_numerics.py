@@ -12,7 +12,7 @@ from mvtlab.numerics import (
     DEFAULT_CONFIG, MAX_SCAN_POINTS, DomainError, Interval, PointResult, QuadratureError,
     SolverConfig, TheoremId, central_diff, differentiable_on_interior,
     fold_terms, grid_points, integrate, one_sided_derivative, refine_root,
-    residual_scale, solve_residual,
+    solve_residual,
 )
 
 CFG = DEFAULT_CONFIG
@@ -35,6 +35,12 @@ class TestInterval:
             Interval(0.0, math.inf)
         with pytest.raises(ValueError):
             Interval(math.nan, 1.0)
+
+    def test_rejects_a_width_that_overflows(self):
+        # both endpoints are finite, but b - a is inf
+        with pytest.raises(ValueError, match="width"):
+            Interval(-1e308, 1e308)
+        assert Interval(-8e307, 8e307).width == 1.6e308
 
 
 class TestSolverConfig:
@@ -73,14 +79,12 @@ class TestGrid:
         assert xs[0] == -2.0
         assert xs[-1] == pytest.approx(3.0)
 
-    def test_residual_scale_floor_is_one(self):
-        s = residual_scale([lambda x: 1e-3], Interval(0.0, 1.0), CFG)
-        assert s == 1.0
-
-    def test_residual_scale_tracks_largest_term(self):
-        s = residual_scale([lambda x: 5.0 * x, lambda x: -2.0],
-                           Interval(0.0, 2.0), CFG)
-        assert s == pytest.approx(10.0, rel=1e-6)
+    def test_a_grid_is_built_once_and_shared(self):
+        iv = Interval(0.0, 1.0)
+        assert grid_points(iv, CFG) is grid_points(iv, CFG)
+        # the default margin and the same margin given explicitly are one grid
+        assert grid_points(iv, CFG, CFG.endpoint_margin) is grid_points(iv, CFG)
+        assert grid_points(iv, CFG, 0.0) is not grid_points(iv, CFG)
 
 
 class TestIntegrate:

@@ -1,13 +1,17 @@
 """Running-integral operators on [0, 1] and the identities built on them."""
 
+import json
 import math
 import random
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import mvtlab.numerics
 import mvtlab.operators
+from mvtlab.cli import main
 from mvtlab.expr import Var, compile_fn, compile_panels, parse
 from mvtlab.numerics import (
     DomainError, HypothesisError, Interval, QuadratureError, SolverConfig,
@@ -22,6 +26,14 @@ from mvtlab.operators import (
 )
 
 SAMPLE_TS = [0.0, 0.0312, 0.25, 0.333333, 0.5, 0.70001, 0.875, 0.9999, 1.0]
+
+GOLDEN = Path(__file__).parent / "fixtures" / "stable_golden.jsonl"
+# the golden request of each solver built on operator values
+OPERATOR_REQUESTS = {
+    argv[1]: argv
+    for argv in (json.loads(line)["argv"] for line in GOLDEN.read_text().splitlines())
+    if argv[1] in ("lupu-4.6", "lupu-4.7", "thm-4.9", "thm-4.10", "weighted-norm")
+}
 
 
 class TestOperatorValue:
@@ -332,9 +344,11 @@ class TestColumns:
             assert _bits(term.column(nodes)) == _bits([written(t) for t in nodes])
             assert _bits([term(t) for t in SAMPLE_TS]) == _bits([written(t) for t in SAMPLE_TS])
 
-    def test_lupu_4_6_scan_reads_columns(self, monkeypatch):
-        # the scan reads whole columns; only Brent polishing and crossing
-        # checks call a value (24,624 calls when the scan called them)
+    @pytest.mark.parametrize("theorem", sorted(OPERATOR_REQUESTS))
+    def test_operator_scans_read_columns(self, monkeypatch, theorem):
+        # the scan reads whole columns; only Brent polishing, crossing
+        # checks and a degenerate midpoint call a value (lupu-4.6 made
+        # 24,624 calls when the scan called them)
         calls = [0]
         original = OperatorValue.__call__
 
@@ -343,8 +357,28 @@ class TestColumns:
             return original(self, t)
 
         monkeypatch.setattr(OperatorValue, "__call__", counted)
-        lupu_4_6_points(parse("exp(0.7*x)"), parse("1.2*x^3-0.5*x^2+x+0.3"))
+        assert main(list(OPERATOR_REQUESTS[theorem])) == 0
         assert 0 < calls[0] < 100
+
+    def test_no_root_error_names_the_smallest_grid_residual(self):
+        # read from the columns, the residual is the one calls give
+        cfg = SolverConfig(scan_points=300)
+        u, v = operator_values([(parse("cos(x)"), parse("exp(x)")), (None, parse("x^2"))],
+                               UNIT_INTERVAL, cfg)
+        t1 = _Scaled(u, c=2.0)
+        err = mvtlab.operators._no_root_error(t1, v, UNIT_INTERVAL, cfg,
+                                              TheoremId.WEIGHTED_NORM)
+        xs = grid_points(UNIT_INTERVAL, cfg)
+        residuals = [abs(t1(x) - v(x)) for x in xs]
+        k = residuals.index(min(residuals))
+        assert (err.x, err.value) == (xs[k], residuals[k])
+
+    def test_lupu_4_6_builds_its_grid_once(self):
+        # the operator build and the three scans share one node list
+        mvtlab.numerics._grid.cache_clear()
+        lupu_4_6_points(parse("exp(0.7*x)"), parse("1.2*x^3-0.5*x^2+x+0.3"))
+        info = mvtlab.numerics._grid.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
 
 class TestApplyHelpers:
