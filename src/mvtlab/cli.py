@@ -24,7 +24,7 @@ import time
 from .expr import Expr, ParseError, Var, _walk, evaluate, parse
 from .numerics import (
     DomainError, HypothesisError, Interval, NoRootFound, PointResult,
-    QuadratureError, SolverConfig, SolverError, TheoremId,
+    QuadratureError, SolverConfig, SolverError, TheoremId, _grid, close,
 )
 from .mvt_points import (
     cauchy_points, integral_mvt_points, lagrange_points, rolle_points,
@@ -337,7 +337,7 @@ def _expect_matches(expect: dict, got: dict) -> bool:
         have = got[k]
         if isinstance(want, (int, float)) and not isinstance(want, bool) \
                 and isinstance(have, (int, float)):
-            if abs(want - have) > 1e-9 * max(1.0, abs(want)):
+            if not close(want, have, 1e-9):
                 return False
         elif have != want:
             return False
@@ -360,6 +360,8 @@ def _cmd_corpus(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, i
             lines = fh.readlines()
     except OSError as exc:
         raise _UsageError(f"cannot read corpus file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"corpus file {args.path!r} is not UTF-8: {exc}")
     records = []
     counts: dict[str, int] = {}
     mismatches = 0
@@ -369,7 +371,7 @@ def _cmd_corpus(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, i
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise _UsageError(f"line {lineno}: not valid JSON ({exc})")
         if not isinstance(rec, dict) or not isinstance(rec.get("fn"), str) \
                 or "a" not in rec or "b" not in rec:
@@ -457,6 +459,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Serve one request and return its exit code."""
+    try:
+        return _serve(argv)
+    finally:
+        # a grid at MAX_SCAN_POINTS holds 33.6 MB: keep none past the request
+        _grid.cache_clear()
+
+
+def _serve(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     if [] in vars(args).values():  # argparse's value for a lone "--" (--fn=--)
         _build_parser().error("an option value may not be a lone '--'")

@@ -11,6 +11,15 @@ Every strict inequality is decided inside a tolerance band: landing in the
 band is reported as Boundary instead of silently rounding to one side.
 Checkers that need derivatives demote to NotApplicable when the derivative
 fails to exist, either at an endpoint or anywhere on the interior grid.
+
+`classify` checks differentiability once: the slope-based checkers read one
+shared verdict, one pair of endpoint slopes and one pair of endpoint values,
+held by a private per-request context. Each public ``check_*`` function
+builds its own context, so it gives the verdict classify would.
+
+`mvtlab corpus` runs classify on each record of a UTF-8 file (a file that
+is not UTF-8 exits 2). A numeric ``expect`` value matches within 1e-9 under
+`numerics.close`, and never when it is not finite.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from enum import Enum
 
 from .expr import Expr, compile_fn, differentiate, evaluate
 from .flett import find_flett_points
-from .generalized import endpoint_slopes, pawlikowska_hypothesis
+from .generalized import endpoint_slopes
 from .mvt_points import integral_mean
 # integrate and one_sided_derivative are unused here but bench/tracer.py patches them
 from .numerics import (
@@ -81,31 +90,84 @@ class ConditionVector:
         }
 
 
+class _Context:
+    """What the checkers share about one (f, interval, config).
+
+    Each part is computed on its first read and kept: the differentiability
+    verdict (one ``differentiable_on_interior`` scan), the one-sided
+    endpoint slopes, and (f(a), f(b)). A part whose computation raised
+    SolverError raises that same error at every read, so each checker
+    still demotes to NotApplicable on its own.
+    """
+
+    __slots__ = ("f", "iv", "cfg", "_parts")
+
+    def __init__(self, f: Expr, iv: Interval, cfg: SolverConfig | None):
+        self.f, self.iv, self.cfg = f, iv, cfg or DEFAULT_CONFIG
+        self._parts: dict = {}  # name -> value, or the SolverError it raised
+
+    def _part(self, name: str, make):
+        if name not in self._parts:
+            try:
+                self._parts[name] = make()
+            except SolverError as exc:
+                self._parts[name] = exc
+        value = self._parts[name]
+        if isinstance(value, SolverError):
+            raise value
+        return value
+
+    @property
+    def smooth(self) -> bool:
+        return self._part("smooth", lambda: differentiable_on_interior(
+            self.f, self.iv, self.cfg))
+
+    @property
+    def slopes(self) -> tuple[float | None, float | None]:
+        return self._part("slopes", lambda: endpoint_slopes(self.f, self.iv, self.cfg))
+
+    @property
+    def ends(self) -> tuple[float, float]:
+        def make():
+            fc = compile_fn(self.f)
+            return fc(self.iv.a), fc(self.iv.b)
+        return self._part("ends", make)
+
+    @property
+    def secant(self) -> float | None:
+        """(f(b) - f(a))/(b - a), or None when f(a) or f(b) is not finite."""
+        fa, fb = self.ends
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            return None
+        return (fb - fa) / self.iv.width
+
+
+def _flett(ctx: _Context) -> Verdict:
+    if not ctx.smooth:
+        return Verdict.NotApplicable
+    da, db = ctx.slopes
+    if da is None or db is None:
+        return Verdict.NotApplicable
+    return Verdict.Satisfied if close(da, db, ctx.cfg.residual_tol) else Verdict.NotSatisfied
+
+
 def check_flett_condition(f: Expr, iv: Interval,
                           cfg: SolverConfig | None = None) -> Verdict:
     """Equal one-sided endpoint slopes, within residual_tol of each other."""
-    cfg = cfg or DEFAULT_CONFIG
-    if not differentiable_on_interior(f, iv, cfg):
-        return Verdict.NotApplicable
-    agree = pawlikowska_hypothesis(f, iv, 1, cfg)
-    if agree is None:
-        return Verdict.NotApplicable
-    return Verdict.Satisfied if agree else Verdict.NotSatisfied
+    return _flett(_Context(f, iv, cfg))
 
 
-def _trahan(f: Expr, iv: Interval, cfg: SolverConfig):
-    if not differentiable_on_interior(f, iv, cfg):
+def _trahan(ctx: _Context) -> tuple[Verdict, Verdict | None]:
+    if not ctx.smooth:
         return Verdict.NotApplicable, None
-    da, db = endpoint_slopes(f, iv, cfg)
+    da, db = ctx.slopes
     if da is None or db is None:
         return Verdict.NotApplicable, None
-    fc = compile_fn(f)
-    fa, fb = fc(iv.a), fc(iv.b)
-    if not (math.isfinite(fa) and math.isfinite(fb)):
+    s = ctx.secant
+    if s is None:
         return Verdict.NotApplicable, None
-    s = (fb - fa) / iv.width
     p = (db - s) * (da - s)
-    if abs(p) <= tolerance(p, 0.0, cfg.residual_tol):
+    if abs(p) <= tolerance(p, 0.0, ctx.cfg.residual_tol):
         # the underlying test is non-strict, so zero still passes
         return Verdict.Satisfied, Verdict.Boundary
     return (Verdict.Satisfied if p > 0.0 else Verdict.NotSatisfied), None
@@ -117,7 +179,13 @@ def check_trahan(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verd
     Nonnegative product passes; an exactly zero product is still a pass,
     with the boundary fact surfaced through classify's detail field.
     """
-    return _trahan(f, iv, cfg or DEFAULT_CONFIG)[0]
+    return _trahan(_Context(f, iv, cfg))[0]
+
+
+def _tong_means(ctx: _Context) -> tuple[float, float]:
+    _, i = integral_mean(ctx.f, ctx.iv, ctx.cfg)
+    fa, fb = ctx.ends
+    return 0.5 * (fa + fb), i
 
 
 def tong_means(f: Expr, iv: Interval,
@@ -126,18 +194,17 @@ def tong_means(f: Expr, iv: Interval,
 
     Raises DomainError when f is not finite on the closed grid.
     """
-    fc, i = integral_mean(f, iv, cfg or DEFAULT_CONFIG)
-    return 0.5 * (fc(iv.a) + fc(iv.b)), i
+    return _tong_means(_Context(f, iv, cfg))
 
 
 def check_tong(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verdict:
     """Whether the endpoint mean equals the integral mean."""
-    cfg = cfg or DEFAULT_CONFIG
+    ctx = _Context(f, iv, cfg)
     try:
-        m, i = tong_means(f, iv, cfg)
+        m, i = _tong_means(ctx)
     except DomainError:
         return Verdict.NotApplicable
-    return _tong_verdict(m, i, cfg)
+    return _tong_verdict(m, i, ctx.cfg)
 
 
 def _tong_verdict(m: float, i: float, cfg: SolverConfig) -> Verdict:
@@ -190,6 +257,22 @@ def _strict_negative(p: float, cfg: SolverConfig) -> Verdict:
     return Verdict.Satisfied if p < 0.0 else Verdict.NotSatisfied
 
 
+def _malesevic(ctx: _Context) -> tuple[Verdict, Verdict]:
+    if not ctx.smooth:
+        return Verdict.NotApplicable, Verdict.NotApplicable
+    da, db = ctx.slopes
+    s = ctx.secant
+    if da is None or s is None:
+        return Verdict.NotApplicable, Verdict.NotApplicable
+    cfg = ctx.cfg
+    phib = s - da
+    t1 = Verdict.NotApplicable if db is None else \
+        _strict_negative(((db - s) / ctx.iv.width) * phib, cfg)
+    ppa = phi1_prime_at_a(ctx.f, ctx.iv.a, cfg)
+    m1 = Verdict.NotApplicable if ppa is None else _strict_negative(ppa * phib, cfg)
+    return t1, m1
+
+
 def check_malesevic(f: Expr, iv: Interval,
                     cfg: SolverConfig | None = None) -> tuple[Verdict, Verdict]:
     """The two product tests on the recentred difference quotient phi.
@@ -198,52 +281,38 @@ def check_malesevic(f: Expr, iv: Interval,
     phi'(a)·phi(b) < 0. phi(b) and phi'(b) come from closed forms in the
     endpoint data; phi'(a) needs the second derivative at a.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if not differentiable_on_interior(f, iv, cfg):
-        return Verdict.NotApplicable, Verdict.NotApplicable
-    da, db = endpoint_slopes(f, iv, cfg)
-    fc = compile_fn(f)
-    fa, fb = fc(iv.a), fc(iv.b)
-    if da is None or not (math.isfinite(fa) and math.isfinite(fb)):
-        return Verdict.NotApplicable, Verdict.NotApplicable
-    s = (fb - fa) / iv.width
-    phib = s - da
-    t1 = Verdict.NotApplicable if db is None else \
-        _strict_negative(((db - s) / iv.width) * phib, cfg)
-    ppa = phi1_prime_at_a(f, iv.a, cfg)
-    m1 = Verdict.NotApplicable if ppa is None else _strict_negative(ppa * phib, cfg)
-    return t1, m1
+    return _malesevic(_Context(f, iv, cfg))
 
 
 def classify(f: Expr, iv: Interval,
              cfg: SolverConfig | None = None) -> ConditionVector:
     """Run every checker and the point scan; never raises on checker failure.
 
-    A checker that errors out internally is reported NotApplicable; the
-    point scan failing (f not even evaluable near an endpoint) reports
+    The checkers share one context, so f is scanned for differentiability
+    once. A checker that errors out internally is reported NotApplicable;
+    the point scan failing (f not even evaluable near an endpoint) reports
     has_flett_point = False rather than aborting the vector.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    ctx = _Context(f, iv, cfg)
     try:
-        flett_v = check_flett_condition(f, iv, cfg)
+        flett_v = _flett(ctx)
     except SolverError:
         flett_v = Verdict.NotApplicable
     try:
-        trahan_v, trahan_detail = _trahan(f, iv, cfg)
+        trahan_v, trahan_detail = _trahan(ctx)
     except SolverError:
         trahan_v, trahan_detail = Verdict.NotApplicable, None
-    m = i = None
     try:
-        m, i = tong_means(f, iv, cfg)
-        tong_v = _tong_verdict(m, i, cfg)
+        m, i = _tong_means(ctx)
+        tong_v = _tong_verdict(m, i, ctx.cfg)
     except SolverError:
         tong_v, m, i = Verdict.NotApplicable, None, None
     try:
-        t1_v, m1_v = check_malesevic(f, iv, cfg)
+        t1_v, m1_v = _malesevic(ctx)
     except SolverError:
         t1_v, m1_v = Verdict.NotApplicable, Verdict.NotApplicable
     try:
-        has_point = bool(find_flett_points(f, iv, cfg))
+        has_point = bool(find_flett_points(f, iv, ctx.cfg))
     except SolverError:
         has_point = False
     return ConditionVector(flett=flett_v, trahan=trahan_v, tong=tong_v,

@@ -156,8 +156,13 @@ def tolerance(u: float, v: float, unit: float) -> float:
 
 
 def close(u: float, v: float, unit: float) -> bool:
-    """|u - v| <= tolerance(u, v, unit), the package's one agreement test."""
-    return abs(u - v) <= tolerance(u, v, unit)
+    """|u - v| <= tolerance(u, v, unit), the package's one agreement test.
+
+    False whenever u - v is not finite: an infinite or NaN value agrees
+    with nothing, itself included.
+    """
+    d = u - v
+    return math.isfinite(d) and abs(d) <= tolerance(u, v, unit)
 
 
 @dataclass(frozen=True, slots=True)

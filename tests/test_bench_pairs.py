@@ -1,6 +1,7 @@
-"""The paired-benchmark verdict rule in tools/bench_pairs.py, on made-up runs."""
+"""The paired-benchmark tool tools/bench_pairs.py, on made-up runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,27 @@ WIDE = [10.0, 12.0, 14.0, 18.0, 20.0, 20.0, 22.0, 26.0, 28.0, 30.0]
 def test_verdict(metric, parent, change, expected):
     assert verdict(metric, parent, change) == expected
 
+
+
+@pytest.mark.parametrize("extra, seconds", [
+    ([], json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())["run_seconds"]),
+    (["--seconds", "0"], 0.0),
+    (["--seconds", "2.5"], 2.5),
+])
+def test_seconds_sets_every_run_length(monkeypatch, capsys, tmp_path, extra, seconds):
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(checkout, workload, seed, secs):
+        calls.append((checkout, workload, seed, secs))
+        return {"metrics": {m["name"]: {"value": 1.0 + seed} for m in spec["end_to_end"]},
+                "correct": True, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    code = bench_pairs.main(["--parent", str(tmp_path), "--workload", "pointwise",
+                             "--seeds", "1-3", *extra])
+    assert code == 0
+    assert [c[3] for c in calls] == [seconds] * 6
+    # parent first on the first seed, the order alternating after
+    assert [c[0] for c in calls[:4]] == [tmp_path, bench_pairs.ROOT, bench_pairs.ROOT, tmp_path]
+    assert "throughput_ref" in capsys.readouterr().out

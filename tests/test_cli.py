@@ -290,6 +290,18 @@ class TestOneProcess:
         assert codes == [0, 2, 0]
 
 
+class TestGridMemo:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "lupu-4.6", "--fn", "exp(0.7*x)", "--gn", "x^3+0.3", "--stable"),
+        ("classify", "--fn", "x^3", "--a=-1", "-b", "1", "--stable"),
+        ("classify", "--fn", "x^3", "--a=-1", "-b", "oops"),
+    ])
+    def test_main_keeps_no_grid_after_it_returns(self, capsys, argv):
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 1, 2)
+        assert mvtlab.numerics._grid.cache_info().currsize == 0
+
+
 class TestCorpus:
     def test_fixture_file_matches_expectations(self, capsys):
         code, rep, err = run_json(capsys, "corpus",
@@ -345,6 +357,37 @@ class TestCorpus:
         code, out, err = run(capsys, "corpus", str(p))
         assert code == 2 and out == ""
         assert "usage error: line 2" in err and "width" in err
+
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b'{"fn": "x^3", "a": -1, "b": 1}\n\xff\xfe\n')
+        code, out, err = run(capsys, "corpus", str(p))
+        assert code == 2 and out == ""
+        assert "usage error" in err and str(p) in err and "UTF-8" in err
+
+    def test_line_nested_too_deeply_for_json_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"fn": "x^3", "a": -1, "b": 1}\n' + "[" * 100_000 + "\n")
+        code, out, err = run(capsys, "corpus", str(p))
+        assert code == 2 and out == ""
+        assert "usage error: line 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("m, ok", [
+        ("0.0", True),        # M is 0 for x^3 on [-1, 1]
+        ("1e-10", True),      # within 1e-9
+        ("1e-8", False),
+        ("1e999", False),     # JSON reads this as inf
+        ("-1e999", False),
+        ("NaN", False),
+    ])
+    def test_numeric_expectation_matches_within_1e_9_and_finite(self, capsys, tmp_path,
+                                                                 m, ok):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"fn": "x^3", "a": -1, "b": 1, '
+                     f'"expect": {{"tong": "Satisfied", "M": {m}}}}}\n')
+        code, rep, _ = run_json(capsys, "corpus", str(p))
+        assert rep["records"][0]["expect_ok"] is ok
+        assert code == (0 if ok else 1)
 
     @pytest.mark.parametrize("endpoint", ["true", "false", "null", "[1]", "{}"])
     def test_endpoint_that_is_no_number_nor_text_exits_2(self, capsys, tmp_path,

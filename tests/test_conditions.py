@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+import mvtlab.conditions
 from mvtlab.conditions import (
     ConditionVector, Verdict, check_flett_condition, check_malesevic,
     check_tong, check_trahan, classify, phi1, phi1_prime_at_a, tong_means,
 )
 from mvtlab.expr import parse
-from mvtlab.numerics import Interval
+from mvtlab.flett import find_flett_points
+from mvtlab.numerics import DomainError, Interval, SolverError
 
 S = Verdict.Satisfied
 N = Verdict.NotSatisfied
@@ -127,3 +129,59 @@ class TestClassify:
         assert d["flett"] == "Satisfied"
         assert d["has_flett_point"] is True
         assert "trahan_detail" not in d
+
+
+class TestSharedContext:
+    """classify runs the checkers on one context: one differentiability scan."""
+
+    CASES = [("x^3", -2.0 / 3.0, 1.0), ("asin(x)", -1.0, 1.0), ("abs(x-0.3)", 0.0, 1.0),
+             ("1/(x-0.5)", 0.0, 0.9), ("sqrt(x)", 0.0, 1.0), ("ln(x)", 0.0, 1.0),
+             ("2", 0.0, 1.0)]
+
+    @staticmethod
+    def counted_scans(monkeypatch, raises=None):
+        calls = []
+        scan = mvtlab.conditions.differentiable_on_interior
+
+        def counted(*args):
+            calls.append(args)
+            if raises is not None:
+                raise raises
+            return scan(*args)
+
+        monkeypatch.setattr(mvtlab.conditions, "differentiable_on_interior", counted)
+        return calls
+
+    @pytest.mark.parametrize("fn, a, b", CASES)
+    def test_classify_scans_once(self, monkeypatch, fn, a, b):
+        calls = self.counted_scans(monkeypatch)
+        classify(parse(fn), Interval(a, b))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fn, a, b", CASES)
+    def test_classify_matches_the_checkers_one_by_one(self, fn, a, b):
+        f, iv = parse(fn), Interval(a, b)
+
+        def alone(check, failed):
+            # classify's contract: a checker that raises reads NotApplicable
+            try:
+                return check(f, iv)
+            except SolverError:
+                return failed
+
+        m, i = alone(tong_means, (None, None))
+        want = (alone(check_flett_condition, NA), alone(check_trahan, NA),
+                alone(check_tong, NA), *alone(check_malesevic, (NA, NA)),
+                bool(alone(find_flett_points, [])), m, i)
+        cv = classify(f, iv)
+        assert vec(cv) + (cv.m_of_f, cv.i_of_f) == want
+
+    def test_a_scan_that_raises_demotes_every_reader(self, monkeypatch):
+        calls = self.counted_scans(monkeypatch, raises=DomainError("no scan"))
+        cv = classify(parse("x^3"), Interval(-1.0, 1.0))
+        assert len(calls) == 1
+        assert (cv.flett, cv.trahan, cv.malesevic_t1, cv.malesevic_m1) == (NA,) * 4
+        # the checkers that need no scan still run
+        assert cv.tong is S and cv.has_flett_point is True
+        with pytest.raises(DomainError):
+            check_trahan(parse("x^3"), Interval(-1.0, 1.0))

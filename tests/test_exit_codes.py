@@ -5,12 +5,18 @@ not satisfied), 2 (usage error, argparse's included) or 3 (numeric failure
 or no points), and never lets an exception escape. Requests are random
 function text, some well formed and some not, random endpoints, and
 ``classify`` or any ``solve`` theorem, with and without the second
-function, weight and order each theorem may or may not take. The grid is
-small, so the whole fuzz fits its time budget inside the default test run.
+function, weight and order each theorem may or may not take, or a
+``corpus`` file of random records, malformed lines, non-finite numbers and
+bytes that are not UTF-8. The grid is small, so the whole fuzz fits its
+time budget inside the default test run.
 """
 
 import contextlib
 import io
+import json
+import math
+import os
+import tempfile
 import time
 
 import hypothesis.strategies as st
@@ -48,15 +54,43 @@ _interval = st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 4.0)).map(
     lambda aw: (repr(aw[0]), repr(aw[0] + aw[1])))
 
 
+# corpus records: JSON values of every type for the endpoints and the
+# expectations, non-finite numbers among them (json.dumps writes NaN and
+# Infinity, which json.loads reads back)
+_number = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([math.inf, -math.inf, math.nan,
+                                                            1e308, -1e308]))
+_value = st.one_of(_number, _endpoint, st.sampled_from([True, None, [1], {}]))
+_record = st.fixed_dictionaries(
+    {"fn": st.one_of(_text, _soup), "a": _value, "b": _value},
+    optional={"expect": st.one_of(_value, st.dictionaries(
+        st.sampled_from(["flett", "trahan", "tong", "has_flett_point", "M", "I", "nope"]),
+        st.one_of(_value, st.sampled_from(["Satisfied", "NotApplicable"])), max_size=3))})
+_line = st.one_of(
+    _record.map(json.dumps).map(str.encode),
+    st.tuples(_text, _interval).map(
+        lambda t: json.dumps({"fn": t[0], "a": t[1][0], "b": t[1][1]}).encode()),
+    st.sampled_from([b"", b"  ", b"{oops", b"[1, 2]", b'"text"', b'{"fn": 1, "a": 0, "b": 1}',
+                     b'{"fn": "x"}', b'{"fn": "x", "a": 0, "b": 1e999}',
+                     b'{"fn": "x", "a": -Infinity, "b": NaN}', b"[" * 5000,
+                     b"\xff\xfe", b'{"fn": "x\xc3", "a": 0, "b": 1}', b"\xed\xa0\x80"]))
+_corpus = st.lists(_line, max_size=4).map(b"\n".join)
+
+
 @st.composite
 def _request(draw):
-    """One request in four is a classify, which takes f and an interval
-    only; the others solve a theorem. Three requests in four are well formed:
-    well-formed text, the inputs the theorem takes and no other, an
-    interval with a < b or none where the theorem lives on [0, 1]. The
-    fourth mixes in malformed text, inputs given or left out at random, and
-    any endpoints."""
-    if draw(st.sampled_from([False, False, False, True])):
+    """Returns (argv, corpus file bytes or None).
+
+    One request in eight is a corpus, whose file the test writes and
+    appends as the path; two in eight are a classify, which takes f and an
+    interval only; the others solve a theorem. Three requests in four are
+    well formed: well-formed text, the inputs the theorem takes and no
+    other, an interval with a < b or none where the theorem lives on
+    [0, 1]. The fourth mixes in malformed text, inputs given or left out at
+    random, and any endpoints."""
+    command = draw(st.sampled_from(["solve"] * 5 + ["classify"] * 2 + ["corpus"]))
+    if command == "corpus":
+        return ["corpus", "--scan-points", "256", "--stable"], draw(_corpus)
+    if command == "classify":
         command, thms = ["classify"], []
     else:
         theorem = draw(st.sampled_from(sorted(_SOLVES)))
@@ -78,22 +112,31 @@ def _request(draw):
     else:
         a, b = draw(_interval)
     argv += [f"--{flag}={v}" for flag, v in (("a", a), ("b", b)) if v is not None]
-    return argv
+    return argv, None
 
 
 @seed(20218)
 @settings(max_examples=EXAMPLES, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_request())
-def _ends_in_a_documented_exit_code(argv):
+def _ends_in_a_documented_exit_code(request):
+    argv, corpus = request
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.ExitStack() as stack:
+        if corpus is not None:
+            fd, path = tempfile.mkstemp(suffix=".jsonl")
+            stack.callback(os.unlink, path)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(corpus)
+            argv = [*argv, path]
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse ends usage errors this way
             code = exc.code
-    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    assert code in (0, 1, 2, 3), (request, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), request
 
 
 def test_every_request_ends_in_a_documented_exit_code():

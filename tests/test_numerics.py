@@ -10,7 +10,7 @@ from conftest import deadline
 from mvtlab.expr import Const, Var, compile_fn, differentiate, parse
 from mvtlab.numerics import (
     DEFAULT_CONFIG, MAX_SCAN_POINTS, DomainError, Interval, PointResult, QuadratureError,
-    SolverConfig, TheoremId, central_diff, differentiable_on_interior,
+    SolverConfig, TheoremId, central_diff, close, differentiable_on_interior,
     fold_terms, grid_points, integrate, one_sided_derivative, refine_root,
     solve_residual,
 )
@@ -85,6 +85,21 @@ class TestGrid:
         # the default margin and the same margin given explicitly are one grid
         assert grid_points(iv, CFG, CFG.endpoint_margin) is grid_points(iv, CFG)
         assert grid_points(iv, CFG, 0.0) is not grid_points(iv, CFG)
+
+
+class TestClose:
+    def test_agreement_is_relative_past_one(self):
+        assert close(1e6, 1e6 + 1e-4, 1e-9)
+        assert not close(1e6, 1e6 + 1e-2, 1e-9)
+        assert close(0.0, 1e-10, 1e-9) and not close(0.0, 1e-8, 1e-9)
+
+    @pytest.mark.parametrize("u, v", [
+        (math.inf, 0.5), (0.5, math.inf), (-math.inf, 0.5), (math.inf, math.inf),
+        (math.inf, -math.inf), (math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan),
+        (1e308, -1e308),  # finite values whose difference overflows
+    ])
+    def test_nothing_agrees_across_a_nonfinite_difference(self, u, v):
+        assert not close(u, v, 1e-9)
 
 
 class TestIntegrate:

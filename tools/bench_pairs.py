@@ -3,9 +3,12 @@
     python3 tools/bench_pairs.py --parent ../parent --workload operator --seeds 1-10
 
 For every seed, runs each checkout's own ``bench/run.py --workload W
---seed S --seconds T --trace 0`` once, T being ``run_seconds`` in this
-checkout's ``BENCHMARK.json``. The parent goes first on the first seed and
-the order alternates from seed to seed. Then it prints, for every
+--seed S --seconds T --trace 0`` once, T being ``--seconds`` if given and
+``run_seconds`` in this checkout's ``BENCHMARK.json`` otherwise. With
+``--seconds 0`` each run covers exactly its request list, so the two sides
+serve the same requests and ``peak_rss_mb`` compares at a fixed request
+count. The parent goes first on the first seed and the order alternates
+from seed to seed. Then it prints, for every
 end-to-end metric that ``BENCHMARK.json`` names, the parent's median and
 quartiles, the change's median, their ratio, and in how many pairs the
 change was better (the metric's ``better`` direction; ties count for
@@ -87,16 +90,19 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--parent", required=True, type=Path, help="the parent checkout")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=parse_seeds)
+    p.add_argument("--seconds", type=float,
+                   help="seconds per run (default: run_seconds in BENCHMARK.json)")
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("quartiles need at least two seeds")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run(sides[side], args.workload, seed, spec["run_seconds"]))
+            runs[side].append(run(sides[side], args.workload, seed, seconds))
         print(f"seed {seed} done ({order[0]} first)", file=sys.stderr, flush=True)
 
     print(f"{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds}")
