@@ -184,13 +184,15 @@ def _collect_config(args) -> dict:
                 data = json.load(fh)
         except OSError as exc:
             raise _UsageError(f"cannot read MVT_LAB_CONFIG file {env!r}: {exc}")
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"MVT_LAB_CONFIG file {env!r} is not UTF-8: {exc}")
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise _UsageError(f"MVT_LAB_CONFIG file {env!r} is not valid JSON: {exc}")
         if not isinstance(data, dict):
-            raise _UsageError("MVT_LAB_CONFIG file must hold a JSON object")
+            raise _UsageError(f"MVT_LAB_CONFIG file {env!r} must hold a JSON object")
         for k, v in data.items():
             if k not in _CONFIG_FIELDS:
-                raise _UsageError(f"unknown config field {k!r} in MVT_LAB_CONFIG file")
+                raise _UsageError(f"unknown config field {k!r} in MVT_LAB_CONFIG file {env!r}")
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise _UsageError(f"config field {k!r} must be a number")
             overrides[k] = v

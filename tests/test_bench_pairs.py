@@ -84,3 +84,36 @@ def test_seconds_sets_every_run_length(monkeypatch, capsys, tmp_path, extra, sec
     # parent first on the first seed, the order alternating after
     assert [c[0] for c in calls[:4]] == [tmp_path, bench_pairs.ROOT, bench_pairs.ROOT, tmp_path]
     assert "throughput_ref" in capsys.readouterr().out
+
+
+def test_out_writes_the_table_as_json(monkeypatch, capsys, tmp_path):
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+
+    def fake_run(checkout, workload, seed, secs):
+        # the change is three times the parent on every metric; seed 2's change fails once
+        scale = 3.0 if checkout == bench_pairs.ROOT else 1.0
+        failed = int(checkout == bench_pairs.ROOT and seed == 2)
+        return {"metrics": {m["name"]: {"value": scale * seed} for m in spec["end_to_end"]},
+                "correct": True, "failed": failed}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "operator",
+                             "--seeds", "1-4", "--seconds", "0", "--out", str(out)]) == 0
+    table = capsys.readouterr().out
+    got = json.loads(out.read_text())
+    assert got["settings"]["workload"] == "operator"
+    assert got["settings"]["seeds"] == [1, 2, 3, 4] and got["settings"]["seconds"] == 0.0
+    assert set(got["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    up = got["metrics"]["throughput_ref"]
+    assert up["parent"] == [1.0, 2.0, 3.0, 4.0] and up["change"] == [3.0, 6.0, 9.0, 12.0]
+    assert (up["parent_median"], up["parent_q1"], up["parent_q3"]) == (2.5, 1.25, 3.75)
+    assert up["change_median"] == 7.5 and up["ratio"] == 3.0
+    assert up["wins"] == 4 and up["verdict"] == "gain"
+    down = got["metrics"]["peak_rss_mb"]
+    assert down["wins"] == 0 and down["verdict"] == "worse"
+    assert got["seeds"][1] == {"seed": 2, "parent": {"correct": True, "failed": 0},
+                               "change": {"correct": True, "failed": 1}}
+    # the printed table reads the same figures
+    assert "throughput_ref: 2.5 [1.25, 3.75] -> 7.5 (x3.000), 4/4, gain" in table
+    assert "2: True/0, True/1" in table

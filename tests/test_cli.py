@@ -469,6 +469,22 @@ class TestConfig:
         code, _, err = run(capsys, "solve", "flett", "--fn", "x^3", "-a", "0", "-b", "1")
         assert code == 2 and "scan_points must be an integer" in err
 
+    @pytest.mark.parametrize("body, says", [
+        # json recurses once a level: this used to end in a RecursionError traceback
+        (b"[" * 100000 + b"]" * 100000, "is not valid JSON"),
+        # this used to exit 2 with a decoding message that did not name the file
+        (b'{"scan_points": "\xff"}', "is not UTF-8"),
+    ], ids=["nested-too-deeply", "not-utf-8"])
+    def test_a_file_json_cannot_read_is_a_usage_error_naming_it(
+            self, capsys, tmp_path, monkeypatch, body, says):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_bytes(body)
+        monkeypatch.setenv("MVT_LAB_CONFIG", str(cfgfile))
+        code, out, err = run(capsys, "classify", "--fn", "x^3", "-a", "0", "-b", "1")
+        assert code == 2 and out == ""
+        assert f"usage error: MVT_LAB_CONFIG file {str(cfgfile)!r} {says}" in err
+        assert "Traceback" not in err
+
     def test_unreadable_config_path_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MVT_LAB_CONFIG", str(tmp_path / "nope.json"))
         code, _, err = run(capsys, "solve", "flett", "--fn", "x^3",

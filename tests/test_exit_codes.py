@@ -7,8 +7,11 @@ function text, some well formed and some not, random endpoints, and
 ``classify`` or any ``solve`` theorem, with and without the second
 function, weight and order each theorem may or may not take, or a
 ``corpus`` file of random records, malformed lines, non-finite numbers and
-bytes that are not UTF-8. The grid is small, so the whole fuzz fits its
-time budget inside the default test run.
+bytes that are not UTF-8. One request in four also reads an
+``MVT_LAB_CONFIG`` file: random JSON, a value that is not an object,
+known and unknown fields with good, non-finite and mistyped numbers, deep
+nesting, or bytes that are not UTF-8. The grid is small, so the whole fuzz
+fits its time budget inside the default test run.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ import time
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, seed, settings
 
-from mvtlab.cli import _SOLVES, main
+from mvtlab.cli import _CONFIG_FIELDS, _SOLVES, main
 from mvtlab.expr import FUNCTIONS
 from mvtlab.verify import THEOREMS
 
@@ -75,10 +78,29 @@ _line = st.one_of(
                      b"\xff\xfe", b'{"fn": "x\xc3", "a": 0, "b": 1}', b"\xed\xa0\x80"]))
 _corpus = st.lists(_line, max_size=4).map(b"\n".join)
 
+# MVT_LAB_CONFIG files. The flags every request passes beat the file's
+# scan_points, and 2 ** 21 is past the cap, so no grid grows.
+_config_value = st.sampled_from([8, 64, 256, 2 ** 21, 0.5, 0.01, 1e-6, 0, -1, 1e-320,
+                                 math.inf, -math.inf, math.nan, True, None, "1e-6",
+                                 [1], {}])
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=6)),
+    lambda sub: st.one_of(st.lists(sub, max_size=3),
+                          st.dictionaries(st.text(max_size=6), sub, max_size=3)),
+    max_leaves=8)
+_config = st.one_of(
+    st.dictionaries(st.sampled_from([*_CONFIG_FIELDS, "grid", ""]), _config_value,
+                    max_size=3).map(json.dumps).map(str.encode),
+    _json.map(json.dumps).map(str.encode),
+    st.sampled_from([b"[" * 100000 + b"]" * 100000, b'{"a": ' * 5000 + b"1" + b"}" * 5000,
+                     b"[" * 5000]),
+    st.sampled_from([b"", b"{oops", b"[]", b'"text"', b"null", b"3", b"NaN",
+                     b"\xff\xfe", b'{"quad_tol": "\xc3"}', b"\xed\xa0\x80"]))
+
 
 @st.composite
 def _request(draw):
-    """Returns (argv, corpus file bytes or None).
+    """Returns (argv, corpus file bytes or None, config file bytes or None).
 
     One request in eight is a corpus, whose file the test writes and
     appends as the path; two in eight are a classify, which takes f and an
@@ -86,10 +108,12 @@ def _request(draw):
     well formed: well-formed text, the inputs the theorem takes and no
     other, an interval with a < b or none where the theorem lives on
     [0, 1]. The fourth mixes in malformed text, inputs given or left out at
-    random, and any endpoints."""
+    random, and any endpoints. Apart from all that, one request in four
+    reads a config file."""
+    config = draw(_config) if draw(st.sampled_from([False, False, False, True])) else None
     command = draw(st.sampled_from(["solve"] * 5 + ["classify"] * 2 + ["corpus"]))
     if command == "corpus":
-        return ["corpus", "--scan-points", "256", "--stable"], draw(_corpus)
+        return ["corpus", "--scan-points", "256", "--stable"], draw(_corpus), config
     if command == "classify":
         command, thms = ["classify"], []
     else:
@@ -112,7 +136,7 @@ def _request(draw):
     else:
         a, b = draw(_interval)
     argv += [f"--{flag}={v}" for flag, v in (("a", a), ("b", b)) if v is not None]
-    return argv, None
+    return argv, None, config
 
 
 @seed(20218)
@@ -120,15 +144,24 @@ def _request(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_request())
 def _ends_in_a_documented_exit_code(request):
-    argv, corpus = request
+    argv, corpus, config = request
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
-        if corpus is not None:
-            fd, path = tempfile.mkstemp(suffix=".jsonl")
+        def write(body, suffix):
+            fd, path = tempfile.mkstemp(suffix=suffix)
             stack.callback(os.unlink, path)
             with os.fdopen(fd, "wb") as fh:
-                fh.write(corpus)
-            argv = [*argv, path]
+                fh.write(body)
+            return path
+
+        if corpus is not None:
+            argv = [*argv, write(corpus, ".jsonl")]
+        previous = os.environ.pop("MVT_LAB_CONFIG", None)
+        if previous is not None:
+            stack.callback(os.environ.__setitem__, "MVT_LAB_CONFIG", previous)
+        if config is not None:
+            os.environ["MVT_LAB_CONFIG"] = write(config, ".json")
+            stack.callback(os.environ.pop, "MVT_LAB_CONFIG")
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         try:

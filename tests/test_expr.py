@@ -5,6 +5,7 @@ import copy
 import io
 import math
 import pickle
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -14,7 +15,7 @@ import mvtlab.expr
 from mvtlab.cli import main
 from mvtlab.expr import (
     Bin, Call, Const, FUNCTIONS, MAX_DEPTH, Neg, ParseError, Var,
-    compile_fn, compile_terms, differentiate, evaluate, parse,
+    compile_fn, compile_panels, compile_terms, differentiate, evaluate, parse,
     sign_sensitive_args,
     simplify, substitute, unparse,
 )
@@ -409,6 +410,121 @@ class TestMemo:
         assert code == 0 and '"points": [' in out.getvalue()
         assert len(built) == 4
         assert built[0] == parse("exp(sin(x))*ln(x+2)")
+
+
+class TestCodeMemo:
+    """Generated code is compiled once per source text per process."""
+
+    # one shape each, with different constants; every constant of a tree is
+    # distinct, so none merges with another
+    SHAPE = ("3.5*sin(x)+x^2-0.5", "7.25*sin(x)+x^2-4")
+    XS = [-2.0, -1.0, -0.0, 0.0, 0.3, 1.0, 2.5, math.inf, math.nan]
+
+    @pytest.fixture
+    def codes(self, monkeypatch):
+        """A fresh, empty memo in place of the process's own."""
+        memo = mvtlab.expr._CodeMemo(mvtlab.expr._CODE_MEMO)
+        monkeypatch.setattr(mvtlab.expr, "_code", memo)
+        return memo
+
+    def test_one_shape_shares_one_code_object(self, codes):
+        t1, t2 = (parse(s) for s in self.SHAPE)
+        f1, f2 = compile_fn(t1), compile_fn(t2)
+        assert f1 is not f2 and f1.__code__ is f2.__code__
+        assert len(codes.codes) == 1
+        for t, f in ((t1, f1), (t2, f2)):
+            assert all(same_float(f(x), evaluate(t, x)) for x in self.XS)
+
+    def test_one_shape_shares_one_grid(self, codes):
+        trees = [[t, differentiate(t)] for t in (parse(s) for s in self.SHAPE)]
+        (grid1, fold1), (grid2, fold2) = (compile_terms(ts) for ts in trees)
+        assert grid1 is not grid2 and grid1.__code__ is grid2.__code__
+        assert fold1.__code__ is fold2.__code__
+        for ts, grid, fold in ((trees[0], grid1, fold1), (trees[1], grid2, fold2)):
+            for t, col in zip(ts, grid(self.XS)):
+                assert all(same_float(v, evaluate(t, x)) for x, v in zip(self.XS, col))
+            for x in self.XS:
+                assert same_float(fold(x), evaluate(ts[0], x) - evaluate(ts[1], x))
+
+    def test_one_shape_shares_one_panel_kernel(self, codes):
+        ends = [0.0] + [i / 64 for i in range(1, 65)]
+        builds = []
+
+        def fallback(k, a, b, fa, fb):  # every first Simpson step passes here
+            raise AssertionError("fallback taken")
+
+        for f in (parse(s) for s in self.SHAPE):
+            g = differentiate(f)
+            panels, qs, ps = compile_panels([f], [g])
+            assert all(same_float(qs[0](x), evaluate(f, x)) for x in self.XS)
+            assert all(same_float(ps[0](x), evaluate(g, x)) for x in self.XS)
+            # the same build over compiled callables lowers to other source,
+            # which calls them instead of inlining the trees
+            apart, _, _ = compile_panels([compile_fn(f)], [compile_fn(g)])
+            assert apart.__code__ is not panels.__code__
+            assert panels(ends, 1e-10, fallback) == apart(ends, 1e-10, fallback)
+            builds.append((panels, qs[0], ps[0]))
+        for one, two in zip(*builds):
+            assert one is not two and one.__code__ is two.__code__
+
+    def test_an_integer_exponent_is_part_of_the_source(self, codes):
+        cube, fourth = compile_fn(parse("x^3")), compile_fn(parse("x^4"))
+        assert cube.__code__ is not fourth.__code__
+        assert (cube(2.0), fourth(2.0)) == (8.0, 16.0)
+
+    def test_signed_zero_constants_share_code_and_keep_their_signs(self, codes):
+        def tree(zero):  # 1/(x*zero)+1, built past the parser, which reads -0.0 as Neg
+            return Bin("+", Bin("/", Const(1.0), Bin("*", Var(), Const(zero))), Const(1.0))
+
+        plus, minus = tree(0.0), tree(-0.0)
+        assert compile_fn(plus).__code__ is compile_fn(minus).__code__
+        assert compile_fn(plus)(-1.0) == -math.inf == evaluate(plus, -1.0)
+        assert compile_fn(minus)(-1.0) == math.inf == evaluate(minus, -1.0)
+
+    def test_the_held_source_stays_within_the_bound(self, monkeypatch):
+        memo = mvtlab.expr._CodeMemo(4096)
+        monkeypatch.setattr(mvtlab.expr, "_code", memo)
+        first = compile_fn(parse("x^1")).__code__
+        second = compile_fn(parse("x^2")).__code__
+        for k in range(3, 200):
+            compile_fn(parse(f"x^{k}"))
+            compile_fn(parse("x^1"))  # a hit makes it the most recently used
+            assert memo.held == sum(map(len, memo.codes)) <= 4096
+        assert len(memo.codes) > 10
+        assert compile_fn(parse("x^1")).__code__ is first
+        assert compile_fn(parse("x^2")).__code__ is not second  # evicted, compiled anew
+        # a source longer than the bound still compiles, and is kept alone
+        long = parse("+".join(f"x^{k}" for k in range(1, 90)))
+        assert compile_fn(long)(1.0) == 89.0
+        assert len(memo.codes) == 1 and memo.held > 4096
+        compile_fn(parse("x^3"))
+        assert len(memo.codes) == 1 and memo.held < 4096
+
+    def test_main_leaves_the_memo_filled(self, codes):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["classify", "--fn", "x^3", "--a=-1", "-b", "1", "--stable"])
+        assert code == 0 and codes.codes and codes.held > 0
+
+    def test_classify_compiles_less_than_once_and_a_half_a_request(self, codes, monkeypatch):
+        # a constant's value written into generated source would compile
+        # every request anew (3.1 compiles a request)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from workloads import request_list
+
+        compiled = []
+
+        def counted(*args):
+            compiled.append(args[0])
+            return compile(*args)
+
+        monkeypatch.setattr(mvtlab.expr, "compile", counted, raising=False)
+        requests = request_list("classify-coarse", 1)[:300]
+        for req in requests:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(list(req.argv)) in (0, 1, 2, 3)
+        assert 0 < len(compiled) < 1.5 * len(requests)
 
 
 class TestSimplify:

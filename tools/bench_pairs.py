@@ -14,7 +14,8 @@ quartiles, the change's median, their ratio, and in how many pairs the
 change was better (the metric's ``better`` direction; ties count for
 neither side), and a verdict (see ``verdict``), followed by ``correct`` and
 ``failed`` per seed for both sides. ``--seeds`` takes a range (``1-10``) or
-a list (``1,3,5``).
+a list (``1,3,5``). ``--out PATH`` also writes all of it as JSON (see
+``summarize``), the per-run values included.
 
 The script runs the benchmark as it is in each checkout and edits nothing.
 """
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -85,6 +88,40 @@ def verdict(metric: dict, parent: list[dict], change: list[dict]) -> str:
     return "ok"
 
 
+def summarize(spec: dict, workload: str, seeds: list[int], seconds: float,
+              runs: dict[str, list[dict]]) -> dict:
+    """Everything the table shows, with each run's value, as one JSON-ready dict.
+
+    ``settings`` holds the workload, the seeds, the run length and the
+    machine; ``metrics`` maps each end-to-end metric to both sides' per-run
+    values (in seed order), the parent's median and quartiles, the change's
+    median, their ratio, the pairs the change won and the verdict; ``seeds``
+    holds ``correct`` and ``failed`` per seed for both sides.
+    """
+    def outcome(r: dict) -> dict:
+        return {"correct": r["correct"], "failed": r["failed"]}
+
+    metrics = {}
+    for m in spec["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        par, chg = values(runs["parent"], name), values(runs["change"], name)
+        q1, _, q3 = statistics.quantiles(par, n=4)
+        pm, cm = statistics.median(par), statistics.median(chg)
+        metrics[name] = {
+            "better": m["better"], "bound": m["bound"], "parent": par, "change": chg,
+            "parent_median": pm, "parent_q1": q1, "parent_q3": q3, "change_median": cm,
+            "ratio": cm / pm,
+            "wins": sum(new < old if lower else new > old for old, new in zip(par, chg)),
+            "verdict": verdict(m, runs["parent"], runs["change"])}
+    return {
+        "settings": {"workload": workload, "seeds": seeds, "seconds": seconds,
+                     "python": platform.python_version(), "machine": platform.machine(),
+                     "cpus": os.cpu_count()},
+        "metrics": metrics,
+        "seeds": [{"seed": seed, "parent": outcome(rp), "change": outcome(rc)}
+                  for seed, rp, rc in zip(seeds, runs["parent"], runs["change"])]}
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description="paired benchmark runs, parent vs change")
     p.add_argument("--parent", required=True, type=Path, help="the parent checkout")
@@ -92,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seeds", required=True, type=parse_seeds)
     p.add_argument("--seconds", type=float,
                    help="seconds per run (default: run_seconds in BENCHMARK.json)")
+    p.add_argument("--out", type=Path, help="also write the results to this JSON file")
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("quartiles need at least two seeds")
@@ -105,21 +143,20 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(run(sides[side], args.workload, seed, seconds))
         print(f"seed {seed} done ({order[0]} first)", file=sys.stderr, flush=True)
 
+    summary = summarize(spec, args.workload, args.seeds, seconds, runs)
     print(f"{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds}")
     print("metric: parent median [parent q1, q3] -> change median (ratio), "
           "pairs the change won, verdict")
-    for m in spec["end_to_end"]:
-        name, lower = m["name"], m["better"] == "lower"
-        par, chg = values(runs["parent"], name), values(runs["change"], name)
-        q1, _, q3 = statistics.quantiles(par, n=4)
-        wins = sum(new < old if lower else new > old for old, new in zip(par, chg))
-        pm, cm = statistics.median(par), statistics.median(chg)
-        print(f"{name}: {pm:.5g} [{q1:.5g}, {q3:.5g}] -> {cm:.5g} "
-              f"(x{cm / pm:.3f}), {wins}/{len(par)}, "
-              f"{verdict(m, runs['parent'], runs['change'])}")
+    for name, m in summary["metrics"].items():
+        print(f"{name}: {m['parent_median']:.5g} [{m['parent_q1']:.5g}, {m['parent_q3']:.5g}]"
+              f" -> {m['change_median']:.5g} (x{m['ratio']:.3f}), "
+              f"{m['wins']}/{len(m['parent'])}, {m['verdict']}")
     print("seed: parent correct/failed, change correct/failed")
-    for seed, rp, rc in zip(args.seeds, runs["parent"], runs["change"]):
-        print(f"{seed}: {rp['correct']}/{rp['failed']}, {rc['correct']}/{rc['failed']}")
+    for s in summary["seeds"]:
+        par, chg = s["parent"], s["change"]
+        print(f"{s['seed']}: {par['correct']}/{par['failed']}, {chg['correct']}/{chg['failed']}")
+    if args.out is not None:
+        args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 
 
