@@ -104,7 +104,9 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
         f(x) - f(a) - (x-a)f'(x) + ((x-a)^2/2) f''(x)
     variant "anchored_at_b": roots of
         f(b) - f(x) - (b-x)f'(x) + ((b-x)^2/2) f''(x)
-    The sufficient hypothesis f''(a) = f''(b) is reported as a flag.
+    The residual vanishes to order 3 at the anchor for every f, so a flat
+    stretch touching it is not reported. The sufficient hypothesis
+    f''(a) = f''(b) is reported as a flag.
     """
     cfg = cfg or DEFAULT_CONFIG
     if variant not in ("anchored_at_a", "anchored_at_b"):
@@ -120,7 +122,7 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
         h = Var() - iv.a
         t1 = f - fa + 0.5 * h ** 2 * d2
         t2 = h * d1
-        tid = TheoremId.SECOND_ORDER_A
+        tid, anchor = TheoremId.SECOND_ORDER_A, iv.a
     else:
         fb = fc(iv.b)
         if not math.isfinite(fb):
@@ -128,8 +130,8 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
         h = iv.b - Var()
         t1 = fb - f + 0.5 * h ** 2 * d2
         t2 = h * d1
-        tid = TheoremId.SECOND_ORDER_B
-    return solve_residual((t1, t2), iv, cfg, tid, hypothesis=hyp)
+        tid, anchor = TheoremId.SECOND_ORDER_B, iv.b
+    return solve_residual((t1, t2), iv, cfg, tid, hypothesis=hyp, forced_zero=anchor)
 
 
 def pawlikowska_points(f: Expr, iv: Interval, n: int,
@@ -139,8 +141,10 @@ def pawlikowska_points(f: Expr, iv: Interval, n: int,
         f(x) - f(a) = sum_{i=1}^{n} ((-1)^(i+1) / i!) (x-a)^i f^(i)(x)
 
     n = 1 is the plain Flett identity; polynomials of degree at most n
-    satisfy the identity everywhere and come back degenerate. The flag
-    reports f^(n)(a) = f^(n)(b) with one-sided endpoint evaluation.
+    satisfy the identity everywhere and come back degenerate. The residual
+    vanishes to order n+1 at a for every f, so a flat stretch touching a is
+    not reported. The flag reports f^(n)(a) = f^(n)(b) with one-sided
+    endpoint evaluation.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -162,4 +166,4 @@ def pawlikowska_points(f: Expr, iv: Interval, n: int,
         p = p * h
         total = total + (-1.0) ** (i + 1) / math.factorial(i) * p * g
     return solve_residual((f - fa, total), iv, cfg, TheoremId.PAWLIKOWSKA,
-                          hypothesis=hyp)
+                          hypothesis=hyp, forced_zero=iv.a)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .expr import Const, Expr, compile_fn, differentiate
+from .expr import Const, Expr, compile_fn, differentiate, sign_sensitive_args
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
     TheoremId, close, differentiable_on_interior, grid_points, integrate, solve_residual,
+    tanh_sinh,
 )
 
 __all__ = [
@@ -83,13 +84,19 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
 
 def integral_mean(f: Expr, iv: Interval,
                   cfg: SolverConfig) -> tuple[Callable[[float], float], float]:
-    """(compiled f, mean of f over [a, b]); DomainError if f is not finite on the closed grid."""
+    """(compiled f, mean of f over [a, b]); DomainError if f is not finite on the closed grid.
+
+    The mean is a :func:`~mvtlab.numerics.tanh_sinh` integral, or an
+    :func:`~mvtlab.numerics.integrate` one when f has an abs() or sgn():
+    tanh-sinh would not settle on the kink and fall back to it anyway.
+    """
     fc = compile_fn(f)
     for x in grid_points(iv, cfg, margin=0.0):
         if not math.isfinite(fc(x)):
             raise DomainError(f"f is not finite at x={x!r}; the mean value "
                               "identity needs a continuous integrand")
-    return fc, integrate(fc, iv.a, iv.b, cfg) / iv.width
+    rule = integrate if sign_sensitive_args(f) else tanh_sinh
+    return fc, rule(fc, iv.a, iv.b, cfg) / iv.width
 
 
 def integral_mvt_points(f: Expr, iv: Interval,

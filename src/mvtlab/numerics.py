@@ -4,8 +4,19 @@ Every theorem solver in this package reduces to the same loop: build a
 residual whose interior roots are the points claimed to exist, scan a
 uniform grid for sign changes, polish each bracket, and report.
 :func:`solve_residual` implements that loop once; the kernels around it
-(:func:`refine_root`, :func:`integrate`, :func:`central_diff`) are exposed
-individually as well.
+(:func:`refine_root`, :func:`integrate`, :func:`tanh_sinh`,
+:func:`central_diff`) are exposed individually as well.
+
+Quadrature has two rules. :func:`integrate` is adaptive Simpson: the
+operator prefixes run it panel by panel, a few thousand panels an
+interval, and its first step on a panel is usually enough.
+:func:`tanh_sinh` takes every integral over a whole interval (coupling
+constants, means, and the sides :mod:`~mvtlab.verify` recomputes at a
+hundredth of the tolerance): on integrands analytic inside the interval it
+needs about a hundred samples where adaptive Simpson needs a thousand or
+more, and square-root endpoints do not defeat it. Where it cannot settle
+(a kink, a pole, a non-finite sample) it hands the integral to
+:func:`integrate`, so those cases end as they did before it.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ __all__ = [
     "SolverError", "DomainError", "QuadratureError", "NoRootFound", "HypothesisError",
     "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "MAX_SCAN_POINTS",
     "PointResult", "Points",
-    "grid_points", "refine_root", "integrate",
+    "grid_points", "refine_root", "integrate", "tanh_sinh",
     "central_diff", "fold_terms", "solve_residual", "tolerance", "close",
     "one_sided_derivative", "differentiable_on_interior",
 ]
@@ -374,6 +385,79 @@ def integrate(F: Callable[[float], float], lo: float, hi: float,
     return _adapt(F, lo, hi, lo, fa, hi, fb, m, fm, whole, eps, _QUAD_MAX_DEPTH)
 
 
+# tanh-sinh levels run h = 1, 1/2, ..., 2**-_TS_LEVELS; nodes lie at |t| <= _TS_T_MAX,
+# past which the weights are below 3e-21
+_TS_LEVELS = 6
+_TS_T_MAX = 3.5
+
+
+@lru_cache(maxsize=1)
+def _ts_table() -> tuple[tuple[tuple[float, float], ...], ...]:
+    """Per level, the (distance, weight) of each node it adds at t > 0.
+
+    A node at t sits at x = tanh(u), u = (pi/2) sinh t, on [-1, 1]; its
+    distance from the nearer endpoint, 1 - tanh(u) = 1/(e^u cosh u), is
+    kept instead of x, so nodes near an endpoint suffer no cancellation.
+    Level 0 adds t = 1, 2, 3; level k adds the odd multiples of 2**-k.
+    """
+    levels = []
+    for k in range(_TS_LEVELS + 1):
+        h = 2.0 ** -k
+        js = range(1, int(_TS_T_MAX / h) + 1, 1 if k == 0 else 2)
+        level = []
+        for t in (j * h for j in js):
+            u = 0.5 * math.pi * math.sinh(t)
+            level.append((1.0 / (math.exp(u) * math.cosh(u)),
+                          0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2))
+        levels.append(tuple(level))
+    return tuple(levels)
+
+
+def tanh_sinh(F: Callable[[float], float], lo: float, hi: float,
+              cfg: SolverConfig) -> float:
+    """Tanh-sinh (double-exponential) integral of F over [lo, hi].
+
+    The rule for whole-interval integrals: it converges exponentially on
+    integrands analytic inside the interval, and algebraic endpoint
+    singularities such as sqrt(1-x) do not slow it, since no node lies on
+    an endpoint (Takahasi & Mori, Publ. RIMS 9, 1974). It halves the step
+    from h = 1 down to 2**-6 and accepts level k >= 2 when
+    |I_k - I_(k-1)| <= cfg.quad_tol * (1 + |I_k|), and when the outermost
+    term on each side is that small too: an integrand unbounded at an
+    endpoint (1/sqrt(x) at 0) fails that test at every level. Nodes that
+    round onto an endpoint are skipped.
+
+    Any non-finite sample, or a last level that has not settled (a kink,
+    a pole no node lands on, an unbounded endpoint), hands the integral to
+    :func:`integrate` at the same cfg, which returns its usual result or
+    raises its usual QuadratureError.
+    """
+    if not lo < hi:
+        return integrate(F, lo, hi, cfg)
+    r = 0.5 * (hi - lo)
+    s = 0.5 * math.pi * F(lo + r)  # t = 0, at the midpoint
+    prev = math.nan
+    for k, level in enumerate(_ts_table()):
+        left = right = 0.0  # the level's outermost term on each side
+        for d, w in level:
+            x = lo + r * d
+            if x > lo:
+                left = w * F(x)
+                s += left
+            x = hi - r * d
+            if x < hi:
+                right = w * F(x)
+                s += right
+        est = r * s * 2.0 ** -k
+        if not math.isfinite(est):
+            break
+        eps = cfg.quad_tol * (1.0 + abs(est))
+        if k >= 2 and abs(est - prev) <= eps and r * max(abs(left), abs(right)) <= eps:
+            return est
+        prev = est
+    return integrate(F, lo, hi, cfg)
+
+
 def central_diff(F: Callable[[float], float], x: float, order: int = 1) -> float:
     """Central finite difference of first or second order at x.
 
@@ -469,7 +553,8 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
                    iv: Interval,
                    cfg: SolverConfig, theorem_id: TheoremId,
                    hypothesis: bool | None = None,
-                   closed: bool = False) -> Points:
+                   closed: bool = False,
+                   forced_zero: float | None = None) -> Points:
     """Find interior roots of a residual, reporting flat stretches as degenerate.
 
     The residual is the left fold of ``terms`` (see :func:`fold_terms`):
@@ -490,10 +575,14 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     Degenerate detection runs first: if the residual is near zero on at
     least 99% of the grid, or on a long contiguous stretch of it, that
     region is reported as a single representative midpoint with
-    ``degenerate=True`` rather than as a root list. Sign changes whose
-    bracket values both sit inside the roundoff floor are cancellation
-    noise and are discarded. The :class:`Points` returned carry
-    ``hypothesis``, so an empty result still reports it.
+    ``degenerate=True`` rather than as a root list. ``forced_zero`` names
+    an endpoint (iv.a or iv.b) where the residual vanishes to high order
+    whatever the function (the alternating sums at a): a stretch that
+    touches it is that trivial zero, and is neither reported nor searched
+    for sign changes. Sign changes whose bracket values both sit inside
+    the roundoff floor are cancellation noise and are discarded. The
+    :class:`Points` returned carry ``hypothesis``, so an empty result
+    still reports it.
     """
     xs = grid_points(iv, cfg, 0.0 if closed else None)
     if isinstance(terms[0], Expr):
@@ -523,8 +612,11 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
 
     results = Points(hypothesis_satisfied=hypothesis)
     run_members: set[int] = set()
+    last = len(xs) - 1
     for i0, i1 in _zero_runs(near, max(3, cfg.scan_points // 100)):
         run_members.update(range(i0, i1 + 1))
+        if (i0 == 0 and forced_zero == iv.a) or (i1 == last and forced_zero == iv.b):
+            continue
         k = (i0 + i1) // 2
         results.append(PointResult(xs[k], ys[k], theorem_id, degenerate=True,
                                    hypothesis_satisfied=hypothesis))

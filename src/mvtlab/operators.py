@@ -23,6 +23,10 @@ or has a non-finite sample, is integrated by ``integrate`` itself. The
 prefixes are therefore the ones a running ``integrate`` per panel gives,
 bit for bit.
 
+Integrals over the whole interval (the coupling constants, thm-4.9's
+zero-mean total, the reported weighted norms) are one
+:func:`~mvtlab.numerics.tanh_sinh` integral each, not a prefix.
+
 The identity solvers mirror the structure used elsewhere: multiply through
 so the residual is denominator-free, scan, refine, and stamp the theorem id
 on every located point. Their terms are operator values scaled by
@@ -45,7 +49,7 @@ from .generalized import endpoint_slopes
 from .numerics import (
     DEFAULT_CONFIG, DomainError, HypothesisError, Interval, NoRootFound,
     PointResult, Points, QuadratureError, SolverConfig, TheoremId, _scale, close,
-    grid_points, integrate, one_sided_derivative, solve_residual,
+    grid_points, integrate, one_sided_derivative, solve_residual, tanh_sinh,
 )
 
 __all__ = [
@@ -276,8 +280,8 @@ def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
     weighted(g) over [0, 1]: c_f·(Tg)(x) = c_g·(Tf)(x), and likewise for S.
     """
     fc, gc = compile_fn(f), compile_fn(g)
-    cf = integrate(weighted(fc), 0.0, 1.0, cfg)
-    cg = integrate(weighted(gc), 0.0, 1.0, cfg)
+    cf = tanh_sinh(weighted(fc), 0.0, 1.0, cfg)
+    cg = tanh_sinh(weighted(gc), 0.0, 1.0, cfg)
     tf, tg, sf, sg = operator_values(
         (_t_pair(f), _t_pair(g), _s_pair(f), _s_pair(g)), UNIT_INTERVAL, cfg)
     return ((_Scaled(tg, c=cf), _Scaled(tf, c=cg)),
@@ -376,7 +380,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
     ga = gc(iv.a)
     if not math.isfinite(ga):
         raise DomainError("g(a) is not finite")
-    total = integrate(fc, iv.a, iv.b, cfg)
+    total = tanh_sinh(fc, iv.a, iv.b, cfg)
     scale = _scale(compile_terms((f,))[0](grid_points(iv, cfg, 0.0))) * iv.width
     if abs(total) > cfg.quad_tol * max(1.0, scale):
         raise HypothesisError(
@@ -402,8 +406,8 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     cfg = cfg or DEFAULT_CONFIG
     fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
     _nonvanishing_derivative(phi, UNIT_INTERVAL, cfg, "the weight's derivative")
-    int_f = integrate(fc, 0.0, 1.0, cfg)
-    int_g = integrate(gc, 0.0, 1.0, cfg)
+    int_f = tanh_sinh(fc, 0.0, 1.0, cfg)
+    int_g = tanh_sinh(gc, 0.0, 1.0, cfg)
     phi0 = pc(0.0)
     vpf, vpg, vf, vg = operator_values(
         (_v_weighted_pair(phi, f), _v_weighted_pair(phi, g), (None, f), (None, g)),
@@ -440,8 +444,8 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
     phi0 = pc(0.0)
     if not math.isfinite(phi0) or abs(phi0) > cfg.residual_tol:
         raise HypothesisError(f"the weight must vanish at 0, got phi(0) = {phi0!r}")
-    int_f2 = integrate(lambda x: (v := fc(x)) * v, 0.0, 1.0, cfg)
-    int_g2 = integrate(lambda x: (v := gc(x)) * v, 0.0, 1.0, cfg)
+    int_f2 = tanh_sinh(lambda x: (v := fc(x)) * v, 0.0, 1.0, cfg)
+    int_g2 = tanh_sinh(lambda x: (v := gc(x)) * v, 0.0, 1.0, cfg)
     nf, ng = operator_values(
         (_v_weighted_pair(phi, f * f), _v_weighted_pair(phi, g * g)), UNIT_INTERVAL, cfg)
     t1 = _Scaled(nf, d=int_g2)
@@ -457,6 +461,6 @@ def weighted_norms(f: Expr, g: Expr, phi: Expr, xi: float,
     """The two phi-weighted prefix L2 norms over (0, xi), for reporting."""
     cfg = cfg or DEFAULT_CONFIG
     fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
-    a = integrate(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg)
-    b = integrate(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg)
+    a = tanh_sinh(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg)
+    b = tanh_sinh(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg)
     return math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))

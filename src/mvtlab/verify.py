@@ -6,6 +6,11 @@ multiplied-through residuals on cached grids; this module re-evaluates each
 identity in its stated form at a candidate point, with fresh quadrature at a
 hundredfold tighter tolerance for the operator identities. Agreement is
 therefore evidence about the point, not a tautology of the search form.
+
+The quadrature is a different rule from the search's, too: the search
+reads its running integrals from per-panel adaptive Simpson prefixes, while
+every side here is one :func:`~mvtlab.numerics.tanh_sinh` integral over
+[0, xi] (or [a, xi]), which shares no sample or error test with them.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from functools import cached_property
 from typing import Callable
 
 from .expr import Expr, compile_fn, differentiate
+# integrate is unused here but bench/tracer.py patches it
 from .numerics import (
-    DEFAULT_CONFIG, Interval, SolverConfig, TheoremId, integrate, tolerance,
+    DEFAULT_CONFIG, Interval, SolverConfig, TheoremId, integrate, tanh_sinh, tolerance,
 )
 
 __all__ = ["IdentityCheck", "Inputs", "Theorem", "THEOREMS", "verify_point"]
@@ -44,7 +50,8 @@ class Inputs:
     derivative chain and one compile per tree. The integrals over [0, 1]
     that do not depend on the point are made on first use and kept.
     ``quad_cfg`` is ``cfg`` at a hundredth of its quadrature tolerance: the
-    quadrature identities' sides are recomputed at it.
+    quadrature identities' sides are recomputed at it, each by
+    :func:`~mvtlab.numerics.tanh_sinh`.
     """
 
     def __init__(self, f: Expr, g: Expr | None, weight: Expr | None,
@@ -64,7 +71,7 @@ class Inputs:
     dg = property(lambda self: compile_fn(differentiate(self.g)))
 
     def _over_unit(self, F: Callable[[float], float]) -> float:
-        return integrate(F, 0.0, 1.0, self.quad_cfg)
+        return tanh_sinh(F, 0.0, 1.0, self.quad_cfg)
 
     @cached_property
     def int_f(self) -> float:
@@ -141,7 +148,7 @@ def _cauchy_flett(q: Inputs, xi: float) -> tuple[float, float]:
 
 def _thm_4_9(q: Inputs, xi: float) -> tuple[float, float]:
     fc, gc, a, cfg = q.fc, q.gc, q.a, q.quad_cfg
-    return integrate(lambda x: fc(x) * gc(x), a, xi, cfg), gc(a) * integrate(fc, a, xi, cfg)
+    return tanh_sinh(lambda x: fc(x) * gc(x), a, xi, cfg), gc(a) * tanh_sinh(fc, a, xi, cfg)
 
 
 # the identities below live on [0, 1] regardless of iv
@@ -150,26 +157,26 @@ def _thm_4_9(q: Inputs, xi: float) -> tuple[float, float]:
 def _thm_4_10(q: Inputs, xi: float) -> tuple[float, float]:
     fc, gc, pc, cfg = q.fc, q.gc, q.pc, q.quad_cfg
     int_f, int_g = q.int_f, q.int_g
-    vpf = integrate(lambda x: pc(x) * fc(x), 0.0, xi, cfg)
-    vpg = integrate(lambda x: pc(x) * gc(x), 0.0, xi, cfg)
-    vf = integrate(fc, 0.0, xi, cfg)
-    vg = integrate(gc, 0.0, xi, cfg)
+    vpf = tanh_sinh(lambda x: pc(x) * fc(x), 0.0, xi, cfg)
+    vpg = tanh_sinh(lambda x: pc(x) * gc(x), 0.0, xi, cfg)
+    vf = tanh_sinh(fc, 0.0, xi, cfg)
+    vg = tanh_sinh(gc, 0.0, xi, cfg)
     return vpf * int_g - vpg * int_f, pc(0.0) * (vf * int_g - vg * int_f)
 
 
 def _weighted_norm(q: Inputs, xi: float) -> tuple[float, float]:
     fc, gc, pc, cfg = q.fc, q.gc, q.pc, q.quad_cfg
-    lhs = integrate(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg) * q.int_g2
-    rhs = integrate(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg) * q.int_f2
+    lhs = tanh_sinh(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg) * q.int_g2
+    rhs = tanh_sinh(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg) * q.int_f2
     return lhs, rhs
 
 
 def _t_of(q: Inputs, h, xi: float) -> float:
-    return h(xi) - integrate(h, 0.0, xi, q.quad_cfg)
+    return h(xi) - tanh_sinh(h, 0.0, xi, q.quad_cfg)
 
 
 def _s_of(q: Inputs, h, xi: float) -> float:
-    return xi * h(xi) - integrate(lambda x: x * h(x), 0.0, xi, q.quad_cfg)
+    return xi * h(xi) - tanh_sinh(lambda x: x * h(x), 0.0, xi, q.quad_cfg)
 
 
 def _coupled(op, constants):
@@ -201,7 +208,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.CAUCHY: Theorem(lambda q, x: (
         q.d1(x) * (q.gc(q.b) - q.gc(q.a)), q.dg(x) * (q.fc(q.b) - q.fc(q.a))), needs_g=True),
     TheoremId.INTEGRAL_MVT: Theorem(lambda q, x: (
-        q.fc(x), integrate(q.fc, q.a, q.b, q.cfg) / q.w)),
+        q.fc(x), tanh_sinh(q.fc, q.a, q.b, q.cfg) / q.w)),
     # Flett's identity and the Meyers variants: f' equals a difference quotient
     TheoremId.FLETT: Theorem(lambda q, x: (q.d1(x), (q.fc(x) - q.fc(q.a)) / (x - q.a))),
     TheoremId.MEYERS_2_3: Theorem(lambda q, x: (q.d1(x), (q.fc(q.b) - q.fc(x)) / (q.b - x))),

@@ -104,6 +104,33 @@ class TestSolve:
         assert "numeric failure" in err
 
 
+class TestSelfCheckRegressions:
+    """Requests whose reported points once failed their own self-check (exit 3)."""
+
+    @pytest.mark.parametrize("argv", [
+        # order-4 sums whose forced zero at a came back as a degenerate
+        # point that verify rejected (high-order requests, seeds 1, 4, 8, 9, 10)
+        ["--fn=cos(exp(0.7795*x-0.1241))", "--a=0.2447", "--b=2.0949"],
+        ["--fn=cos(exp(0.8679*x-0.3807))", "--a=0.5018", "--b=2.1049"],
+        ["--fn=cos(exp(0.8391*x+0.3286))", "--a=0.4307", "--b=2.0616"],
+        ["--fn=cos(exp(0.7137*x+0.1720))", "--a=0.3441", "--b=2.3214"],
+        ["--fn=cos(exp(0.7966*x+0.0603))", "--a=0.2859", "--b=2.2353"],
+        ["--fn=cos(exp(0.8944*x-0.0495))", "--a=0.5698", "--b=2.0355"],
+    ])
+    def test_pawlikowska_forced_zero(self, capsys, argv):
+        code, rep, err = run_json(capsys, "solve", "pawlikowska", "--n", "4", *argv,
+                                  "--stable")
+        assert code == 0, err
+        assert not any(p["degenerate"] for p in rep["results"])
+
+    def test_sqrt_endpoint_in_the_self_check_quadrature(self, capsys):
+        # adaptive Simpson at quad_tol/100 reached float resolution next to 1
+        code, rep, err = run_json(capsys, "solve", "lupu-4.6", "--fn", "sqrt(1-x)",
+                                  "--gn", "x+1", "--stable")
+        assert code == 0, err
+        assert [len(g["points"]) for g in rep["results"]] == [1, 1, 1]
+
+
 class TestUsageErrors:
     def test_bad_expression_reports_offset(self, capsys):
         code, _, err = run(capsys, "solve", "flett", "--fn", "x^^3",

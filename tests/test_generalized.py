@@ -123,6 +123,14 @@ class TestPawlikowska:
         assert pts
         assert all(0.0 < p.xi < 2 * math.pi for p in pts)
 
+    def test_forced_zero_at_a_is_not_a_point(self):
+        # the residual vanishes to order n+1 at a; its flat stretch there
+        # once came back as a degenerate point at 0.0703
+        pts = pawlikowska_points(parse("exp(sin(x))*ln(x+2)"), Interval(0.0, 3.0), 6)
+        assert xs(pts) == pytest.approx([0.908963374046370, 1.876510885074194,
+                                         2.909644321885707], abs=1e-12)
+        assert not any(p.degenerate for p in pts)
+
     @pytest.mark.parametrize("bad", [0, -1, 13, 2.0, True, "2"])
     def test_order_validation(self, bad):
         with pytest.raises(ValueError):

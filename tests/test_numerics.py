@@ -12,7 +12,7 @@ from mvtlab.numerics import (
     DEFAULT_CONFIG, MAX_SCAN_POINTS, DomainError, Interval, PointResult, QuadratureError,
     SolverConfig, TheoremId, central_diff, close, differentiable_on_interior,
     fold_terms, grid_points, integrate, one_sided_derivative, refine_root,
-    solve_residual,
+    solve_residual, tanh_sinh,
 )
 
 CFG = DEFAULT_CONFIG
@@ -151,6 +151,72 @@ class TestIntegrate:
             integrate(compile_fn(parse(src)), 0.0, 0.9, CFG)
 
 
+class TestTanhSinh:
+    """The whole-interval rule, against mpmath's quad as the oracle."""
+
+    TIGHT = SolverConfig(quad_tol=1e-12)
+
+    @staticmethod
+    def _counted(src):
+        fc, calls = compile_fn(parse(src)), [0]
+
+        def F(x):
+            calls[0] += 1
+            return fc(x)
+
+        return F, calls
+
+    @pytest.mark.parametrize("src, lo, hi, oracle", [
+        ("exp(sin(x))*ln(x+2)", 0.0, 3.0, lambda mp, x: mp.exp(mp.sin(x)) * mp.log(x + 2)),
+        # derivative singular at an endpoint, where adaptive Simpson fails at 1e-12
+        ("sqrt(1-x)", 0.0, 1.0, lambda mp, x: mp.sqrt(1 - x)),
+        ("sqrt(1-x^2)", -1.0, 1.0, lambda mp, x: mp.sqrt(1 - x ** 2)),
+        # unbounded, but integrable, at 0
+        ("ln(x)", 0.0, 1.0, lambda mp, x: mp.log(x)),
+        ("sin(30*x)", 0.0, 1.0, lambda mp, x: mp.sin(30 * x)),
+    ])
+    def test_agrees_with_mpmath(self, src, lo, hi, oracle):
+        mpmath = pytest.importorskip("mpmath")
+        want = float(mpmath.quad(lambda x: oracle(mpmath, x), [lo, hi]))
+        F, calls = self._counted(src)
+        got = tanh_sinh(F, lo, hi, self.TIGHT)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
+        # no fallback to adaptive Simpson: at most the last level's 449 nodes
+        assert calls[0] <= 449
+
+    def test_samples_a_smooth_integrand_sparingly(self):
+        F, calls = self._counted("exp(sin(x))*ln(x+2)")
+        tanh_sinh(F, 0.0, 3.0, self.TIGHT)
+        assert calls[0] <= 130  # adaptive Simpson takes 1,517
+
+    def test_a_kink_falls_back_to_integrate(self):
+        # the levels do not settle on a kink: integrate()'s result, bit for bit
+        f = compile_fn(parse("abs(x-0.3)"))
+        assert tanh_sinh(f, 0.0, 1.0, CFG) == integrate(f, 0.0, 1.0, CFG)
+
+    def test_a_removable_singularity_on_a_node_falls_back(self):
+        # the midpoint node reads 0/0; integrate() bridges it
+        f = compile_fn(parse("sin(x)/x"))
+        got = tanh_sinh(f, -1.0, 1.0, CFG)
+        assert got == integrate(f, -1.0, 1.0, CFG)
+        assert got == pytest.approx(1.8921661407343662, abs=1e-9)  # 2*Si(1)
+
+    @pytest.mark.parametrize("src, lo, hi", [
+        ("1/(x-0.5)", 0.0, 1.0),        # a node lands on the pole
+        ("1/(x-0.3)^2", 0.0, 1.0),      # no node does
+        ("1/sqrt(x)", 0.0, 1.0),        # unbounded at an endpoint
+        ("1/(1-x)", 0.0, 1.0),
+    ])
+    def test_poles_raise(self, src, lo, hi):
+        with pytest.raises(QuadratureError):
+            tanh_sinh(compile_fn(parse(src)), lo, hi, CFG)
+
+    def test_empty_and_reversed_ranges(self):
+        assert tanh_sinh(math.sin, 1.0, 1.0, CFG) == 0.0
+        with pytest.raises(ValueError):
+            tanh_sinh(math.sin, 1.0, 0.0, CFG)
+
+
 class TestRefineRoot:
     def test_converges(self):
         r = refine_root(math.cos, 1.0, 2.0, CFG)
@@ -261,6 +327,24 @@ class TestSolveResidual:
         assert len(pts) == 1
         assert pts[0].degenerate
         assert 0.4 < pts[0].xi < 0.5
+
+    @pytest.mark.parametrize("at_b", [False, True])
+    def test_a_stretch_at_the_forced_zero_is_dropped(self, at_b):
+        # x^8 (x - 0.5) sits below the zero threshold on [0, 0.08]: the kind
+        # of trivial zero an identity has at its anchor
+        iv = Interval(0.0, 1.0)
+        if at_b:
+            F, anchor, other = (lambda x: (1.0 - x) ** 8 * (0.5 - x)), iv.b, iv.a
+        else:
+            F, anchor, other = (lambda x: x ** 8 * (x - 0.5)), iv.a, iv.b
+        kept = solve_residual((F,), iv, CFG, TheoremId.PAWLIKOWSKA)
+        assert sorted(p.degenerate for p in kept) == [False, True]
+        pts = solve_residual((F,), iv, CFG, TheoremId.PAWLIKOWSKA, forced_zero=anchor)
+        assert [p.xi for p in pts] == pytest.approx([0.5], abs=1e-10)
+        assert not pts[0].degenerate
+        # a stretch at the other endpoint is still reported
+        assert solve_residual((F,), iv, CFG, TheoremId.PAWLIKOWSKA,
+                              forced_zero=other) == kept
 
     def test_exact_grid_zero_is_reported(self):
         xs = grid_points(Interval(0.0, 1.0), CFG)

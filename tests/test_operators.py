@@ -1,5 +1,7 @@
 """Running-integral operators on [0, 1] and the identities built on them."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import mvtlab.mvt_points
 import mvtlab.numerics
 import mvtlab.operators
+import mvtlab.verify
 from mvtlab.cli import main
 from mvtlab.expr import Var, compile_fn, compile_panels, parse
 from mvtlab.numerics import (
@@ -566,3 +570,30 @@ class TestCauchyFlett:
     def test_hypothesis_none_when_g_slope_vanishes(self):
         assert cauchy_flett_hypothesis(parse("x"), parse("x^2"),
                                        Interval(0.0, 1.0)) is None
+
+
+def test_whole_interval_samples_on_the_operator_list(monkeypatch):
+    # the coupling constants, the zero-mean total, the reported norms and
+    # every self-check side take whole-interval integrals; at ~4,100 samples
+    # a request adaptive Simpson made verification most of the work
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import request_list
+
+    samples = [0]
+
+    def counted(rule):
+        def whole(F, *args, **kwargs):
+            def sample(x):
+                samples[0] += 1
+                return F(x)
+            return rule(sample, *args, **kwargs)
+        return whole
+
+    for mod in (mvtlab.operators, mvtlab.verify, mvtlab.mvt_points):
+        monkeypatch.setattr(mod, "tanh_sinh", counted(mod.tanh_sinh))
+    requests = request_list("operator", 1)
+    for req in requests:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(list(req.argv)) in (0, 1, 2, 3)
+    assert 0 < samples[0] <= 1400 * len(requests)
