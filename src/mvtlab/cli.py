@@ -24,7 +24,7 @@ import time
 from .expr import Expr, ParseError, Var, _walk, evaluate, parse
 from .numerics import (
     DomainError, HypothesisError, Interval, NoRootFound, PointResult,
-    QuadratureError, SolverConfig, SolverError, TheoremId, _grid, close,
+    QuadratureError, SolverConfig, SolverError, TheoremId, close,
 )
 from .mvt_points import (
     cauchy_points, integral_mvt_points, lagrange_points, rolle_points,
@@ -160,7 +160,7 @@ def _parse_endpoint(text: str, name: str) -> float:
         e = parse(text)
     except ParseError as exc:
         raise _UsageError(f"endpoint {name}: {exc}") from exc
-    if any(isinstance(node, Var) for node in _walk(e)):
+    if any(isinstance(node, Var) for node, _ in _walk(e)):
         raise _UsageError(f"endpoint {name} must be a constant expression, got {text!r}")
     v = evaluate(e, 0.0)
     if not math.isfinite(v):
@@ -462,14 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Serve one request and return its exit code."""
-    try:
-        return _serve(argv)
-    finally:
-        # a grid at MAX_SCAN_POINTS holds 33.6 MB: keep none past the request
-        _grid.cache_clear()
-
-
-def _serve(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     if [] in vars(args).values():  # argparse's value for a lone "--" (--fn=--)
         _build_parser().error("an option value may not be a lone '--'")

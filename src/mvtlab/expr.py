@@ -10,8 +10,9 @@ subexpression once per point: ``compile_fn`` wraps one tree as a callable
 residual as a whole-grid loop plus their difference at one point (the
 grid scan and root polishing), and ``compile_panels`` wraps the
 integrands of running integrals as one loop that takes every grid
-panel's first Simpson step (operator prefix builds). Input nested deeper
-than MAX_DEPTH levels is rejected by the parser.
+panel's first Simpson step (operator prefix builds), with ``compile_fn``'s
+callables as its point functions. Input nested deeper than MAX_DEPTH
+levels is rejected by the parser.
 
 Each node memoizes its own first derivative (``differentiate``) and its
 compiled callable (``compile_fn``) in two slots outside its fields, so every
@@ -23,12 +24,17 @@ copying see only the fields.
 Generated code names a tree's constants ``c0, c1, ...`` by position and
 reads their values from the function's globals, so trees of one shape
 lower to the same source text whatever their coefficients. Each source
-text is compiled once per process: a least-recently-used memo, bounded by
+text is compiled once per process: ``_code``, a :class:`_Memo` bounded by
 the total length of the sources it holds (``_CODE_MEMO`` characters),
 maps it to its code object, which each compile function runs in a fresh
 copy of the globals holding that tree's own constants. A new tree
 therefore always gets new functions, and the same source gives the same
-code.
+code. The same memo class keeps the scan grids
+(:func:`~mvtlab.numerics.grid_points`), bounded in points.
+
+One iterative walk, ``_walk``, lists a tree's nodes for the parser's depth
+check, :func:`sign_sensitive_args` and the CLI's endpoint check, so those
+take a tree of any depth.
 
 Grammar (no implicit multiplication; unary minus binds tighter than ``^``,
 which is right-associative)::
@@ -50,8 +56,7 @@ import math
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from types import CodeType
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Bin", "Call",
@@ -373,33 +378,39 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str = "float(x)",
 _CODE_MEMO = 2 ** 17  # characters of generated source whose code objects _code keeps
 
 
-class _CodeMemo:
-    """Generated source text -> its code object, least recently used first.
+class _Memo:
+    """key -> value, least recently used first, bounded by total size.
 
-    The total length of the sources held stays within ``bound``, except that
-    the newest entry is always kept, so a source longer than the bound still
-    compiles. Sources are keyed by their text alone: the three compile
-    functions' sources begin with distinct ``def`` lines, so they never meet.
+    ``size(key)`` is an entry's size. The total size held stays within
+    ``bound``, except that the newest entry is always kept: an entry larger
+    than the bound is still made, and stays shared until the next miss.
     """
 
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.held = 0  # total length of the sources in codes
-        self.codes: OrderedDict[str, CodeType] = OrderedDict()
+    def __init__(self, bound: int, size: Callable[[Hashable], int]):
+        self.bound, self.size = bound, size
+        self.held = 0  # total size of the entries in items
+        self.items: OrderedDict = OrderedDict()
 
-    def __call__(self, src: str, filename: str) -> CodeType:
-        code = self.codes.get(src)
-        if code is not None:
-            self.codes.move_to_end(src)
-            return code
-        code = self.codes[src] = compile(src, filename, "exec")
-        self.held += len(src)
-        while self.held > self.bound and len(self.codes) > 1:
-            self.held -= len(self.codes.popitem(last=False)[0])
-        return code
+    def __call__(self, key: Hashable, make: Callable[[], object]):
+        value = self.items.get(key)
+        if value is not None:
+            self.items.move_to_end(key)
+            return value
+        value = self.items[key] = make()
+        self.held += self.size(key)
+        while self.held > self.bound and len(self.items) > 1:
+            self.held -= self.size(self.items.popitem(last=False)[0])
+        return value
 
 
-_code = _CodeMemo(_CODE_MEMO)
+# Source text -> code object, sized by the source's length. The compile
+# functions' sources begin with distinct ``def`` lines, so they never meet.
+_code = _Memo(_CODE_MEMO, len)
+
+
+def _run(src: str, kind: str, glb: dict) -> None:
+    """Run ``src``'s code, compiled once per process, into ``glb``."""
+    exec(_code(src, lambda: compile(src, f"<mvtlab.expr.{kind}>", "exec")), glb)
 
 
 def _indent(lines: list[str], depth: int) -> str:
@@ -430,7 +441,7 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
         glb = dict(_CODEGEN_GLOBALS)
         lines, (name,) = _lower((e,), glb)
         src = "def compiled(x):\n" + _indent(lines, 1) + f"    return {name}\n"
-        exec(_code(src, "<mvtlab.expr.compile_fn>"), glb)
+        _run(src, "compile_fn", glb)
         fn = glb["compiled"]
         object.__setattr__(e, "_compiled", fn)  # the node is frozen
     return fn
@@ -467,7 +478,7 @@ def compile_terms(exprs: Sequence[Expr]) -> tuple[
            + "def fold(x):\n"
            + "    at = grid((x,))\n"
            + f"    return {' - '.join(f'at[{i}][0]' for i in range(len(cols)))}\n")
-    exec(_code(src, "<mvtlab.expr.compile_terms>"), glb)
+    _run(src, "compile_terms", glb)
     return glb["grid"], glb["fold"]
 
 
@@ -481,7 +492,7 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
     ``integrands[k]`` and ``pointwise[k]`` (None for none) are expressions
     or plain callables; callables enter the generated code as globals it
     calls. ``q_points`` and ``p_points`` hold a point function for each:
-    the expression compiled as :func:`compile_fn` compiles it, or the
+    the expression's own memoized :func:`compile_fn` callable, or the
     callable itself (None where there is no pointwise part).
 
     ``panels(ends, tol, fallback)`` is one generated loop over the panels
@@ -493,10 +504,10 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
     taken with the expressions :func:`~mvtlab.numerics.integrate` uses, in
     their order, and accepted when ``integrate`` would accept it at
     tolerance ``tol`` and the result is finite; otherwise the panel's
-    integral is ``fallback(k, a, b, fa, fb)``. It returns the prefixes,
-    each integrand's running sum after every panel, and the tables, that
-    sum plus the pointwise part at b (the prefix where there is none).
-    Values equal the point functions' bit for bit. Like its sibling
+    integral is ``fallback(k, a, b)``. It returns the prefixes, each
+    integrand's running sum after every panel, and the tables, that sum
+    plus the pointwise part at b (the prefix where there is none). Values
+    equal the point functions' bit for bit. Like its sibling
     :func:`compile_terms`, which evaluates a residual's terms over a grid,
     it compiles each source text once per process.
     """
@@ -550,7 +561,7 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
                  # of which integrate() would replace
                  "if not (abs(delta) <= 15.0 * (tol * (1.0 + abs(whole)))"
                  " and part - part == 0.0):",
-                 f"    part = fallback({k}, a, b, fa{k}, {fb[k]})",
+                 f"    part = fallback({k}, a, b)",
                  f"acc{k} += part",
                  f"put{k}(acc{k})",
                  f"fa{k} = {fb[k]}"]
@@ -564,12 +575,8 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
     src = ("def panels(ends, tol, fallback):\n" + _indent(head, 1)
            + "    for b in ends[1:]:\n" + _indent(body, 2)
            + f"    return [{', '.join(f'prefix{k}' for k in qs)}], [{', '.join(tables)}]\n")
-    for j, fn in enumerate(fns):
-        if isinstance(fn, Expr):
-            lines, (name,) = _lower((fn,), glb, tag=f"_{j}")
-            src += f"def point{j}(x):\n" + _indent(lines, 1) + f"    return {name}\n"
-    exec(_code(src, "<mvtlab.expr.compile_panels>"), glb)
-    points = [glb[f"point{j}"] if isinstance(fn, Expr) else fn for j, fn in enumerate(fns)]
+    _run(src, "compile_panels", glb)
+    points = [compile_fn(fn) if isinstance(fn, Expr) else fn for fn in fns]
     return glb["panels"], points[:nq], points[nq:]
 
 
@@ -705,19 +712,22 @@ class _Parser:
                          expected="a number, name, or '('")
 
 
-def _depth(e: Expr) -> int:
-    deepest = 0
+def _walk(e: Expr) -> Iterator[tuple[Expr, int]]:
+    """Every node of ``e`` with its depth (the root's is 1), in pre-order.
+
+    The walk keeps an explicit stack, so a tree of any depth walks.
+    """
     stack = [(e, 1)]
     while stack:
         node, d = stack.pop()
-        deepest = max(deepest, d)
-        if isinstance(node, Bin):
-            stack += ((node.left, d + 1), (node.right, d + 1))
-        elif isinstance(node, Neg):
+        yield node, d
+        kind = type(node)
+        if kind is Bin:
+            stack += ((node.right, d + 1), (node.left, d + 1))
+        elif kind is Neg:
             stack.append((node.child, d + 1))
-        elif isinstance(node, Call):
+        elif kind is Call:
             stack.append((node.arg, d + 1))
-    return deepest
 
 
 def parse(source: str) -> Expr:
@@ -730,7 +740,7 @@ def parse(source: str) -> Expr:
     parser itself, well inside Python's recursion limit.
     """
     e = _Parser(source).parse()
-    if _depth(e) > MAX_DEPTH:
+    if any(d > MAX_DEPTH for _, d in _walk(e)):
         raise ParseError(0, f"expression tree deeper than {MAX_DEPTH} levels")
     return e
 
@@ -978,25 +988,11 @@ def substitute(e: Expr, replacement: Expr) -> Expr:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _walk(e: Expr) -> Iterator[Expr]:
-    yield e
-    if isinstance(e, Neg):
-        yield from _walk(e.child)
-    elif isinstance(e, Bin):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
-    elif isinstance(e, Call):
-        yield from _walk(e.arg)
-
-
 def sign_sensitive_args(e: Expr) -> list[Expr]:
     """Arguments of every abs()/sgn() node in ``e``.
 
     Where one of these changes sign, the function has a kink or jump that
     the symbolic derivative cannot see; smoothness scans check them.
     """
-    out = []
-    for node in _walk(e):
-        if isinstance(node, Call) and node.fn in ("abs", "sgn"):
-            out.append(node.arg)
-    return out
+    return [node.arg for node, _ in _walk(e)
+            if isinstance(node, Call) and node.fn in ("abs", "sgn")]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 
-from .expr import Const, Expr, Var, compile_fn, differentiate
+from .expr import Const, Expr, Var, compile_fn, differentiate, evaluate, sign_sensitive_args
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
-    TheoremId, close, one_sided_derivative, solve_residual,
+    TheoremId, close, grid_points, one_sided_derivative, solve_residual,
 )
 
 __all__ = [
@@ -29,8 +29,21 @@ MAX_SUM_ORDER = 12
 
 def endpoint_slopes(f: Expr, iv: Interval,
                     cfg: SolverConfig) -> tuple[float | None, float | None]:
-    """(f'(a), f'(b)), one-sided; None for one that does not exist finitely."""
-    return one_sided_derivative(f, iv.a, cfg), one_sided_derivative(f, iv.b, cfg)
+    """(f'(a), f'(b)), one-sided; None for one that does not exist finitely.
+
+    Where an abs()/sgn() argument in f is exactly 0 at an endpoint, f' there
+    holds sgn(0) = 0, no one-sided slope, so that endpoint's slope is read
+    at the scan-grid node nearest it strictly inside [a, b].
+    """
+    args = sign_sensitive_args(f)
+
+    def slope(x: float) -> float | None:
+        if any(evaluate(g, x) == 0.0 for g in args):
+            inside = [v for v in grid_points(iv, cfg) if iv.a < v < iv.b]
+            x = min(inside, key=lambda v: abs(v - x), default=x)
+        return one_sided_derivative(f, x, cfg)
+
+    return slope(iv.a), slope(iv.b)
 
 
 def _slope_gap_rate(f: Expr, iv: Interval, cfg: SolverConfig) -> float:

@@ -30,8 +30,9 @@ from functools import lru_cache
 from itertools import compress
 from typing import Callable, Sequence
 
+# compile_fn is unused here but bench/tracer.py patches it
 from .expr import (
-    Expr, compile_fn, compile_terms, differentiate, evaluate, sign_sensitive_args,
+    Expr, _Memo, compile_fn, compile_terms, differentiate, evaluate, sign_sensitive_args,
 )
 
 __all__ = [
@@ -209,19 +210,22 @@ class Points(list):
         self.hypothesis_satisfied = hypothesis_satisfied
 
 
-_GRID_MEMO = 4  # grids grid_points keeps: every grid that one request scans
+# the grids grid_points keeps, bounded in points: four of the default size
+_grids = _Memo(2 ** 14, lambda key: key[1])
 
 
 def grid_points(iv: Interval, cfg: SolverConfig, margin: float | None = None) -> list[float]:
     """Uniform grid of cfg.scan_points inside [a+m*(b-a), b-m*(b-a)].
 
     A shared, read-only list: the same interval, point count and margin
-    give the same list object, from a small memo of recent grids.
+    give the same list object, from a memo of recent grids holding at most
+    2^14 points, or else the newest grid alone, which stays shared until
+    the next miss.
     """
-    return _grid(iv, cfg.scan_points, cfg.endpoint_margin if margin is None else margin)
+    key = (iv, cfg.scan_points, cfg.endpoint_margin if margin is None else margin)
+    return _grids(key, lambda: _grid(*key))
 
 
-@lru_cache(maxsize=_GRID_MEMO)
 def _grid(iv: Interval, n: int, m: float) -> list[float]:
     lo = iv.a + m * iv.width
     hi = iv.b - m * iv.width
@@ -351,8 +355,7 @@ def _adapt(F, lo, hi, a, fa, b, fb, m, fm, whole, eps, depth):
 
 
 def integrate(F: Callable[[float], float], lo: float, hi: float,
-              cfg: SolverConfig, *, fa: float | None = None,
-              fb: float | None = None) -> float:
+              cfg: SolverConfig) -> float:
     """Adaptive Simpson integral of F over [lo, hi].
 
     The error target is ``cfg.quad_tol * (1 + |result|)`` using the initial
@@ -365,19 +368,15 @@ def integrate(F: Callable[[float], float], lo: float, hi: float,
     (an interior pole between samples). A non-finite
     interior sample is replaced likewise where F has a finite limit there
     (a removable singularity), and raises QuadratureError otherwise.
-
-    ``fa``/``fb`` are F(lo)/F(hi) when the caller has already sampled them
-    (adjacent panels share an endpoint); a missing or non-finite one is
-    sampled here as usual, so the result never depends on passing them.
+    It samples F at lo and hi itself; a caller holding those values gets
+    the same result.
     """
     if lo > hi:
         raise ValueError("integrate needs lo <= hi")
     if lo == hi:
         return 0.0
-    if fa is None or not math.isfinite(fa):
-        fa = _quad_sample(F, lo, lo, hi)
-    if fb is None or not math.isfinite(fb):
-        fb = _quad_sample(F, hi, lo, hi)
+    fa = _quad_sample(F, lo, lo, hi)
+    fb = _quad_sample(F, hi, lo, hi)
     m = 0.5 * (lo + hi)
     fm = _quad_sample(F, m, lo, hi)
     whole = (hi - lo) * (fa + 4.0 * fm + fb) / 6.0
@@ -674,16 +673,15 @@ def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig) -> bool
     there -- the symbolic derivative is blind to those kinks and jumps.
     """
     xs = grid_points(iv, cfg)
-    grid, _ = compile_terms((f, differentiate(f)))
-    fv, dv = grid(xs)
+    # the arguments are subtrees of f: their columns cost one append a point
+    grid, _ = compile_terms((f, differentiate(f), *sign_sensitive_args(f)))
+    fv, dv, *args = grid(xs)
     if not (all(map(math.isfinite, fv)) and all(map(math.isfinite, dv))
             and max(map(abs, dv)) <= cfg.singular_threshold):
         return False
-    for arg in sign_sensitive_args(f):
-        g = compile_fn(arg)
+    for col in args:
         last = 0.0  # last nonzero sign seen
-        for x in xs:
-            v = g(x)
+        for v in col:
             if not math.isfinite(v) or v == 0.0:
                 continue
             s = 1.0 if v > 0.0 else -1.0

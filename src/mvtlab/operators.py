@@ -195,12 +195,12 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
                                               [p for p, _ in pairs])
     errors: list[QuadratureError | None] = [None] * len(pairs)
 
-    def fallback(k: int, a: float, b: float, fa: float, fb: float) -> float:
+    def fallback(k: int, a: float, b: float) -> float:
         # a pair whose integrand has raised makes no further integrate()
         # calls: its values are never used, the error is raised below
         if errors[k] is None:
             try:
-                return integrate(q_calls[k], a, b, panel_cfg, fa=fa, fb=fb)
+                return integrate(q_calls[k], a, b, panel_cfg)
             except QuadratureError as exc:
                 errors[k] = exc
         return math.nan

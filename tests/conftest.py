@@ -8,6 +8,8 @@ them after the run so every session ends with a PASS/FAIL line per check.
 import contextlib
 import signal
 
+from mvtlab.expr import Bin, Call, Const, Neg, Var
+
 ACCEPTANCE: list[tuple[str, bool]] = []
 
 
@@ -36,3 +38,11 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def deep_abs_tree(depth):
+    """-abs(-abs(...abs(x-0.5)...)): ``depth`` levels of abs and Neg over x-0.5."""
+    e = Bin("-", Var(), Const(0.5))
+    for i in range(depth):
+        e = Neg(e) if i % 2 else Call("abs", e)
+    return e

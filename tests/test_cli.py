@@ -11,6 +11,7 @@ import pytest
 
 from conftest import deadline
 import mvtlab
+import mvtlab.expr
 import mvtlab.flett
 import mvtlab.numerics
 import mvtlab.verify
@@ -289,6 +290,15 @@ class TestClassifyCommand:
         assert code == 0
         assert rep["condition_vector"]["tong"] == "NotApplicable"
 
+    def test_a_kink_on_an_endpoint_keeps_its_one_sided_slope(self, capsys):
+        # abs(x-0.3) is linear on [0.3, 1]: both endpoint slopes are 1
+        code, rep, _ = run_json(capsys, "classify", "--fn", "abs(x-0.3)",
+                                "--a=0.3", "-b", "1", "--stable")
+        assert code == 0 and rep["condition_vector"]["flett"] == "Satisfied"
+        code, rep, _ = run_json(capsys, "solve", "flett", "--fn", "abs(x-0.3)",
+                                "--a=0.3", "-b", "1", "--stable")
+        assert code == 0 and rep["results"][0]["hypothesis_satisfied"] is True
+
 
 class TestOneProcess:
     """The parser is built once per process; main stays stateless."""
@@ -318,15 +328,50 @@ class TestOneProcess:
 
 
 class TestGridMemo:
-    @pytest.mark.parametrize("argv", [
-        ("solve", "lupu-4.6", "--fn", "exp(0.7*x)", "--gn", "x^3+0.3", "--stable"),
-        ("classify", "--fn", "x^3", "--a=-1", "-b", "1", "--stable"),
-        ("classify", "--fn", "x^3", "--a=-1", "-b", "oops"),
-    ])
-    def test_main_keeps_no_grid_after_it_returns(self, capsys, argv):
-        code, _, _ = run(capsys, *argv)
-        assert code in (0, 1, 2)
-        assert mvtlab.numerics._grid.cache_info().currsize == 0
+    """grid_points' memo is bounded in points, and outlives a request."""
+
+    LUPU = ("solve", "lupu-4.6", "--fn", "exp(0.7*x)", "--gn", "x^3+0.3", "--stable")
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """A fresh memo in place of the process's own; the grids it builds."""
+        own = mvtlab.numerics._grids
+        memo = mvtlab.expr._Memo(own.bound, own.size)
+        monkeypatch.setattr(mvtlab.numerics, "_grids", memo)
+        keys = []
+        original = mvtlab.numerics._grid
+
+        def grid(*key):
+            keys.append(key)
+            return original(*key)
+
+        monkeypatch.setattr(mvtlab.numerics, "_grid", grid)
+        return keys
+
+    def test_held_points_stay_within_the_bound(self, capsys, built):
+        memo = mvtlab.numerics._grids
+        for argv in (self.LUPU,
+                     ("classify", "--fn", "x^3", "--a=-1", "-b", "1", "--stable"),
+                     ("classify", "--fn", "x^3", "--a=-1", "-b", "1",
+                      "--scan-points", "20000", "--stable"),
+                     ("classify", "--fn", "sin(x)", "--a=-2", "-b", "3", "--stable")):
+            assert run(capsys, *argv)[0] == 0
+            held = sum(map(len, memo.items.values()))
+            assert memo.held == held
+            # a grid past the bound is kept alone, as the newest entry
+            assert held <= memo.bound or len(memo.items) == 1
+        assert any(key[1] == 20000 for key in built) and memo.held <= memo.bound
+
+    def test_an_operator_solve_past_the_bound_shares_one_node_list(self, capsys, built):
+        mvtlab.numerics._grids.bound = 100  # below the 4,096 points of the grid
+        assert run(capsys, *self.LUPU)[0] == 0
+        assert built == [(Interval(0.0, 1.0), 4096, 1e-9)]
+
+    def test_a_second_request_on_the_interval_hits(self, capsys, built):
+        assert run(capsys, *self.LUPU)[0] == 0
+        first = len(built)
+        assert run(capsys, *self.LUPU)[0] == 0
+        assert first == 1 and len(built) == first
 
 
 class TestCorpus:

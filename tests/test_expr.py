@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 import mvtlab.expr
+from conftest import deep_abs_tree
 from mvtlab.cli import main
 from mvtlab.expr import (
     Bin, Call, Const, FUNCTIONS, MAX_DEPTH, Neg, ParseError, Var,
@@ -423,7 +424,7 @@ class TestCodeMemo:
     @pytest.fixture
     def codes(self, monkeypatch):
         """A fresh, empty memo in place of the process's own."""
-        memo = mvtlab.expr._CodeMemo(mvtlab.expr._CODE_MEMO)
+        memo = mvtlab.expr._Memo(mvtlab.expr._CODE_MEMO, len)
         monkeypatch.setattr(mvtlab.expr, "_code", memo)
         return memo
 
@@ -431,7 +432,7 @@ class TestCodeMemo:
         t1, t2 = (parse(s) for s in self.SHAPE)
         f1, f2 = compile_fn(t1), compile_fn(t2)
         assert f1 is not f2 and f1.__code__ is f2.__code__
-        assert len(codes.codes) == 1
+        assert len(codes.items) == 1
         for t, f in ((t1, f1), (t2, f2)):
             assert all(same_float(f(x), evaluate(t, x)) for x in self.XS)
 
@@ -446,11 +447,19 @@ class TestCodeMemo:
             for x in self.XS:
                 assert same_float(fold(x), evaluate(ts[0], x) - evaluate(ts[1], x))
 
+    def test_panel_point_functions_are_the_trees_compiled_callables(self):
+        f, g = parse("exp(0.7*x)"), parse("x^3+0.3")
+        h = math.cos
+        panels, qs, ps = compile_panels([f, h], [g, None])
+        assert qs[0] is compile_fn(f) and qs[1] is h
+        assert ps[0] is compile_fn(g) and ps[1] is None
+        assert not [name for name in panels.__globals__ if name.startswith("point")]
+
     def test_one_shape_shares_one_panel_kernel(self, codes):
         ends = [0.0] + [i / 64 for i in range(1, 65)]
         builds = []
 
-        def fallback(k, a, b, fa, fb):  # every first Simpson step passes here
+        def fallback(k, a, b):  # every first Simpson step passes here
             raise AssertionError("fallback taken")
 
         for f in (parse(s) for s in self.SHAPE):
@@ -482,29 +491,29 @@ class TestCodeMemo:
         assert compile_fn(minus)(-1.0) == math.inf == evaluate(minus, -1.0)
 
     def test_the_held_source_stays_within_the_bound(self, monkeypatch):
-        memo = mvtlab.expr._CodeMemo(4096)
+        memo = mvtlab.expr._Memo(4096, len)
         monkeypatch.setattr(mvtlab.expr, "_code", memo)
         first = compile_fn(parse("x^1")).__code__
         second = compile_fn(parse("x^2")).__code__
         for k in range(3, 200):
             compile_fn(parse(f"x^{k}"))
             compile_fn(parse("x^1"))  # a hit makes it the most recently used
-            assert memo.held == sum(map(len, memo.codes)) <= 4096
-        assert len(memo.codes) > 10
+            assert memo.held == sum(map(len, memo.items)) <= 4096
+        assert len(memo.items) > 10
         assert compile_fn(parse("x^1")).__code__ is first
         assert compile_fn(parse("x^2")).__code__ is not second  # evicted, compiled anew
         # a source longer than the bound still compiles, and is kept alone
         long = parse("+".join(f"x^{k}" for k in range(1, 90)))
         assert compile_fn(long)(1.0) == 89.0
-        assert len(memo.codes) == 1 and memo.held > 4096
+        assert len(memo.items) == 1 and memo.held > 4096
         compile_fn(parse("x^3"))
-        assert len(memo.codes) == 1 and memo.held < 4096
+        assert len(memo.items) == 1 and memo.held < 4096
 
     def test_main_leaves_the_memo_filled(self, codes):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(["classify", "--fn", "x^3", "--a=-1", "-b", "1", "--stable"])
-        assert code == 0 and codes.codes and codes.held > 0
+        assert code == 0 and codes.items and codes.held > 0
 
     def test_classify_compiles_less_than_once_and_a_half_a_request(self, codes, monkeypatch):
         # a constant's value written into generated source would compile
@@ -554,6 +563,13 @@ class TestStructure:
         assert parse("x") in args
         assert parse("x-1") in args
         assert len(args) == 2
+
+    def test_sign_sensitive_args_of_a_deep_tree(self):
+        # built past the parser's depth cap, deeper than the recursion limit
+        e = deep_abs_tree(5000)
+        args = sign_sensitive_args(e)
+        assert len(args) == 2500
+        assert args[0] is e.child.arg and args[-1] == Bin("-", Var(), Const(0.5))
 
     def test_operator_overloading(self):
         e = (Var() + 1) * 2 - Var() ** 2

@@ -6,16 +6,34 @@ import pytest
 
 from mvtlab.expr import parse, substitute
 from mvtlab.generalized import (
-    MAX_SUM_ORDER, cakmak_tiryaki_points, pawlikowska_hypothesis,
+    MAX_SUM_ORDER, cakmak_tiryaki_points, endpoint_slopes, pawlikowska_hypothesis,
     pawlikowska_points, riedel_sahoo_points,
     second_order_points,
 )
 from mvtlab.flett import find_flett_points
-from mvtlab.numerics import DomainError, Interval
+from mvtlab.numerics import DEFAULT_CONFIG, DomainError, Interval, SolverConfig
 
 
 def xs(points):
     return [p.xi for p in points]
+
+
+class TestEndpointSlopes:
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SolverConfig(endpoint_margin=0.0)])
+    @pytest.mark.parametrize("text,a,b,want", [
+        # an abs()/sgn() argument exactly 0 on an endpoint: sgn(0) = 0 is
+        # no one-sided slope
+        ("abs(x-0.3)", 0.3, 1.0, (1.0, 1.0)),
+        ("x^2+abs(x)", 0.0, 1.0, (1.0, 3.0)),
+        ("abs(x)", -1.0, 0.0, (-1.0, -1.0)),
+        # a kink inside, and a zero slope without one, read f' on the endpoint
+        ("abs(x)", -1.0, 1.0, (-1.0, 1.0)),
+        ("x^3", 0.0, 1.0, (0.0, 3.0)),
+    ])
+    def test_one_sided_slopes(self, text, a, b, want, cfg):
+        got = endpoint_slopes(parse(text), Interval(a, b), cfg)
+        # the grid node next to an endpoint is within 1/4095 of it
+        assert got == pytest.approx(want, abs=1e-3)
 
 
 class TestRiedelSahoo:

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
+from conftest import deep_abs_tree
 from mvtlab.expr import parse
 from mvtlab.mvt_points import (
-    cauchy_points, integral_mvt_points, lagrange_points,
+    cauchy_points, integral_mean, integral_mvt_points, lagrange_points,
     rolle_hypothesis, rolle_points,
 )
-from mvtlab.numerics import DomainError, Interval, TheoremId
+from mvtlab.numerics import DomainError, Interval, SolverConfig, TheoremId
 
 PI = math.pi
 
@@ -117,3 +118,9 @@ class TestIntegralMvt:
     def test_discontinuous_raises(self):
         with pytest.raises(DomainError):
             integral_mvt_points(parse("ln(x)"), Interval(0.0, 1.0))
+
+    def test_mean_of_a_deep_tree(self):
+        # -|x - 0.5| under 5,000 levels of abs and Neg, past the recursion limit
+        fc, mean = integral_mean(deep_abs_tree(5000), Interval(0.0, 1.0),
+                                 SolverConfig(scan_points=64))
+        assert fc(0.0) == -0.5 and mean == pytest.approx(-0.25, abs=1e-12)

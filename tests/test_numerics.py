@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import mvtlab.numerics
 from conftest import deadline
 from mvtlab.expr import Const, Var, compile_fn, differentiate, parse
 from mvtlab.numerics import (
@@ -482,6 +483,29 @@ class TestSmoothnessChecks:
         # the derivative blows up only at the closed endpoints
         assert differentiable_on_interior(parse("asin(x)"),
                                           Interval(-1, 1), CFG)
+
+    @pytest.mark.parametrize("text,a,b,want", [
+        ("abs(x-0.3)", 0.0, 1.0, False),            # interior kink
+        ("sgn(x-0.4)+x", 0.0, 1.0, False),          # jump
+        ("abs(abs(x-0.5)-0.2)", 0.0, 1.0, False),   # outer kinks
+        ("abs(abs(x-0.5)-0.2)", 0.35, 0.65, False),  # the inner kink only
+        ("abs(abs(x-0.5)+0.2)", 0.6, 1.0, True),
+        ("x*abs(x-2)", 0.0, 1.0, True),
+        ("abs(x-0.3)", 0.3, 1.0, True),             # the kink on an endpoint
+    ])
+    def test_kinks_are_read_from_the_one_grid_pass(self, monkeypatch, text, a, b, want):
+        calls = []
+        original = mvtlab.numerics.compile_terms
+
+        def compile_terms(exprs):
+            calls.append("compile_terms")
+            return original(exprs)
+
+        monkeypatch.setattr(mvtlab.numerics, "compile_terms", compile_terms)
+        monkeypatch.setattr(mvtlab.numerics, "compile_fn",
+                            lambda e: calls.append("compile_fn"))
+        assert differentiable_on_interior(parse(text), Interval(a, b), CFG) is want
+        assert calls == ["compile_terms"]
 
 
 def test_point_result_defaults():

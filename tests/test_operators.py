@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import mvtlab.mvt_points
-import mvtlab.numerics
 import mvtlab.operators
 import mvtlab.verify
 from mvtlab.cli import main
@@ -103,14 +102,11 @@ def running_prefix(F, iv, cfg):
     panel, accumulated from iv.a, written out independently of the build."""
     nodes = grid_points(iv, cfg)
     panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
-    fa = F(nodes[0])
-    acc = integrate(F, iv.a, nodes[0], panel_cfg, fb=fa)
+    acc = integrate(F, iv.a, nodes[0], panel_cfg)
     prefix = [acc]
     for lo, hi in zip(nodes, nodes[1:]):
-        fb = F(hi)
-        acc += integrate(F, lo, hi, panel_cfg, fa=fa, fb=fb)
+        acc += integrate(F, lo, hi, panel_cfg)
         prefix.append(acc)
-        fa = fb
     return nodes, prefix
 
 
@@ -259,8 +255,8 @@ class TestBatchedBuild:
         panels, q_points, p_points = compile_panels([F, G], [None, G])
         assert q_points == [F, G] and p_points == [None, G]
 
-        def fallback(k, a, b, fa, fb):
-            return integrate(q_points[k], a, b, panel_cfg, fa=fa, fb=fb)
+        def fallback(k, a, b):
+            return integrate(q_points[k], a, b, panel_cfg)
 
         prefixes, tables = panels([iv.a] + nodes, panel_cfg.quad_tol, fallback)
         assert prefixes == [running_prefix(F, iv, cfg)[1], running_prefix(G, iv, cfg)[1]]
@@ -377,12 +373,19 @@ class TestColumns:
         k = residuals.index(min(residuals))
         assert (err.x, err.value) == (xs[k], residuals[k])
 
-    def test_lupu_4_6_builds_its_grid_once(self):
-        # the operator build and the three scans share one node list
-        mvtlab.numerics._grid.cache_clear()
+    def test_lupu_4_6_builds_its_grid_once(self, monkeypatch):
+        # the operator build and the three scans share one node list, so
+        # every scan reads each value's table
+        shared = []
+        original = OperatorValue.column
+
+        def column(self, xs):
+            shared.append(xs is self._nodes)
+            return original(self, xs)
+
+        monkeypatch.setattr(OperatorValue, "column", column)
         lupu_4_6_points(parse("exp(0.7*x)"), parse("1.2*x^3-0.5*x^2+x+0.3"))
-        info = mvtlab.numerics._grid.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert len(shared) == 6 and all(shared)
 
 
 class TestApplyHelpers:
