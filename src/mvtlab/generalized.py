@@ -13,7 +13,7 @@ import math
 from .expr import Const, Expr, Var, compile_fn, differentiate, evaluate, sign_sensitive_args
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
-    TheoremId, close, grid_points, one_sided_derivative, solve_residual,
+    TheoremId, close, one_sided_derivative, solve_residual,
 )
 
 __all__ = [
@@ -31,19 +31,19 @@ def endpoint_slopes(f: Expr, iv: Interval,
                     cfg: SolverConfig) -> tuple[float | None, float | None]:
     """(f'(a), f'(b)), one-sided; None for one that does not exist finitely.
 
-    Where an abs()/sgn() argument in f is exactly 0 at an endpoint, f' there
-    holds sgn(0) = 0, no one-sided slope, so that endpoint's slope is read
-    at the scan-grid node nearest it strictly inside [a, b].
+    Where an abs()/sgn() argument of f is 0 on an endpoint, f' there holds
+    sgn(0) = 0, so that slope is read up to 4 ulps inside, past the zero.
     """
     args = sign_sensitive_args(f)
 
-    def slope(x: float) -> float | None:
-        if any(evaluate(g, x) == 0.0 for g in args):
-            inside = [v for v in grid_points(iv, cfg) if iv.a < v < iv.b]
-            x = min(inside, key=lambda v: abs(v - x), default=x)
+    def slope(x: float, inward: float) -> float | None:
+        for _ in range(4):
+            if all(evaluate(g, x) != 0.0 for g in args):
+                break
+            x = math.nextafter(x, inward)
         return one_sided_derivative(f, x, cfg)
 
-    return slope(iv.a), slope(iv.b)
+    return slope(iv.a, iv.b), slope(iv.b, iv.a)
 
 
 def _slope_gap_rate(f: Expr, iv: Interval, cfg: SolverConfig) -> float:

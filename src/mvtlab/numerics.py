@@ -219,8 +219,8 @@ def grid_points(iv: Interval, cfg: SolverConfig, margin: float | None = None) ->
 
     A shared, read-only list: the same interval, point count and margin
     give the same list object, from a memo of recent grids holding at most
-    2^14 points, or else the newest grid alone, which stays shared until
-    the next miss.
+    2^14 points, or else the newest grid alone until the next miss. So a
+    request shares its margin and closed grids only up to 8,192 points.
     """
     key = (iv, cfg.scan_points, cfg.endpoint_margin if margin is None else margin)
     return _grids(key, lambda: _grid(*key))
