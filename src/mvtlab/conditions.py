@@ -14,7 +14,8 @@ fails to exist, either at an endpoint or anywhere on the interior grid.
 
 `classify` checks differentiability once: the slope-based checkers read one
 shared verdict, one pair of endpoint slopes and one pair of endpoint values,
-held by a private per-request context. Each public ``check_*`` function
+held by a private per-request context, and the point scan's hypothesis
+flag reads the same slopes. Each public ``check_*`` function
 builds its own context, so it gives the verdict classify would.
 
 `mvtlab corpus` runs classify on each record of a UTF-8 file (a file that
@@ -289,7 +290,7 @@ def classify(f: Expr, iv: Interval,
     """Run every checker and the point scan; never raises on checker failure.
 
     The checkers share one context, so f is scanned for differentiability
-    once. A checker that errors out internally is reported NotApplicable;
+    once and its endpoint slopes are read once. A checker that errors out internally is reported NotApplicable;
     the point scan failing (f not even evaluable near an endpoint) reports
     has_flett_point = False rather than aborting the vector.
     """
@@ -312,7 +313,7 @@ def classify(f: Expr, iv: Interval,
     except SolverError:
         t1_v, m1_v = Verdict.NotApplicable, Verdict.NotApplicable
     try:
-        has_point = bool(find_flett_points(f, iv, ctx.cfg))
+        has_point = bool(find_flett_points(f, iv, ctx.cfg, slopes=ctx.slopes))
     except SolverError:
         has_point = False
     return ConditionVector(flett=flett_v, trahan=trahan_v, tong=tong_v,

@@ -9,10 +9,10 @@ subexpression once per point: ``compile_fn`` wraps one tree as a callable
 (quadrature, endpoint values), ``compile_terms`` wraps the terms of a
 residual as a whole-grid loop plus their difference at one point (the
 grid scan and root polishing), and ``compile_panels`` wraps the
-integrands of running integrals as one loop that takes every grid
-panel's first Simpson step (operator prefix builds), with ``compile_fn``'s
-callables as its point functions. Input nested deeper than MAX_DEPTH
-levels is rejected by the parser.
+integrands of running integrals as one loop that takes one Simpson step
+over every pair of grid panels (operator prefix builds), with
+``compile_fn``'s callables as its point functions. Input nested deeper
+than MAX_DEPTH levels is rejected by the parser.
 
 Each node memoizes its own first derivative (``differentiate``) and its
 compiled callable (``compile_fn``) in two slots outside its fields, so every
@@ -496,36 +496,38 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
     callable itself (None where there is no pointwise part).
 
     ``panels(ends, tol, fallback)`` is one generated loop over the panels
-    [ends[i-1], ends[i]]. On each panel [a, b] it evaluates the integrands
-    at the points adaptive Simpson samples first, its quarter points and
-    midpoint, and the integrands and pointwise parts together at b, so a
-    subexpression they share is computed once; a panel's values at a are
-    the previous panel's at b. Each integrand's first Simpson step is
-    taken with the expressions :func:`~mvtlab.numerics.integrate` uses, in
-    their order, and accepted when ``integrate`` would accept it at
-    tolerance ``tol`` and the result is finite; otherwise the panel's
-    integral is ``fallback(k, a, b)``. It returns the prefixes, each
-    integrand's running sum after every panel, and the tables, that sum
-    plus the pointwise part at b (the prefix where there is none). Values
-    equal the point functions' bit for bit. Like its sibling
-    :func:`compile_terms`, which evaluates a residual's terms over a grid,
-    it compiles each source text once per process.
+    [ends[i-1], ends[i]]. It takes one Simpson step over each pair of
+    panels [a, b], [b, c] from ends[1] on: it evaluates the integrands at
+    the two panel midpoints, and the integrands and pointwise parts
+    together at b and at c, so a subexpression they share is computed
+    once; a pair's values at a are the previous pair's at c. Each
+    integrand's step compares Simpson over [a, c] on the nodes with
+    Simpson over each panel on its midpoint, with the error test of
+    :func:`~mvtlab.numerics.integrate` at tolerance ``tol``. A pair that
+    passes it with a finite result adds that result, Richardson-corrected,
+    and reads the running sum at b with the left panel's Simpson value; any
+    other pair, the first panel [ends[0], ends[1]] and an unpaired last
+    panel are integrated panel by panel as ``fallback(k, lo, hi)``. It
+    returns the prefixes, each integrand's running sum at every end past
+    ends[0], and the tables, that sum plus the pointwise part there (the
+    prefix where there is none). Samples equal the point functions' bit
+    for bit. Like its sibling :func:`compile_terms`, which evaluates a
+    residual's terms over a grid, it compiles each source text once per
+    process.
     """
-    glb = dict(_CODEGEN_GLOBALS, abs=abs)
+    glb = dict(_CODEGEN_GLOBALS, abs=abs, len=len, zip=zip)
     nq = len(integrands)
     fns = [*integrands, *pointwise]  # pointwise part k is fns[nq + k]
     for j, fn in enumerate(fns):
         if fn is not None and not isinstance(fn, Expr):
             glb[f"ext{j}"] = fn
 
-    def lower(js: Iterable[int], x: str, tag: str,
-              var: str | None = None) -> tuple[list[str], list[str | None]]:
+    def lower(js: Iterable[int], x: str, tag: str) -> tuple[list[str], list[str | None]]:
         # statements computing fns[j] at x for each j of js, and the names
-        # of the values (None for a missing pointwise part); expressions
-        # read x as var, callables get x itself
+        # of the values (None for a missing pointwise part); the ends are
+        # floats, so expressions read x as it is
         js = [j for j in js if fns[j] is not None]
-        lines, names = _lower([fns[j] for j in js if isinstance(fns[j], Expr)],
-                              glb, var or x, tag)
+        lines, names = _lower([fns[j] for j in js if isinstance(fns[j], Expr)], glb, x, tag)
         exprs = iter(names)
         out: list[str | None] = [None] * len(fns)
         for j in js:
@@ -536,44 +538,52 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
                 lines.append(f"e{j}{tag} = ext{j}({x})")
         return lines, out
 
-    qs = range(nq)
-    # the points past ends[0] are floats already
-    at_a, fa = lower(qs, "a", "_a", "float(a)")
-    at_lm, flm = lower(qs, "lm", "_lm")
-    at_m, fm = lower(qs, "m", "_m")
-    at_rm, frm = lower(qs, "rm", "_rm")
+    qs, ps = range(nq), range(nq, len(fns))
+    at_l, fl = lower(qs, "ml", "_ml")
     at_b, fb = lower(range(len(fns)), "b", "_b")
-    head = ["a = ends[0]", *at_a]
-    body = ["m = 0.5 * (a + b)", "lm = 0.5 * (a + m)", "rm = 0.5 * (m + b)",
-            "wl = m - a", "wr = b - m", "w = b - a", *at_lm, *at_m, *at_rm, *at_b]
+    at_r, fr = lower(qs, "mr", "_mr")
+    at_c, fc = lower(range(len(fns)), "c", "_c")
+    at_t, ft = lower(ps, "c", "_t")
+    head = ["a = ends[0]", "c = ends[1]", *at_c]
+    body = ["ml = 0.5 * (a + b)", "mr = 0.5 * (b + c)",
+            "wl = b - a", "wr = c - b", "w = c - a", *at_l, *at_b, *at_r, *at_c]
+    tail = ["c = ends[-1]", *at_t]
     tables = []
     for k in qs:
         head += [f"prefix{k} = []", f"put{k} = prefix{k}.append",
-                 f"fa{k} = {fa[k]}", f"acc{k} = -0.0"]
-        # integrate() and _adapt()'s expressions, in their order
-        body += [f"whole = w * (fa{k} + 4.0 * {fm[k]} + {fb[k]}) / 6.0",
-                 f"sl = wl * (fa{k} + 4.0 * {flm[k]} + {fm[k]}) / 6.0",
-                 f"sr = wr * ({fm[k]} + 4.0 * {frm[k]} + {fb[k]}) / 6.0",
+                 f"acc{k} = fallback({k}, a, c)", f"put{k}(acc{k})", f"fa{k} = {fc[k]}"]
+        # integrate()'s step over [a, c], with the panels for its halves
+        body += [f"whole = w * (fa{k} + 4.0 * {fb[k]} + {fc[k]}) / 6.0",
+                 f"sl = wl * (fa{k} + 4.0 * {fl[k]} + {fb[k]}) / 6.0",
+                 f"sr = wr * ({fb[k]} + 4.0 * {fr[k]} + {fc[k]}) / 6.0",
                  "delta = sl + sr - whole",
                  "part = sl + sr + delta / 15.0",
                  # every sample enters sl or sr with a positive weight (or
-                 # makes it nan), so a finite part means finite samples, none
-                 # of which integrate() would replace
-                 "if not (abs(delta) <= 15.0 * (tol * (1.0 + abs(whole)))"
-                 " and part - part == 0.0):",
-                 f"    part = fallback({k}, a, b)",
-                 f"acc{k} += part",
+                 # makes it nan), so a finite part means finite samples
+                 # and finite sl and sr
+                 "if abs(delta) <= 15.0 * (tol * (1.0 + abs(whole)))"
+                 " and part - part == 0.0:",
+                 f"    mid{k} = acc{k} + sl",
+                 f"    acc{k} += part",
+                 "else:",
+                 f"    mid{k} = acc{k} = acc{k} + fallback({k}, a, b)",
+                 f"    acc{k} += fallback({k}, b, c)",
+                 f"put{k}(mid{k})",
                  f"put{k}(acc{k})",
-                 f"fa{k} = {fb[k]}"]
-        if fb[nq + k] is None:
+                 f"fa{k} = {fc[k]}"]
+        tail += [f"acc{k} += fallback({k}, a, c)", f"put{k}(acc{k})"]
+        if fc[nq + k] is None:
             tables.append(f"prefix{k}")
         else:
-            head += [f"table{k} = []", f"tput{k} = table{k}.append"]
-            body.append(f"tput{k}({fb[nq + k]} + acc{k})")
+            head += [f"table{k} = []", f"tput{k} = table{k}.append",
+                     f"tput{k}({fc[nq + k]} + acc{k})"]
+            body += [f"tput{k}({fb[nq + k]} + mid{k})", f"tput{k}({fc[nq + k]} + acc{k})"]
+            tail.append(f"tput{k}({ft[nq + k]} + acc{k})")
             tables.append(f"table{k}")
-    body.append("a = b")
-    src = ("def panels(ends, tol, fallback):\n" + _indent(head, 1)
-           + "    for b in ends[1:]:\n" + _indent(body, 2)
+    body.append("a = c")
+    src = ("def panels(ends, tol, fallback):\n" + _indent(head + ["a = c"], 1)
+           + "    for b, c in zip(ends[2::2], ends[3::2]):\n" + _indent(body, 2)
+           + "    if len(ends) % 2:  # an unpaired last panel\n" + _indent(tail, 2)
            + f"    return [{', '.join(f'prefix{k}' for k in qs)}], [{', '.join(tables)}]\n")
     _run(src, "compile_panels", glb)
     points = [compile_fn(fn) if isinstance(fn, Expr) else fn for fn in fns]

@@ -15,11 +15,11 @@ import math
 from typing import Callable
 
 from .expr import Const, Expr, Var, compile_fn, differentiate
-from .generalized import endpoint_slopes, pawlikowska_hypothesis
+from .generalized import endpoint_slopes
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
-    TheoremId, one_sided_derivative, solve_residual,
+    TheoremId, close, one_sided_derivative, solve_residual,
 )
 
 __all__ = [
@@ -57,10 +57,16 @@ def flett_residual(f: Expr, a: float) -> Callable[[float], float]:
     return lambda x: d1(x) * (x - a) - (fc(x) - fa)
 
 
-def find_flett_points(f: Expr, iv: Interval,
-                      cfg: SolverConfig | None = None) -> list[PointResult]:
-    """All interior points where the tangent at x passes through (a, f(a))."""
-    return meyers_points(TheoremId.FLETT, f, iv, cfg)
+def find_flett_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None, *,
+                      slopes: tuple[float | None, float | None] | None = None
+                      ) -> list[PointResult]:
+    """All interior points where the tangent at x passes through (a, f(a)).
+
+    ``slopes`` are f's one-sided endpoint slopes, from
+    :func:`~mvtlab.generalized.endpoint_slopes`, for a caller that holds
+    them already; the hypothesis flag then reads them instead.
+    """
+    return meyers_points(TheoremId.FLETT, f, iv, cfg, slopes=slopes)
 
 
 def _variant_terms(tid: TheoremId, f: Expr, iv: Interval) -> tuple[Expr, Expr]:
@@ -88,7 +94,9 @@ def _variant_terms(tid: TheoremId, f: Expr, iv: Interval) -> tuple[Expr, Expr]:
 
 
 def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
-                      cfg: SolverConfig | None = None) -> bool | None:
+                      cfg: SolverConfig | None = None, *,
+                      slopes: tuple[float | None, float | None] | None = None
+                      ) -> bool | None:
     """Evaluate the sufficient condition attached to the variant.
 
     ``v`` is a Flett-family :class:`~mvtlab.numerics.TheoremId` or its
@@ -97,14 +105,15 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
     lands exactly on zero reports False here (the Trahan checker in the
     conditions module is the place boundary cases get their own verdict).
     None means an endpoint derivative the predicate needs does not exist
-    finitely.
+    finitely. ``slopes``, when given, are f's endpoint slopes as
+    :func:`~mvtlab.generalized.endpoint_slopes` reads them.
     """
     cfg = cfg or DEFAULT_CONFIG
     tid = _variant(v)
+    da, db = endpoint_slopes(f, iv, cfg) if slopes is None else slopes
     if tid in (TheoremId.FLETT, TheoremId.MEYERS_2_3, TheoremId.MEYERS_2_4,
                TheoremId.MEYERS_2_5):
-        return pawlikowska_hypothesis(f, iv, 1, cfg)
-    da, db = endpoint_slopes(f, iv, cfg)
+        return None if da is None or db is None else close(da, db, cfg.residual_tol)
     fc = compile_fn(f)
     fa, fb = fc(iv.a), fc(iv.b)
     if not (math.isfinite(fa) and math.isfinite(fb)):
@@ -122,14 +131,16 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
 
 
 def meyers_points(v: TheoremId | str, f: Expr, iv: Interval,
-                  cfg: SolverConfig | None = None) -> Points:
+                  cfg: SolverConfig | None = None, *,
+                  slopes: tuple[float | None, float | None] | None = None) -> Points:
     """Interior roots of the variant residual, hypothesis noted on each.
 
     ``v`` is a Flett-family theorem id or its string value, e.g.
     ``meyers_points(TheoremId.MEYERS_2_3, f, iv)`` or ``"meyers-2.3"``.
+    ``slopes`` go to :func:`meyers_hypothesis`.
     """
     cfg = cfg or DEFAULT_CONFIG
     tid = _variant(v)
     t1, t2 = _variant_terms(tid, f, iv)
-    hyp = meyers_hypothesis(tid, f, iv, cfg)
+    hyp = meyers_hypothesis(tid, f, iv, cfg, slopes=slopes)
     return solve_residual((t1, t2), iv, cfg, tid, hypothesis=hyp)

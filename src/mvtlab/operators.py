@@ -13,15 +13,19 @@ fraction of a panel containing them.
 
 A solver builds all its operator values in one pass with
 :func:`operator_values`: one generated panel kernel
-(:func:`~mvtlab.expr.compile_panels`) runs over the grid's panels,
-evaluating every integrand at each panel's first adaptive Simpson samples
-and every pointwise part at its right end, with the subexpressions they
-share computed once. The kernel takes the first Simpson step of every
-panel (whole panel, two halves, error test) with exactly the arithmetic
-:func:`~mvtlab.numerics.integrate` performs; a panel that fails the test,
-or has a non-finite sample, is integrated by ``integrate`` itself. The
-prefixes are therefore the ones a running ``integrate`` per panel gives,
-bit for bit.
+(:func:`~mvtlab.expr.compile_panels`) runs over the grid's panels in
+pairs, evaluating every integrand at the two nodes and two panel
+midpoints of each pair and every pointwise part at its nodes, with the
+subexpressions they share computed once. For each pair of panels the
+kernel takes one Simpson step: Simpson over the pair on its nodes against
+Simpson over each panel on its midpoint, with the error test of
+:func:`~mvtlab.numerics.integrate`. A pair that passes adds the
+Richardson-corrected sum, and its middle node reads the left panel's
+Simpson value. A pair that fails, or has a non-finite sample, the margin
+panel from the interval's left end to the first node, and an unpaired
+last panel are integrated by ``integrate`` itself, panel by panel. The
+prefixes therefore agree with a running ``integrate`` per panel to
+quadrature roundoff, with half its integrand samples.
 
 Integrals over the whole interval (the coupling constants, thm-4.9's
 zero-mean total, the reported weighted norms) are one
@@ -73,9 +77,11 @@ class OperatorValue:
     callables. The prefix cache is built eagerly on the scan grid
     ``grid_points(iv, cfg)`` -- the very floats solve_residual evaluates --
     with the partial panel from a to the first node folded into the first
-    prefix entry; :func:`operator_values` builds several values with one
-    generated panel kernel. It is immutable afterwards, so evaluation is
-    deterministic for a fixed config. A call reads the prefix at the last
+    prefix entry. The prefixes come from one Simpson step per pair of
+    adjacent panels, or from integrate() panel by panel where a pair fails
+    its error test (see :func:`_build`); :func:`operator_values` builds
+    several values with one generated panel kernel. It is immutable
+    afterwards, so evaluation is deterministic for a fixed config. A call reads the prefix at the last
     node at or below its argument (the first node, for arguments left of
     the grid), adds direct quadrature from there when off the node, and
     the pointwise part; :meth:`column` reads the table of both instead.
@@ -167,8 +173,9 @@ def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
 
     Equal, value for value, to ``[OperatorValue(p, q, iv, cfg) for p, q in
     pairs]``, and it raises what the first of those builds to fail raises.
-    One generated panel kernel evaluates all the integrands and pointwise
-    parts, so subexpressions they share are evaluated once per sample.
+    One generated panel kernel takes the paired Simpson steps of all the
+    integrands and evaluates the pointwise parts, so subexpressions they
+    share are evaluated once per sample.
     """
     return [OperatorValue._of(state) for state in _build(pairs, iv, cfg)]
 
@@ -178,13 +185,13 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
     """Each pair's OperatorValue state, from one run of a panel kernel.
 
     Panel k runs from node k-1 to node k, panel 0 from iv.a to node 0. The
-    kernel (:func:`~mvtlab.expr.compile_panels`) samples each panel's
-    integrands at the floats integrate() samples first, and its pointwise
-    parts at its right end only. It takes the first Simpson step itself
-    and accepts it exactly when integrate() would; other panels, and those
-    with a non-finite sample (whose arithmetic the error test alone does
-    not guard), go to integrate() itself. The prefixes are therefore the
-    ones a running integrate() per panel gives, bit for bit.
+    kernel (:func:`~mvtlab.expr.compile_panels`) takes one Simpson step
+    over each pair of panels from node 0 on, sampling the integrands at
+    the pair's nodes and panel midpoints and the pointwise parts at the
+    nodes only, and accepts it on integrate()'s error test with the
+    per-panel tolerance. The panels of a pair that fails, or has a
+    non-finite sample (whose arithmetic the error test alone does not
+    guard), panel 0 and an unpaired last panel go to integrate() itself.
     """
     cfg = cfg or DEFAULT_CONFIG
     nodes = grid_points(iv, cfg)

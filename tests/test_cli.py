@@ -675,9 +675,9 @@ class TestTheoremTable:
         calls = []
         original = mvtlab.flett.meyers_hypothesis
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
         for name, mod in list(sys.modules.items()):
             if name.startswith("mvtlab") and \

@@ -5,6 +5,8 @@ import math
 import pytest
 
 import mvtlab.conditions
+import mvtlab.flett
+import mvtlab.generalized
 from mvtlab.conditions import (
     ConditionVector, Verdict, check_flett_condition, check_malesevic,
     check_tong, check_trahan, classify, phi1, phi1_prime_at_a, tong_means,
@@ -157,6 +159,20 @@ class TestSharedContext:
         calls = self.counted_scans(monkeypatch)
         classify(parse(fn), Interval(a, b))
         assert len(calls) == 1
+
+    def test_classify_reads_the_endpoint_slopes_once(self, monkeypatch):
+        # the point scan's hypothesis flag reads the context's slopes
+        calls = []
+        slopes = mvtlab.generalized.endpoint_slopes
+
+        def counted(*args):
+            calls.append(args)
+            return slopes(*args)
+
+        for mod in (mvtlab.conditions, mvtlab.flett, mvtlab.generalized):
+            monkeypatch.setattr(mod, "endpoint_slopes", counted)
+        cv = classify(parse("x^3"), Interval(-2.0 / 3.0, 1.0))
+        assert cv.has_flett_point and len(calls) == 1
 
     @pytest.mark.parametrize("fn, a, b", CASES)
     def test_classify_matches_the_checkers_one_by_one(self, fn, a, b):

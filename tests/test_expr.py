@@ -458,9 +458,11 @@ class TestCodeMemo:
     def test_one_shape_shares_one_panel_kernel(self, codes):
         ends = [0.0] + [i / 64 for i in range(1, 65)]
         builds = []
+        calls = []
 
-        def fallback(k, a, b):  # every first Simpson step passes here
-            raise AssertionError("fallback taken")
+        def fallback(k, a, b):
+            calls.append((k, a, b))
+            return 0.0
 
         for f in (parse(s) for s in self.SHAPE):
             g = differentiate(f)
@@ -472,6 +474,10 @@ class TestCodeMemo:
             apart, _, _ = compile_panels([compile_fn(f)], [compile_fn(g)])
             assert apart.__code__ is not panels.__code__
             assert panels(ends, 1e-10, fallback) == apart(ends, 1e-10, fallback)
+            # every pair's Simpson step passes here: only the first panel
+            # and the unpaired last one are handed over
+            assert calls == [(0, 0.0, 1 / 64), (0, 63 / 64, 1.0)] * 2
+            calls.clear()
             builds.append((panels, qs[0], ps[0]))
         for one, two in zip(*builds):
             assert one is not two and one.__code__ is two.__code__

@@ -8,6 +8,7 @@ from mvtlab.expr import evaluate, parse, substitute
 from mvtlab.flett import (
     find_flett_points, flett_residual, meyers_hypothesis, meyers_points,
 )
+from mvtlab.generalized import endpoint_slopes
 from mvtlab.numerics import DEFAULT_CONFIG, Interval, TheoremId
 from mvtlab.verify import verify_point
 
@@ -46,6 +47,17 @@ class TestFlettPoints:
         pts = find_flett_points(parse("asin(x)"), Interval(-1.0, 1.0))
         assert xs(pts) == pytest.approx([0.6891577366451644], abs=1e-9)
         assert pts[0].hypothesis_satisfied is None
+
+    @pytest.mark.parametrize("fn, a, b", [
+        ("x^3+2*x-1", -2.0, 2.0), ("x^3", -0.5, 1.0), ("asin(x)", -1.0, 1.0),
+    ])
+    def test_given_slopes_give_the_same_points_and_flag(self, fn, a, b):
+        f, iv = parse(fn), Interval(a, b)
+        slopes = endpoint_slopes(f, iv, DEFAULT_CONFIG)
+        given = find_flett_points(f, iv, slopes=slopes)
+        read = find_flett_points(f, iv)
+        assert xs(given) == xs(read)
+        assert given.hypothesis_satisfied == read.hypothesis_satisfied
 
     def test_sine_long_interval(self):
         pts = find_flett_points(parse("sin(x)"), Interval(-PI / 2, 5 * PI / 2))

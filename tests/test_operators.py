@@ -98,8 +98,41 @@ class TestOperatorValue:
 
 
 def running_prefix(F, iv, cfg):
-    """The prefix the build must reproduce: one adaptive integrate() per
-    panel, accumulated from iv.a, written out independently of the build."""
+    """The prefix the build must reproduce, written out independently of the
+    build: one Simpson step over each pair of panels from the first node on,
+    accepted on integrate()'s error test when its result is finite; the
+    margin panel, an unpaired last panel and both panels of any other pair
+    take one integrate() each."""
+    nodes = grid_points(iv, cfg)
+    panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
+    acc = integrate(F, iv.a, nodes[0], panel_cfg)
+    prefix = [acc]
+    i = 0
+    while i + 2 < len(nodes):
+        a, b, c = nodes[i], nodes[i + 1], nodes[i + 2]
+        fa, fb, fc = F(a), F(b), F(c)
+        whole = (c - a) * (fa + 4.0 * fb + fc) / 6.0
+        sl = (b - a) * (fa + 4.0 * F(0.5 * (a + b)) + fb) / 6.0
+        sr = (c - b) * (fb + 4.0 * F(0.5 * (b + c)) + fc) / 6.0
+        delta = sl + sr - whole
+        eps = panel_cfg.quad_tol * (1.0 + abs(whole))
+        part = sl + sr + delta / 15.0
+        if abs(delta) <= 15.0 * eps and math.isfinite(part):
+            prefix += [acc + sl, acc + part]
+            acc += part
+        else:
+            mid = acc + integrate(F, a, b, panel_cfg)
+            acc = mid + integrate(F, b, c, panel_cfg)
+            prefix += [mid, acc]
+        i += 2
+    if i + 1 < len(nodes):
+        acc += integrate(F, nodes[i], nodes[i + 1], panel_cfg)
+        prefix.append(acc)
+    return nodes, prefix
+
+
+def per_panel_prefix(F, iv, cfg):
+    """One adaptive integrate() per panel, accumulated from iv.a."""
     nodes = grid_points(iv, cfg)
     panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
     acc = integrate(F, iv.a, nodes[0], panel_cfg)
@@ -107,7 +140,14 @@ def running_prefix(F, iv, cfg):
     for lo, hi in zip(nodes, nodes[1:]):
         acc += integrate(F, lo, hi, panel_cfg)
         prefix.append(acc)
-    return nodes, prefix
+    return prefix
+
+
+def structural_panels(iv, cfg):
+    """The panels every build hands to integrate(): the margin panel, and
+    the last panel when the panels past the first node do not pair up."""
+    nodes = grid_points(iv, cfg)
+    return [(iv.a, nodes[0])] + ([(nodes[-2], nodes[-1])] if len(nodes) % 2 == 0 else [])
 
 
 def count_integrate(monkeypatch):
@@ -123,7 +163,7 @@ def count_integrate(monkeypatch):
 
 
 class TestBatchedBuild:
-    """The batched first Simpson step gives the per-panel prefixes bit for bit."""
+    """The paired Simpson steps give running_prefix's prefixes bit for bit."""
 
     @pytest.mark.parametrize("text,iv,cfg,fallbacks", [
         ("exp(0.7*x)", Interval(0.0, 1.0), SolverConfig(), False),
@@ -139,8 +179,53 @@ class TestBatchedBuild:
         nodes, want = running_prefix(compile_fn(f), iv, cfg)
         calls = count_integrate(monkeypatch)
         v = OperatorValue(None, f, iv, cfg)
-        assert bool(calls) == fallbacks and len(calls) < len(nodes) // 10
+        structural = structural_panels(iv, cfg)
+        failed = [panel for panel in calls if panel not in structural]
+        assert calls == structural[:1] + failed + structural[1:]
+        assert bool(failed) == fallbacks and len(failed) < len(nodes) // 10
         assert [v(t) for t in nodes] == want
+
+    @pytest.mark.parametrize("text,iv,cfg", [
+        ("exp(0.7*x)", UNIT_INTERVAL, SolverConfig()),
+        ("sin(6*pi*x)", UNIT_INTERVAL, SolverConfig()),
+        ("sqrt(x)", UNIT_INTERVAL, SolverConfig()),
+        ("sqrt(1-x)", UNIT_INTERVAL, SolverConfig()),
+        ("abs(x-0.3)", UNIT_INTERVAL, SolverConfig()),
+        ("sin(x)/x", Interval(-1.0, 1.0), SolverConfig(scan_points=513, endpoint_margin=0.0)),
+        ("2*sin(6*pi*x)*exp(1.5*x)", UNIT_INTERVAL, SolverConfig()),
+    ])
+    def test_prefix_is_near_a_running_integrate_per_panel(self, text, iv, cfg):
+        F = compile_fn(parse(text))
+        v = OperatorValue(None, F, iv, cfg)
+        want = per_panel_prefix(F, iv, cfg)
+        got = v.column(grid_points(iv, cfg))
+        assert all(abs(p - q) <= cfg.quad_tol * (1.0 + abs(q)) for p, q in zip(got, want))
+
+    def test_a_default_build_samples_twice_a_panel(self):
+        # a Simpson step per panel took 4 new samples a panel (16,385)
+        calls = [0]
+
+        def F(x):
+            calls[0] += 1
+            return math.exp(0.7 * x) * math.cos(3.0 * x)
+
+        OperatorValue(None, F)
+        assert calls[0] <= 2 * len(grid_points(UNIT_INTERVAL, SolverConfig())) + 64
+
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(scan_points=8), SolverConfig(scan_points=9),
+        SolverConfig(scan_points=1001), SolverConfig(endpoint_margin=0.0),
+    ], ids=["8-points", "9-points", "1001-points", "no-margin"])
+    def test_odd_and_even_panel_counts_equal_the_reference(self, cfg):
+        # Simpson is exact on the cubic, so its pairs pass even on 8 points;
+        # sqrt(x) fails the test on the pairs next to 0
+        f, g = parse("sqrt(x)"), parse("1.2*x^3-0.5*x^2+x+0.3")
+        gc = compile_fn(g)
+        u, v = operator_values([(None, f), (g, g)], UNIT_INTERVAL, cfg)
+        nodes, want_u = running_prefix(compile_fn(f), UNIT_INTERVAL, cfg)
+        _, want_v = running_prefix(gc, UNIT_INTERVAL, cfg)
+        assert _bits(u.column(nodes)) == _bits(want_u)
+        assert _bits(v.column(nodes)) == _bits([gc(t) + p for t, p in zip(nodes, want_v)])
 
     def test_pointwise_table_equals_pointwise_plus_prefix(self):
         f = parse("sin(6*pi*x)")
@@ -184,38 +269,41 @@ class TestBatchedBuild:
             assert [u(t) for t in ts] == [w(t) for t in ts]
 
     @staticmethod
-    def _overflow_panel(pole):
-        # on one panel: fa = fb = 1, fm = 1e308, flm = -inf. The samples
-        # overflow the whole-panel estimate to inf, so the first error test
-        # passes (eps = inf) whatever flm is; integrate() replaces the -inf
-        # by a one-sided sample, or raises when that looks like a pole
+    def _overflow_pairs(pole):
+        # F is 1e308 at every node, -inf at every panel midpoint and 1
+        # elsewhere. On each pair the node samples overflow the whole-pair
+        # estimate to inf, so the error test passes (eps = inf) although sl
+        # and sr are -inf; the non-finite result sends both panels to
+        # integrate(), which replaces the -inf by a one-sided sample, or
+        # raises when that looks like a pole. (A node sample this large
+        # next to ordinary ones would make integrate() fail on its panel,
+        # so every node carries one, and the margin panel is empty.)
         cfg = SolverConfig(scan_points=8, endpoint_margin=0.0)
         nodes = grid_points(UNIT_INTERVAL, cfg)
-        a, b = nodes[3], nodes[4]
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
+        panels = list(zip(nodes, nodes[1:]))
+        mids = [0.5 * (a + b) for a, b in panels]
 
         def F(x):
-            if x == m:
+            if x in nodes:
                 return 1e308
-            if x == lm:
+            if x in mids:
                 return -math.inf
-            if pole and abs(x - lm) < 1e-6:
-                return 1.0 / (lm - x)
+            if pole and abs(x - mids[0]) < 1e-6:
+                return 1.0 / (mids[0] - x)
             return 1.0
 
-        return F, cfg, (a, b)
+        return F, cfg, panels
 
     def test_nonfinite_sample_takes_the_fallback(self, monkeypatch):
-        F, cfg, panel = self._overflow_panel(pole=False)
+        F, cfg, panels = self._overflow_pairs(pole=False)
         nodes, want = running_prefix(F, UNIT_INTERVAL, cfg)
         calls = count_integrate(monkeypatch)
         v = OperatorValue(None, F, UNIT_INTERVAL, cfg)
-        assert calls == [panel]
+        assert calls == [(0.0, 0.0)] + panels
         assert [v(t) for t in nodes] == want
 
     def test_nonfinite_sample_at_a_pole_raises(self):
-        F, cfg, _ = self._overflow_panel(pole=True)
+        F, cfg, _ = self._overflow_pairs(pole=True)
         with pytest.raises(QuadratureError):
             running_prefix(F, UNIT_INTERVAL, cfg)
         with pytest.raises(QuadratureError):
@@ -317,10 +405,11 @@ class TestColumns:
         assert sign_value.column(signed) != sign_value.column(nodes)
 
     def test_a_repeated_node_reads_the_copy_a_call_reads(self):
-        # the first panel's part is -0.0 (its quarter-point samples are so
-        # small that the products underflow); the zero-width panel to the
-        # first node's second copy adds +0.0, so the two copies' table
-        # entries differ in sign, and a call at that node reads the first
+        # the margin panel's integral is -0.0 (integrate()'s quarter-point
+        # samples are so small that the products underflow); the first
+        # pair's left panel, zero-width up to the first node's second copy,
+        # adds its Simpson value +0.0, so the two copies' table entries
+        # differ in sign, and a call at that node reads the first
         iv = Interval(1.0, 1.0 + 32 * 2.0 ** -52)
         cfg = SolverConfig(scan_points=64, endpoint_margin=0.25)
         nodes = grid_points(iv, cfg)
@@ -328,6 +417,7 @@ class TestColumns:
         v = OperatorValue(None, lambda x: -1e-310 if iv.a < x < nodes[0] and x != m0 else 0.0,
                           iv, cfg)
         assert nodes[0] == nodes[1]
+        assert _bits(v._table[:2]) == ["-0x0.0p+0", "0x0.0p+0"]
         assert _bits(v.column(nodes)) == _bits([v(x) for x in nodes])
         assert _bits(v.column(nodes)[:2]) == ["-0x0.0p+0"] * 2
 

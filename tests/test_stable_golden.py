@@ -5,10 +5,12 @@ theorem (the README examples and acceptance inputs) with the exit code and
 stdout captured while operator scans still ran one quadrature per scan
 point. Pointwise theorems must reproduce it byte for byte. The operator
 theorems now read their scan values from prefix integrals cached on the
-scan grid, which moves results by quadrature roundoff only: they must keep
-the exit code, request block, groups, hypothesis and degenerate flags and
-point counts, with every xi (and reported weighted norm) within 1e-12. The
-residual at a point is roundoff-sized and is not compared.
+scan grid, built with one Simpson step per pair of grid panels (and
+adaptive Simpson panel by panel where a pair fails its error test), which
+moves results by quadrature roundoff only: they must keep the exit code,
+request block, groups, hypothesis and degenerate flags and point counts,
+with every xi (and reported weighted norm) within 1e-12. The residual at a
+point is roundoff-sized and is not compared.
 """
 
 import contextlib
