@@ -23,7 +23,7 @@ import time
 
 from .expr import Expr, ParseError, Var, _walk, evaluate, parse
 from .numerics import (
-    DomainError, HypothesisError, Interval, NoRootFound, PointResult,
+    DomainError, HypothesisError, Interval, NoRootFound, PointResult, Points,
     QuadratureError, SolverConfig, SolverError, TheoremId, close,
 )
 from .mvt_points import (
@@ -49,23 +49,21 @@ _CONFIG_FIELDS = ("scan_points", "root_tol", "residual_tol", "quad_tol",
 
 
 def _flett_family(tid: TheoremId):
-    return ((tid,), lambda q: [meyers_points(tid, q.f, q.iv, q.cfg)], True)
+    return (tid,), lambda q: [meyers_points(tid, q.f, q.iv, q.cfg)]
 
 
 # solve command -> (the theorem ids it reports, the call giving one point
-# list per id, whether a group without points reports its hypothesis
-# flag). A group with points reads the flag from them: every solver stamps
-# it on each point. A group without points reads it from the Points list
-# solve_residual returned. The calls go through the names imported above,
-# which the benchmark's tracer (bench/tracer.py) wraps.
+# list per id). A group reports the hypothesis flag of the list its solver
+# returned: a Points list carries the flag its solver computed, with or
+# without points, and the operator solvers' plain lists carry none. The
+# calls go through the names imported above, which the benchmark's tracer
+# (bench/tracer.py) wraps.
 _SOLVES = {
-    "rolle": ((TheoremId.ROLLE,), lambda q: [rolle_points(q.f, q.iv, q.cfg)], True),
-    "lagrange": ((TheoremId.LAGRANGE,), lambda q: [lagrange_points(q.f, q.iv, q.cfg)],
-                 False),
-    "cauchy": ((TheoremId.CAUCHY,), lambda q: [cauchy_points(q.f, q.g, q.iv, q.cfg)],
-               False),
+    "rolle": ((TheoremId.ROLLE,), lambda q: [rolle_points(q.f, q.iv, q.cfg)]),
+    "lagrange": ((TheoremId.LAGRANGE,), lambda q: [lagrange_points(q.f, q.iv, q.cfg)]),
+    "cauchy": ((TheoremId.CAUCHY,), lambda q: [cauchy_points(q.f, q.g, q.iv, q.cfg)]),
     "integral-mvt": ((TheoremId.INTEGRAL_MVT,),
-                     lambda q: [integral_mvt_points(q.f, q.iv, q.cfg)], False),
+                     lambda q: [integral_mvt_points(q.f, q.iv, q.cfg)]),
     "flett": _flett_family(TheoremId.FLETT),
     "meyers-2.3": _flett_family(TheoremId.MEYERS_2_3),
     "meyers-2.4": _flett_family(TheoremId.MEYERS_2_4),
@@ -75,29 +73,26 @@ _SOLVES = {
     "meyers-2.8": _flett_family(TheoremId.MEYERS_2_8),
     "meyers-2.9": _flett_family(TheoremId.MEYERS_2_9),
     "riedel-sahoo": ((TheoremId.RIEDEL_SAHOO,),
-                     lambda q: [riedel_sahoo_points(q.f, q.iv, q.cfg)], False),
+                     lambda q: [riedel_sahoo_points(q.f, q.iv, q.cfg)]),
     "cakmak-tiryaki": ((TheoremId.CAKMAK_TIRYAKI,),
-                       lambda q: [cakmak_tiryaki_points(q.f, q.iv, q.cfg)], False),
+                       lambda q: [cakmak_tiryaki_points(q.f, q.iv, q.cfg)]),
     "second-order-a": ((TheoremId.SECOND_ORDER_A,),
-                       lambda q: [second_order_points("anchored_at_a", q.f, q.iv, q.cfg)],
-                       True),
+                       lambda q: [second_order_points("anchored_at_a", q.f, q.iv, q.cfg)]),
     "second-order-b": ((TheoremId.SECOND_ORDER_B,),
-                       lambda q: [second_order_points("anchored_at_b", q.f, q.iv, q.cfg)],
-                       True),
+                       lambda q: [second_order_points("anchored_at_b", q.f, q.iv, q.cfg)]),
     "pawlikowska": ((TheoremId.PAWLIKOWSKA,),
-                    lambda q: [pawlikowska_points(q.f, q.iv, q.n, q.cfg)], True),
+                    lambda q: [pawlikowska_points(q.f, q.iv, q.n, q.cfg)]),
     "cauchy-flett": ((TheoremId.CAUCHY_FLETT,),
-                     lambda q: [cauchy_flett_points(q.f, q.g, q.iv, q.cfg)], True),
-    "thm-4.9": ((TheoremId.THM_4_9,), lambda q: [thm_4_9_points(q.f, q.g, q.iv, q.cfg)],
-                True),
+                     lambda q: [cauchy_flett_points(q.f, q.g, q.iv, q.cfg)]),
+    "thm-4.9": ((TheoremId.THM_4_9,), lambda q: [thm_4_9_points(q.f, q.g, q.iv, q.cfg)]),
     "thm-4.10": ((TheoremId.THM_4_10,),
-                 lambda q: [thm_4_10_points(q.f, q.g, q.weight, q.cfg)], False),
+                 lambda q: [thm_4_10_points(q.f, q.g, q.weight, q.cfg)]),
     "weighted-norm": ((TheoremId.WEIGHTED_NORM,),
-                      lambda q: [[weighted_norm_point(q.f, q.g, q.weight, q.cfg)]], False),
+                      lambda q: [[weighted_norm_point(q.f, q.g, q.weight, q.cfg)]]),
     "lupu-4.6": ((TheoremId.LUPU_4_6_T, TheoremId.LUPU_4_6_TS, TheoremId.LUPU_4_6_S),
-                 lambda q: [[p] for p in lupu_4_6_points(q.f, q.g, q.cfg)], False),
+                 lambda q: [[p] for p in lupu_4_6_points(q.f, q.g, q.cfg)]),
     "lupu-4.7": ((TheoremId.LUPU_4_7_T, TheoremId.LUPU_4_7_S),
-                 lambda q: [[p] for p in lupu_4_7_points(q.f, q.g, q.cfg)], False),
+                 lambda q: [[p] for p in lupu_4_7_points(q.f, q.g, q.cfg)]),
 }
 
 
@@ -220,12 +215,10 @@ def _interval_for(args, unit_only: str | None) -> Interval:
         raise _UsageError(str(exc)) from exc
 
 
-def _group(tid: TheoremId, pts: list[PointResult],
-           fallback_hyp: bool | None) -> dict:
-    hyp = pts[0].hypothesis_satisfied if pts else fallback_hyp
+def _group(tid: TheoremId, pts: list[PointResult]) -> dict:
     return {
         "theorem_id": str(tid),
-        "hypothesis_satisfied": hyp,
+        "hypothesis_satisfied": pts.hypothesis_satisfied if isinstance(pts, Points) else None,
         "points": [{"xi": p.xi, "residual": p.residual} for p in pts],
         "degenerate": any(p.degenerate for p in pts),
     }
@@ -245,7 +238,7 @@ def _input_fn(text: str | None, flag: str, theorem: str, taken: bool) -> Expr | 
 
 def _cmd_solve(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, int]:
     theorem = args.theorem
-    ids, find_points, reports_flag = _SOLVES[theorem]
+    ids, find_points = _SOLVES[theorem]
     thms = [THEOREMS[tid] for tid in ids]
     f = _parse_fn(args.fn, "--fn")
     g = _input_fn(args.gn, "--gn", theorem, any(t.needs_g for t in thms))
@@ -257,14 +250,13 @@ def _cmd_solve(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, in
     n = args.n if args.n is not None else 1
     q = Inputs(f, g, weight, iv, n, cfg)
 
-    groups: list[tuple[TheoremId, list[PointResult], bool | None]] = []
+    groups: list[tuple[TheoremId, list[PointResult]]] = []
     code = 0
     try:
-        groups = [(tid, pts, pts.hypothesis_satisfied if reports_flag and not pts else None)
-                  for tid, pts in zip(ids, find_points(q))]
+        groups = list(zip(ids, find_points(q)))
     except HypothesisError as exc:
         print(f"hypothesis not satisfied: {exc}", file=sys.stderr)
-        groups = [(tid, [], False) for tid in ids]
+        groups = [(tid, Points(hypothesis_satisfied=False)) for tid in ids]
         code = 1
     except (NoRootFound, DomainError, QuadratureError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
@@ -275,8 +267,8 @@ def _cmd_solve(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, in
     result_dicts = []
     total_points = 0
     any_hyp_false = False
-    for tid, pts, fallback in groups:
-        d = _group(tid, pts, fallback)
+    for tid, pts in groups:
+        d = _group(tid, pts)
         if tid is TheoremId.WEIGHTED_NORM and pts:
             nf, ng = weighted_norms(f, g, weight, pts[0].xi, cfg)
             d["weighted_norms"] = [nf, ng]
@@ -292,7 +284,7 @@ def _cmd_solve(args, cfg: SolverConfig, overrides: dict) -> tuple[dict, list, in
                       if code == 1 else "no points found")
             print(reason, file=sys.stderr)
         else:
-            for tid, pts, _ in groups:
+            for tid, pts in groups:
                 for p in pts:
                     chk = _check(tid, q, p.xi)
                     if not chk.ok:

@@ -31,7 +31,7 @@ from enum import Enum
 
 from .expr import Expr, compile_fn, differentiate, evaluate
 from .flett import find_flett_points
-from .generalized import endpoint_slopes
+from .generalized import endpoint_slopes, slopes_agree
 from .mvt_points import integral_mean
 # integrate and one_sided_derivative are unused here but bench/tracer.py patches them
 from .numerics import (
@@ -144,12 +144,10 @@ class _Context:
 
 
 def _flett(ctx: _Context) -> Verdict:
-    if not ctx.smooth:
+    agree = slopes_agree(ctx.slopes, ctx.cfg) if ctx.smooth else None
+    if agree is None:
         return Verdict.NotApplicable
-    da, db = ctx.slopes
-    if da is None or db is None:
-        return Verdict.NotApplicable
-    return Verdict.Satisfied if close(da, db, ctx.cfg.residual_tol) else Verdict.NotSatisfied
+    return Verdict.Satisfied if agree else Verdict.NotSatisfied
 
 
 def check_flett_condition(f: Expr, iv: Interval,
@@ -285,6 +283,14 @@ def check_malesevic(f: Expr, iv: Interval,
     return _malesevic(_Context(f, iv, cfg))
 
 
+def _guarded(check, ctx: _Context, fallback):
+    """check(ctx), or ``fallback`` when it raises SolverError."""
+    try:
+        return check(ctx)
+    except SolverError:
+        return fallback
+
+
 def classify(f: Expr, iv: Interval,
              cfg: SolverConfig | None = None) -> ConditionVector:
     """Run every checker and the point scan; never raises on checker failure.
@@ -295,27 +301,13 @@ def classify(f: Expr, iv: Interval,
     has_flett_point = False rather than aborting the vector.
     """
     ctx = _Context(f, iv, cfg)
-    try:
-        flett_v = _flett(ctx)
-    except SolverError:
-        flett_v = Verdict.NotApplicable
-    try:
-        trahan_v, trahan_detail = _trahan(ctx)
-    except SolverError:
-        trahan_v, trahan_detail = Verdict.NotApplicable, None
-    try:
-        m, i = _tong_means(ctx)
-        tong_v = _tong_verdict(m, i, ctx.cfg)
-    except SolverError:
-        tong_v, m, i = Verdict.NotApplicable, None, None
-    try:
-        t1_v, m1_v = _malesevic(ctx)
-    except SolverError:
-        t1_v, m1_v = Verdict.NotApplicable, Verdict.NotApplicable
-    try:
-        has_point = bool(find_flett_points(f, iv, ctx.cfg, slopes=ctx.slopes))
-    except SolverError:
-        has_point = False
+    flett_v = _guarded(_flett, ctx, Verdict.NotApplicable)
+    trahan_v, trahan_detail = _guarded(_trahan, ctx, (Verdict.NotApplicable, None))
+    m, i = _guarded(_tong_means, ctx, (None, None))
+    tong_v = Verdict.NotApplicable if m is None else _tong_verdict(m, i, ctx.cfg)
+    t1_v, m1_v = _guarded(_malesevic, ctx, (Verdict.NotApplicable, Verdict.NotApplicable))
+    has_point = _guarded(lambda c: bool(find_flett_points(f, iv, c.cfg, slopes=c.slopes)),
+                         ctx, False)
     return ConditionVector(flett=flett_v, trahan=trahan_v, tong=tong_v,
                            malesevic_t1=t1_v, malesevic_m1=m1_v,
                            has_flett_point=has_point, m_of_f=m, i_of_f=i,

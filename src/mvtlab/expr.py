@@ -14,6 +14,17 @@ over every pair of grid panels (operator prefix builds), with
 ``compile_fn``'s callables as its point functions. Input nested deeper
 than MAX_DEPTH levels is rejected by the parser.
 
+A derivative order is built in one pass (``_d``): every node it makes
+goes through simplify's rule for its kind, with its children already
+simplified, and each distinct subtree of the input, by identity, is
+simplified once and differentiated once. The textbook rules repeat their
+operands (the product rule names u and v twice), so the result is a tree
+whose repeated subtrees are shared objects: the order-8 derivative of
+exp(sin(x))*ln(x+2) has 291,897 positions but 11,048 node objects. The
+tree equals the one simplify would make of the rules' plain copy, and
+everything that reads trees visits each distinct node once, except the
+recursive ``unparse``, ``substitute``, equality and hashing.
+
 Each node memoizes its own first derivative (``differentiate``) and its
 compiled callable (``compile_fn``) in two slots outside its fields, so every
 consumer of one tree shares one derivative chain and one compile per tree.
@@ -32,9 +43,9 @@ therefore always gets new functions, and the same source gives the same
 code. The same memo class keeps the scan grids
 (:func:`~mvtlab.numerics.grid_points`), bounded in points.
 
-One iterative walk, ``_walk``, lists a tree's nodes for the parser's depth
-check, :func:`sign_sensitive_args` and the CLI's endpoint check, so those
-take a tree of any depth.
+One iterative walk, ``_walk``, lists a tree's distinct nodes for the
+parser's depth check, :func:`sign_sensitive_args` and the CLI's endpoint
+check, so those take a tree of any depth.
 
 Grammar (no implicit multiplication; unary minus binds tighter than ``^``,
 which is right-associative)::
@@ -241,30 +252,49 @@ _FN_EVAL: dict[str, Callable[[float], float]] = {
 }
 
 
+def _fold_bin(op: str, a: float, b: float) -> float:
+    """The binary operator ``op`` (one of + - * / ^) on two values."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return _div(a, b)
+    return _pow(a, b)
+
+
 def evaluate(e: Expr, x: float) -> float:
-    """Evaluate ``e`` at ``x`` on the extended real line (nan = undefined)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
+    """Evaluate ``e`` at ``x`` on the extended real line (nan = undefined).
+
+    Each distinct node, by identity, is evaluated once per call, so a tree
+    whose subtrees are shared (a derivative's are) costs its distinct
+    nodes, not its positions.
+    """
+    return _evaluate(e, x, {})
+
+
+def _evaluate(node: Expr, x: float, memo: dict[int, float]) -> float:
+    # the memo is passed in, not closed over, for the reason _Step gives
+    kind = type(node)
+    if kind is Const:
+        return node.value
+    if kind is Var:
         return float(x)
-    if isinstance(e, Neg):
-        return -evaluate(e.child, x)
-    if isinstance(e, Bin):
-        lv = evaluate(e.left, x)
-        rv = evaluate(e.right, x)
-        op = e.op
-        if op == "+":
-            return lv + rv
-        if op == "-":
-            return lv - rv
-        if op == "*":
-            return lv * rv
-        if op == "/":
-            return _div(lv, rv)
-        return _pow(lv, rv)
-    if isinstance(e, Call):
-        return _FN_EVAL[e.fn](evaluate(e.arg, x))
-    raise TypeError(f"not an Expr node: {e!r}")
+    v = memo.get(id(node))
+    if v is None:
+        if kind is Neg:
+            v = -_evaluate(node.child, x, memo)
+        elif kind is Bin:
+            v = _fold_bin(node.op, _evaluate(node.left, x, memo),
+                          _evaluate(node.right, x, memo))
+        elif kind is Call:
+            v = _FN_EVAL[node.fn](_evaluate(node.arg, x, memo))
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        memo[id(node)] = v
+    return v
 
 
 # Names the generated code reads from its globals. Locals are x, t0, t1, ...
@@ -723,13 +753,19 @@ class _Parser:
 
 
 def _walk(e: Expr) -> Iterator[tuple[Expr, int]]:
-    """Every node of ``e`` with its depth (the root's is 1), in pre-order.
+    """Every distinct node of ``e`` with its depth (the root's is 1), in pre-order.
 
-    The walk keeps an explicit stack, so a tree of any depth walks.
+    A subtree shared by several parents (a derivative shares many) is
+    walked once, at its first position. The walk keeps an explicit stack,
+    so a tree of any depth walks.
     """
     stack = [(e, 1)]
+    seen: set[int] = set()
     while stack:
         node, d = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         yield node, d
         kind = type(node)
         if kind is Bin:
@@ -811,55 +847,115 @@ def unparse(e: Expr) -> str:
 
 
 def _d(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0)
-    if isinstance(e, Neg):
-        return Neg(_d(e.child))
-    if isinstance(e, Bin):
-        u, v = e.left, e.right
-        if e.op == "+" or e.op == "-":
-            return Bin(e.op, _d(u), _d(v))
-        if e.op == "*":
-            return _d(u) * v + u * _d(v)
-        if e.op == "/":
-            return (_d(u) * v - u * _d(v)) / (v ** Const(2.0))
-        # power: split on which side carries x
-        if isinstance(v, Const):
-            return Const(v.value) * u ** Const(v.value - 1.0) * _d(u)
-        if isinstance(u, Const):
-            return Bin("^", u, v) * Call("ln", u) * _d(v)
-        return Bin("^", u, v) * (_d(v) * Call("ln", u) + v * _d(u) / u)
-    if isinstance(e, Call):
-        u = e.arg
-        du = _d(u)
-        f = e.fn
-        if f == "sin":
-            return Call("cos", u) * du
-        if f == "cos":
-            return Neg(Call("sin", u)) * du
-        if f == "tan":
-            return du / Call("cos", u) ** Const(2.0)
-        if f == "asin":
-            return du / Call("sqrt", Const(1.0) - u ** Const(2.0))
-        if f == "acos":
-            return Neg(du / Call("sqrt", Const(1.0) - u ** Const(2.0)))
-        if f == "atan":
-            return du / (Const(1.0) + u ** Const(2.0))
-        if f == "exp":
-            return Call("exp", u) * du
-        if f == "ln":
-            return du / u
-        if f == "sqrt":
-            return du / (Const(2.0) * Call("sqrt", u))
-        if f == "abs":
-            return Call("sgn", u) * du
-        if f == "sgn":
-            # the distributional point mass at sign changes is dropped;
-            # callers detect those points separately
-            return Const(0.0)
-    raise TypeError(f"not an Expr node: {e!r}")
+    """The first derivative of ``e``, simplified, built in one pass.
+
+    The tree equals ``simplify`` of the textbook rules' tree: every node is
+    made by simplify's rule for its kind (:func:`_neg`, :func:`_call`,
+    :func:`_bin`) from children already simplified. Each distinct subtree
+    of ``e``, by identity, is simplified once and differentiated once, so
+    the subtrees a derivative repeats are shared, not copied.
+    """
+    return _Step().d(e)
+
+
+class _Step:
+    """The two memos of one :func:`_d` pass (or :func:`simplify`), by node identity.
+
+    ``d`` gives a subtree's simplified derivative and ``s`` its simplified
+    copy, each once per distinct subtree. The subtrees must outlive the
+    step, since their ids are the keys. Methods over an object, not
+    closures: a recursive closure is a reference cycle, which only the
+    cyclic garbage collector frees, and one per call made classify run
+    eight times the collections.
+    """
+
+    __slots__ = ("derived", "simplified")
+
+    def __init__(self):
+        self.derived: dict[int, Expr] = {}
+        self.simplified: dict[int, Expr] = {}
+
+    def s(self, e: Expr) -> Expr:
+        out = self.simplified.get(id(e))
+        if out is None:
+            kind = type(e)
+            if kind is Const or kind is Var:
+                out = e
+            elif kind is Neg:
+                out = _neg(self.s(e.child))
+            elif kind is Call:
+                out = _call(e.fn, self.s(e.arg))
+            elif kind is Bin:
+                out = _bin(e.op, self.s(e.left), self.s(e.right))
+            else:
+                raise TypeError(f"not an Expr node: {e!r}")
+            self.simplified[id(e)] = out
+        return out
+
+    # one method, not a memo wrapper around the rules, so that a tree
+    # level costs one frame of recursion
+    def d(self, node: Expr) -> Expr:
+        out = self.derived.get(id(node))
+        if out is not None:
+            return out
+        d, s = self.d, self.s
+        if isinstance(node, Const):
+            out = Const(0.0)
+        elif isinstance(node, Var):
+            out = Const(1.0)
+        elif isinstance(node, Neg):
+            out = _neg(d(node.child))
+        elif isinstance(node, Bin):
+            u, v = node.left, node.right
+            if node.op == "+" or node.op == "-":
+                out = _bin(node.op, d(u), d(v))
+            elif node.op == "*":
+                out = _bin("+", _bin("*", d(u), s(v)), _bin("*", s(u), d(v)))
+            elif node.op == "/":
+                num = _bin("-", _bin("*", d(u), s(v)), _bin("*", s(u), d(v)))
+                out = _bin("/", num, _bin("^", s(v), Const(2.0)))
+            # power: split on which side carries x
+            elif isinstance(v, Const):
+                power = _bin("^", s(u), Const(v.value - 1.0))
+                out = _bin("*", _bin("*", Const(v.value), power), d(u))
+            elif isinstance(u, Const):
+                out = _bin("*", _bin("*", s(node), _call("ln", s(u))), d(v))
+            else:
+                inner = _bin("+", _bin("*", d(v), _call("ln", s(u))),
+                             _bin("/", _bin("*", s(v), d(u)), s(u)))
+                out = _bin("*", s(node), inner)
+        elif isinstance(node, Call):
+            u, f = node.arg, node.fn
+            du = d(u)
+            if f == "sin":
+                out = _bin("*", _call("cos", s(u)), du)
+            elif f == "cos":
+                out = _bin("*", _neg(_call("sin", s(u))), du)
+            elif f == "tan":
+                out = _bin("/", du, _bin("^", _call("cos", s(u)), Const(2.0)))
+            elif f == "asin" or f == "acos":
+                root = _call("sqrt", _bin("-", Const(1.0), _bin("^", s(u), Const(2.0))))
+                out = _bin("/", du, root)
+                if f == "acos":
+                    out = _neg(out)
+            elif f == "atan":
+                out = _bin("/", du, _bin("+", Const(1.0), _bin("^", s(u), Const(2.0))))
+            elif f == "exp":
+                out = _bin("*", s(node), du)
+            elif f == "ln":
+                out = _bin("/", du, s(u))
+            elif f == "sqrt":
+                out = _bin("/", du, _bin("*", Const(2.0), s(node)))
+            elif f == "abs":
+                out = _bin("*", _call("sgn", s(u)), du)
+            elif f == "sgn":
+                # the distributional point mass at sign changes is dropped;
+                # callers detect those points separately
+                out = Const(0.0)
+        if out is None:
+            raise TypeError(f"not an Expr node: {node!r}")
+        self.derived[id(node)] = out
+        return out
 
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
@@ -868,7 +964,8 @@ def differentiate(e: Expr, order: int = 1) -> Expr:
     Each order step is memoized on the node it differentiates, so
     ``differentiate(f, 3) is differentiate(differentiate(differentiate(f)))``
     and a chain f, f', f'', ... is built once however many callers walk it,
-    for as long as f lives.
+    for as long as f lives. An order's tree shares the subtrees it repeats
+    (see :func:`_d`), so its node objects grow far slower than its positions.
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"derivative order must be a positive integer, got {order!r}")
@@ -876,14 +973,16 @@ def differentiate(e: Expr, order: int = 1) -> Expr:
     for _ in range(order):
         d = getattr(out, "_derivative", None)
         if d is None:
-            d = simplify(_d(out))
+            d = _d(out)
             object.__setattr__(out, "_derivative", d)  # the node is frozen
         out = d
     return out
 
 
 # ---------------------------------------------------------------------------
-# Simplification
+# Simplification: one rule per node kind, each given children already
+# simplified. simplify applies them bottom-up; _d builds every node it makes
+# through them.
 
 
 def _is_const(e: Expr, value: float | None = None) -> bool:
@@ -892,91 +991,79 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
     return value is None or e.value == value
 
 
-def _fold_bin(op: str, a: float, b: float) -> float:
+def _neg(c: Expr) -> Expr:
+    if isinstance(c, Const):
+        return Const(-c.value)
+    if isinstance(c, Neg):
+        return c.child
+    return Neg(c)
+
+
+def _call(fn: str, a: Expr) -> Expr:
+    if isinstance(a, Const):
+        v = _FN_EVAL[fn](a.value)
+        if math.isfinite(v):
+            return Const(v)
+    return Call(fn, a)
+
+
+def _bin(op: str, l: Expr, r: Expr) -> Expr:
+    if isinstance(l, Const) and isinstance(r, Const):
+        v = _fold_bin(op, l.value, r.value)
+        if math.isfinite(v):
+            return Const(v)
     if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return _div(a, b)
-    return _pow(a, b)
+        if _is_const(l, 0.0):
+            return r
+        if _is_const(r, 0.0):
+            return l
+    elif op == "-":
+        if _is_const(r, 0.0):
+            return l
+        if _is_const(l, 0.0):
+            return Neg(r) if not isinstance(r, Const) else Const(-r.value)
+        if l == r:
+            return Const(0.0)
+    elif op == "*":
+        if _is_const(l, 0.0) or _is_const(r, 0.0):
+            return Const(0.0)
+        if _is_const(l, 1.0):
+            return r
+        if _is_const(r, 1.0):
+            return l
+        if isinstance(r, Const) and not isinstance(l, Const):
+            l, r = r, l  # keep the constant coefficient on the left
+        if isinstance(l, Const) and isinstance(r, Bin) and r.op == "*" \
+                and isinstance(r.left, Const):
+            v = l.value * r.left.value
+            if math.isfinite(v):
+                return Bin("*", Const(v), r.right)
+        return Bin("*", l, r)
+    elif op == "/":
+        if _is_const(l, 0.0):
+            return Const(0.0)
+        if _is_const(r, 1.0):
+            return l
+        if l == r:
+            return Const(1.0)
+    elif op == "^":
+        if _is_const(r, 1.0):
+            return l
+        if _is_const(r, 0.0):
+            return Const(1.0)
+        if _is_const(l, 1.0):
+            return Const(1.0)
+    return Bin(op, l, r)
 
 
 def simplify(e: Expr) -> Expr:
     """Constant folding and identity elimination.
 
     The result is pointwise-equal to the input wherever the input is
-    defined; folding never produces non-finite constants.
+    defined; folding never produces non-finite constants. Each distinct
+    node of ``e`` is simplified once.
     """
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Neg):
-        c = simplify(e.child)
-        if isinstance(c, Const):
-            return Const(-c.value)
-        if isinstance(c, Neg):
-            return c.child
-        return Neg(c)
-    if isinstance(e, Call):
-        a = simplify(e.arg)
-        if isinstance(a, Const):
-            v = _FN_EVAL[e.fn](a.value)
-            if math.isfinite(v):
-                return Const(v)
-        return Call(e.fn, a)
-    if isinstance(e, Bin):
-        l = simplify(e.left)
-        r = simplify(e.right)
-        op = e.op
-        if isinstance(l, Const) and isinstance(r, Const):
-            v = _fold_bin(op, l.value, r.value)
-            if math.isfinite(v):
-                return Const(v)
-        if op == "+":
-            if _is_const(l, 0.0):
-                return r
-            if _is_const(r, 0.0):
-                return l
-        elif op == "-":
-            if _is_const(r, 0.0):
-                return l
-            if _is_const(l, 0.0):
-                return Neg(r) if not isinstance(r, Const) else Const(-r.value)
-            if l == r:
-                return Const(0.0)
-        elif op == "*":
-            if _is_const(l, 0.0) or _is_const(r, 0.0):
-                return Const(0.0)
-            if _is_const(l, 1.0):
-                return r
-            if _is_const(r, 1.0):
-                return l
-            if isinstance(r, Const) and not isinstance(l, Const):
-                l, r = r, l  # keep the constant coefficient on the left
-            if isinstance(l, Const) and isinstance(r, Bin) and r.op == "*" \
-                    and isinstance(r.left, Const):
-                v = l.value * r.left.value
-                if math.isfinite(v):
-                    return Bin("*", Const(v), r.right)
-            return Bin("*", l, r)
-        elif op == "/":
-            if _is_const(l, 0.0):
-                return Const(0.0)
-            if _is_const(r, 1.0):
-                return l
-            if l == r:
-                return Const(1.0)
-        elif op == "^":
-            if _is_const(r, 1.0):
-                return l
-            if _is_const(r, 0.0):
-                return Const(1.0)
-            if _is_const(l, 1.0):
-                return Const(1.0)
-        return Bin(op, l, r)
-    raise TypeError(f"not an Expr node: {e!r}")
+    return _Step().s(e)
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +1086,7 @@ def substitute(e: Expr, replacement: Expr) -> Expr:
 
 
 def sign_sensitive_args(e: Expr) -> list[Expr]:
-    """Arguments of every abs()/sgn() node in ``e``.
+    """Arguments of every distinct abs()/sgn() node in ``e``.
 
     Where one of these changes sign, the function has a kink or jump that
     the symbolic derivative cannot see; smoothness scans check them.

@@ -15,11 +15,11 @@ import math
 from typing import Callable
 
 from .expr import Const, Expr, Var, compile_fn, differentiate
-from .generalized import endpoint_slopes
+from .generalized import endpoint_slopes, endpoint_value, slopes_agree
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
-    TheoremId, close, one_sided_derivative, solve_residual,
+    DEFAULT_CONFIG, Interval, PointResult, Points, SolverConfig, TheoremId,
+    one_sided_derivative, solve_residual,
 )
 
 __all__ = [
@@ -71,14 +71,10 @@ def find_flett_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None, *,
 
 def _variant_terms(tid: TheoremId, f: Expr, iv: Interval) -> tuple[Expr, Expr]:
     """Left and right term of the multiplied-through residual r = t1 - t2."""
-    fc = compile_fn(f)
     d1 = differentiate(f)
     a, b, w = iv.a, iv.b, iv.width
-    fa, fb = fc(a), fc(b)
-    if "a" in _ANCHORS[tid] and not math.isfinite(fa):
-        raise DomainError("f(a) is not finite")
-    if "b" in _ANCHORS[tid] and not math.isfinite(fb):
-        raise DomainError("f(b) is not finite")
+    ends = {end: endpoint_value(f, iv, end) for end in _ANCHORS[tid]}
+    fa, fb = ends.get("a"), ends.get("b")
     x = Var()
     # one lambda per variant, so that only the selected terms are built
     return {
@@ -110,10 +106,10 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
     """
     cfg = cfg or DEFAULT_CONFIG
     tid = _variant(v)
-    da, db = endpoint_slopes(f, iv, cfg) if slopes is None else slopes
+    da, db = slopes = endpoint_slopes(f, iv, cfg) if slopes is None else slopes
     if tid in (TheoremId.FLETT, TheoremId.MEYERS_2_3, TheoremId.MEYERS_2_4,
                TheoremId.MEYERS_2_5):
-        return None if da is None or db is None else close(da, db, cfg.residual_tol)
+        return slopes_agree(slopes, cfg)
     fc = compile_fn(f)
     fa, fb = fc(iv.a), fc(iv.b)
     if not (math.isfinite(fa) and math.isfinite(fb)):

@@ -17,7 +17,8 @@ from .numerics import (
 )
 
 __all__ = [
-    "MAX_SUM_ORDER", "endpoint_slopes", "riedel_sahoo_points",
+    "MAX_SUM_ORDER", "endpoint_slopes", "slopes_agree", "endpoint_value",
+    "riedel_sahoo_points",
     "cakmak_tiryaki_points", "second_order_points",
     "pawlikowska_points", "pawlikowska_hypothesis",
 ]
@@ -46,6 +47,28 @@ def endpoint_slopes(f: Expr, iv: Interval,
     return slope(iv.a, iv.b), slope(iv.b, iv.a)
 
 
+def slopes_agree(slopes: tuple[float | None, float | None],
+                 cfg: SolverConfig) -> bool | None:
+    """Whether two endpoint slopes agree within residual_tol; None if either is None.
+
+    The equal-slope hypothesis of Flett's identity, of the first Meyers
+    variants and of the order-n sums, and the Flett checker's test.
+    """
+    da, db = slopes
+    return None if da is None or db is None else close(da, db, cfg.residual_tol)
+
+
+def endpoint_value(f: Expr, iv: Interval, end: str) -> float:
+    """f at the endpoint ``end`` ("a" or "b") that an identity anchors on.
+
+    Raises DomainError "f(a) is not finite" (or f(b)) when it is not.
+    """
+    v = compile_fn(f)(iv.a if end == "a" else iv.b)
+    if not math.isfinite(v):
+        raise DomainError(f"f({end}) is not finite")
+    return v
+
+
 def _slope_gap_rate(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
     da, db = endpoint_slopes(f, iv, cfg)
     if da is None:
@@ -66,10 +89,7 @@ def pawlikowska_hypothesis(f: Expr, iv: Interval, n: int,
     pre = f
     for _ in range(n - 1):
         pre = differentiate(pre)
-    da, db = endpoint_slopes(pre, iv, cfg)
-    if da is None or db is None:
-        return None
-    return close(da, db, cfg.residual_tol)
+    return slopes_agree(endpoint_slopes(pre, iv, cfg), cfg)
 
 
 def riedel_sahoo_points(f: Expr, iv: Interval,
@@ -81,9 +101,7 @@ def riedel_sahoo_points(f: Expr, iv: Interval,
     satisfy the identity everywhere and come back degenerate.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fa = compile_fn(f)(iv.a)
-    if not math.isfinite(fa):
-        raise DomainError("f(a) is not finite")
+    fa = endpoint_value(f, iv, "a")
     k = _slope_gap_rate(f, iv, cfg)
     h = Var() - iv.a
     t1 = f - fa + 0.5 * k * h ** 2
@@ -99,9 +117,7 @@ def cakmak_tiryaki_points(f: Expr, iv: Interval,
     riedel_sahoo_points under x -> a+b-x.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fb = compile_fn(f)(iv.b)
-    if not math.isfinite(fb):
-        raise DomainError("f(b) is not finite")
+    fb = endpoint_value(f, iv, "b")
     k = _slope_gap_rate(f, iv, cfg)
     h = iv.b - Var()
     t1 = fb - f
@@ -124,22 +140,17 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
     cfg = cfg or DEFAULT_CONFIG
     if variant not in ("anchored_at_a", "anchored_at_b"):
         raise ValueError(f"variant must be 'anchored_at_a' or 'anchored_at_b', got {variant!r}")
-    fc = compile_fn(f)
     d1 = differentiate(f)
     d2 = differentiate(d1)
     hyp = pawlikowska_hypothesis(f, iv, 2, cfg)
     if variant == "anchored_at_a":
-        fa = fc(iv.a)
-        if not math.isfinite(fa):
-            raise DomainError("f(a) is not finite")
+        fa = endpoint_value(f, iv, "a")
         h = Var() - iv.a
         t1 = f - fa + 0.5 * h ** 2 * d2
         t2 = h * d1
         tid, anchor = TheoremId.SECOND_ORDER_A, iv.a
     else:
-        fb = fc(iv.b)
-        if not math.isfinite(fb):
-            raise DomainError("f(b) is not finite")
+        fb = endpoint_value(f, iv, "b")
         h = iv.b - Var()
         t1 = fb - f + 0.5 * h ** 2 * d2
         t2 = h * d1
@@ -164,9 +175,7 @@ def pawlikowska_points(f: Expr, iv: Interval, n: int,
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > MAX_SUM_ORDER:
         raise ValueError(f"n capped at {MAX_SUM_ORDER}, got {n}")
-    fa = compile_fn(f)(iv.a)
-    if not math.isfinite(fa):
-        raise DomainError("f(a) is not finite")
+    fa = endpoint_value(f, iv, "a")
     hyp = pawlikowska_hypothesis(f, iv, n, cfg)
     # the sum starts from 0.0 and the power from 1.0, as a running float
     # sum does: 0.0 + -0.0 is 0.0, so a sum of signed zeros is +0.0

@@ -368,6 +368,10 @@ def integrate(F: Callable[[float], float], lo: float, hi: float,
     (an interior pole between samples). A non-finite
     interior sample is replaced likewise where F has a finite limit there
     (a removable singularity), and raises QuadratureError otherwise.
+    Where the first Simpson sum overflows on finite samples (|F| near the
+    largest float), F/16 is integrated and the result multiplied back; an
+    integral that still overflows raises QuadratureError, never returns
+    an infinity.
     It samples F at lo and hi itself; a caller holding those values gets
     the same result.
     """
@@ -380,8 +384,19 @@ def integrate(F: Callable[[float], float], lo: float, hi: float,
     m = 0.5 * (lo + hi)
     fm = _quad_sample(F, m, lo, hi)
     whole = (hi - lo) * (fa + 4.0 * fm + fb) / 6.0
+    scale = 1.0
+    if not math.isfinite(whole):
+        # Simpson's sums overflow on these finite samples: integrate F/16,
+        # scaled exactly (a power of two), and multiply back
+        scale, G = 16.0, F
+        F = lambda x: G(x) / 16.0
+        fa, fb, fm = fa / 16.0, fb / 16.0, fm / 16.0
+        whole = (hi - lo) * (fa + 4.0 * fm + fb) / 6.0
     eps = cfg.quad_tol * (1.0 + abs(whole))
-    return _adapt(F, lo, hi, lo, fa, hi, fb, m, fm, whole, eps, _QUAD_MAX_DEPTH)
+    v = scale * _adapt(F, lo, hi, lo, fa, hi, fb, m, fm, whole, eps, _QUAD_MAX_DEPTH)
+    if not math.isfinite(v):
+        raise QuadratureError(f"the integral over [{lo!r}, {hi!r}] overflows")
+    return v
 
 
 # tanh-sinh levels run h = 1, 1/2, ..., 2**-_TS_LEVELS; nodes lie at |t| <= _TS_T_MAX,

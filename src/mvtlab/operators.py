@@ -271,13 +271,13 @@ def _no_root_error(t1: OperatorValue | _Scaled, t2: OperatorValue | _Scaled,
     return err
 
 
-def _single_point(t1: OperatorValue | _Scaled, t2: OperatorValue | _Scaled,
-                  tid: TheoremId, cfg: SolverConfig,
-                  iv: Interval = UNIT_INTERVAL) -> PointResult:
-    pts = solve_residual((t1, t2), iv, cfg, tid)
+def _points(t1: OperatorValue | _Scaled, t2: OperatorValue | _Scaled,
+            tid: TheoremId, cfg: SolverConfig) -> Points:
+    """The roots of t1 - t2 on [0, 1]; NoRootFound naming the nearest miss if none."""
+    pts = solve_residual((t1, t2), UNIT_INTERVAL, cfg, tid)
     if pts:
-        return pts[0]
-    raise _no_root_error(t1, t2, iv, cfg, tid)
+        return pts
+    raise _no_root_error(t1, t2, UNIT_INTERVAL, cfg, tid)
 
 
 def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
@@ -310,9 +310,9 @@ def lupu_4_6_points(f: Expr, g: Expr,
     """
     cfg = cfg or DEFAULT_CONFIG
     t_pair, s_pair, tf, sf = _coupled_terms(f, g, lambda h: h, cfg)
-    return (_single_point(*t_pair, TheoremId.LUPU_4_6_T, cfg),
-            _single_point(tf, sf, TheoremId.LUPU_4_6_TS, cfg),
-            _single_point(*s_pair, TheoremId.LUPU_4_6_S, cfg))
+    return (_points(*t_pair, TheoremId.LUPU_4_6_T, cfg)[0],
+            _points(tf, sf, TheoremId.LUPU_4_6_TS, cfg)[0],
+            _points(*s_pair, TheoremId.LUPU_4_6_S, cfg)[0])
 
 
 def lupu_4_7_points(f: Expr, g: Expr,
@@ -326,8 +326,8 @@ def lupu_4_7_points(f: Expr, g: Expr,
     """
     cfg = cfg or DEFAULT_CONFIG
     t_pair, s_pair, _, _ = _coupled_terms(f, g, lambda h: lambda x: (1.0 - x) * h(x), cfg)
-    return (_single_point(*t_pair, TheoremId.LUPU_4_7_T, cfg),
-            _single_point(*s_pair, TheoremId.LUPU_4_7_S, cfg))
+    return (_points(*t_pair, TheoremId.LUPU_4_7_T, cfg)[0],
+            _points(*s_pair, TheoremId.LUPU_4_7_S, cfg)[0])
 
 
 def _nonvanishing_derivative(h: Expr, iv: Interval, cfg: SolverConfig,
@@ -457,9 +457,7 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
         (_v_weighted_pair(phi, f * f), _v_weighted_pair(phi, g * g)), UNIT_INTERVAL, cfg)
     t1 = _Scaled(nf, d=int_g2)
     t2 = _Scaled(ng, d=int_f2)
-    pts = solve_residual((t1, t2), UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
-    if not pts:
-        raise _no_root_error(t1, t2, UNIT_INTERVAL, cfg, TheoremId.WEIGHTED_NORM)
+    pts = _points(t1, t2, TheoremId.WEIGHTED_NORM, cfg)
     return pts[(len(pts) - 1) // 2]
 
 

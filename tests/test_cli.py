@@ -90,6 +90,19 @@ class TestSolve:
         assert grp["hypothesis_satisfied"] is False
         assert "hypothesis" in err
 
+    def test_a_group_without_points_reports_its_solvers_flag(self, capsys):
+        # f' - slope is positive at all 8 grid points and crosses zero only
+        # between them, so the scan finds nothing; f is smooth, so the
+        # solver's differentiability flag is true
+        argv = ["--fn", "sin(44*x)", "-a", "0", "-b", "1", "--scan-points", "8"]
+        code, rep, err = run_json(capsys, "solve", "lagrange", *argv)
+        (grp,) = rep["results"]
+        assert code == 3 and "no points found" in err
+        assert grp["points"] == [] and grp["hypothesis_satisfied"] is True
+        f, iv = parse("sin(44*x)"), Interval(0.0, 1.0)
+        pts = mvtlab.cli.lagrange_points(f, iv, mvtlab.numerics.SolverConfig(scan_points=8))
+        assert pts == [] and pts.hypothesis_satisfied is True
+
     def test_zero_mean_violation_exits_1(self, capsys):
         code, rep, err = run_json(capsys, "solve", "thm-4.9",
                                   "--fn", "x", "--gn", "exp(x)",
@@ -583,7 +596,7 @@ class TestTheoremTable:
     """Checks that run over the solve table and the theorem table."""
 
     def test_every_theorem_id_is_reported_by_a_command(self):
-        reported = [tid for ids, _, _ in _SOLVES.values() for tid in ids]
+        reported = [tid for ids, _ in _SOLVES.values() for tid in ids]
         assert sorted(reported) == sorted(TheoremId)
         assert set(THEOREMS) == set(TheoremId)
 

@@ -151,6 +151,20 @@ class TestIntegrate:
         with deadline(1.0), pytest.raises(QuadratureError):
             integrate(compile_fn(parse(src)), 0.0, 0.9, CFG)
 
+    @pytest.mark.parametrize("rule", [integrate, tanh_sinh])
+    @pytest.mark.parametrize("F, want", [
+        (lambda x: 5e307 * (1.0 - abs(x - 0.5) / 0.5), 2.5e307),  # was -inf
+        (lambda x: 5e307, 5e307),  # was QuadratureError
+        (lambda x: 2.9e307, 2.9e307),  # Simpson's sums never overflowed
+    ])
+    def test_bounded_integrand_near_the_float_range(self, rule, F, want):
+        # Simpson's first sum fa + 4 fm + fb overflows on these finite samples
+        assert rule(F, 0.0, 1.0, CFG) == pytest.approx(want, rel=1e-12)
+
+    def test_an_integral_past_the_float_range_raises(self):
+        with pytest.raises(QuadratureError, match="overflows"):
+            integrate(lambda x: 1.5e308, 0.0, 2.0, CFG)
+
 
 class TestTanhSinh:
     """The whole-interval rule, against mpmath's quad as the oracle."""

@@ -270,27 +270,24 @@ class TestBatchedBuild:
 
     @staticmethod
     def _overflow_pairs(pole):
-        # F is 1e308 at every node, -inf at every panel midpoint and 1
-        # elsewhere. On each pair the node samples overflow the whole-pair
-        # estimate to inf, so the error test passes (eps = inf) although sl
-        # and sr are -inf; the non-finite result sends both panels to
-        # integrate(), which replaces the -inf by a one-sided sample, or
-        # raises when that looks like a pole. (A node sample this large
-        # next to ordinary ones would make integrate() fail on its panel,
-        # so every node carries one, and the margin panel is empty.)
+        # F is -inf at every panel midpoint and 1e308 elsewhere. On each
+        # pair the node samples overflow the whole-pair estimate to inf, so
+        # the error test passes (eps = inf) although sl and sr are -inf;
+        # the non-finite result sends both panels to integrate(), which
+        # replaces the -inf by a one-sided sample and scales its
+        # overflowing sums down, or raises when that looks like a pole.
+        # (The margin panel is empty.)
         cfg = SolverConfig(scan_points=8, endpoint_margin=0.0)
         nodes = grid_points(UNIT_INTERVAL, cfg)
         panels = list(zip(nodes, nodes[1:]))
         mids = [0.5 * (a + b) for a, b in panels]
 
         def F(x):
-            if x in nodes:
-                return 1e308
             if x in mids:
                 return -math.inf
             if pole and abs(x - mids[0]) < 1e-6:
                 return 1.0 / (mids[0] - x)
-            return 1.0
+            return 1e308
 
         return F, cfg, panels
 

@@ -51,7 +51,7 @@ CHANGE = [
 def test_report(monkeypatch, capsys):
     runs = {Path("/parent"): PARENT, stable_compare.ROOT: CHANGE}
     monkeypatch.setattr(stable_compare, "run", lambda checkout: runs[checkout])
-    assert stable_compare.main(["/parent"]) == 0
+    assert stable_compare.main(["/parent"]) == 1  # answers moved
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ("moved lines: pointwise 1/2, operator 1/1, "
                         "classify-coarse 2/2, high-order 2/2")
@@ -71,7 +71,16 @@ def test_report(monkeypatch, capsys):
 
 def test_identical_runs_report_nothing(monkeypatch, capsys):
     monkeypatch.setattr(stable_compare, "run", lambda checkout: PARENT)
-    stable_compare.main(["/parent"])
+    assert stable_compare.main(["/parent"]) == 0
     out = capsys.readouterr().out
     assert "pointwise 0/2" in out and "exit-code changes: 0" in out
     assert "largest |delta xi|: 0\n" in out
+
+
+def test_any_moved_answer_exits_1(monkeypatch, capsys):
+    # one changed stderr line is a moved answer, though no number moved
+    change = PARENT[:-1] + [dict(PARENT[-1], stderr="warning")]
+    runs = {Path("/parent"): PARENT, stable_compare.ROOT: change}
+    monkeypatch.setattr(stable_compare, "run", lambda checkout: runs[checkout])
+    assert stable_compare.main(["/parent"]) == 1
+    assert "high-order 1/2" in capsys.readouterr().out

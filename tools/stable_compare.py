@@ -18,7 +18,7 @@ this checkout, each in a subprocess that imports that checkout's own
 
 A relative delta is |new - old| / max(1, |old|, |new|), the scale that
 ``mvtlab.numerics.tolerance`` judges agreement on. The script edits
-nothing.
+nothing. It exits 1 when any request's answer moved, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -75,6 +75,11 @@ def _json(text: str):
         return None
 
 
+def answer_moved(old: dict, new: dict) -> bool:
+    """Whether one request's answer differs: its exit code, stdout or stderr."""
+    return any(old[k] != new[k] for k in ("code", "stdout", "stderr"))
+
+
 def _rel(u: float, v: float) -> float:
     return abs(u - v) / max(1.0, abs(u), abs(v))
 
@@ -96,7 +101,7 @@ def compare(old: list[dict], new: list[dict]) -> list[str]:
         where = f"{workload} {seed} {i}"
         count = moved.setdefault(workload, [0, 0])
         count[1] += 1
-        if all(o[k] == n[k] for k in ("code", "stdout", "stderr")):
+        if not answer_moved(o, n):
             continue
         count[0] += 1
         if o["code"] != n["code"]:
@@ -146,8 +151,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.dump:
         dump(args.parent.resolve())
         return 0
-    print("\n".join(compare(run(args.parent.resolve()), run(ROOT))))
-    return 0
+    old, new = run(args.parent.resolve()), run(ROOT)
+    print("\n".join(compare(old, new)))
+    return 1 if any(map(answer_moved, old, new)) else 0
 
 
 if __name__ == "__main__":
