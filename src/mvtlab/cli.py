@@ -7,8 +7,9 @@ give byte-identical output, with timing segregated under a "meta" key that
 --stable removes entirely.
 
 Exit codes: 0 points found (or degenerate); 1 hypothesis unsatisfied and
-nothing found; 2 parse or usage error; 3 numeric failure (including a
-report whose points fail re-verification).
+nothing found; 2 parse or usage error, or a derivative past the node cap
+(``mvtlab.expr.MAX_NODES``); 3 numeric failure (including a report whose
+points fail re-verification).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import sys
 import time
 
-from .expr import Expr, ParseError, Var, _walk, evaluate, parse
+from .expr import Expr, ExpressionTooLarge, ParseError, Var, _postorder, evaluate, parse
 from .numerics import (
     DomainError, HypothesisError, Interval, NoRootFound, PointResult, Points,
     QuadratureError, SolverConfig, SolverError, TheoremId, close,
@@ -155,7 +156,7 @@ def _parse_endpoint(text: str, name: str) -> float:
         e = parse(text)
     except ParseError as exc:
         raise _UsageError(f"endpoint {name}: {exc}") from exc
-    if any(isinstance(node, Var) for node, _ in _walk(e)):
+    if any(type(node) is Var for node in _postorder((e,))):
         raise _UsageError(f"endpoint {name} must be a constant expression, got {text!r}")
     v = evaluate(e, 0.0)
     if not math.isfinite(v):
@@ -474,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
             report, rows, code = _cmd_classify(args, cfg, overrides)
         else:
             report, rows, code = _cmd_corpus(args, cfg, overrides)
-    except _UsageError as exc:
+    except (_UsageError, ExpressionTooLarge) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -33,7 +33,7 @@ from .expr import Expr, compile_fn, differentiate, evaluate
 from .flett import find_flett_points
 from .generalized import endpoint_slopes, slopes_agree
 from .mvt_points import integral_mean
-# integrate and one_sided_derivative are unused here but bench/tracer.py patches them
+# integrate is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, SolverConfig, SolverError,
     central_diff, close, differentiable_on_interior, integrate,
@@ -238,8 +238,8 @@ def phi1_prime_at_a(f: Expr, a: float,
     value.
     """
     cfg = cfg or DEFAULT_CONFIG
-    v = evaluate(differentiate(f, 2), a)
-    if math.isfinite(v) and abs(v) <= cfg.singular_threshold:
+    v = one_sided_derivative(differentiate(f), a, cfg)
+    if v is not None:
         return 0.5 * v
     try:
         v = central_diff(compile_fn(f), a, order=2)

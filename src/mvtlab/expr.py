@@ -21,9 +21,10 @@ simplified once and differentiated once. The textbook rules repeat their
 operands (the product rule names u and v twice), so the result is a tree
 whose repeated subtrees are shared objects: the order-8 derivative of
 exp(sin(x))*ln(x+2) has 291,897 positions but 11,048 node objects. The
-tree equals the one simplify would make of the rules' plain copy, and
-everything that reads trees visits each distinct node once, except the
-recursive ``unparse``, ``substitute``, equality and hashing.
+tree equals the one simplify would make of the rules' plain copy. An
+order past MAX_NODES distinct nodes is refused with ExpressionTooLarge:
+nodes grow about threefold an order, so the cap bounds each build's time
+and memory.
 
 Each node memoizes its own first derivative (``differentiate``) and its
 compiled callable (``compile_fn``) in two slots outside its fields, so every
@@ -43,9 +44,13 @@ therefore always gets new functions, and the same source gives the same
 code. The same memo class keeps the scan grids
 (:func:`~mvtlab.numerics.grid_points`), bounded in points.
 
-One iterative walk, ``_walk``, lists a tree's distinct nodes for the
-parser's depth check, :func:`sign_sensitive_args` and the CLI's endpoint
-check, so those take a tree of any depth.
+Every pass over a tree (evaluation, lowering, differentiation and
+simplification, printing, substitution, the parser's depth check and
+:func:`sign_sensitive_args`) is one loop over ``_postorder``, an iterative
+walk that lists each distinct node once, after its children. So every
+pass takes a tree of any depth and visits a shared subtree once. Only the
+parser's descent recurses, and the dataclass-made equality, hashing and
+repr; MAX_DEPTH bounds those for parsed input.
 
 Grammar (no implicit multiplication; unary minus binds tighter than ``^``,
 which is right-associative)::
@@ -67,11 +72,11 @@ import math
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Bin", "Call",
-    "ParseError", "FUNCTIONS", "MAX_DEPTH",
+    "ParseError", "ExpressionTooLarge", "FUNCTIONS", "MAX_DEPTH", "MAX_NODES",
     "parse", "unparse", "evaluate", "compile_fn", "compile_terms", "compile_panels",
     "differentiate", "simplify", "substitute", "sign_sensitive_args",
 ]
@@ -83,6 +88,9 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # Deepest expression parse() accepts (see parse).
 MAX_DEPTH = 100
+
+# Most distinct nodes a derivative order may have (see differentiate).
+MAX_NODES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +170,42 @@ def _coerce(v: Expr | float) -> Expr:
     if isinstance(v, Expr):
         return v
     return Const(float(v))
+
+
+def _postorder(roots: Sequence[Expr]) -> list[Expr]:
+    """Every distinct node of ``roots``, by identity, each after its children.
+
+    Children come left before right and the roots in order; a node that
+    several parents share is listed once, at its first position. The walk
+    keeps an explicit stack, so a tree of any depth walks: every pass over
+    a tree in this module is one loop over this list. Raises TypeError on
+    anything that is not an Expr node.
+    """
+    out: list[Expr] = []
+    seen: set[int] = set()
+    stack: list[Expr | None] = list(reversed(roots))
+    pop, push, listed, saw = stack.pop, stack.extend, out.append, seen.add
+    while stack:
+        node = pop()
+        if node is None:  # the node below has all its children listed
+            listed(pop())
+            continue
+        key = id(node)
+        if key in seen:
+            continue
+        saw(key)
+        kind = type(node)
+        if kind is Bin:
+            push((node, None, node.right, node.left))
+        elif kind is Call:
+            push((node, None, node.arg))
+        elif kind is Neg:
+            push((node, None, node.child))
+        elif kind is Const or kind is Var:
+            listed(node)
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +316,22 @@ def evaluate(e: Expr, x: float) -> float:
     whose subtrees are shared (a derivative's are) costs its distinct
     nodes, not its positions.
     """
-    return _evaluate(e, x, {})
-
-
-def _evaluate(node: Expr, x: float, memo: dict[int, float]) -> float:
-    # the memo is passed in, not closed over, for the reason _Step gives
-    kind = type(node)
-    if kind is Const:
-        return node.value
-    if kind is Var:
-        return float(x)
-    v = memo.get(id(node))
-    if v is None:
-        if kind is Neg:
-            v = -_evaluate(node.child, x, memo)
+    x = float(x)
+    value: dict[int, float] = {}
+    for node in _postorder((e,)):
+        kind = type(node)
+        if kind is Const:
+            v = node.value
+        elif kind is Var:
+            v = x
         elif kind is Bin:
-            v = _fold_bin(node.op, _evaluate(node.left, x, memo),
-                          _evaluate(node.right, x, memo))
+            v = _fold_bin(node.op, value[id(node.left)], value[id(node.right)])
         elif kind is Call:
-            v = _FN_EVAL[node.fn](_evaluate(node.arg, x, memo))
+            v = _FN_EVAL[node.fn](value[id(node.arg)])
         else:
-            raise TypeError(f"not an Expr node: {node!r}")
-        memo[id(node)] = v
-    return v
+            v = -value[id(node.child)]
+        value[id(node)] = v
+    return value[id(e)]
 
 
 # Names the generated code reads from its globals. Locals are x, t0, t1, ...
@@ -340,42 +377,27 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str = "float(x)",
     distinct subexpression across all roots, so subtrees that roots share
     (f and its derivatives share many) are computed once. Constants are
     added to ``glb``. Every name ends in ``tag``, so lowerings that share
-    one ``glb`` (or one function body) need distinct tags. The walk uses
-    an explicit stack, so any depth lowers.
+    one ``glb`` (or one function body) need distinct tags. The statements
+    follow :func:`_postorder`, so any depth lowers.
     """
     lines: list[str] = []
     name_of: dict[int, str] = {}   # id(node) -> local or constant name
     by_key: dict[tuple, str] = {}  # structural key -> local or constant name
-    # post-order: a node is pushed once unready, then again ready above its
-    # children, and lowered when popped ready
-    stack: list[tuple[Expr, bool]] = [(r, False) for r in reversed(roots)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in name_of:
-            continue
+    for node in _postorder(roots):
         kind = type(node)
         # keys hold the children's names, never the nodes: hashing a frozen
         # dataclass walks its whole subtree
         if kind is Bin:
-            if not ready:
-                stack += ((node, True), (node.right, False), (node.left, False))
-                continue
             a, b = name_of[id(node.left)], name_of[id(node.right)]
             key = (node.op, a, b)
         elif kind is Neg or kind is Call:
-            child = node.child if kind is Neg else node.arg
-            if not ready:
-                stack += ((node, True), (child, False))
-                continue
-            a = name_of[id(child)]
+            a = name_of[id(node.child if kind is Neg else node.arg)]
             key = ("neg" if kind is Neg else node.fn, a)
         elif kind is Const:
             # repr keeps 0.0 and -0.0 apart, which == would merge
             key = ("const", repr(node.value))
-        elif kind is Var:
-            key = ("x",)
         else:
-            raise TypeError(f"not an Expr node: {node!r}")
+            key = ("x",)
         name = by_key.get(key)
         if name is None:
             if kind is Const:
@@ -457,14 +479,11 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     derivative repeats many times is evaluated once per call, and a call
     costs no per-node dispatch. Division, integer powers and the math
     functions run inline where the guarded helper provably gives the same
-    result, and call the helper otherwise. :func:`compile_terms` shares
-    the lowering and evaluates several trees over a whole grid.
+    result, and call the helper otherwise.
 
-    The callable is memoized on ``e``: every later call with the same node
-    object returns the same callable, for as long as the node lives. A
-    tree of the same shape, whatever its constants, reuses the code object
-    from the process-wide source memo (see the module docstring) and gets
-    a new callable over its own constants.
+    The callable is memoized on ``e`` for as long as the node lives. A tree
+    of the same shape, whatever its constants, gets a new callable over
+    the same code object (see the module docstring).
     """
     fn = getattr(e, "_compiled", None)
     if fn is None:
@@ -490,11 +509,7 @@ def compile_terms(exprs: Sequence[Expr]) -> tuple[
     point. Values equal :func:`evaluate` bit for bit. Both functions come
     from one code object over one copy of the lowered code: ``fold`` serves
     only the few dozen evaluations of root polishing, so it reuses ``grid``
-    rather than carrying a copy of its own. The code is compiled once per
-    source text per process (see the module docstring), so terms of one
-    shape share it whatever their constants. Its sibling
-    :func:`compile_panels` evaluates the integrands of running integrals
-    panel by panel.
+    rather than carrying a copy of its own.
     """
     glb = dict(_CODEGEN_GLOBALS)
     lines, names = _lower(exprs, glb)
@@ -541,9 +556,7 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
     returns the prefixes, each integrand's running sum at every end past
     ends[0], and the tables, that sum plus the pointwise part there (the
     prefix where there is none). Samples equal the point functions' bit
-    for bit. Like its sibling :func:`compile_terms`, which evaluates a
-    residual's terms over a grid, it compiles each source text once per
-    process.
+    for bit.
     """
     glb = dict(_CODEGEN_GLOBALS, abs=abs, len=len, zip=zip)
     nq = len(integrands)
@@ -752,42 +765,29 @@ class _Parser:
                          expected="a number, name, or '('")
 
 
-def _walk(e: Expr) -> Iterator[tuple[Expr, int]]:
-    """Every distinct node of ``e`` with its depth (the root's is 1), in pre-order.
-
-    A subtree shared by several parents (a derivative shares many) is
-    walked once, at its first position. The walk keeps an explicit stack,
-    so a tree of any depth walks.
-    """
-    stack = [(e, 1)]
-    seen: set[int] = set()
-    while stack:
-        node, d = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node, d
-        kind = type(node)
-        if kind is Bin:
-            stack += ((node.right, d + 1), (node.left, d + 1))
-        elif kind is Neg:
-            stack.append((node.child, d + 1))
-        elif kind is Call:
-            stack.append((node.arg, d + 1))
-
-
 def parse(source: str) -> Expr:
     """Parse function text in the single variable ``x`` into an AST.
 
     Raises ParseError for malformed text, and for text nested deeper than
     MAX_DEPTH levels: parenthesised, or as a tree (a sum of MAX_DEPTH + 1
-    terms is a tree that deep). Differentiation, simplification and
-    printing recurse over the tree, and the cap keeps them, and the
-    parser itself, well inside Python's recursion limit.
+    terms is a tree that deep). The parser recurses once per level of
+    parentheses, calls, unary minuses and powers, and the dataclass-made
+    equality, hashing and repr of the nodes once per tree level, so the
+    cap keeps both well inside Python's recursion limit.
     """
     e = _Parser(source).parse()
-    if any(d > MAX_DEPTH for _, d in _walk(e)):
-        raise ParseError(0, f"expression tree deeper than {MAX_DEPTH} levels")
+    height: dict[int, int] = {}  # id -> levels in the node's subtree
+    for node in _postorder((e,)):
+        kind = type(node)
+        if kind is Bin:
+            h = 1 + max(height[id(node.left)], height[id(node.right)])
+        elif kind is Call or kind is Neg:
+            h = 1 + height[id(node.arg if kind is Call else node.child)]
+        else:
+            h = 1
+        if h > MAX_DEPTH:
+            raise ParseError(0, f"expression tree deeper than {MAX_DEPTH} levels")
+        height[id(node)] = h
     return e
 
 
@@ -801,161 +801,143 @@ _LEVEL_POW = 3
 _LEVEL_UNARY = 4
 _LEVEL_ATOM = 5
 
-
-def _level(e: Expr) -> int:
-    if isinstance(e, Bin):
-        if e.op in "+-":
-            return _LEVEL_ADD
-        if e.op in "*/":
-            return _LEVEL_MUL
-        return _LEVEL_POW
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    if isinstance(e, Const) and (e.value < 0.0 or math.copysign(1.0, e.value) < 0.0):
-        return _LEVEL_UNARY  # prints with a leading minus
-    return _LEVEL_ATOM
-
-
-def _wrap(e: Expr, min_level: int) -> str:
-    text = unparse(e)
-    if _level(e) < min_level:
-        return f"({text})"
-    return text
+# op -> the levels of the operator, of its left operand and of its right
+_BIN_LEVELS = {"+": (_LEVEL_ADD, _LEVEL_ADD, _LEVEL_MUL),
+               "-": (_LEVEL_ADD, _LEVEL_ADD, _LEVEL_MUL),
+               "*": (_LEVEL_MUL, _LEVEL_MUL, _LEVEL_POW),
+               "/": (_LEVEL_MUL, _LEVEL_MUL, _LEVEL_POW),
+               "^": (_LEVEL_POW, _LEVEL_UNARY, _LEVEL_POW)}
 
 
 def unparse(e: Expr) -> str:
     """Print ``e`` as text the parser accepts, with minimal parentheses."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.child, _LEVEL_UNARY)
-    if isinstance(e, Bin):
-        if e.op in "+-":
-            return _wrap(e.left, _LEVEL_ADD) + e.op + _wrap(e.right, _LEVEL_MUL)
-        if e.op in "*/":
-            return _wrap(e.left, _LEVEL_MUL) + e.op + _wrap(e.right, _LEVEL_POW)
-        return _wrap(e.left, _LEVEL_UNARY) + "^" + _wrap(e.right, _LEVEL_POW)
-    if isinstance(e, Call):
-        return f"{e.fn}({unparse(e.arg)})"
-    raise TypeError(f"not an Expr node: {e!r}")
+    printed: dict[int, tuple[int, str]] = {}  # id -> (level, text)
+
+    def operand(child: Expr, min_level: int) -> str:
+        level, text = printed[id(child)]
+        return f"({text})" if level < min_level else text
+
+    for node in _postorder((e,)):
+        kind = type(node)
+        if kind is Bin:
+            level, lo, hi = _BIN_LEVELS[node.op]
+            text = operand(node.left, lo) + node.op + operand(node.right, hi)
+        elif kind is Neg:
+            level, text = _LEVEL_UNARY, "-" + operand(node.child, _LEVEL_UNARY)
+        elif kind is Call:
+            level, text = _LEVEL_ATOM, f"{node.fn}({printed[id(node.arg)][1]})"
+        elif kind is Var:
+            level, text = _LEVEL_ATOM, "x"
+        else:
+            # a negative constant prints with a leading minus
+            negative = node.value < 0.0 or math.copysign(1.0, node.value) < 0.0
+            level, text = _LEVEL_UNARY if negative else _LEVEL_ATOM, repr(node.value)
+        printed[id(node)] = level, text
+    return printed[id(e)][1]
 
 
 # ---------------------------------------------------------------------------
 # Differentiation
 
 
+class ExpressionTooLarge(ValueError):
+    """Raised by differentiate on an order past MAX_NODES distinct nodes."""
+
+
 def _d(e: Expr) -> Expr:
-    """The first derivative of ``e``, simplified, built in one pass.
+    """One order step of :func:`differentiate`, held to MAX_NODES distinct nodes."""
+    out = _simplify_and_derive(e, True)[1]
+    size = len(_postorder((out,)))
+    if size > MAX_NODES:
+        raise ExpressionTooLarge(f"a derivative of {size} distinct nodes is past the cap of "
+                                 f"{MAX_NODES} (lower the order or shorten the function)")
+    return out
 
-    The tree equals ``simplify`` of the textbook rules' tree: every node is
-    made by simplify's rule for its kind (:func:`_neg`, :func:`_call`,
-    :func:`_bin`) from children already simplified. Each distinct subtree
-    of ``e``, by identity, is simplified once and differentiated once, so
-    the subtrees a derivative repeats are shared, not copied.
+
+def _simplify_and_derive(e: Expr, derive: bool) -> tuple[Expr, Expr | None]:
+    """``e`` simplified, and its first derivative simplified if ``derive``.
+
+    One loop over :func:`_postorder` gives each distinct node of ``e``, by
+    identity, its simplified copy and, if asked, its simplified
+    derivative, each made by simplify's rule for its kind (:func:`_neg`,
+    :func:`_call`, :func:`_bin`) from its children's copies and
+    derivatives. The derivative equals ``simplify`` of the textbook rules'
+    tree, but the operands the rules repeat (the product rule names u and
+    v twice) are shared objects, not copies. A node that its rule leaves
+    as it is, children included, is its own copy.
     """
-    return _Step().d(e)
+    simple: dict[int, Expr] = {}
+    derived: dict[int, Expr] = {}
+    for node in _postorder((e,)):
+        kind = type(node)
+        if kind is Bin:
+            out = _bin(node.op, simple[id(node.left)], simple[id(node.right)], node)
+        elif kind is Call:
+            out = _call(node.fn, simple[id(node.arg)], node)
+        elif kind is Neg:
+            out = _neg(simple[id(node.child)], node)
+        else:
+            out = node
+        simple[id(node)] = out
+        if derive:
+            derived[id(node)] = _derivative(node, out, simple, derived)
+    return simple[id(e)], derived.get(id(e))
 
 
-class _Step:
-    """The two memos of one :func:`_d` pass (or :func:`simplify`), by node identity.
+def _derivative(node: Expr, s: Expr, simple: dict[int, Expr],
+                derived: dict[int, Expr]) -> Expr:
+    """The simplified derivative of ``node``, whose simplified copy is ``s``.
 
-    ``d`` gives a subtree's simplified derivative and ``s`` its simplified
-    copy, each once per distinct subtree. The subtrees must outlive the
-    step, since their ids are the keys. Methods over an object, not
-    closures: a recursive closure is a reference cycle, which only the
-    cyclic garbage collector frees, and one per call made classify run
-    eight times the collections.
+    ``simple`` and ``derived`` hold its children's copies and derivatives.
     """
-
-    __slots__ = ("derived", "simplified")
-
-    def __init__(self):
-        self.derived: dict[int, Expr] = {}
-        self.simplified: dict[int, Expr] = {}
-
-    def s(self, e: Expr) -> Expr:
-        out = self.simplified.get(id(e))
-        if out is None:
-            kind = type(e)
-            if kind is Const or kind is Var:
-                out = e
-            elif kind is Neg:
-                out = _neg(self.s(e.child))
-            elif kind is Call:
-                out = _call(e.fn, self.s(e.arg))
-            elif kind is Bin:
-                out = _bin(e.op, self.s(e.left), self.s(e.right))
-            else:
-                raise TypeError(f"not an Expr node: {e!r}")
-            self.simplified[id(e)] = out
-        return out
-
-    # one method, not a memo wrapper around the rules, so that a tree
-    # level costs one frame of recursion
-    def d(self, node: Expr) -> Expr:
-        out = self.derived.get(id(node))
-        if out is not None:
-            return out
-        d, s = self.d, self.s
-        if isinstance(node, Const):
-            out = Const(0.0)
-        elif isinstance(node, Var):
-            out = Const(1.0)
-        elif isinstance(node, Neg):
-            out = _neg(d(node.child))
-        elif isinstance(node, Bin):
-            u, v = node.left, node.right
-            if node.op == "+" or node.op == "-":
-                out = _bin(node.op, d(u), d(v))
-            elif node.op == "*":
-                out = _bin("+", _bin("*", d(u), s(v)), _bin("*", s(u), d(v)))
-            elif node.op == "/":
-                num = _bin("-", _bin("*", d(u), s(v)), _bin("*", s(u), d(v)))
-                out = _bin("/", num, _bin("^", s(v), Const(2.0)))
-            # power: split on which side carries x
-            elif isinstance(v, Const):
-                power = _bin("^", s(u), Const(v.value - 1.0))
-                out = _bin("*", _bin("*", Const(v.value), power), d(u))
-            elif isinstance(u, Const):
-                out = _bin("*", _bin("*", s(node), _call("ln", s(u))), d(v))
-            else:
-                inner = _bin("+", _bin("*", d(v), _call("ln", s(u))),
-                             _bin("/", _bin("*", s(v), d(u)), s(u)))
-                out = _bin("*", s(node), inner)
-        elif isinstance(node, Call):
-            u, f = node.arg, node.fn
-            du = d(u)
-            if f == "sin":
-                out = _bin("*", _call("cos", s(u)), du)
-            elif f == "cos":
-                out = _bin("*", _neg(_call("sin", s(u))), du)
-            elif f == "tan":
-                out = _bin("/", du, _bin("^", _call("cos", s(u)), Const(2.0)))
-            elif f == "asin" or f == "acos":
-                root = _call("sqrt", _bin("-", Const(1.0), _bin("^", s(u), Const(2.0))))
-                out = _bin("/", du, root)
-                if f == "acos":
-                    out = _neg(out)
-            elif f == "atan":
-                out = _bin("/", du, _bin("+", Const(1.0), _bin("^", s(u), Const(2.0))))
-            elif f == "exp":
-                out = _bin("*", s(node), du)
-            elif f == "ln":
-                out = _bin("/", du, s(u))
-            elif f == "sqrt":
-                out = _bin("/", du, _bin("*", Const(2.0), s(node)))
-            elif f == "abs":
-                out = _bin("*", _call("sgn", s(u)), du)
-            elif f == "sgn":
-                # the distributional point mass at sign changes is dropped;
-                # callers detect those points separately
-                out = Const(0.0)
-        if out is None:
-            raise TypeError(f"not an Expr node: {node!r}")
-        self.derived[id(node)] = out
-        return out
+    kind = type(node)
+    if kind is Const:
+        return Const(0.0)
+    if kind is Var:
+        return Const(1.0)
+    if kind is Neg:
+        return _neg(derived[id(node.child)])
+    if kind is Bin:
+        u, v = node.left, node.right
+        su, sv, du, dv = simple[id(u)], simple[id(v)], derived[id(u)], derived[id(v)]
+        if node.op == "+" or node.op == "-":
+            return _bin(node.op, du, dv)
+        if node.op == "*":
+            return _bin("+", _bin("*", du, sv), _bin("*", su, dv))
+        if node.op == "/":
+            num = _bin("-", _bin("*", du, sv), _bin("*", su, dv))
+            return _bin("/", num, _bin("^", sv, Const(2.0)))
+        # power: split on which side carries x
+        if type(v) is Const:
+            power = _bin("^", su, Const(v.value - 1.0))
+            return _bin("*", _bin("*", Const(v.value), power), du)
+        if type(u) is Const:
+            return _bin("*", _bin("*", s, _call("ln", su)), dv)
+        inner = _bin("+", _bin("*", dv, _call("ln", su)), _bin("/", _bin("*", sv, du), su))
+        return _bin("*", s, inner)
+    f, su, du = node.fn, simple[id(node.arg)], derived[id(node.arg)]
+    if f == "sin":
+        return _bin("*", _call("cos", su), du)
+    if f == "cos":
+        return _bin("*", _neg(_call("sin", su)), du)
+    if f == "tan":
+        return _bin("/", du, _bin("^", _call("cos", su), Const(2.0)))
+    if f == "asin" or f == "acos":
+        out = _bin("/", du, _call("sqrt", _bin("-", Const(1.0), _bin("^", su, Const(2.0)))))
+        return _neg(out) if f == "acos" else out
+    if f == "atan":
+        return _bin("/", du, _bin("+", Const(1.0), _bin("^", su, Const(2.0))))
+    if f == "exp":
+        return _bin("*", s, du)
+    if f == "ln":
+        return _bin("/", du, su)
+    if f == "sqrt":
+        return _bin("/", du, _bin("*", Const(2.0), s))
+    if f == "abs":
+        return _bin("*", _call("sgn", su), du)
+    # sgn: the distributional point mass at sign changes is dropped;
+    # callers detect those points separately
+    return Const(0.0)
 
 
 def differentiate(e: Expr, order: int = 1) -> Expr:
@@ -965,7 +947,9 @@ def differentiate(e: Expr, order: int = 1) -> Expr:
     ``differentiate(f, 3) is differentiate(differentiate(differentiate(f)))``
     and a chain f, f', f'', ... is built once however many callers walk it,
     for as long as f lives. An order's tree shares the subtrees it repeats
-    (see :func:`_d`), so its node objects grow far slower than its positions.
+    (see :func:`_simplify_and_derive`), so its node objects grow far slower
+    than its positions. An order of more than MAX_NODES distinct nodes
+    raises ExpressionTooLarge and is not kept.
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"derivative order must be a positive integer, got {order!r}")
@@ -991,23 +975,23 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
     return value is None or e.value == value
 
 
-def _neg(c: Expr) -> Expr:
+def _neg(c: Expr, same: Neg | None = None) -> Expr:
     if isinstance(c, Const):
         return Const(-c.value)
     if isinstance(c, Neg):
         return c.child
-    return Neg(c)
+    return same if same is not None and same.child is c else Neg(c)
 
 
-def _call(fn: str, a: Expr) -> Expr:
+def _call(fn: str, a: Expr, same: Call | None = None) -> Expr:
     if isinstance(a, Const):
         v = _FN_EVAL[fn](a.value)
         if math.isfinite(v):
             return Const(v)
-    return Call(fn, a)
+    return same if same is not None and same.arg is a else Call(fn, a)
 
 
-def _bin(op: str, l: Expr, r: Expr) -> Expr:
+def _bin(op: str, l: Expr, r: Expr, same: Bin | None = None) -> Expr:
     if isinstance(l, Const) and isinstance(r, Const):
         v = _fold_bin(op, l.value, r.value)
         if math.isfinite(v):
@@ -1038,7 +1022,6 @@ def _bin(op: str, l: Expr, r: Expr) -> Expr:
             v = l.value * r.left.value
             if math.isfinite(v):
                 return Bin("*", Const(v), r.right)
-        return Bin("*", l, r)
     elif op == "/":
         if _is_const(l, 0.0):
             return Const(0.0)
@@ -1053,7 +1036,7 @@ def _bin(op: str, l: Expr, r: Expr) -> Expr:
             return Const(1.0)
         if _is_const(l, 1.0):
             return Const(1.0)
-    return Bin(op, l, r)
+    return same if same is not None and same.left is l and same.right is r else Bin(op, l, r)
 
 
 def simplify(e: Expr) -> Expr:
@@ -1063,7 +1046,7 @@ def simplify(e: Expr) -> Expr:
     defined; folding never produces non-finite constants. Each distinct
     node of ``e`` is simplified once.
     """
-    return _Step().s(e)
+    return _simplify_and_derive(e, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1071,25 +1054,34 @@ def simplify(e: Expr) -> Expr:
 
 
 def substitute(e: Expr, replacement: Expr) -> Expr:
-    """Replace every occurrence of the variable with ``replacement``."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, Neg):
-        return Neg(substitute(e.child, replacement))
-    if isinstance(e, Bin):
-        return Bin(e.op, substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, replacement))
-    raise TypeError(f"not an Expr node: {e!r}")
+    """Replace every occurrence of the variable with ``replacement``.
+
+    Each distinct node of ``e`` is copied once, so the copy shares what
+    ``e`` shares.
+    """
+    new: dict[int, Expr] = {}
+    for node in _postorder((e,)):
+        kind = type(node)
+        if kind is Const:
+            out = node
+        elif kind is Var:
+            out = replacement
+        elif kind is Neg:
+            out = Neg(new[id(node.child)])
+        elif kind is Bin:
+            out = Bin(node.op, new[id(node.left)], new[id(node.right)])
+        else:
+            out = Call(node.fn, new[id(node.arg)])
+        new[id(node)] = out
+    return new[id(e)]
 
 
 def sign_sensitive_args(e: Expr) -> list[Expr]:
-    """Arguments of every distinct abs()/sgn() node in ``e``.
+    """Arguments of every distinct abs()/sgn() node in ``e``, innermost first.
 
     Where one of these changes sign, the function has a kink or jump that
-    the symbolic derivative cannot see; smoothness scans check them.
+    the symbolic derivative cannot see; smoothness scans check them. An
+    argument comes before the arguments of the abs()/sgn() nodes around it.
     """
-    return [node.arg for node, _ in _walk(e)
-            if isinstance(node, Call) and node.fn in ("abs", "sgn")]
+    return [node.arg for node in _postorder((e,))
+            if type(node) is Call and node.fn in ("abs", "sgn")]

@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Callable
 
 from .expr import Expr, compile_fn, differentiate
+from .generalized import endpoint_slopes
 # integrate is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, Interval, SolverConfig, TheoremId, integrate, tanh_sinh, tolerance,
@@ -121,7 +122,10 @@ class Theorem:
 
 
 def _slope_gap(q: Inputs) -> float:
-    return (q.d1(q.b) - q.d1(q.a)) / q.w
+    # from the endpoint slopes the solvers read; nan, so a failing check,
+    # where one does not exist finitely
+    da, db = endpoint_slopes(q.f, q.iv, q.cfg)
+    return math.nan if da is None or db is None else (db - da) / q.w
 
 
 def _pawlikowska(q: Inputs, xi: float) -> tuple[float, float]:

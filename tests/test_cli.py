@@ -224,6 +224,19 @@ class TestUsageErrors:
         assert code == 3
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("theorem, fn, xi", [
+        ("riedel-sahoo", "abs(x)+x^3", 0.75),
+        ("cakmak-tiryaki", "abs(x)+x^3", 0.25),
+        ("cakmak-tiryaki", "abs(x-1)+x^3", 0.25),
+    ])
+    def test_a_kinked_endpoint_passes_the_self_check(self, capsys, theorem, fn, xi):
+        # the self-check reads the endpoint slopes a few ulps inside the
+        # kink, as the solver does, not at it, where sgn(0) = 0
+        code, rep, err = run_json(capsys, "solve", theorem, "--fn", fn,
+                                  "-a", "0", "-b", "1", "--stable")
+        assert code == 0 and err == ""
+        assert [p["xi"] for p in rep["results"][0]["points"]] == pytest.approx([xi], abs=1e-12)
+
     @pytest.mark.parametrize("argv", [
         ("solve", "lagrange", "--fn", "x"),
         ("solve", "integral-mvt", "--fn", "1e308*x"),

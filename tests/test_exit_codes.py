@@ -11,7 +11,10 @@ bytes that are not UTF-8. One request in four also reads an
 ``MVT_LAB_CONFIG`` file: random JSON, a value that is not an object,
 known and unknown fields with good, non-finite and mistyped numbers, deep
 nesting, or bytes that are not UTF-8. The grid is small, so the whole fuzz
-fits its time budget inside the default test run.
+fits its time budget inside the default test run. A second, smaller fuzz
+draws functions nested up to MAX_DEPTH deep at orders up to
+MAX_SUM_ORDER; the large ones end at the derivative node cap (MAX_NODES),
+exit 2.
 """
 
 import contextlib
@@ -26,7 +29,8 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, seed, settings
 
 from mvtlab.cli import _CONFIG_FIELDS, _SOLVES, main
-from mvtlab.expr import FUNCTIONS
+from mvtlab.expr import FUNCTIONS, MAX_DEPTH, MAX_NODES
+from mvtlab.generalized import MAX_SUM_ORDER
 from mvtlab.verify import THEOREMS
 
 BUDGET_S = 10.0  # wall time for all examples together
@@ -139,12 +143,8 @@ def _request(draw):
     return argv, None, config
 
 
-@seed(20218)
-@settings(max_examples=EXAMPLES, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_request())
-def _ends_in_a_documented_exit_code(request):
-    argv, corpus, config = request
+def _run(argv, corpus=None, config=None):
+    """(exit code, stderr) of one request run in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         def write(body, suffix):
@@ -168,11 +168,83 @@ def _ends_in_a_documented_exit_code(request):
             code = main(argv)
         except SystemExit as exc:  # argparse ends usage errors this way
             code = exc.code
-    assert code in (0, 1, 2, 3), (request, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), request
+    return code, err.getvalue()
+
+
+@seed(20218)
+@settings(max_examples=EXAMPLES, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_request())
+def _ends_in_a_documented_exit_code(request):
+    code, err = _run(*request)
+    assert code in (0, 1, 2, 3), (request, code, err)
+    assert "Traceback" not in err, request
 
 
 def test_every_request_ends_in_a_documented_exit_code():
     start = time.perf_counter()
     _ends_in_a_documented_exit_code()
     assert time.perf_counter() - start < BUDGET_S
+
+
+# Deep nests and high orders: up to MAX_DEPTH functions nested around x,
+# classified or solved by the order-n alternating sum up to MAX_SUM_ORDER.
+# Each derivative order holds about three times the nodes of the one
+# before, so the node cap on derivatives (exit 2) ends the large ones.
+DEEP_BUDGET_S = 30.0
+DEEP_EXAMPLES = 12
+
+# one to three functions, taken in turn to the depth drawn; half of them
+# from the functions finite everywhere, whose nests get past f(a)
+_nest = st.tuples(st.lists(st.sampled_from(FUNCTIONS), min_size=1, max_size=3)
+                  | st.lists(st.sampled_from(["sin", "cos", "atan"]), min_size=1, max_size=3),
+                  st.integers(1, MAX_DEPTH)).map(
+    lambda t: "".join(f"{t[0][i % len(t[0])]}(" for i in range(t[1])) + "x" + ")" * t[1])
+
+
+@st.composite
+def _deep_request(draw):
+    argv = ["classify"] if draw(st.booleans()) else \
+        ["solve", "pawlikowska", f"--n={draw(st.integers(1, MAX_SUM_ORDER))}"]
+    return [*argv, f"--fn={draw(_nest)}", "-a", "0.25", "-b", "0.75",
+            "--scan-points", "256", "--stable"]
+
+
+@seed(20218)
+@settings(max_examples=DEEP_EXAMPLES, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_deep_request())
+def _deep_ends_in_a_documented_exit_code(argv):
+    code, err = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, argv
+
+
+def test_deep_nests_and_high_orders_end_in_a_documented_exit_code():
+    start = time.perf_counter()
+    _deep_ends_in_a_documented_exit_code()
+    assert time.perf_counter() - start < DEEP_BUDGET_S
+
+
+def _past_the_node_cap(code, err):
+    return code == 2 and err.count("\n") == 1 and f"past the cap of {MAX_NODES}" in err
+
+
+def test_a_deep_nest_at_order_12_exits_2_within_10_s():
+    # sin nested 99 deep, within the parser's cap: order 6 holds 124,940
+    # distinct nodes
+    start = time.perf_counter()
+    code, err = _run(["solve", "pawlikowska", "--fn", "sin(" * 99 + "x" + ")" * 99,
+                      "-a", "0", "-b", "1", "--n", "12"])
+    assert _past_the_node_cap(code, err), err
+    assert time.perf_counter() - start < 10.0
+
+
+def test_a_wide_sum_past_the_node_cap_is_a_classify_usage_error():
+    # a balanced sum of 4,096 terms, 12 levels of sums deep: f has 53,247
+    # distinct nodes and f' 102,399
+    terms = ["x^2*exp(-x)*sin(3*x)"] * 4096
+    while len(terms) > 1:
+        terms = [f"({a})+({b})" for a, b in zip(terms[::2], terms[1::2])]
+    code, err = _run(["classify", "--fn", terms[0], "-a", "0", "-b", "1"])
+    assert _past_the_node_cap(code, err), err

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, seed, settings
 
 import mvtlab.expr
-from conftest import deep_abs_tree
+from conftest import deadline, deep_abs_tree
 from mvtlab.cli import main
 from mvtlab.expr import (
-    Bin, Call, Const, FUNCTIONS, MAX_DEPTH, Neg, ParseError, Var,
+    Bin, Call, Const, ExpressionTooLarge, FUNCTIONS, MAX_DEPTH, MAX_NODES, Neg, ParseError, Var,
     compile_fn, compile_panels, compile_terms, differentiate, evaluate, parse,
     sign_sensitive_args,
     simplify, substitute, unparse,
@@ -365,8 +365,23 @@ class TestDifferentiation:
     def test_an_order_shares_the_subtrees_it_repeats(self):
         # the copying build made 200,406 node objects for 291,897 positions
         d8 = differentiate(parse("exp(sin(x))*ln(x+2)"), 8)
-        assert sum(1 for _ in mvtlab.expr._walk(d8)) <= 20_000
+        assert len(mvtlab.expr._postorder((d8,))) <= 20_000
         assert evaluate(d8, 0.5) == compile_fn(d8)(0.5)
+
+    def test_the_node_cap_admits_order_10_of_a_nested_product(self):
+        d10 = differentiate(parse("exp(sin(x))*ln(x+2)"), 10)
+        assert len(mvtlab.expr._postorder((d10,))) == 89_869 <= MAX_NODES
+
+    def test_an_order_past_the_node_cap_raises_and_is_not_kept(self):
+        # sin nested 99 deep: about 3.2 times the nodes an order, 124,940
+        # at order 6
+        f = parse("sin(" * 99 + "x" + ")" * 99)
+        with deadline(10.0):
+            with pytest.raises(ExpressionTooLarge, match="124940 distinct nodes"):
+                differentiate(f, 12)
+        d5 = differentiate(f, 5)
+        assert getattr(d5, "_derivative", None) is None
+        assert len(mvtlab.expr._postorder((d5,))) == 39_600
 
     def test_simplify_keeps_what_the_input_shares(self):
         shared = parse("sin(x)*1")
@@ -589,12 +604,39 @@ class TestStructure:
         assert parse("x-1") in args
         assert len(args) == 2
 
+    def test_substitute_keeps_the_sharing_it_is_given(self):
+        # 291,897 positions over 11,048 distinct nodes
+        d8 = differentiate(parse("exp(sin(x))*ln(x+2)"), 8)
+        out = substitute(d8, parse("x+1"))
+        assert len(mvtlab.expr._postorder((out,))) <= 20_000
+        assert evaluate(out, 0.5) == evaluate(d8, 1.5)
+
+    def test_a_tree_deeper_than_the_recursion_limit_goes_through_every_pass(self):
+        e = deep_abs_tree(5000)
+        assert evaluate(e, 0.25) == compile_fn(e)(0.25) == -0.25
+        assert unparse(e) == "-abs(" * 2500 + "x-0.5" + ")" * 2500
+        assert evaluate(substitute(e, parse("x+0.25")), 0.0) == -0.25
+        assert evaluate(simplify(e), 0.25) == -0.25
+        d = differentiate(e)
+        assert evaluate(d, 0.25) == compile_fn(d)(0.25) in (-1.0, 1.0)
+
+    def test_postorder_lists_each_node_once_after_its_children(self):
+        shared = parse("sin(x)")
+        inner = Bin("*", shared, Var())
+        e = Bin("+", shared, inner)
+        nodes = mvtlab.expr._postorder((e, shared))
+        assert nodes == [shared.arg, shared, inner.right, inner, e]
+        assert [id(n) for n in nodes[:2]] == [id(shared.arg), id(shared)]
+        with pytest.raises(TypeError):
+            mvtlab.expr._postorder((Bin("+", Var(), 1.0),))
+
     def test_sign_sensitive_args_of_a_deep_tree(self):
         # built past the parser's depth cap, deeper than the recursion limit
         e = deep_abs_tree(5000)
         args = sign_sensitive_args(e)
         assert len(args) == 2500
-        assert args[0] is e.child.arg and args[-1] == Bin("-", Var(), Const(0.5))
+        # innermost first
+        assert args[0] == Bin("-", Var(), Const(0.5)) and args[-1] is e.child.arg
 
     def test_operator_overloading(self):
         e = (Var() + 1) * 2 - Var() ** 2

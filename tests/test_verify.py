@@ -145,3 +145,10 @@ def test_missing_g_rejected():
 def test_missing_weight_rejected():
     with pytest.raises(ValueError):
         verify_point("thm-4.10", 0.5, parse("x"), g=parse("1"), iv=UNIT)
+
+
+@pytest.mark.parametrize("tid", ["riedel-sahoo", "cakmak-tiryaki"])
+def test_a_missing_endpoint_slope_fails_the_check(tid):
+    # sqrt's slope at 0 does not exist finitely: the slope gap is nan
+    ic = verify_point(tid, 0.5, parse("sqrt(x)"), iv=UNIT)
+    assert not ic.ok and math.isnan(ic.rhs)

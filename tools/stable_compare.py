@@ -2,13 +2,13 @@
 
     python3 tools/stable_compare.py ../parent
 
-Runs the 3,574 requests that ``tools/stable_digest.py`` runs (the seed-1
-and seed-2 request lists of the four benchmark workloads) in PARENT and in
-this checkout, each in a subprocess that imports that checkout's own
-``src`` and ``bench``, and prints:
+Runs 3,574 requests, the seed-1 and seed-2 request lists of the four
+benchmark workloads (``bench/workloads.py``), each with its ``--stable``
+flag, in PARENT and in this checkout, each in a subprocess that imports
+that checkout's own ``src`` and ``bench``, and prints:
 
 - the moved lines per workload: requests whose exit code, stdout or
-  stderr differ, so whose ``stable_digest`` line moves;
+  stderr differ;
 - every exit-code change;
 - every classify condition-vector change, M and I left out;
 - every change in a result group's point count or its
