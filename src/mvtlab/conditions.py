@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .expr import Expr, compile_fn, differentiate, evaluate
+from .expr import Expr, compile_fn, differentiate, evaluate, sign_sensitive_args
 from .flett import find_flett_points
 from .generalized import endpoint_slopes, slopes_agree
 from .mvt_points import integral_mean
@@ -94,17 +94,19 @@ class ConditionVector:
 class _Context:
     """What the checkers share about one (f, interval, config).
 
-    Each part is computed on its first read and kept: the differentiability
-    verdict (one ``differentiable_on_interior`` scan), the one-sided
-    endpoint slopes, and (f(a), f(b)). A part whose computation raised
-    SolverError raises that same error at every read, so each checker
-    still demotes to NotApplicable on its own.
+    ``sign_args``, f's abs()/sgn() arguments, serve the scan, the slopes
+    and the integral mean. Each part is computed on its first read and
+    kept: the differentiability verdict (one ``differentiable_on_interior``
+    scan), the one-sided endpoint slopes, and (f(a), f(b)). A part whose
+    computation raised SolverError raises that same error at every read,
+    so each checker still demotes to NotApplicable on its own.
     """
 
-    __slots__ = ("f", "iv", "cfg", "_parts")
+    __slots__ = ("f", "iv", "cfg", "sign_args", "_parts")
 
     def __init__(self, f: Expr, iv: Interval, cfg: SolverConfig | None):
         self.f, self.iv, self.cfg = f, iv, cfg or DEFAULT_CONFIG
+        self.sign_args = sign_sensitive_args(f)
         self._parts: dict = {}  # name -> value, or the SolverError it raised
 
     def _part(self, name: str, make):
@@ -121,11 +123,12 @@ class _Context:
     @property
     def smooth(self) -> bool:
         return self._part("smooth", lambda: differentiable_on_interior(
-            self.f, self.iv, self.cfg))
+            self.f, self.iv, self.cfg, self.sign_args))
 
     @property
     def slopes(self) -> tuple[float | None, float | None]:
-        return self._part("slopes", lambda: endpoint_slopes(self.f, self.iv, self.cfg))
+        return self._part("slopes", lambda: endpoint_slopes(
+            self.f, self.iv, self.cfg, self.sign_args))
 
     @property
     def ends(self) -> tuple[float, float]:
@@ -182,7 +185,7 @@ def check_trahan(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verd
 
 
 def _tong_means(ctx: _Context) -> tuple[float, float]:
-    _, i = integral_mean(ctx.f, ctx.iv, ctx.cfg)
+    _, i = integral_mean(ctx.f, ctx.iv, ctx.cfg, ctx.sign_args)
     fa, fb = ctx.ends
     return 0.5 * (fa + fb), i
 

@@ -3,16 +3,22 @@
 Function text is parsed by recursive descent into an immutable AST that can
 be evaluated on the extended real line, differentiated symbolically to any
 order, simplified, and printed back to parseable text. ``evaluate`` walks
-the tree once, for a single point. For many points, one lowering turns
-trees into generated straight-line Python that evaluates each distinct
+the tree once, for a single point, and costs less than a compile for a
+value read at a point or two. For many points, one lowering turns trees
+into generated straight-line Python that evaluates each distinct
 subexpression once per point: ``compile_fn`` wraps one tree as a callable
-(quadrature, endpoint values), ``compile_terms`` wraps the terms of a
-residual as a whole-grid loop plus their difference at one point (the
-grid scan and root polishing), and ``compile_panels`` wraps the
-integrands of running integrals as one loop that takes one Simpson step
-over every pair of grid panels (operator prefix builds), with
-``compile_fn``'s callables as its point functions. Input nested deeper
-than MAX_DEPTH levels is rejected by the parser.
+(quadrature), ``compile_terms`` wraps the terms of a residual as a
+whole-grid loop plus their difference at one point (the grid scan and
+root polishing), and ``compile_panels`` wraps the integrands of running
+integrals as one loop that takes one Simpson step over every pair of
+grid panels (operator prefix builds), with ``compile_fn``'s callables as
+its point functions. Input nested deeper than MAX_DEPTH levels is
+rejected by the parser.
+
+Generated code is plain arithmetic, which returns its helper's value bit
+for bit or raises where the helper gives nan or an infinity. It runs in
+``try``, and a point that raised is recomputed alone by a guarded
+lowering that calls the helpers, compiled on first need.
 
 A derivative order is built in one pass (``_d``): every node it makes
 goes through simplify's rule for its kind, with its children already
@@ -210,8 +216,8 @@ def _postorder(roots: Sequence[Expr]) -> list[Expr]:
 
 # ---------------------------------------------------------------------------
 # Extended-real arithmetic helpers. They define the semantics: evaluate()
-# calls them, and generated code (compile_fn, compile_terms) calls them
-# everywhere except on the ranges where they reduce to one plain operation.
+# calls them, and generated code calls them at the points where its plain
+# arithmetic raises (see _lower).
 
 _NAN = math.nan
 _INF = math.inf
@@ -336,51 +342,27 @@ def evaluate(e: Expr, x: float) -> float:
 
 # Names the generated code reads from its globals. Locals are x, t0, t1, ...
 # (and xs, col0, put0, ... in grid loops), constants c0, c1, ..., so none
-# of them can shadow these.
+# of them can shadow these. ``_fault`` is what plain arithmetic raises.
 _CODEGEN_GLOBALS = {"__builtins__": {}, "float": float, "_div": _div, "_pow": _pow,
+                    "_fault": (ArithmeticError, ValueError),
                     **{f"fn_{name}": fn for name, fn in _FN_EVAL.items()},
                     "m_sin": math.sin, "m_cos": math.cos, "m_tan": math.tan,
                     "m_asin": math.asin, "m_acos": math.acos, "m_atan": math.atan,
                     "m_exp": math.exp, "m_ln": math.log, "m_sqrt": math.sqrt}
 
-# Argument ranges on which the bare math function returns what the guarded
-# helper in _FN_EVAL returns: inside them math raises nothing and the
-# helper's special cases do not apply. Generated code calls the math
-# function there and the helper everywhere else. 1e999 reads as inf.
-_FAST_RANGE = {
-    "sin": "-1e999 < {0} < 1e999", "cos": "-1e999 < {0} < 1e999",
-    "tan": "-1e999 < {0} < 1e999", "atan": "-1e999 < {0} < 1e999",
-    "asin": "-1.0 <= {0} <= 1.0", "acos": "-1.0 <= {0} <= 1.0",
-    "exp": "-1e999 < {0} < 709.0",
-    "ln": "0.0 < {0} < 1e999",
-    "sqrt": "0.0 <= {0} < 1e999",
-}
 
+def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
+        Callable[[bool], list[str]], list[str]]:
+    """``lines(guarded)``, statements that compute every root at ``var``, and each root's name.
 
-def _lower_pow(a: str, b: str, exponent: Expr) -> str:
-    # a ** k for a constant integer k in [1, 1023] equals math.pow(a, k)
-    # (so _pow) bit for bit while |a| < 2^(1023 // k), where a^k cannot
-    # overflow; nan, inf and larger bases take _pow
-    k = exponent.value if type(exponent) is Const else 0.0
-    if 1.0 <= k <= 1023.0 and k == math.floor(k):
-        k = int(k)
-        lim = repr(2.0 ** (1023 // k))
-        return f"{a} ** {k} if -{lim} < {a} < {lim} else _pow({a}, {b})"
-    return f"_pow({a}, {b})"
-
-
-def _lower(roots: Sequence[Expr], glb: dict, var: str = "float(x)",
-           tag: str = "") -> tuple[list[str], list[str]]:
-    """Straight-line statements that compute every root, and each root's name.
-
-    The statements read the variable as ``var`` and assign one local per
-    distinct subexpression across all roots, so subtrees that roots share
-    (f and its derivatives share many) are computed once. Constants are
-    added to ``glb``. Every name ends in ``tag``, so lowerings that share
-    one ``glb`` (or one function body) need distinct tags. The statements
-    follow :func:`_postorder`, so any depth lowers.
+    One local per distinct subexpression across all roots; constants go to
+    ``glb``; names end in ``tag``, so lowerings sharing one ``glb`` need
+    distinct tags. ``lines(False)`` is plain arithmetic (bare math
+    functions, ``a / b``, ``a ** k`` for a constant integer k in [1, 1023]);
+    ``lines(True)`` calls :func:`evaluate`'s helpers, for a point where the
+    plain statements raised. ``lines`` holds text, so keeps no tree alive.
     """
-    lines: list[str] = []
+    steps: list[tuple[str, str, str]] = []  # (name, plain rhs, guarded rhs)
     name_of: dict[int, str] = {}   # id(node) -> local or constant name
     by_key: dict[tuple, str] = {}  # structural key -> local or constant name
     for node in _postorder(roots):
@@ -400,30 +382,30 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str = "float(x)",
             key = ("x",)
         name = by_key.get(key)
         if name is None:
+            name = by_key[key] = f"{'c' if kind is Const else 't'}{len(by_key)}{tag}"
             if kind is Const:
-                name = f"c{len(by_key)}{tag}"
                 glb[name] = node.value
             else:
-                name = f"t{len(by_key)}{tag}"
-                if kind is Var:
-                    rhs = var
-                elif kind is Neg:
-                    rhs = f"-{a}"
+                if kind is Var or kind is Neg:
+                    plain = guarded = var if kind is Var else f"-{a}"
                 elif kind is Call:
-                    fast = _FAST_RANGE.get(node.fn)
-                    rhs = f"fn_{node.fn}({a})"
-                    if fast is not None:
-                        rhs = f"m_{node.fn}({a}) if {fast.format(a)} else {rhs}"
+                    guarded = f"fn_{node.fn}({a})"
+                    plain = f"m_{node.fn}({a})" if f"m_{node.fn}" in glb else guarded
                 elif node.op in "+-*":
-                    rhs = f"{a} {node.op} {b}"
+                    plain = guarded = f"{a} {node.op} {b}"
                 elif node.op == "/":
-                    # a nonzero (or nan) divisor is where _div is plain a / b
-                    rhs = f"{a} / {b} if {b} else _div({a}, {b})"
+                    plain, guarded = f"{a} / {b}", f"_div({a}, {b})"
                 else:
-                    rhs = _lower_pow(a, b, node.right)
-                lines.append(f"{name} = {rhs}")
-            by_key[key] = name
+                    guarded = plain = f"_pow({a}, {b})"
+                    k = node.right.value if type(node.right) is Const else 0.0
+                    if 1.0 <= k <= 1023.0 and k == math.floor(k):
+                        plain = f"{a} ** {int(k)}"
+                steps.append((name, plain, guarded))
         name_of[id(node)] = name
+
+    def lines(guarded: bool) -> list[str]:
+        return [f"{name} = {rhs[guarded]}" for name, *rhs in steps]
+
     return lines, [name_of[id(r)] for r in roots]
 
 
@@ -470,6 +452,22 @@ def _indent(lines: list[str], depth: int) -> str:
     return "".join(f"{pad}{line}\n" for line in lines)
 
 
+def _try(glb: dict, kind: str, call: str, body: Callable[[bool], list[str]],
+         prefix: str = "") -> list[str]:
+    """``body(False)`` as a ``try`` block whose ``except`` runs ``prefix + call``.
+
+    ``call`` calls ``def {call}:`` over ``body(True)``, the guarded
+    statements, which a stand-in in ``glb`` compiles on its first call.
+    """
+    name = call[:call.index("(")]
+    def first(*args):
+        _run(f"def {call}:\n" + _indent(body(True), 1), kind, glb)
+        return glb[name](*args)
+    glb[name] = first
+    return ["try:", *(f"    {line}" for line in body(False)),
+            "except _fault:", f"    {prefix}{call}"]
+
+
 def compile_fn(e: Expr) -> Callable[[float], float]:
     """Build a plain callable for ``e``.
 
@@ -477,9 +475,9 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     lowered to the source of one straight-line Python function with a
     local variable per distinct subexpression, so a subtree that a
     derivative repeats many times is evaluated once per call, and a call
-    costs no per-node dispatch. Division, integer powers and the math
-    functions run inline where the guarded helper provably gives the same
-    result, and call the helper otherwise.
+    costs no per-node dispatch. The function runs plain arithmetic (see
+    :func:`_lower`); at a point where that raises, it returns the guarded
+    lowering's value instead, a second function compiled on first need.
 
     The callable is memoized on ``e`` for as long as the node lives. A tree
     of the same shape, whatever its constants, gets a new callable over
@@ -488,9 +486,10 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     fn = getattr(e, "_compiled", None)
     if fn is None:
         glb = dict(_CODEGEN_GLOBALS)
-        lines, (name,) = _lower((e,), glb)
-        src = "def compiled(x):\n" + _indent(lines, 1) + f"    return {name}\n"
-        _run(src, "compile_fn", glb)
+        lines, (name,) = _lower((e,), glb, "float(x)")
+        body = _try(glb, "compile_fn", "slow(x)",
+                    lambda guarded: lines(guarded) + [f"return {name}"], "return ")
+        _run("def compiled(x):\n" + _indent(body, 1), "compile_fn", glb)
         fn = glb["compiled"]
         object.__setattr__(e, "_compiled", fn)  # the node is frozen
     return fn
@@ -500,11 +499,12 @@ def compile_terms(exprs: Sequence[Expr]) -> tuple[
         Callable[[Iterable[float]], list[list[float]]], Callable[[float], float]]:
     """Build ``(grid, fold)`` for the terms of a residual.
 
-    ``grid(xs)`` evaluates every expression at every x of ``xs`` in one
-    generated loop and returns one list of values per expression; a
+    ``grid(xs)`` evaluates every expression at every x of ``xs`` (floats)
+    in one generated loop and returns one list of values per expression; a
     subexpression common to several expressions is computed once per
-    point. ``fold(x)`` is exprs[0] - exprs[1] - ... - exprs[-1] at one x,
-    the subtractions running left to right (see
+    point, and a point where plain arithmetic raises is recomputed by the
+    guarded lowering. ``fold(x)`` is exprs[0] - exprs[1] - ... - exprs[-1]
+    at one x, the subtractions running left to right (see
     :func:`~mvtlab.numerics.fold_terms`), computed by ``grid`` on that one
     point. Values equal :func:`evaluate` bit for bit. Both functions come
     from one code object over one copy of the lowered code: ``fold`` serves
@@ -512,16 +512,19 @@ def compile_terms(exprs: Sequence[Expr]) -> tuple[
     rather than carrying a copy of its own.
     """
     glb = dict(_CODEGEN_GLOBALS)
-    lines, names = _lower(exprs, glb)
+    lines, names = _lower(exprs, glb, "x")
+    puts = ", ".join(f"put{i}" for i in range(len(names)))
+    body = _try(glb, "compile_terms", f"slow(x, {puts})", lambda guarded: lines(guarded)
+                + [f"put{i}({n})" for i, n in enumerate(names)])
     cols = [f"col{i}" for i in range(len(names))]
     src = ("def grid(xs):\n"
            + _indent([f"{c} = []" for c in cols]
                      + [f"put{i} = {c}.append" for i, c in enumerate(cols)], 1)
            + "    for x in xs:\n"
-           + _indent(lines + [f"put{i}({n})" for i, n in enumerate(names)], 2)
+           + _indent(body, 2)
            + f"    return [{', '.join(cols)}]\n"
            + "def fold(x):\n"
-           + "    at = grid((x,))\n"
+           + "    at = grid((float(x),))\n"
            + f"    return {' - '.join(f'at[{i}][0]' for i in range(len(cols)))}\n")
     _run(src, "compile_terms", glb)
     return glb["grid"], glb["fold"]
@@ -570,7 +573,14 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
         # of the values (None for a missing pointwise part); the ends are
         # floats, so expressions read x as it is
         js = [j for j in js if fns[j] is not None]
-        lines, names = _lower([fns[j] for j in js if isinstance(fns[j], Expr)], glb, x, tag)
+        block, names = _lower([fns[j] for j in js if isinstance(fns[j], Expr)], glb, x, tag)
+        lines = block(False)
+        # a guarded block recomputes what the block defines but constants:
+        # assigning a global makes it a local the plain block reads unbound
+        values = ", ".join(dict.fromkeys(n for n in names if n not in glb))
+        if values:
+            lines = _try(glb, "compile_panels", f"slow{tag}({x})",
+                         lambda g: block(g) + ([f"return {values},"] if g else []), f"{values}, = ")
         exprs = iter(names)
         out: list[str | None] = [None] * len(fns)
         for j in js:
@@ -811,13 +821,25 @@ _BIN_LEVELS = {"+": (_LEVEL_ADD, _LEVEL_ADD, _LEVEL_MUL),
 
 def unparse(e: Expr) -> str:
     """Print ``e`` as text the parser accepts, with minimal parentheses."""
+    nodes = _postorder((e,))
+    # id -> parents still to print: a text is dropped once the last has used it
+    uses: dict[int, int] = {}
+    for node in nodes:
+        kind = type(node)
+        for child in ((node.left, node.right) if kind is Bin else (node.arg,) if kind is Call
+                      else (node.child,) if kind is Neg else ()):
+            uses[id(child)] = uses.get(id(child), 0) + 1
     printed: dict[int, tuple[int, str]] = {}  # id -> (level, text)
 
     def operand(child: Expr, min_level: int) -> str:
-        level, text = printed[id(child)]
+        key = id(child)
+        level, text = printed[key]
+        uses[key] -= 1
+        if not uses[key]:
+            del printed[key]
         return f"({text})" if level < min_level else text
 
-    for node in _postorder((e,)):
+    for node in nodes:
         kind = type(node)
         if kind is Bin:
             level, lo, hi = _BIN_LEVELS[node.op]
@@ -825,7 +847,7 @@ def unparse(e: Expr) -> str:
         elif kind is Neg:
             level, text = _LEVEL_UNARY, "-" + operand(node.child, _LEVEL_UNARY)
         elif kind is Call:
-            level, text = _LEVEL_ATOM, f"{node.fn}({printed[id(node.arg)][1]})"
+            level, text = _LEVEL_ATOM, f"{node.fn}({operand(node.arg, _LEVEL_ADD)})"
         elif kind is Var:
             level, text = _LEVEL_ATOM, "x"
         else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .expr import Const, Expr, Var, compile_fn, differentiate
+from .expr import Const, Expr, Var, compile_fn, differentiate, evaluate
 from .generalized import endpoint_slopes, endpoint_value, slopes_agree
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
@@ -110,8 +110,7 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
     if tid in (TheoremId.FLETT, TheoremId.MEYERS_2_3, TheoremId.MEYERS_2_4,
                TheoremId.MEYERS_2_5):
         return slopes_agree(slopes, cfg)
-    fc = compile_fn(f)
-    fa, fb = fc(iv.a), fc(iv.b)
+    fa, fb = evaluate(f, iv.a), evaluate(f, iv.b)
     if not (math.isfinite(fa) and math.isfinite(fb)):
         return None
     w = iv.width

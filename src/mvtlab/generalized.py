@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+# compile_fn is unused here but bench/tracer.py patches it
 from .expr import Const, Expr, Var, compile_fn, differentiate, evaluate, sign_sensitive_args
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
@@ -28,14 +29,15 @@ __all__ = [
 MAX_SUM_ORDER = 12
 
 
-def endpoint_slopes(f: Expr, iv: Interval,
-                    cfg: SolverConfig) -> tuple[float | None, float | None]:
+def endpoint_slopes(f: Expr, iv: Interval, cfg: SolverConfig,
+                    sign_args: list[Expr] | None = None) -> tuple[float | None, float | None]:
     """(f'(a), f'(b)), one-sided; None for one that does not exist finitely.
 
     Where an abs()/sgn() argument of f is 0 on an endpoint, f' there holds
     sgn(0) = 0, so that slope is read up to 4 ulps inside, past the zero.
+    ``sign_args`` is ``sign_sensitive_args(f)``, for a caller that holds it.
     """
-    args = sign_sensitive_args(f)
+    args = sign_sensitive_args(f) if sign_args is None else sign_args
 
     def slope(x: float, inward: float) -> float | None:
         for _ in range(4):
@@ -63,7 +65,7 @@ def endpoint_value(f: Expr, iv: Interval, end: str) -> float:
 
     Raises DomainError "f(a) is not finite" (or f(b)) when it is not.
     """
-    v = compile_fn(f)(iv.a if end == "a" else iv.b)
+    v = evaluate(f, iv.a if end == "a" else iv.b)
     if not math.isfinite(v):
         raise DomainError(f"f({end}) is not finite")
     return v

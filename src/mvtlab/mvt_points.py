@@ -82,20 +82,24 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
     return solve_residual((t1, t2), iv, cfg, TheoremId.CAUCHY, hypothesis=hyp)
 
 
-def integral_mean(f: Expr, iv: Interval,
-                  cfg: SolverConfig) -> tuple[Callable[[float], float], float]:
+def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig,
+                  sign_args: list[Expr] | None = None
+                  ) -> tuple[Callable[[float], float], float]:
     """(compiled f, mean of f over [a, b]); DomainError if f is not finite on the closed grid.
 
     The mean is a :func:`~mvtlab.numerics.tanh_sinh` integral, or an
     :func:`~mvtlab.numerics.integrate` one when f has an abs() or sgn():
     tanh-sinh would not settle on the kink and fall back to it anyway.
+    ``sign_args`` is ``sign_sensitive_args(f)``, for a caller that holds it.
     """
     fc = compile_fn(f)
     for x in grid_points(iv, cfg, margin=0.0):
         if not math.isfinite(fc(x)):
             raise DomainError(f"f is not finite at x={x!r}; the mean value "
                               "identity needs a continuous integrand")
-    rule = integrate if sign_sensitive_args(f) else tanh_sinh
+    if sign_args is None:
+        sign_args = sign_sensitive_args(f)
+    rule = integrate if sign_args else tanh_sinh
     return fc, rule(fc, iv.a, iv.b, cfg) / iv.width
 
 

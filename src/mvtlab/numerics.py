@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import compress
 from typing import Callable, Sequence
 
 # compile_fn is unused here but bench/tracer.py patches it
@@ -226,11 +226,15 @@ def grid_points(iv: Interval, cfg: SolverConfig, margin: float | None = None) ->
     return _grids(key, lambda: _grid(*key))
 
 
+# float indices: float * float is the interpreter's fast path, int * float a slow one
+_float_indices = _Memo(2 ** 14, lambda n: n)
+
+
 def _grid(iv: Interval, n: int, m: float) -> list[float]:
     lo = iv.a + m * iv.width
     hi = iv.b - m * iv.width
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return [lo + i * step for i in _float_indices(n, lambda: list(map(float, range(n))))]
 
 
 # Sign flips whose both bracket values sit this many ulps of the residual
@@ -497,19 +501,14 @@ def central_diff(F: Callable[[float], float], x: float, order: int = 1) -> float
 # Shared residual search
 
 
-def _zero_runs(flags: list[bool], min_len: int) -> list[tuple[int, int]]:
-    """(first, last) index of every run of at least min_len true flags."""
-    runs = []
-    start, last = 0, -1  # an empty run
-    for i in compress(range(len(flags)), flags):
-        if i != last + 1:
-            if last - start + 1 >= min_len:
-                runs.append((start, last))
-            start = i
-        last = i
-    if last - start + 1 >= min_len:
-        runs.append((start, last))
-    return runs
+def _flips(flags: list[bool]) -> list[int]:
+    """Every i with flags[i] != flags[i + 1], found by list.index hops, one a flip."""
+    out, i = [], 0
+    with suppress(ValueError):
+        while True:
+            i = flags.index(not flags[i], i + 1)
+            out.append(i - 1)
+    return out
 
 
 def _confirmed_crossing(F: Callable[[float], float], root: float,
@@ -619,35 +618,41 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     # finite and |y| <= thr; capping thr at the largest float keeps inf out
     # even when thr itself overflowed
     near = list(map(min(thr, sys.float_info.max).__ge__, map(abs, ys)))
-    if sum(near) >= 0.99 * finite:
+    if near.count(True) >= 0.99 * finite:
         mid = iv.midpoint
         return Points([PointResult(mid, F(mid), theorem_id, degenerate=True,
                                    hypothesis_satisfied=hypothesis)], hypothesis)
 
     results = Points(hypothesis_satisfied=hypothesis)
+    # near[i0:i1] is a stretch of near points, and a run when it is long
+    ends = _flips([False, *near, False])
+    stretches = list(zip(ends[::2], ends[1::2]))
+    min_len = max(3, cfg.scan_points // 100)
     run_members: set[int] = set()
-    last = len(xs) - 1
-    for i0, i1 in _zero_runs(near, max(3, cfg.scan_points // 100)):
-        run_members.update(range(i0, i1 + 1))
-        if (i0 == 0 and forced_zero == iv.a) or (i1 == last and forced_zero == iv.b):
+    for i0, i1 in stretches:
+        if i1 - i0 < min_len:
             continue
-        k = (i0 + i1) // 2
+        run_members.update(range(i0, i1))
+        if (i0 == 0 and forced_zero == iv.a) or (i1 == len(xs) and forced_zero == iv.b):
+            continue
+        k = (i0 + i1 - 1) // 2
         results.append(PointResult(xs[k], ys[k], theorem_id, degenerate=True,
                                    hypothesis_satisfied=hypothesis))
 
     lo, hi = xs[0], xs[-1]
     step = xs[1] - xs[0]
     # an exact grid-point zero never enters a bracket, so report it directly
-    # when the sign genuinely flips across it (not_ is true on +-0.0 only)
-    for i in compress(range(len(ys)), map(operator.not_, ys)):
-        if i not in run_members \
-                and _confirmed_crossing(F, xs[i], lo, hi, step, noise):
-            results.append(PointResult(xs[i], 0.0, theorem_id,
-                                       hypothesis_satisfied=hypothesis))
+    # when the sign genuinely flips across it; thr >= 0, so it is near
+    for i0, i1 in stretches:
+        if i1 - i0 >= min_len:
+            continue  # a run
+        for i in range(i0, i1):
+            if ys[i] == 0.0 and _confirmed_crossing(F, xs[i], lo, hi, step, noise):
+                results.append(PointResult(xs[i], 0.0, theorem_id,
+                                           hypothesis_satisfied=hypothesis))
 
     # a bracket needs y < 0 on exactly one side; the loop checks the rest
-    below = [y < 0.0 for y in ys]
-    for i in compress(range(len(ys) - 1), map(operator.ne, below, below[1:])):
+    for i in _flips([y < 0.0 for y in ys]):
         if i in run_members or (i + 1) in run_members:
             continue
         y0, y1 = ys[i], ys[i + 1]
@@ -679,17 +684,20 @@ def one_sided_derivative(f: Expr, x: float, cfg: SolverConfig) -> float | None:
     return v
 
 
-def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig) -> bool:
+def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig,
+                               sign_args: list[Expr] | None = None) -> bool:
     """Grid test for differentiability of f on the open interval.
 
     Fails when f itself or its symbolic derivative is non-finite (or the
     derivative is past cfg.singular_threshold) at any interior grid point,
     or when the argument of any abs()/sgn() inside f strictly changes sign
     there -- the symbolic derivative is blind to those kinks and jumps.
+    ``sign_args`` is ``sign_sensitive_args(f)``, for a caller that holds it.
     """
     xs = grid_points(iv, cfg)
+    sign_args = sign_sensitive_args(f) if sign_args is None else sign_args
     # the arguments are subtrees of f: their columns cost one append a point
-    grid, _ = compile_terms((f, differentiate(f), *sign_sensitive_args(f)))
+    grid, _ = compile_terms((f, differentiate(f), *sign_args))
     fv, dv, *args = grid(xs)
     if not (all(map(math.isfinite, fv)) and all(map(math.isfinite, dv))
             and max(map(abs, dv)) <= cfg.singular_threshold):

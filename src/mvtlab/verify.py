@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
-from .expr import Expr, compile_fn, differentiate
+from .expr import Expr, compile_fn, differentiate, evaluate
 from .generalized import endpoint_slopes
 # integrate is unused here but bench/tracer.py patches it
 from .numerics import (
@@ -44,9 +44,10 @@ class IdentityCheck:
 class Inputs:
     """One request's inputs, and what verifying its points shares.
 
-    The compiled functions (f, g, f', f'', g' and the weight) are plain
-    reads through :func:`~mvtlab.expr.compile_fn` and
-    :func:`~mvtlab.expr.differentiate`, which memoize them on the request's
+    The functions (f, g and the weight compiled; f', f'' and g' read at a
+    point or two, so :func:`~mvtlab.expr.evaluate` walks) are plain reads
+    through :func:`~mvtlab.expr.compile_fn` and
+    :func:`~mvtlab.expr.differentiate`, which memoize on the request's
     trees, so the solver, the hypothesis and every point verified share one
     derivative chain and one compile per tree. The integrals over [0, 1]
     that do not depend on the point are made on first use and kept.
@@ -67,9 +68,9 @@ class Inputs:
     fc = property(lambda self: compile_fn(self.f))
     gc = property(lambda self: compile_fn(self.g))
     pc = property(lambda self: compile_fn(self.weight))
-    d1 = property(lambda self: compile_fn(differentiate(self.f)))
-    d2 = property(lambda self: compile_fn(differentiate(self.f, 2)))
-    dg = property(lambda self: compile_fn(differentiate(self.g)))
+    d1 = property(lambda self: partial(evaluate, differentiate(self.f)))
+    d2 = property(lambda self: partial(evaluate, differentiate(self.f, 2)))
+    dg = property(lambda self: partial(evaluate, differentiate(self.g)))
 
     def _over_unit(self, F: Callable[[float], float]) -> float:
         return tanh_sinh(F, 0.0, 1.0, self.quad_cfg)
@@ -135,7 +136,7 @@ def _pawlikowska(q: Inputs, xi: float) -> tuple[float, float]:
     for i in range(1, q.n + 1):
         gexpr = differentiate(gexpr)
         p *= xi - q.a
-        rhs += (-1.0) ** (i + 1) / math.factorial(i) * p * compile_fn(gexpr)(xi)
+        rhs += (-1.0) ** (i + 1) / math.factorial(i) * p * evaluate(gexpr, xi)
     return q.fc(xi) - q.fc(q.a), rhs
 
 

@@ -5,8 +5,11 @@ import math
 import pytest
 
 import mvtlab.conditions
+import mvtlab.expr
 import mvtlab.flett
 import mvtlab.generalized
+import mvtlab.mvt_points
+import mvtlab.numerics
 from mvtlab.conditions import (
     ConditionVector, Verdict, check_flett_condition, check_malesevic,
     check_tong, check_trahan, classify, phi1, phi1_prime_at_a, tong_means,
@@ -173,6 +176,20 @@ class TestSharedContext:
             monkeypatch.setattr(mod, "endpoint_slopes", counted)
         cv = classify(parse("x^3"), Interval(-2.0 / 3.0, 1.0))
         assert cv.has_flett_point and len(calls) == 1
+
+    def test_classify_lists_the_sign_sensitive_arguments_once(self, monkeypatch):
+        # the scan, the slopes and the integral mean share one list
+        calls = []
+        listed = mvtlab.expr.sign_sensitive_args
+
+        def counted(e):
+            calls.append(e)
+            return listed(e)
+
+        for mod in (mvtlab.conditions, mvtlab.numerics, mvtlab.generalized, mvtlab.mvt_points):
+            monkeypatch.setattr(mod, "sign_sensitive_args", counted)
+        cv = classify(parse("abs(x-0.3)+x^3"), Interval(0.0, 1.0))
+        assert cv.m_of_f is not None and len(calls) == 1
 
     @pytest.mark.parametrize("fn, a, b", CASES)
     def test_classify_matches_the_checkers_one_by_one(self, fn, a, b):

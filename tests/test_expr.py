@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -246,10 +247,70 @@ def test_compile_terms_matches_compile_fn(exprs, xs):
         assert same_float(fold(x), r)
 
 
+# trees whose plain generated code raises at some of _raising_x: ln, sqrt
+# and asin out of their domains, a division by zero, exp past its overflow
+# and a cube past 1e103, over any subtree
+_raising_expr = st.one_of(
+    _any_expr,
+    st.builds(Call, st.sampled_from(["ln", "sqrt", "asin", "acos", "exp"]), _any_expr),
+    st.builds(lambda t: Call("exp", Bin("*", Const(800.0), t)), _any_expr),
+    st.builds(lambda t: Bin("/", t, Bin("-", Var(), Var())), _any_expr),
+    st.builds(lambda t: Bin("/", t, Var()), _any_expr),
+    st.builds(lambda t: Bin("^", t, Const(3.0)), _any_expr),
+)
+_raising_x = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(
+    [-2.0, -1.0, -0.0, 0.0, 0.5, 2.0, 800.0, 1e103, -2e103, 1e300,
+     math.inf, -math.inf, math.nan]))
+
+
+@seed(20213)
+@settings(max_examples=300)
+@given(st.lists(_raising_expr, min_size=1, max_size=3),
+       st.lists(_raising_x, min_size=1, max_size=8))
+def test_plain_code_falls_back_where_it_raises(exprs, xs):
+    # the grid mixes raising and clean points; only the raising ones take
+    # the guarded path, and every value equals evaluate's
+    grid, fold = compile_terms(exprs)
+    for e, col in zip(exprs, grid(xs)):
+        assert all(same_float(v, evaluate(e, x)) for x, v in zip(xs, col))
+        assert all(same_float(compile_fn(e)(x), evaluate(e, x)) for x in xs)
+    for x in xs:
+        r = evaluate(exprs[0], x)
+        for e in exprs[1:]:
+            r -= evaluate(e, x)
+        assert same_float(fold(x), r)
+
+
+@seed(20214)
+@settings(max_examples=150)
+@given(_raising_expr, st.one_of(st.none(), _raising_expr))
+def test_panel_samples_fall_back_where_they_raise(q, p):
+    # the same kernel over the walks: every sample, prefix and hand-over
+    # must come out the same
+    ends = [-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 800.0, 1e103]
+    calls = []
+
+    def kernel(fns):
+        panels, _, _ = compile_panels(fns[:1], fns[1:])
+        calls.append(seen := [])
+
+        def fallback(k, a, b):
+            seen.append((k, a, b))
+            return b - a
+
+        return panels(ends, 1e-10, fallback)
+
+    walks = [lambda x: evaluate(q, x), None if p is None else (lambda x: evaluate(p, x))]
+    (pre1, tab1), (pre2, tab2) = kernel([q, p]), kernel(walks)
+    for one, two in zip(pre1 + tab1, pre2 + tab2):
+        assert len(one) == len(two) and all(map(same_float, one, two))
+    assert calls[0] == calls[1]
+
+
 class TestCompile:
     def test_fast_paths_at_range_edges(self):
         # every function, and x^k for k = 1..12, at the edges of the
-        # ranges where generated code skips the helpers
+        # ranges where plain generated code stops raising nothing
         trees = [Call(fn, Var()) for fn in FUNCTIONS]
         trees += [Bin("^", Var(), Const(float(k))) for k in range(1, 13)]
         lims = [2.0 ** (1023 // k) for k in range(1, 13)]
@@ -481,6 +542,20 @@ class TestCodeMemo:
             for x in self.XS:
                 assert same_float(fold(x), evaluate(ts[0], x) - evaluate(ts[1], x))
 
+    def test_the_guarded_body_compiles_on_first_need(self, codes):
+        f, g = parse("ln(x)/x+x^3"), parse("sqrt(x)+asin(x)")
+        grid, fold = compile_terms([f, g])
+        clean = [0.25, 0.5, 0.75, 1.0]
+        assert grid(clean) == [[evaluate(t, x) for x in clean] for t in (f, g)]
+        assert len(codes.items) == 1
+        # a raising point compiles the guarded body once, for that point only
+        mixed = [-1.0, 0.0, 0.5, 2.0]
+        for t, col in zip((f, g), grid(mixed)):
+            assert all(same_float(v, evaluate(t, x)) for x, v in zip(mixed, col))
+        assert len(codes.items) == 2
+        assert same_float(fold(0.0), evaluate(f, 0.0) - evaluate(g, 0.0))
+        assert len(codes.items) == 2
+
     def test_panel_point_functions_are_the_trees_compiled_callables(self):
         f, g = parse("exp(0.7*x)"), parse("x^3+0.3")
         h = math.cos
@@ -619,6 +694,21 @@ class TestStructure:
         assert evaluate(simplify(e), 0.25) == -0.25
         d = differentiate(e)
         assert evaluate(d, 0.25) == compile_fn(d)(0.25) in (-1.0, 1.0)
+
+    def test_unparse_memory_grows_linearly_with_depth(self):
+        # each level's text is dropped once its parent has printed it; when
+        # every level's text was kept, doubling the depth quadrupled the peak
+        peaks = []
+        for depth in (2000, 4000):
+            e = deep_abs_tree(depth)
+            tracemalloc.start()
+            try:
+                text = unparse(e)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(text) == 3 * depth + 5
+        assert peaks[1] < 3 * peaks[0]
 
     def test_postorder_lists_each_node_once_after_its_children(self):
         shared = parse("sin(x)")

@@ -467,6 +467,52 @@ class TestBracketScan:
         assert len(pts) == 1
         assert pts[0].degenerate
 
+    @staticmethod
+    def scan(f, forced_zero=None):
+        # the closed 9-point grid on [0, 8] is x = 0.0, 1.0, ..., 8.0, and
+        # a near-zero run needs 3 points
+        return [(p.xi, p.residual, p.degenerate) for p in solve_residual(
+            (f,), Interval(0.0, 8.0), SolverConfig(scan_points=9), TheoremId.FLETT,
+            closed=True, forced_zero=forced_zero)]
+
+    def test_no_sign_change(self):
+        assert self.scan(lambda x: x + 1.0) == []
+
+    def test_flips_at_the_first_and_the_last_pair(self):
+        pts = self.scan(lambda x: (x - 0.5) * (x - 7.5))
+        assert [xi for xi, _, _ in pts] == pytest.approx([0.5, 7.5], abs=1e-12)
+
+    def test_near_runs_touching_each_end(self):
+        # exact zeros inside a run are the run, not points of their own
+        start, end = (lambda x: max(0.0, x - 2.0)), (lambda x: min(0.0, x - 6.0))
+        assert self.scan(start) == [(1.0, 0.0, True)]
+        assert self.scan(start, forced_zero=0.0) == []
+        assert self.scan(end) == [(7.0, 0.0, True)]
+        assert self.scan(end, forced_zero=8.0) == []
+        assert self.scan(start, forced_zero=8.0) == [(1.0, 0.0, True)]
+
+    def test_an_exact_zero_outside_a_run(self):
+        assert self.scan(lambda x: x - 3.0) == [(3.0, 0.0, False)]
+
+    def test_all_near_is_one_degenerate_midpoint(self):
+        assert self.scan(lambda x: 1e-12 * (x - 3.0)) == [(4.0, 1e-12, True)]
+
+    def test_flips_into_nan_and_inf_stretches_are_no_brackets(self):
+        def f(x):
+            if x < 0.5:
+                return math.nan
+            return -math.inf if x > 5.5 else x - 2.5
+
+        pts = self.scan(f)
+        assert [xi for xi, _, _ in pts] == pytest.approx([2.5], abs=1e-12)
+        assert self.scan(lambda x: math.inf if x > 5.5 else x + 1.0) == []
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=40))
+def test_index_hops_match_a_pass_over_every_entry(flags):
+    assert mvtlab.numerics._flips(flags) == [
+        i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
+
 
 class TestSmoothnessChecks:
     def test_one_sided_derivative_finite(self):
