@@ -39,15 +39,16 @@ The memo lives exactly as long as the node: a request that parses fresh
 trees starts with none, and equality, hashing, printing, pickling and
 copying see only the fields.
 
-Generated code names a tree's constants ``c0, c1, ...`` by position and
-reads their values from the function's globals, so trees of one shape
-lower to the same source text whatever their coefficients. Each source
-text is compiled once per process: ``_code``, a :class:`_Memo` bounded by
-the total length of the sources it holds (``_CODE_MEMO`` characters),
-maps it to its code object, which each compile function runs in a fresh
-copy of the globals holding that tree's own constants. A new tree
-therefore always gets new functions, and the same source gives the same
-code. The same memo class keeps the scan grids
+Generated code names a tree's constants ``c0, c1, ...`` by position, reads
+their values from the function's globals and moves signs into them
+(``u - 1.3*v`` is ``u + c*v``, c = -1.3; see :func:`_lower`), so trees of
+one shape lower to one source text whatever their coefficients' values and
+signs. Each source text is compiled once per process: ``_code``, a
+:class:`_Memo` bounded by the total length of the sources it holds
+(``_CODE_MEMO`` characters), maps it to its code object, which each
+compile function runs in a fresh copy of the globals holding that tree's
+own constants. A new tree therefore always gets new functions, and the
+same source gives the same code. The same memo class keeps the scan grids
 (:func:`~mvtlab.numerics.grid_points`), bounded in points.
 
 Every pass over a tree (evaluation, lowering, differentiation and
@@ -357,59 +358,99 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
 
     One local per distinct subexpression across all roots; constants go to
     ``glb``; names end in ``tag``, so lowerings sharing one ``glb`` need
-    distinct tags. ``lines(False)`` is plain arithmetic (bare math
-    functions, ``a / b``, ``a ** k`` for a constant integer k in [1, 1023]);
-    ``lines(True)`` calls :func:`evaluate`'s helpers, for a point where the
-    plain statements raised. ``lines`` holds text, so keeps no tree alive.
+    distinct tags; a ``var`` that is a bare name is read as it is.
+    ``lines(False)`` is plain arithmetic (bare math functions, ``a / b``,
+    ``a ** k`` for a constant integer k in [1, 1023]); ``lines(True)``
+    calls :func:`evaluate`'s helpers, for a point where the plain
+    statements raised. ``lines`` holds text, so keeps no tree alive.
+
+    The text does not depend on the constants' signs: a constant, a Neg and
+    a product with a constant factor are named at first use, in the sign
+    their user needs (``-c``, ``u - c`` and ``u - c*v`` are c', ``u + c'``
+    and ``u + c'*v`` with c' = -c, and ``u - (-v)`` is ``u + v``). That is
+    exact but for a nan's sign bit: IEEE 754 defines ``a - b`` as
+    ``a + (-b)``, and rounding is sign-symmetric, so ``(-c)*v == -(c*v)``.
     """
     steps: list[tuple[str, str, str]] = []  # (name, plain rhs, guarded rhs)
-    name_of: dict[int, str] = {}   # id(node) -> local or constant name
     by_key: dict[tuple, str] = {}  # structural key -> local or constant name
+    name_of: dict[int, str] = {}  # id(node) -> its value's name; ~id(node) -> its negation's
+    sign: dict[int, tuple[Expr, bool]] = {}  # id(Neg) -> (first node below not a Neg, negated)
+    scaled: dict[int, tuple[Expr, str, bool]] = {}  # id(c*v) -> (c, v's name, c on the left)
+
+    def local(key: tuple, plain: str, guarded: str = "") -> str:
+        if key not in by_key:
+            by_key[key] = f"t{len(by_key)}{tag}"
+            steps.append((by_key[key], plain, guarded or plain))
+        return by_key[key]
+
+    def use(node: Expr, neg: bool = False) -> str:
+        # the name of node's value, or of its negation, made on first use
+        if type(node) is Neg:
+            node, flip = sign[id(node)]
+            neg = neg is not flip
+        ref = ~id(node) if neg else id(node)
+        if ref not in name_of:
+            if type(node) is Const:
+                v = -node.value if ref < 0 else node.value
+                key = ("const", repr(v))  # repr keeps 0.0 and -0.0 apart
+                if key not in by_key:
+                    glb[by_key.setdefault(key, f"c{len(by_key)}{tag}")] = v
+                name_of[ref] = by_key[key]
+            elif id(node) in scaled:
+                c, v, left = scaled[id(node)]
+                a, b = (use(c, ref < 0), v) if left else (v, use(c, ref < 0))
+                name_of[ref] = local(("*", a, b), f"{a} * {b}")
+            else:
+                name_of[ref] = local(("neg", name_of[id(node)]), f"-{name_of[id(node)]}")
+        return name_of[ref]
+
     for node in _postorder(roots):
         kind = type(node)
         # keys hold the children's names, never the nodes: hashing a frozen
         # dataclass walks its whole subtree
         if kind is Bin:
-            a, b = name_of[id(node.left)], name_of[id(node.right)]
-            key = (node.op, a, b)
-        elif kind is Neg or kind is Call:
-            a = name_of[id(node.child if kind is Neg else node.arg)]
-            key = ("neg" if kind is Neg else node.fn, a)
-        elif kind is Const:
-            # repr keeps 0.0 and -0.0 apart, which == would merge
-            key = ("const", repr(node.value))
-        else:
-            key = ("x",)
-        name = by_key.get(key)
-        if name is None:
-            name = by_key[key] = f"{'c' if kind is Const else 't'}{len(by_key)}{tag}"
-            if kind is Const:
-                glb[name] = node.value
+            op, u, w = node.op, node.left, node.right
+            neg = False  # whether u - w is written u + (-w)
+            if op == "*" or op == "-":
+                (ub, _), (wb, wneg) = sign.get(id(u), (u, False)), sign.get(id(w), (w, False))
+                if op == "*" and (type(ub) is Const or type(wb) is Const):
+                    c_left = type(wb) is not Const
+                    scaled[id(node)] = (u, use(w), True) if c_left else (w, use(u), False)
+                    continue
+                neg = op == "-" and (wneg or type(wb) is Const or id(wb) in scaled)
+            a = name_of.get(id(u)) or use(u)
+            op, b = ("+", use(w, True)) if neg else (op, name_of.get(id(w)) or use(w))
+            if op in "+-*":
+                plain = guarded = f"{a} {op} {b}"
+            elif op == "/":
+                plain, guarded = f"{a} / {b}", f"_div({a}, {b})"
             else:
-                if kind is Var or kind is Neg:
-                    plain = guarded = var if kind is Var else f"-{a}"
-                elif kind is Call:
-                    guarded = f"fn_{node.fn}({a})"
-                    plain = f"m_{node.fn}({a})" if f"m_{node.fn}" in glb else guarded
-                elif node.op in "+-*":
-                    plain = guarded = f"{a} {node.op} {b}"
-                elif node.op == "/":
-                    plain, guarded = f"{a} / {b}", f"_div({a}, {b})"
-                else:
-                    guarded = plain = f"_pow({a}, {b})"
-                    k = node.right.value if type(node.right) is Const else 0.0
-                    if 1.0 <= k <= 1023.0 and k == math.floor(k):
-                        plain = f"{a} ** {int(k)}"
-                steps.append((name, plain, guarded))
-        name_of[id(node)] = name
+                guarded = plain = f"_pow({a}, {b})"
+                k = w.value if type(w) is Const else 0.0
+                if 1.0 <= k <= 1023.0 and k == math.floor(k):
+                    plain = f"{a} ** {int(k)}"
+            name_of[id(node)] = local((op, a, b), plain, guarded)
+        elif kind is Call:
+            a = name_of.get(id(node.arg)) or use(node.arg)
+            guarded = f"fn_{node.fn}({a})"
+            plain = f"m_{node.fn}({a})" if f"m_{node.fn}" in glb else guarded
+            name_of[id(node)] = local((node.fn, a), plain, guarded)
+        elif kind is Neg:
+            base, flip = sign.get(id(node.child), (node.child, False))
+            sign[id(node)] = (base, not flip)
+        elif kind is Var:  # a loop's own variable needs no copy
+            name_of[id(node)] = var if var.isidentifier() else local(("x",), var)
+        # a constant is named by its first user
 
     def lines(guarded: bool) -> list[str]:
         return [f"{name} = {rhs[guarded]}" for name, *rhs in steps]
 
-    return lines, [name_of[id(r)] for r in roots]
+    return lines, [use(r) for r in roots]
 
 
-_CODE_MEMO = 2 ** 17  # characters of generated source whose code objects _code keeps
+# Characters of generated source whose code objects _code keeps; long benchmark
+# streams use 226k (pointwise), 250k (operator), 20k (classify) and 27k (high-order).
+_CODE_MEMO = 2 ** 19
 
 
 class _Memo:
@@ -575,9 +616,9 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
         js = [j for j in js if fns[j] is not None]
         block, names = _lower([fns[j] for j in js if isinstance(fns[j], Expr)], glb, x, tag)
         lines = block(False)
-        # a guarded block recomputes what the block defines but constants:
-        # assigning a global makes it a local the plain block reads unbound
-        values = ", ".join(dict.fromkeys(n for n in names if n not in glb))
+        # a guarded block recomputes what the block defines, so not the point,
+        # nor constants: assigning a global makes it a local the plain block reads unbound
+        values = ", ".join(dict.fromkeys(n for n in names if n not in glb and n != x))
         if values:
             lines = _try(glb, "compile_panels", f"slow{tag}({x})",
                          lambda g: block(g) + ([f"return {values},"] if g else []), f"{values}, = ")

@@ -142,8 +142,8 @@ class _Scaled:
 
     The products run left to right, and a factor given as None is left
     out. The scan column is the value's column put through the same
-    operations, one list operation per factor, so a scan makes no call to
-    the value.
+    operations in one pass, ``(c*v)*d`` with a missing factor read as 1.0
+    and the sign folded into d, exactly (``1.0*v == v``, ``v*-d == -(v*d)``).
     """
 
     __slots__ = ("value", "c", "d", "neg")
@@ -159,11 +159,9 @@ class _Scaled:
         return self._scale(self.value.column(xs))
 
     def _scale(self, col: list[float]) -> list[float]:
-        if self.c is not None:
-            col = [self.c * v for v in col]
-        if self.d is not None:
-            col = [v * self.d for v in col]
-        return [-v for v in col] if self.neg else col
+        c, d = 1.0 if self.c is None else self.c, 1.0 if self.d is None else self.d
+        d = -d if self.neg else d
+        return [c * v * d for v in col]
 
 
 def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import pickle
@@ -281,12 +282,11 @@ def test_plain_code_falls_back_where_it_raises(exprs, xs):
         assert same_float(fold(x), r)
 
 
-@seed(20214)
-@settings(max_examples=150)
-@given(_raising_expr, st.one_of(st.none(), _raising_expr))
-def test_panel_samples_fall_back_where_they_raise(q, p):
-    # the same kernel over the walks: every sample, prefix and hand-over
-    # must come out the same
+def assert_kernel_walks(q, p):
+    """A panel kernel over q and p (None for none) equals one over their walks.
+
+    Every sample, prefix and hand-over must come out the same.
+    """
     ends = [-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 800.0, 1e103]
     calls = []
 
@@ -305,6 +305,85 @@ def test_panel_samples_fall_back_where_they_raise(q, p):
     for one, two in zip(pre1 + tab1, pre2 + tab2):
         assert len(one) == len(two) and all(map(same_float, one, two))
     assert calls[0] == calls[1]
+
+
+@seed(20214)
+@settings(max_examples=150)
+@given(_raising_expr, st.one_of(st.none(), _raising_expr))
+def test_panel_samples_fall_back_where_they_raise(q, p):
+    assert_kernel_walks(q, p)
+
+
+def other_sign_form(e):
+    """``e`` with each sign written the other way, every node's value kept.
+
+    u - w becomes u + (-w) and u + w becomes u - (-w); a negated constant
+    becomes a constant, and a constant with its sign bit set a negated one.
+    -w is a constant, a product with its constant factor negated, a Neg's
+    child, or else a new Neg. IEEE 754 makes a - b equal a + (-b), and
+    rounding is sign-symmetric, so every value stays bit for bit but for a
+    nan's sign.
+    """
+    def negated(w):
+        if type(w) is Const:
+            return Const(-w.value)
+        if type(w) is Neg:
+            return w.child
+        if type(w) is Bin and w.op == "*" and type(w.left) is Const:
+            return Bin("*", Const(-w.left.value), w.right)
+        if type(w) is Bin and w.op == "*" and type(w.right) is Const:
+            return Bin("*", w.left, Const(-w.right.value))
+        return Neg(w)
+
+    new = {}
+    for node in mvtlab.expr._postorder((e,)):
+        kind = type(node)
+        if kind is Bin and node.op in "+-":
+            out = Bin("-" if node.op == "+" else "+", new[id(node.left)],
+                      negated(new[id(node.right)]))
+        elif kind is Bin:
+            out = Bin(node.op, new[id(node.left)], new[id(node.right)])
+        elif kind is Neg:
+            child = new[id(node.child)]
+            out = Const(-child.value) if type(child) is Const else Neg(child)
+        elif kind is Call:
+            out = Call(node.fn, new[id(node.arg)])
+        elif kind is Const and math.copysign(1.0, node.value) < 0.0:
+            out = Neg(Const(-node.value))
+        else:
+            out = node
+        new[id(node)] = out
+    return new[id(e)]
+
+
+# u - c*v and u - v*c, the products whose sign lowering moves into c
+_scaled_difference = st.builds(
+    lambda u, c, v, left: Bin("-", u, Bin("*", c, v) if left else Bin("*", v, c)),
+    _raising_expr, _any_const, _raising_expr, st.booleans())
+
+
+@seed(20215)
+@settings(max_examples=200)
+@given(st.lists(st.one_of(_raising_expr, _scaled_difference), min_size=1, max_size=2),
+       st.lists(_raising_x, min_size=1, max_size=8))
+def test_both_sign_forms_compile_to_evaluate_s_values(exprs, xs):
+    # lowering moves signs into constants and turns subtractions into
+    # additions; on either form every compiled value equals evaluate's,
+    # at clean points and at points that take the guarded fallback
+    others = [other_sign_form(e) for e in exprs]
+    for e, o in zip(exprs, others):
+        assert all(same_float(evaluate(o, x), evaluate(e, x)) for x in xs)
+    for form in (exprs, others):
+        grid, fold = compile_terms(form)
+        for e, col in zip(form, grid(xs)):
+            assert all(same_float(v, evaluate(e, x)) for x, v in zip(xs, col))
+            assert all(same_float(compile_fn(e)(x), evaluate(e, x)) for x in xs)
+        for x in xs:
+            r = evaluate(form[0], x)
+            for e in form[1:]:
+                r -= evaluate(e, x)
+            assert same_float(fold(x), r)
+        assert_kernel_walks(form[0], form[1] if len(form) > 1 else None)
 
 
 class TestCompile:
@@ -336,6 +415,18 @@ class TestCompile:
         # the tree has 2,696 nodes but 93 distinct operations
         d = differentiate(parse("exp(sin(x))*ln(x+2)"), 5)
         assert compile_fn(d).__code__.co_nlocals <= 100
+
+    def test_a_negated_operand_costs_a_statement_only_when_also_used_plainly(self):
+        def lowered(src):
+            lines, _ = mvtlab.expr._lower((parse(src),), {}, "x")
+            return lines(False)
+
+        # u - c*v is u + c'*v: one product, unless a parent also reads c*v
+        assert sum(" * " in line for line in lowered("x - 1.5*x")) == 1
+        assert sum(" * " in line for line in lowered("sin(1.5*x) + 1.5*x")) == 1
+        assert sum(" * " in line for line in lowered("sin(1.5*x) - 1.5*x")) == 2
+        # u - (-v) is u + v, and -c a constant: no negation is written
+        assert not any("-" in line for line in lowered("x - -sin(x) + -2 - 3"))
 
     def test_terms_share_subexpressions(self):
         # f' and f'' repeat most of each other's subtrees; the shared grid
@@ -605,6 +696,23 @@ class TestCodeMemo:
         assert compile_fn(plus)(-1.0) == -math.inf == evaluate(plus, -1.0)
         assert compile_fn(minus)(-1.0) == math.inf == evaluate(minus, -1.0)
 
+    def test_sign_variants_share_one_code_object(self, codes):
+        # all 32 sign variants of c0±c1*(x±s)±c2*(x±s)^2±c3*(x±s)^3, the
+        # leading sign and the shift's included: the signs go into constants
+        trees = [parse(f"{s0}0.7{s1}1.3*(x{sh}1.9){s2}2.9*(x{sh}1.9)^2{s3}0.45*(x{sh}1.9)^3")
+                 for s0, s1, s2, s3, sh in itertools.product(("", "-"), *["+-"] * 4)]
+        fns = [compile_fn(t) for t in trees]
+        grids = [compile_terms([t, differentiate(t)]) for t in trees]
+        kernels = [compile_panels([t], [differentiate(t)])[0] for t in trees]
+        for made in (fns, [grid for grid, _ in grids], kernels):
+            assert len(made) == 32 and len({fn.__code__ for fn in made}) == 1
+        # f's and f''s point functions, the grid, and the panel kernel
+        assert len(codes.items) == 4
+        for t, fn, (grid, _) in zip(trees, fns, grids):
+            assert all(same_float(fn(x), evaluate(t, x)) for x in self.XS)
+            for e, col in zip((t, differentiate(t)), grid(self.XS)):
+                assert all(same_float(v, evaluate(e, x)) for x, v in zip(self.XS, col))
+
     def test_the_held_source_stays_within_the_bound(self, monkeypatch):
         memo = mvtlab.expr._Memo(4096, len)
         monkeypatch.setattr(mvtlab.expr, "_code", memo)
@@ -649,6 +757,31 @@ class TestCodeMemo:
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main(list(req.argv)) in (0, 1, 2, 3)
         assert 0 < len(compiled) < 1.5 * len(requests)
+
+    def test_a_second_classify_list_compiles_almost_nothing(self, codes, monkeypatch):
+        # trees of one shape lower to one source whatever the signs of their
+        # coefficients, and the memo holds the workload's sources: a second
+        # list of the same strata with new coefficients finds them all
+        # (a source per sign pattern made 270 and 168 compiles)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from workloads import request_list
+
+        compiled = []
+
+        def counted(*args):
+            compiled.append(args[0])
+            return compile(*args)
+
+        monkeypatch.setattr(mvtlab.expr, "compile", counted, raising=False)
+        counts = []
+        for seed_ in (1, 2):
+            before = len(compiled)
+            for req in request_list("classify-coarse", seed_)[:300]:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert main(list(req.argv)) in (0, 1, 2, 3)
+            counts.append(len(compiled) - before)
+        assert counts[0] <= 60 and counts[1] <= 10
 
 
 class TestSimplify:

@@ -431,6 +431,34 @@ class TestColumns:
             assert _bits(term.column(nodes)) == _bits([written(t) for t in nodes])
             assert _bits([term(t) for t in SAMPLE_TS]) == _bits([written(t) for t in SAMPLE_TS])
 
+    @pytest.mark.parametrize("neg", [False, True])
+    @pytest.mark.parametrize("d", [None, 0.1, -7.0, 0.0, -0.0])
+    @pytest.mark.parametrize("c", [None, 1.0 / 3.0, -2.5, 0.0, -0.0])
+    def test_a_scaled_column_is_the_products_in_one_pass(self, c, d, neg):
+        # one pass reads a missing factor as 1.0 and folds the sign into d;
+        # each value equals c * v, then * d, then negated, signed zeros and
+        # infinities included (a nan's sign is never read)
+        col = [-0.0, 0.0, 1.5, -3.25, 1e308, -1e-310, 5e-324, math.inf, -math.inf, math.nan]
+
+        class Value:  # an OperatorValue's two reads, over the column above
+            def __call__(self, x):
+                return col[int(x)]
+
+            def column(self, xs):
+                return [col[int(x)] for x in xs]
+
+        def written(v):
+            v = v if c is None else c * v
+            v = v if d is None else v * d
+            return -v if neg else v
+
+        def bits(values):
+            return ["nan" if math.isnan(v) else v.hex() for v in values]
+
+        term = _Scaled(Value(), c=c, d=d, neg=neg)
+        xs = [float(i) for i in range(len(col))]
+        assert bits(term.column(xs)) == bits([term(x) for x in xs]) == bits(map(written, col))
+
     @pytest.mark.parametrize("theorem", sorted(OPERATOR_REQUESTS))
     def test_operator_scans_read_columns(self, monkeypatch, theorem):
         # the scan reads whole columns; only Brent polishing, crossing
