@@ -185,7 +185,7 @@ def check_trahan(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verd
 
 
 def _tong_means(ctx: _Context) -> tuple[float, float]:
-    _, i = integral_mean(ctx.f, ctx.iv, ctx.cfg, ctx.sign_args)
+    i = integral_mean(ctx.f, ctx.iv, ctx.cfg, ctx.sign_args)
     fa, fb = ctx.ends
     return 0.5 * (fa + fb), i
 

@@ -8,12 +8,11 @@ value read at a point or two. For many points, one lowering turns trees
 into generated straight-line Python that evaluates each distinct
 subexpression once per point: ``compile_fn`` wraps one tree as a callable
 (quadrature), ``compile_terms`` wraps the terms of a residual as a
-whole-grid loop plus their difference at one point (the grid scan and
-root polishing), and ``compile_panels`` wraps the integrands of running
-integrals as one loop that takes one Simpson step over every pair of
-grid panels (operator prefix builds), with ``compile_fn``'s callables as
-its point functions. Input nested deeper than MAX_DEPTH levels is
-rejected by the parser.
+whole-grid loop (the grid scan, and root polishing on a one-point grid),
+and ``compile_panels`` wraps the integrands of running integrals as one
+loop that takes one Simpson step over every pair of grid panels (operator
+prefix builds), with ``compile_fn``'s callables as its point functions.
+Input nested deeper than MAX_DEPTH levels is rejected by the parser.
 
 Generated code is plain arithmetic, which returns its helper's value bit
 for bit or raises where the helper gives nan or an infinity. It runs in
@@ -536,21 +535,14 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     return fn
 
 
-def compile_terms(exprs: Sequence[Expr]) -> tuple[
-        Callable[[Iterable[float]], list[list[float]]], Callable[[float], float]]:
-    """Build ``(grid, fold)`` for the terms of a residual.
+def compile_terms(exprs: Sequence[Expr]) -> Callable[[Iterable[float]], list[list[float]]]:
+    """Build ``grid`` for the terms of a residual.
 
     ``grid(xs)`` evaluates every expression at every x of ``xs`` (floats)
     in one generated loop and returns one list of values per expression; a
     subexpression common to several expressions is computed once per
     point, and a point where plain arithmetic raises is recomputed by the
-    guarded lowering. ``fold(x)`` is exprs[0] - exprs[1] - ... - exprs[-1]
-    at one x, the subtractions running left to right (see
-    :func:`~mvtlab.numerics.fold_terms`), computed by ``grid`` on that one
-    point. Values equal :func:`evaluate` bit for bit. Both functions come
-    from one code object over one copy of the lowered code: ``fold`` serves
-    only the few dozen evaluations of root polishing, so it reuses ``grid``
-    rather than carrying a copy of its own.
+    guarded lowering. Values equal :func:`evaluate` bit for bit.
     """
     glb = dict(_CODEGEN_GLOBALS)
     lines, names = _lower(exprs, glb, "x")
@@ -563,12 +555,9 @@ def compile_terms(exprs: Sequence[Expr]) -> tuple[
                      + [f"put{i} = {c}.append" for i, c in enumerate(cols)], 1)
            + "    for x in xs:\n"
            + _indent(body, 2)
-           + f"    return [{', '.join(cols)}]\n"
-           + "def fold(x):\n"
-           + "    at = grid((float(x),))\n"
-           + f"    return {' - '.join(f'at[{i}][0]' for i in range(len(cols)))}\n")
+           + f"    return [{', '.join(cols)}]\n")
     _run(src, "compile_terms", glb)
-    return glb["grid"], glb["fold"]
+    return glb["grid"]
 
 
 _Fn = Expr | Callable[[float], float]

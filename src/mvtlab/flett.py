@@ -128,7 +128,7 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
 def meyers_points(v: TheoremId | str, f: Expr, iv: Interval,
                   cfg: SolverConfig | None = None, *,
                   slopes: tuple[float | None, float | None] | None = None) -> Points:
-    """Interior roots of the variant residual, hypothesis noted on each.
+    """Interior roots of the variant residual, with the hypothesis flag.
 
     ``v`` is a Flett-family theorem id or its string value, e.g.
     ``meyers_points(TheoremId.MEYERS_2_3, f, iv)`` or ``"meyers-2.3"``.

@@ -60,14 +60,15 @@ def slopes_agree(slopes: tuple[float | None, float | None],
     return None if da is None or db is None else close(da, db, cfg.residual_tol)
 
 
-def endpoint_value(f: Expr, iv: Interval, end: str) -> float:
-    """f at the endpoint ``end`` ("a" or "b") that an identity anchors on.
+def endpoint_value(f: Expr, iv: Interval, end: str, name: str = "f") -> float:
+    """f at the endpoint ``end`` ("a" or "b") that an identity reads.
 
-    Raises DomainError "f(a) is not finite" (or f(b)) when it is not.
+    Raises DomainError "f(a) is not finite" (or f(b), with ``name`` in place
+    of f) when it is not.
     """
     v = evaluate(f, iv.a if end == "a" else iv.b)
     if not math.isfinite(v):
-        raise DomainError(f"f({end}) is not finite")
+        raise DomainError(f"{name}({end}) is not finite")
     return v
 
 

@@ -10,9 +10,9 @@ hypotheses.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .expr import Const, Expr, compile_fn, differentiate, sign_sensitive_args
+from .generalized import endpoint_value
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
     TheoremId, close, differentiable_on_interior, grid_points, integrate, solve_residual,
@@ -51,10 +51,7 @@ def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> l
     degenerate.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc = compile_fn(f)
-    fa, fb = fc(iv.a), fc(iv.b)
-    if not (math.isfinite(fa) and math.isfinite(fb)):
-        raise DomainError("f must evaluate finite at the interval endpoints")
+    fa, fb = endpoint_value(f, iv, "a"), endpoint_value(f, iv, "b")
     slope = (fb - fa) / iv.width
     hyp = True if differentiable_on_interior(f, iv, cfg) else None
     return solve_residual((differentiate(f), Const(slope)), iv, cfg,
@@ -69,11 +66,8 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
     result is a single degenerate representative.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc, gc = compile_fn(f), compile_fn(g)
-    fa, fb = fc(iv.a), fc(iv.b)
-    ga, gb = gc(iv.a), gc(iv.b)
-    if not all(math.isfinite(v) for v in (fa, fb, ga, gb)):
-        raise DomainError("f and g must evaluate finite at the interval endpoints")
+    fa, fb = endpoint_value(f, iv, "a"), endpoint_value(f, iv, "b")
+    ga, gb = endpoint_value(g, iv, "a", "g"), endpoint_value(g, iv, "b", "g")
     dfv, dgv = fb - fa, gb - ga
     hyp = True if (differentiable_on_interior(f, iv, cfg)
                    and differentiable_on_interior(g, iv, cfg)) else None
@@ -83,9 +77,8 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
 
 
 def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig,
-                  sign_args: list[Expr] | None = None
-                  ) -> tuple[Callable[[float], float], float]:
-    """(compiled f, mean of f over [a, b]); DomainError if f is not finite on the closed grid.
+                  sign_args: list[Expr] | None = None) -> float:
+    """The mean of f over [a, b]; DomainError if f is not finite on the closed grid.
 
     The mean is a :func:`~mvtlab.numerics.tanh_sinh` integral, or an
     :func:`~mvtlab.numerics.integrate` one when f has an abs() or sgn():
@@ -100,7 +93,7 @@ def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig,
     if sign_args is None:
         sign_args = sign_sensitive_args(f)
     rule = integrate if sign_args else tanh_sinh
-    return fc, rule(fc, iv.a, iv.b, cfg) / iv.width
+    return rule(fc, iv.a, iv.b, cfg) / iv.width
 
 
 def integral_mvt_points(f: Expr, iv: Interval,
@@ -111,6 +104,6 @@ def integral_mvt_points(f: Expr, iv: Interval,
     endpoints included; f must be finite on the whole closed grid.
     """
     cfg = cfg or DEFAULT_CONFIG
-    _, mean = integral_mean(f, iv, cfg)
+    mean = integral_mean(f, iv, cfg)
     return solve_residual((f, Const(mean)), iv, cfg, TheoremId.INTEGRAL_MVT,
                           closed=True)

@@ -40,7 +40,7 @@ __all__ = [
     "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "MAX_SCAN_POINTS",
     "PointResult", "Points",
     "grid_points", "refine_root", "integrate", "tanh_sinh",
-    "central_diff", "fold_terms", "solve_residual", "tolerance", "close",
+    "central_diff", "solve_residual", "tolerance", "close",
     "one_sided_derivative", "differentiable_on_interior",
 ]
 
@@ -183,24 +183,23 @@ class PointResult:
 
     ``degenerate`` marks the representative case: the residual vanished on
     (at least a stretch of) the scan grid, so every point there satisfies
-    the identity and ``xi`` is just the midpoint of that stretch.
-    ``hypothesis_satisfied`` is None when the identity has no hypothesis or
-    when the hypothesis could not be evaluated.
+    the identity and ``xi`` is just the midpoint of that stretch. The
+    hypothesis flag is the :class:`Points` list's, not the point's.
     """
 
     xi: float
     residual: float
     theorem_id: TheoremId
     degenerate: bool = False
-    hypothesis_satisfied: bool | None = None
 
 
 class Points(list):
     """The points :func:`solve_residual` located, with the hypothesis flag.
 
-    ``hypothesis_satisfied`` is the flag every point is stamped with, kept
-    on the list as well so that a search finding no point still reports
-    the flag its solver computed.
+    ``hypothesis_satisfied`` is the flag its solver computed, None when the
+    identity has no hypothesis or when the hypothesis could not be
+    evaluated. It is carried by the list, not by each point, so a search
+    finding no point still reports it.
     """
 
     __slots__ = ("hypothesis_satisfied",)
@@ -544,22 +543,12 @@ def _scale(cols: Sequence[Sequence[float]]) -> float:
     return scale
 
 
-def fold_terms(terms: Sequence[Callable[[float], float]]) -> Callable[[float], float]:
-    """The residual x -> terms[0](x) - terms[1](x) - ... - terms[-1](x).
-
-    The subtractions run left to right, so a term that enters with a plus
-    sign is passed negated: x - (-d) == x + d holds exactly in IEEE
-    arithmetic.
-    """
-    head, tail = terms[0], terms[1:]
-
-    def F(x: float) -> float:
-        r = head(x)
-        for t in tail:
-            r -= t(x)
-        return r
-
-    return F
+def _fold(cols: Sequence[Sequence[float]]) -> Sequence[float]:
+    """cols[0] - cols[1] - ... - cols[-1] element by element, left to right: a residual."""
+    ys = cols[0]
+    for col in cols[1:]:
+        ys = list(map(operator.sub, ys, col))
+    return ys
 
 
 def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
@@ -570,18 +559,20 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
                    forced_zero: float | None = None) -> Points:
     """Find interior roots of a residual, reporting flat stretches as degenerate.
 
-    The residual is the left fold of ``terms`` (see :func:`fold_terms`):
-    terms[0] - terms[1] - ... - terms[-1]. The terms are either all
-    expressions or all callables. Expressions are compiled together with
-    :func:`~mvtlab.expr.compile_terms`, so the whole grid is evaluated in
-    one generated loop and subexpressions the terms share are computed once
-    per point. A callable that has a ``column`` method (an operator value,
-    or a solver's term over one) gives its whole grid column,
-    ``t.column(xs)``, which must equal ``[t(x) for x in xs]``; any other
-    callable is called once per grid point. The same values give the
+    The residual is terms[0] - terms[1] - ... - terms[-1], the subtractions
+    running left to right, so a term that enters with a plus sign is passed
+    negated: x - (-d) == x + d holds exactly in IEEE arithmetic. The terms
+    are either all expressions or all callables. Expressions are compiled
+    together with :func:`~mvtlab.expr.compile_terms`, so the whole grid is
+    evaluated in one generated loop and subexpressions the terms share are
+    computed once per point. A callable that has a ``column`` method (an
+    operator value, or a solver's term over one) gives its whole grid
+    column, ``t.column(xs)``, which must equal ``[t(x) for x in xs]``; any
+    other callable is called once per grid point. The same values give the
     residual and the scale, max(1, largest finite term magnitude on the
-    grid), against which "zero" is judged.
-    Brent polishing and crossing confirmation use the same fold.
+    grid), against which "zero" is judged. Brent polishing and crossing
+    confirmation fold the terms at one point: the grid on that point for
+    expressions, one call of each callable.
     With ``closed=True`` the scan includes the endpoints (for identities
     whose point may sit on the boundary).
 
@@ -599,15 +590,18 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     """
     xs = grid_points(iv, cfg, 0.0 if closed else None)
     if isinstance(terms[0], Expr):
-        grid, F = compile_terms(terms)
+        grid = compile_terms(terms)
         cols = grid(xs)
+
+        def F(x: float) -> float:
+            return _fold(grid((float(x),)))[0]
     else:
-        F = fold_terms(terms)
         cols = [t.column(xs) if hasattr(t, "column") else [t(x) for x in xs]
                 for t in terms]
-    ys = cols[0]
-    for col in cols[1:]:
-        ys = list(map(operator.sub, ys, col))
+
+        def F(x: float) -> float:
+            return _fold([[t(x)] for t in terms])[0]
+    ys = _fold(cols)
     scale = _scale(cols)
     finite = sum(map(math.isfinite, ys))
     if finite < 2:
@@ -620,8 +614,7 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     near = list(map(min(thr, sys.float_info.max).__ge__, map(abs, ys)))
     if near.count(True) >= 0.99 * finite:
         mid = iv.midpoint
-        return Points([PointResult(mid, F(mid), theorem_id, degenerate=True,
-                                   hypothesis_satisfied=hypothesis)], hypothesis)
+        return Points([PointResult(mid, F(mid), theorem_id, degenerate=True)], hypothesis)
 
     results = Points(hypothesis_satisfied=hypothesis)
     # near[i0:i1] is a stretch of near points, and a run when it is long
@@ -636,8 +629,7 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
         if (i0 == 0 and forced_zero == iv.a) or (i1 == len(xs) and forced_zero == iv.b):
             continue
         k = (i0 + i1 - 1) // 2
-        results.append(PointResult(xs[k], ys[k], theorem_id, degenerate=True,
-                                   hypothesis_satisfied=hypothesis))
+        results.append(PointResult(xs[k], ys[k], theorem_id, degenerate=True))
 
     lo, hi = xs[0], xs[-1]
     step = xs[1] - xs[0]
@@ -648,8 +640,7 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
             continue  # a run
         for i in range(i0, i1):
             if ys[i] == 0.0 and _confirmed_crossing(F, xs[i], lo, hi, step, noise):
-                results.append(PointResult(xs[i], 0.0, theorem_id,
-                                           hypothesis_satisfied=hypothesis))
+                results.append(PointResult(xs[i], 0.0, theorem_id))
 
     # a bracket needs y < 0 on exactly one side; the loop checks the rest
     for i in _flips([y < 0.0 for y in ys]):
@@ -665,8 +656,7 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
         root = refine_root(F, xs[i], xs[i + 1], cfg)
         r = F(root)
         if abs(r) <= thr and _confirmed_crossing(F, root, lo, hi, step, noise):
-            results.append(PointResult(root, r, theorem_id,
-                                       hypothesis_satisfied=hypothesis))
+            results.append(PointResult(root, r, theorem_id))
 
     results.sort(key=lambda p: p.xi)
     return results
@@ -697,7 +687,7 @@ def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig,
     xs = grid_points(iv, cfg)
     sign_args = sign_sensitive_args(f) if sign_args is None else sign_args
     # the arguments are subtrees of f: their columns cost one append a point
-    grid, _ = compile_terms((f, differentiate(f), *sign_args))
+    grid = compile_terms((f, differentiate(f), *sign_args))
     fv, dv, *args = grid(xs)
     if not (all(map(math.isfinite, fv)) and all(map(math.isfinite, dv))
             and max(map(abs, dv)) <= cfg.singular_threshold):

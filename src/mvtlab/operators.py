@@ -48,11 +48,11 @@ from dataclasses import replace
 from typing import Callable, Sequence
 
 from .expr import Expr, Var, compile_fn, compile_panels, compile_terms, differentiate
-from .generalized import endpoint_slopes
+from .generalized import endpoint_slopes, endpoint_value
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, DomainError, HypothesisError, Interval, NoRootFound,
-    PointResult, Points, QuadratureError, SolverConfig, TheoremId, _scale, close,
+    PointResult, Points, QuadratureError, SolverConfig, TheoremId, _fold, _scale, close,
     grid_points, integrate, one_sided_derivative, solve_residual, tanh_sinh,
 )
 
@@ -259,7 +259,7 @@ def _no_root_error(t1: OperatorValue | _Scaled, t2: OperatorValue | _Scaled,
                    iv: Interval, cfg: SolverConfig, tid: TheoremId) -> NoRootFound:
     xs = grid_points(iv, cfg)
     best_x, best_v = math.nan, math.inf
-    for x, v in zip(xs, map(operator.sub, t1.column(xs), t2.column(xs))):
+    for x, v in zip(xs, _fold([t1.column(xs), t2.column(xs)])):
         if math.isfinite(v) and abs(v) < best_v:
             best_x, best_v = x, abs(v)
     err = NoRootFound(f"no sign change found for {tid}; the smallest grid "
@@ -333,7 +333,7 @@ def _nonvanishing_derivative(h: Expr, iv: Interval, cfg: SolverConfig,
     """h', once it is checked finite and nonzero at every scan-grid point."""
     dh = differentiate(h)
     xs = grid_points(iv, cfg)
-    (dv,) = compile_terms((dh,))[0](xs)
+    (dv,) = compile_terms((dh,))(xs)
     for x, v in zip(xs, dv):
         if not (v and math.isfinite(v)):
             raise DomainError(f"{name} vanishes or is not finite at x = {x!r}")
@@ -359,9 +359,7 @@ def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
     is meaningful. The flag reports whether f'/g' agrees at both endpoints.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fa, ga = compile_fn(f)(iv.a), compile_fn(g)(iv.a)
-    if not (math.isfinite(fa) and math.isfinite(ga)):
-        raise DomainError("f(a) and g(a) must be finite")
+    fa, ga = endpoint_value(f, iv, "a"), endpoint_value(g, iv, "a", "g")
     dg = _nonvanishing_derivative(g, iv, cfg, "g'")
     hyp = cauchy_flett_hypothesis(f, g, iv, cfg)
     t1 = (f - fa) * dg
@@ -380,13 +378,10 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
     on the grid.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc, gc = compile_fn(f), compile_fn(g)
     _nonvanishing_derivative(g, iv, cfg, "g'")
-    ga = gc(iv.a)
-    if not math.isfinite(ga):
-        raise DomainError("g(a) is not finite")
-    total = tanh_sinh(fc, iv.a, iv.b, cfg)
-    scale = _scale(compile_terms((f,))[0](grid_points(iv, cfg, 0.0))) * iv.width
+    ga = endpoint_value(g, iv, "a", "g")
+    total = tanh_sinh(compile_fn(f), iv.a, iv.b, cfg)
+    scale = _scale(compile_terms((f,))(grid_points(iv, cfg, 0.0))) * iv.width
     if abs(total) > cfg.quad_tol * max(1.0, scale):
         raise HypothesisError(
             f"integral of f over [{iv.a:g}, {iv.b:g}] is {total:.6g}, not 0; "

@@ -117,6 +117,17 @@ class TestSolve:
         assert code == 3
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("argv, value", [
+        (["lagrange", "--fn", "1/x"], "f(a)"),
+        (["cauchy", "--fn", "x", "--gn", "1/(x-1)"], "g(b)"),
+        (["cauchy-flett", "--fn", "x", "--gn", "ln(x)"], "g(a)"),
+        (["thm-4.9", "--fn", "sin(2*pi*x)", "--gn", "ln(x)"], "g(a)"),
+    ])
+    def test_an_endpoint_value_that_is_not_finite_is_named(self, capsys, argv, value):
+        code, _, err = run(capsys, "solve", *argv, "-a", "0", "-b", "1")
+        assert code == 3
+        assert f"{value} is not finite" in err
+
 
 class TestSelfCheckRegressions:
     """Requests whose reported points once failed their own self-check (exit 3)."""

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -234,18 +235,13 @@ def test_compile_matches_evaluate(e, x):
 @seed(20212)
 @given(st.lists(_any_expr, min_size=1, max_size=3), st.lists(_any_x, max_size=6))
 def test_compile_terms_matches_compile_fn(exprs, xs):
-    grid, fold = compile_terms(exprs)
+    grid = compile_terms(exprs)
     fns = [compile_fn(e) for e in exprs]
     cols = grid(xs)
     assert len(cols) == len(exprs)
     for fn, col in zip(fns, cols):
         assert len(col) == len(xs)
         assert all(same_float(v, fn(x)) for x, v in zip(xs, col))
-    for x in xs:
-        r = fns[0](x)
-        for fn in fns[1:]:
-            r -= fn(x)
-        assert same_float(fold(x), r)
 
 
 # trees whose plain generated code raises at some of _raising_x: ln, sqrt
@@ -271,15 +267,10 @@ _raising_x = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(
 def test_plain_code_falls_back_where_it_raises(exprs, xs):
     # the grid mixes raising and clean points; only the raising ones take
     # the guarded path, and every value equals evaluate's
-    grid, fold = compile_terms(exprs)
+    grid = compile_terms(exprs)
     for e, col in zip(exprs, grid(xs)):
         assert all(same_float(v, evaluate(e, x)) for x, v in zip(xs, col))
         assert all(same_float(compile_fn(e)(x), evaluate(e, x)) for x in xs)
-    for x in xs:
-        r = evaluate(exprs[0], x)
-        for e in exprs[1:]:
-            r -= evaluate(e, x)
-        assert same_float(fold(x), r)
 
 
 def assert_kernel_walks(q, p):
@@ -374,15 +365,10 @@ def test_both_sign_forms_compile_to_evaluate_s_values(exprs, xs):
     for e, o in zip(exprs, others):
         assert all(same_float(evaluate(o, x), evaluate(e, x)) for x in xs)
     for form in (exprs, others):
-        grid, fold = compile_terms(form)
+        grid = compile_terms(form)
         for e, col in zip(form, grid(xs)):
             assert all(same_float(v, evaluate(e, x)) for x, v in zip(xs, col))
             assert all(same_float(compile_fn(e)(x), evaluate(e, x)) for x in xs)
-        for x in xs:
-            r = evaluate(form[0], x)
-            for e in form[1:]:
-                r -= evaluate(e, x)
-            assert same_float(fold(x), r)
         assert_kernel_walks(form[0], form[1] if len(form) > 1 else None)
 
 
@@ -428,16 +414,26 @@ class TestCompile:
         # u - (-v) is u + v, and -c a constant: no negation is written
         assert not any("-" in line for line in lowered("x - -sin(x) + -2 - 3"))
 
-    def test_terms_share_subexpressions(self):
-        # f' and f'' repeat most of each other's subtrees; the shared grid
-        # loop computes them once, so it needs far fewer locals than the
-        # two compiled separately
+    def test_terms_share_subexpressions(self, monkeypatch):
+        # f^(4) and f^(5) repeat most of each other's subtrees, and the grid
+        # loop computes each value once a point: read as the values they
+        # hold, no two of its statements are the same
+        memo = mvtlab.expr._Memo(mvtlab.expr._CODE_MEMO, len)
+        monkeypatch.setattr(mvtlab.expr, "_code", memo)
         d1 = differentiate(parse("exp(sin(x))*ln(x+2)"), 4)
         d2 = differentiate(d1)
-        grid, _ = compile_terms([d1, d2])
-        apart = (compile_fn(d1).__code__.co_nlocals
-                 + compile_fn(d2).__code__.co_nlocals)
-        assert grid.__code__.co_nlocals < 0.75 * apart
+        grid = compile_terms([d1, d2])
+        (src,) = memo.items
+        body = src[src.index("try:"):src.index("except _fault:")].splitlines()[1:]
+        consts = {k: repr(v) for k, v in grid.__globals__.items() if type(v) is float}
+        held = {}  # a local's name -> the number of the value it holds
+        values = {}  # a statement's value, its names read as held -> its number
+        for name, rhs in (line.split(" = ") for line in body if " = " in line):
+            value = re.sub(r"\w+", lambda m: held.get(m[0], consts.get(m[0], m[0])), rhs)
+            assert value not in values, value
+            values[value] = held[name.strip()] = f"#{len(values)}"
+        apart = [len(mvtlab.expr._lower((d,), {}, "x")[0](False)) for d in (d1, d2)]
+        assert len(values) < sum(apart)
 
 
 @given(_expr, st.floats(-4.0, 4.0, allow_nan=False))
@@ -624,18 +620,15 @@ class TestCodeMemo:
 
     def test_one_shape_shares_one_grid(self, codes):
         trees = [[t, differentiate(t)] for t in (parse(s) for s in self.SHAPE)]
-        (grid1, fold1), (grid2, fold2) = (compile_terms(ts) for ts in trees)
+        grid1, grid2 = (compile_terms(ts) for ts in trees)
         assert grid1 is not grid2 and grid1.__code__ is grid2.__code__
-        assert fold1.__code__ is fold2.__code__
-        for ts, grid, fold in ((trees[0], grid1, fold1), (trees[1], grid2, fold2)):
+        for ts, grid in ((trees[0], grid1), (trees[1], grid2)):
             for t, col in zip(ts, grid(self.XS)):
                 assert all(same_float(v, evaluate(t, x)) for x, v in zip(self.XS, col))
-            for x in self.XS:
-                assert same_float(fold(x), evaluate(ts[0], x) - evaluate(ts[1], x))
 
     def test_the_guarded_body_compiles_on_first_need(self, codes):
         f, g = parse("ln(x)/x+x^3"), parse("sqrt(x)+asin(x)")
-        grid, fold = compile_terms([f, g])
+        grid = compile_terms([f, g])
         clean = [0.25, 0.5, 0.75, 1.0]
         assert grid(clean) == [[evaluate(t, x) for x in clean] for t in (f, g)]
         assert len(codes.items) == 1
@@ -643,8 +636,6 @@ class TestCodeMemo:
         mixed = [-1.0, 0.0, 0.5, 2.0]
         for t, col in zip((f, g), grid(mixed)):
             assert all(same_float(v, evaluate(t, x)) for x, v in zip(mixed, col))
-        assert len(codes.items) == 2
-        assert same_float(fold(0.0), evaluate(f, 0.0) - evaluate(g, 0.0))
         assert len(codes.items) == 2
 
     def test_panel_point_functions_are_the_trees_compiled_callables(self):
@@ -704,11 +695,11 @@ class TestCodeMemo:
         fns = [compile_fn(t) for t in trees]
         grids = [compile_terms([t, differentiate(t)]) for t in trees]
         kernels = [compile_panels([t], [differentiate(t)])[0] for t in trees]
-        for made in (fns, [grid for grid, _ in grids], kernels):
+        for made in (fns, grids, kernels):
             assert len(made) == 32 and len({fn.__code__ for fn in made}) == 1
         # f's and f''s point functions, the grid, and the panel kernel
         assert len(codes.items) == 4
-        for t, fn, (grid, _) in zip(trees, fns, grids):
+        for t, fn, grid in zip(trees, fns, grids):
             assert all(same_float(fn(x), evaluate(t, x)) for x in self.XS)
             for e, col in zip((t, differentiate(t)), grid(self.XS)):
                 assert all(same_float(v, evaluate(e, x)) for x, v in zip(self.XS, col))

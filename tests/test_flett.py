@@ -26,7 +26,7 @@ class TestFlettPoints:
     def test_worked_cubic(self):
         pts = find_flett_points(parse("x^3+2*x-1"), Interval(-2.0, 2.0))
         assert xs(pts) == pytest.approx([1.0], abs=1e-9)
-        assert pts[0].hypothesis_satisfied is True
+        assert pts.hypothesis_satisfied is True
         assert pts[0].theorem_id is TheoremId.FLETT
 
     def test_cubic_on_symmetric_interval(self):
@@ -37,7 +37,7 @@ class TestFlettPoints:
         # f'(-1/2) != f'(1), yet the tangent-chord point is there
         pts = find_flett_points(parse("x^3"), Interval(-0.5, 1.0))
         assert xs(pts) == pytest.approx([0.25], abs=1e-9)
-        assert pts[0].hypothesis_satisfied is False
+        assert pts.hypothesis_satisfied is False
 
     def test_asymmetric_cubic_interval(self):
         pts = find_flett_points(parse("x^3"), Interval(-2 / 3, 1.0))
@@ -46,7 +46,7 @@ class TestFlettPoints:
     def test_arcsine(self):
         pts = find_flett_points(parse("asin(x)"), Interval(-1.0, 1.0))
         assert xs(pts) == pytest.approx([0.6891577366451644], abs=1e-9)
-        assert pts[0].hypothesis_satisfied is None
+        assert pts.hypothesis_satisfied is None
 
     @pytest.mark.parametrize("fn, a, b", [
         ("x^3+2*x-1", -2.0, 2.0), ("x^3", -0.5, 1.0), ("asin(x)", -1.0, 1.0),
@@ -148,7 +148,7 @@ class TestMeyersVariants:
     def test_2_6_point(self):
         pts = meyers_points(TheoremId.MEYERS_2_6, parse("x^3"), Interval(-2 / 3, 1.0))
         assert len(pts) == 1
-        assert pts[0].hypothesis_satisfied is True
+        assert pts.hypothesis_satisfied is True
         # residual 3x^2(x+2/3) - 35/27 at the root
         x = pts[0].xi
         assert 3 * x * x * (x + 2 / 3) == pytest.approx(35 / 27, abs=1e-9)

@@ -52,7 +52,7 @@ class TestRiedelSahoo:
     def test_no_hypothesis_field(self):
         # the correction term replaces a hypothesis, nothing to report
         pts = riedel_sahoo_points(parse("x^3"), Interval(0.0, 1.0))
-        assert pts[0].hypothesis_satisfied is None
+        assert pts.hypothesis_satisfied is None
 
     def test_reduces_to_flett_when_slopes_agree(self):
         f = parse("x^3+2*x-1")
@@ -92,7 +92,7 @@ class TestSecondOrder:
         pts = second_order_points("anchored_at_a", parse("x^4-2*x^2"),
                                   Interval(-1.0, 1.0))
         assert xs(pts) == pytest.approx([1 / 3], abs=1e-9)
-        assert pts[0].hypothesis_satisfied is True
+        assert pts.hypothesis_satisfied is True
 
     def test_anchored_at_b_quartic(self):
         # residual for x^4-2x^2 anchored at b is (x-1)^2 (9x^2+2x-3),
@@ -102,7 +102,7 @@ class TestSecondOrder:
         want = [(-1.0 - 2.0 * math.sqrt(7.0)) / 9.0,
                 (-1.0 + 2.0 * math.sqrt(7.0)) / 9.0]
         assert xs(pts) == pytest.approx(want, abs=1e-9)
-        assert all(p.hypothesis_satisfied is True for p in pts)
+        assert pts.hypothesis_satisfied is True
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -125,7 +125,7 @@ class TestPawlikowska:
     def test_order_two(self):
         pts = pawlikowska_points(parse("x^4-2*x^2"), Interval(-1.0, 1.0), 2)
         assert xs(pts) == pytest.approx([1 / 3], abs=1e-9)
-        assert pts[0].hypothesis_satisfied is True
+        assert pts.hypothesis_satisfied is True
 
     def test_order_one_is_flett(self):
         f = parse("x^3+2*x-1")

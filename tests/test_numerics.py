@@ -8,11 +8,11 @@ from hypothesis import given
 
 import mvtlab.numerics
 from conftest import deadline
-from mvtlab.expr import Const, Var, compile_fn, differentiate, parse
+from mvtlab.expr import Const, Var, compile_fn, differentiate, evaluate, parse
 from mvtlab.numerics import (
     DEFAULT_CONFIG, MAX_SCAN_POINTS, DomainError, Interval, PointResult, QuadratureError,
     SolverConfig, TheoremId, central_diff, close, differentiable_on_interior,
-    fold_terms, grid_points, integrate, one_sided_derivative, refine_root,
+    grid_points, integrate, one_sided_derivative, refine_root,
     solve_residual, tanh_sinh,
 )
 
@@ -296,7 +296,7 @@ class TestSolveResidual:
         assert len(pts) == 1
         assert pts[0].degenerate
         assert pts[0].xi == 0.5
-        assert pts[0].hypothesis_satisfied is True
+        assert pts.hypothesis_satisfied is True
 
     def test_tiny_residual_counts_as_zero(self):
         # scale comes from the terms, so a 1e-7 residual between terms of
@@ -306,9 +306,12 @@ class TestSolveResidual:
         assert pts[0].degenerate
 
     def test_residual_is_left_fold_of_terms(self):
-        # 3 - x - 1 - (-x^2): the minus-signed fold of four terms
-        terms = (lambda x: 3.0, lambda x: x, lambda x: 1.0, lambda x: -x * x)
-        assert fold_terms(terms)(2.0) == 3.0 - 2.0 - 1.0 + 4.0
+        # x - 0.25 - 0 - (-x^2): the minus-signed fold of four terms, the
+        # last entering with a plus sign, so passed negated
+        terms = (lambda x: x, lambda x: 0.25, lambda x: 0.0, lambda x: -x * x)
+        (p,) = solve_residual(terms, Interval(0.0, 1.0), CFG, TheoremId.FLETT)
+        assert p.xi == pytest.approx((math.sqrt(2.0) - 1.0) / 2.0, abs=1e-12)
+        assert repr(p.residual) == repr(p.xi - 0.25 - 0.0 - (-p.xi * p.xi))
         pts = solve_residual((lambda x: x * x, lambda x: 0.25),
                              Interval(0.0, 1.0), CFG, TheoremId.FLETT)
         assert [p.xi for p in pts] == pytest.approx([0.5], abs=1e-12)
@@ -399,6 +402,21 @@ class TestSolveResidual:
 
 class TestExpressionTerms:
     """Expression terms scan exactly like the callables they mirror."""
+
+    @pytest.mark.parametrize("text, a, b", [
+        ("sin(3*x)+x^2", -2.0, 2.0), ("exp(sin(x))*ln(x+2)", -1.0, 3.0),
+        ("x^3+2*x-1", -2.0, 2.0),
+    ])
+    def test_residual_is_evaluate_s_difference_bit_for_bit(self, text, a, b):
+        # a point's residual is read from the grid on that one point, whose
+        # values are evaluate's
+        f, iv = parse(text), Interval(a, b)
+        t1, t2 = differentiate(f) * (Var() - a), f - evaluate(f, a)
+        pts = [p for p in solve_residual((t1, t2), iv, CFG, TheoremId.FLETT)
+               if not p.degenerate]
+        assert pts
+        for p in pts:
+            assert repr(p.residual) == repr(evaluate(t1, p.xi) - evaluate(t2, p.xi))
 
     def test_flett(self):
         f = parse("x^3+2*x-1")
@@ -571,4 +589,3 @@ class TestSmoothnessChecks:
 def test_point_result_defaults():
     p = PointResult(0.5, 1e-12, TheoremId.FLETT)
     assert p.degenerate is False
-    assert p.hypothesis_satisfied is None

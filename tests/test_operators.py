@@ -18,7 +18,7 @@ from mvtlab.cli import main
 from mvtlab.expr import Var, compile_fn, compile_panels, parse
 from mvtlab.numerics import (
     DomainError, HypothesisError, Interval, QuadratureError, SolverConfig,
-    TheoremId, grid_points, integrate,
+    TheoremId, grid_points, integrate, solve_residual,
 )
 from mvtlab.flett import find_flett_points
 from mvtlab.operators import (
@@ -488,6 +488,20 @@ class TestColumns:
         k = residuals.index(min(residuals))
         assert (err.x, err.value) == (xs[k], residuals[k])
 
+    @pytest.mark.parametrize("pair", ["t", "s", "ts"])
+    def test_residual_is_the_terms_difference_bit_for_bit(self, pair):
+        # a point's residual calls each term once there; the columns are
+        # read only for the whole grid
+        cfg = SolverConfig(scan_points=512)
+        t_pair, s_pair, tf, sf = mvtlab.operators._coupled_terms(
+            parse("x"), parse("x^2"), lambda h: h, cfg)
+        t1, t2 = {"t": t_pair, "s": s_pair, "ts": (tf, sf)}[pair]
+        pts = [p for p in solve_residual((t1, t2), UNIT_INTERVAL, cfg, TheoremId.LUPU_4_7_T)
+               if not p.degenerate]
+        assert pts
+        for p in pts:
+            assert repr(p.residual) == repr(t1(p.xi) - t2(p.xi))
+
     def test_lupu_4_6_builds_its_grid_once(self, monkeypatch):
         # the operator build and the three scans share one node list, so
         # every scan reads each value's table
@@ -580,7 +594,7 @@ class TestThm49:
                              Interval(0.0, 1.0))
         assert [p.xi for p in pts] == pytest.approx([0.6959901379380051],
                                                     abs=1e-9)
-        assert pts[0].hypothesis_satisfied is True
+        assert pts.hypothesis_satisfied is True
         assert pts[0].theorem_id is TheoremId.THM_4_9
 
     def test_nonzero_mean_rejected(self):
@@ -659,7 +673,7 @@ class TestCauchyFlett:
         pts = cauchy_flett_points(f, g, Interval(0.0, 1.0))
         assert [p.xi for p in pts] == pytest.approx([math.sqrt(7.0) - 2.0],
                                                     abs=1e-9)
-        assert pts[0].hypothesis_satisfied is True
+        assert pts.hypothesis_satisfied is True
         assert cauchy_flett_hypothesis(f, g, Interval(0.0, 1.0)) is True
 
     def test_unequal_ratio_may_leave_no_points(self):
