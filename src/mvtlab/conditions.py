@@ -11,6 +11,9 @@ Every strict inequality is decided inside a tolerance band: landing in the
 band is reported as Boundary instead of silently rounding to one side.
 Checkers that need derivatives demote to NotApplicable when the derivative
 fails to exist, either at an endpoint or anywhere on the interior grid.
+Endpoint derivatives are one-sided, f'(a+), f'(b-) and f''(a+), each read
+by `generalized.one_sided_slope`; `phi1` and `phi1_prime_at_a` read from
+the right, giving nan and None where that value does not exist finitely.
 
 `classify` checks differentiability once: the slope-based checkers read one
 shared verdict, one pair of endpoint slopes and one pair of endpoint values,
@@ -29,15 +32,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+# evaluate is unused here but bench/tracer.py patches it
 from .expr import Expr, compile_fn, differentiate, evaluate, sign_sensitive_args
 from .flett import find_flett_points
-from .generalized import endpoint_slopes, slopes_agree
+from .generalized import endpoint_slopes, endpoint_value, one_sided_slope, slopes_agree
 from .mvt_points import integral_mean
-# integrate is unused here but bench/tracer.py patches it
+# integrate and one_sided_derivative are unused here but bench/tracer.py patches them
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, SolverConfig, SolverError,
-    central_diff, close, differentiable_on_interior, integrate,
-    one_sided_derivative, tolerance,
+    close, differentiable_on_interior, integrate, one_sided_derivative, tolerance,
 )
 
 __all__ = [
@@ -94,10 +97,11 @@ class ConditionVector:
 class _Context:
     """What the checkers share about one (f, interval, config).
 
-    ``sign_args``, f's abs()/sgn() arguments, serve the scan, the slopes
-    and the integral mean. Each part is computed on its first read and
-    kept: the differentiability verdict (one ``differentiable_on_interior``
-    scan), the one-sided endpoint slopes, and (f(a), f(b)). A part whose
+    ``sign_args``, f's abs()/sgn() arguments, serve the scan, the slopes,
+    f''(a+) and the integral mean. Each part is computed on its first read
+    and kept: the differentiability verdict (one ``differentiable_on_interior``
+    scan), the one-sided endpoint slopes, and (f(a), f(b)) from
+    `generalized.endpoint_value`. A part whose
     computation raised SolverError raises that same error at every read,
     so each checker still demotes to NotApplicable on its own.
     """
@@ -132,16 +136,14 @@ class _Context:
 
     @property
     def ends(self) -> tuple[float, float]:
-        def make():
-            fc = compile_fn(self.f)
-            return fc(self.iv.a), fc(self.iv.b)
-        return self._part("ends", make)
+        return self._part("ends", lambda: tuple(endpoint_value(self.f, self.iv, e) for e in "ab"))
 
     @property
     def secant(self) -> float | None:
         """(f(b) - f(a))/(b - a), or None when f(a) or f(b) is not finite."""
-        fa, fb = self.ends
-        if not (math.isfinite(fa) and math.isfinite(fb)):
+        try:
+            fa, fb = self.ends
+        except DomainError:
             return None
         return (fb - fa) / self.iv.width
 
@@ -215,14 +217,16 @@ def _tong_verdict(m: float, i: float, cfg: SolverConfig) -> Verdict:
 
 
 def phi1(f: Expr, a: float):
-    """The difference quotient of f at a, recentred by f'(a).
+    """The difference quotient of f at a, recentred by f'(a+).
 
-    phi(x) = (f(x) - f(a))/(x - a) - f'(a) for x != a, and phi(a) = 0,
-    its continuous extension.
+    phi(x) = (f(x) - f(a))/(x - a) - f'(a+) for x != a, and phi(a) = 0,
+    its continuous extension. Where f'(a+) does not exist finitely
+    (`generalized.one_sided_slope`), phi is nan off a.
     """
     fc = compile_fn(f)
     fa = fc(a)
-    fpa = evaluate(differentiate(f), a)
+    fpa = one_sided_slope(f, a, math.inf, DEFAULT_CONFIG)
+    fpa = math.nan if fpa is None else fpa
 
     def phi(x: float) -> float:
         if x == a:
@@ -236,21 +240,12 @@ def phi1_prime_at_a(f: Expr, a: float,
                     cfg: SolverConfig | None = None) -> float | None:
     """Derivative of the extended difference quotient at its basepoint.
 
-    Taylor expansion pins it to f''(a)/2. Symbolic second derivative first,
-    finite differences as fallback, None when neither produces a usable
-    value.
+    Taylor expansion pins it to f''(a+)/2: the one-sided slope of f' read
+    with f's abs()/sgn() arguments. None when it does not exist finitely.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    v = one_sided_derivative(differentiate(f), a, cfg)
-    if v is not None:
-        return 0.5 * v
-    try:
-        v = central_diff(compile_fn(f), a, order=2)
-    except SolverError:
-        return None
-    if math.isfinite(v) and abs(v) <= cfg.singular_threshold:
-        return 0.5 * v
-    return None
+    v = one_sided_slope(differentiate(f), a, math.inf, cfg or DEFAULT_CONFIG,
+                        sign_sensitive_args(f))
+    return None if v is None else 0.5 * v
 
 
 def _strict_negative(p: float, cfg: SolverConfig) -> Verdict:
@@ -270,8 +265,9 @@ def _malesevic(ctx: _Context) -> tuple[Verdict, Verdict]:
     phib = s - da
     t1 = Verdict.NotApplicable if db is None else \
         _strict_negative(((db - s) / ctx.iv.width) * phib, cfg)
-    ppa = phi1_prime_at_a(ctx.f, ctx.iv.a, cfg)
-    m1 = Verdict.NotApplicable if ppa is None else _strict_negative(ppa * phib, cfg)
+    # phi'(a) = f''(a+)/2, read as phi1_prime_at_a reads it
+    d2a = one_sided_slope(differentiate(ctx.f), ctx.iv.a, ctx.iv.b, cfg, ctx.sign_args)
+    m1 = Verdict.NotApplicable if d2a is None else _strict_negative(0.5 * d2a * phib, cfg)
     return t1, m1
 
 

@@ -11,14 +11,13 @@ of the search form.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
-from .expr import Const, Expr, Var, compile_fn, differentiate, evaluate
+from .expr import Const, Expr, Var, compile_fn, differentiate
 from .generalized import endpoint_slopes, endpoint_value, slopes_agree
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
-    DEFAULT_CONFIG, Interval, PointResult, Points, SolverConfig, TheoremId,
+    DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig, TheoremId,
     one_sided_derivative, solve_residual,
 )
 
@@ -110,8 +109,9 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
     if tid in (TheoremId.FLETT, TheoremId.MEYERS_2_3, TheoremId.MEYERS_2_4,
                TheoremId.MEYERS_2_5):
         return slopes_agree(slopes, cfg)
-    fa, fb = evaluate(f, iv.a), evaluate(f, iv.b)
-    if not (math.isfinite(fa) and math.isfinite(fb)):
+    try:
+        fa, fb = endpoint_value(f, iv, "a"), endpoint_value(f, iv, "b")
+    except DomainError:
         return None
     w = iv.width
     if tid is TheoremId.MEYERS_2_6:

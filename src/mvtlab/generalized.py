@@ -18,7 +18,7 @@ from .numerics import (
 )
 
 __all__ = [
-    "MAX_SUM_ORDER", "endpoint_slopes", "slopes_agree", "endpoint_value",
+    "MAX_SUM_ORDER", "one_sided_slope", "endpoint_slopes", "slopes_agree", "endpoint_value",
     "riedel_sahoo_points",
     "cakmak_tiryaki_points", "second_order_points",
     "pawlikowska_points", "pawlikowska_hypothesis",
@@ -29,24 +29,28 @@ __all__ = [
 MAX_SUM_ORDER = 12
 
 
-def endpoint_slopes(f: Expr, iv: Interval, cfg: SolverConfig,
-                    sign_args: list[Expr] | None = None) -> tuple[float | None, float | None]:
-    """(f'(a), f'(b)), one-sided; None for one that does not exist finitely.
+def one_sided_slope(f: Expr, x: float, inward: float, cfg: SolverConfig,
+                    sign_args: list[Expr] | None = None) -> float | None:
+    """f'(x) read from the side of ``inward``; None where it does not exist finitely.
 
-    Where an abs()/sgn() argument of f is 0 on an endpoint, f' there holds
-    sgn(0) = 0, so that slope is read up to 4 ulps inside, past the zero.
-    ``sign_args`` is ``sign_sensitive_args(f)``, for a caller that holds it.
+    Where an abs()/sgn() argument of f is 0 at x, f' there holds sgn(0) = 0,
+    so the slope is read up to 4 ulps toward ``inward``, past the zero.
+    ``sign_args`` is ``sign_sensitive_args(f)``, for a caller that holds it;
+    f's list serves f's derivatives too (abs' = sgn(u)·u', sgn' = 0).
     """
     args = sign_sensitive_args(f) if sign_args is None else sign_args
+    for _ in range(4):
+        if all(evaluate(g, x) != 0.0 for g in args):
+            break
+        x = math.nextafter(x, inward)
+    return one_sided_derivative(f, x, cfg)
 
-    def slope(x: float, inward: float) -> float | None:
-        for _ in range(4):
-            if all(evaluate(g, x) != 0.0 for g in args):
-                break
-            x = math.nextafter(x, inward)
-        return one_sided_derivative(f, x, cfg)
 
-    return slope(iv.a, iv.b), slope(iv.b, iv.a)
+def endpoint_slopes(f: Expr, iv: Interval, cfg: SolverConfig,
+                    sign_args: list[Expr] | None = None) -> tuple[float | None, float | None]:
+    """(f'(a+), f'(b-)), each a :func:`one_sided_slope` with ``sign_args``."""
+    args = sign_sensitive_args(f) if sign_args is None else sign_args
+    return one_sided_slope(f, iv.a, iv.b, cfg, args), one_sided_slope(f, iv.b, iv.a, cfg, args)
 
 
 def slopes_agree(slopes: tuple[float | None, float | None],
@@ -89,9 +93,7 @@ def pawlikowska_hypothesis(f: Expr, iv: Interval, n: int,
     either value does not exist finitely.
     """
     cfg = cfg or DEFAULT_CONFIG
-    pre = f
-    for _ in range(n - 1):
-        pre = differentiate(pre)
+    pre = f if n == 1 else differentiate(f, n - 1)
     return slopes_agree(endpoint_slopes(pre, iv, cfg), cfg)
 
 

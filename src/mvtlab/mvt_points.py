@@ -28,9 +28,9 @@ __all__ = [
 def rolle_hypothesis(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> bool | None:
     """Whether f(a) = f(b) within tolerance (None if an endpoint blows up)."""
     cfg = cfg or DEFAULT_CONFIG
-    fc = compile_fn(f)
-    fa, fb = fc(iv.a), fc(iv.b)
-    if not (math.isfinite(fa) and math.isfinite(fb)):
+    try:
+        fa, fb = endpoint_value(f, iv, "a"), endpoint_value(f, iv, "b")
+    except DomainError:
         return None
     return close(fa, fb, cfg.residual_tol)
 

@@ -667,7 +667,10 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
 
 
 def one_sided_derivative(f: Expr, x: float, cfg: SolverConfig) -> float | None:
-    """Symbolic derivative value at an endpoint, or None when it blows up."""
+    """f'(x) from the symbolic derivative at exactly x, or None when it blows up.
+
+    The step inward past an abs()/sgn() kink is `generalized.one_sided_slope`'s.
+    """
     v = evaluate(differentiate(f), x)
     if not math.isfinite(v) or abs(v) > cfg.singular_threshold:
         return None

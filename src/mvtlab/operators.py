@@ -400,15 +400,15 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
                - phi(0)·( V f(t)·int g - V g(t)·int f )
 
     on [0, 1], where V_phi is the phi-weighted running integral. The weight
-    must have a nonvanishing derivative on the grid; phi(0) may be anything,
-    with phi(0) = 0 reducing the residual to its first two terms.
+    must have a nonvanishing derivative on the grid; phi(0) may be any
+    finite value ("phi(a) is not finite" otherwise), with phi(0) = 0
+    reducing the residual to its first two terms.
     """
     cfg = cfg or DEFAULT_CONFIG
-    fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
     _nonvanishing_derivative(phi, UNIT_INTERVAL, cfg, "the weight's derivative")
-    int_f = tanh_sinh(fc, 0.0, 1.0, cfg)
-    int_g = tanh_sinh(gc, 0.0, 1.0, cfg)
-    phi0 = pc(0.0)
+    int_f = tanh_sinh(compile_fn(f), 0.0, 1.0, cfg)
+    int_g = tanh_sinh(compile_fn(g), 0.0, 1.0, cfg)
+    phi0 = endpoint_value(phi, UNIT_INTERVAL, "a", "phi")
     vpf, vpg, vf, vg = operator_values(
         (_v_weighted_pair(phi, f), _v_weighted_pair(phi, g), (None, f), (None, g)),
         UNIT_INTERVAL, cfg)

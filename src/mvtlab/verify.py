@@ -49,8 +49,8 @@ class Inputs:
     through :func:`~mvtlab.expr.compile_fn` and
     :func:`~mvtlab.expr.differentiate`, which memoize on the request's
     trees, so the solver, the hypothesis and every point verified share one
-    derivative chain and one compile per tree. The integrals over [0, 1]
-    that do not depend on the point are made on first use and kept.
+    derivative chain and one compile per tree. What does not depend on the
+    point (integrals over [0, 1], the slope gap) is made on first use and kept.
     ``quad_cfg`` is ``cfg`` at a hundredth of its quadrature tolerance: the
     quadrature identities' sides are recomputed at it, each by
     :func:`~mvtlab.numerics.tanh_sinh`.
@@ -74,6 +74,12 @@ class Inputs:
 
     def _over_unit(self, F: Callable[[float], float]) -> float:
         return tanh_sinh(F, 0.0, 1.0, self.quad_cfg)
+
+    @cached_property
+    def slope_gap(self) -> float:
+        # from the slopes the solvers read; nan, a failing check, where one is None
+        da, db = endpoint_slopes(self.f, self.iv, self.cfg)
+        return math.nan if da is None or db is None else (db - da) / self.w
 
     @cached_property
     def int_f(self) -> float:
@@ -120,13 +126,6 @@ class Theorem:
     takes_n: bool = False
     unit_only: bool = False
     quadrature: bool = False
-
-
-def _slope_gap(q: Inputs) -> float:
-    # from the endpoint slopes the solvers read; nan, so a failing check,
-    # where one does not exist finitely
-    da, db = endpoint_slopes(q.f, q.iv, q.cfg)
-    return math.nan if da is None or db is None else (db - da) / q.w
 
 
 def _pawlikowska(q: Inputs, xi: float) -> tuple[float, float]:
@@ -224,9 +223,9 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.MEYERS_2_8: Theorem(lambda q, x: (q.d1(x), (q.fc(x) - q.fc(q.a)) / q.w)),
     TheoremId.MEYERS_2_9: Theorem(lambda q, x: (q.d1(x), (q.fc(q.b) - q.fc(x)) / q.w)),
     TheoremId.RIEDEL_SAHOO: Theorem(lambda q, x: (
-        q.fc(x) - q.fc(q.a), (x - q.a) * q.d1(x) - 0.5 * _slope_gap(q) * (x - q.a) ** 2)),
+        q.fc(x) - q.fc(q.a), (x - q.a) * q.d1(x) - 0.5 * q.slope_gap * (x - q.a) ** 2)),
     TheoremId.CAKMAK_TIRYAKI: Theorem(lambda q, x: (
-        q.fc(q.b) - q.fc(x), (q.b - x) * q.d1(x) + 0.5 * _slope_gap(q) * (q.b - x) ** 2)),
+        q.fc(q.b) - q.fc(x), (q.b - x) * q.d1(x) + 0.5 * q.slope_gap * (q.b - x) ** 2)),
     TheoremId.SECOND_ORDER_A: Theorem(lambda q, x: (
         q.fc(x) - q.fc(q.a),
         (x - q.a) * q.d1(x) - 0.5 * (x - q.a) ** 2 * q.d2(x))),

@@ -128,6 +128,12 @@ class TestSolve:
         assert code == 3
         assert f"{value} is not finite" in err
 
+    def test_a_weight_not_finite_at_0_is_named(self, capsys):
+        code, _, err = run(capsys, "solve", "thm-4.10", "--fn", "x", "--gn", "x^2",
+                           "--weight", "1/x")
+        assert code == 3
+        assert "phi(a) is not finite" in err
+
 
 class TestSelfCheckRegressions:
     """Requests whose reported points once failed their own self-check (exit 3)."""
@@ -705,6 +711,21 @@ class TestTheoremTable:
         assert code == 0 and sum(len(r["points"]) for r in rep["results"]) == 3
         assert [e for e, _ in compiled.values()] == [parse("x"), parse("x^2")]
         assert [len(fns) for _, fns in compiled.values()] == [1, 1]
+
+    def test_a_request_reads_the_slope_gap_once_for_verification(self, capsys, monkeypatch):
+        # riedel-sahoo on sin(5x) over [0, 6] verifies ten points
+        calls = []
+        original = mvtlab.verify.endpoint_slopes
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mvtlab.verify, "endpoint_slopes", counted)
+        code, rep, _ = run_json(capsys, "solve", "riedel-sahoo", "--fn", "sin(5*x)",
+                                "-a", "0", "-b", "6")
+        assert code == 0 and len(rep["results"][0]["points"]) == 10
+        assert len(calls) == 1
 
     def test_flett_without_points_computes_its_hypothesis_once(self, capsys, monkeypatch):
         # x^2 on [0, 1] has no interior Flett point; the empty result the

@@ -1,6 +1,7 @@
 """Sufficient-condition checkers and the combined classification vector."""
 
 import math
+import random
 
 import pytest
 
@@ -108,6 +109,42 @@ class TestMalesevic:
     def test_nondifferentiable_demotes_both(self):
         t1, m1 = check_malesevic(parse("abs(x)"), Interval(-1.0, 1.0))
         assert (t1, m1) == (NA, NA)
+
+
+class TestOneSidedReads:
+    """Endpoint derivatives are read from inside the interval, past a kink at the endpoint."""
+
+    @staticmethod
+    def _polynomial(rng):
+        """A random polynomial written plainly, and with each even power x^k
+        as x^(k-1)*abs(x): the same function on [0, b]."""
+        coeffs = [rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0)
+                  for _ in range(rng.randint(3, 7))]
+        plain = " + ".join(f"({c!r})*x^{k}" for k, c in enumerate(coeffs))
+        kinked = " + ".join(f"({c!r})*x^{k - 1}*abs(x)" if k and k % 2 == 0 else f"({c!r})*x^{k}"
+                            for k, c in enumerate(coeffs))
+        return plain, kinked
+
+    def test_an_even_power_through_abs_leaves_the_vector_unchanged(self):
+        rng = random.Random(20219)
+        cfg = mvtlab.numerics.SolverConfig(scan_points=256)
+        for _ in range(100):
+            plain, kinked = self._polynomial(rng)
+            iv = Interval(0.0, rng.uniform(0.5, 3.0))
+            want = vec(classify(parse(plain), iv, cfg))
+            assert vec(classify(parse(kinked), iv, cfg)) == want, (plain, kinked, iv)
+
+    @pytest.mark.parametrize("fn, value", [
+        ("x*abs(x)", 1.0),      # f'' = 2*sgn(x), read past the kink at 0
+        ("abs(x)^1.5", None),   # no one-sided f'' at 0
+        ("x*sqrt(x^2)", None),  # f'' reads 0/0 at 0
+    ])
+    def test_phi1_prime_at_a_reads_from_the_right(self, fn, value):
+        assert phi1_prime_at_a(parse(fn), 0.0) == value
+
+    def test_phi1_reads_f_prime_from_the_right(self):
+        # f'(0+) = 1, so phi(x) = x, not x + 1 as with sgn(0) = 0
+        assert phi1(parse("abs(x)+x^2"), 0.0)(1e-3) == pytest.approx(1e-3, abs=1e-12)
 
 
 class TestDemotion:
