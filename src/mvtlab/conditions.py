@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-# evaluate is unused here but bench/tracer.py patches it
-from .expr import Expr, compile_fn, differentiate, evaluate, sign_sensitive_args
+# differentiate and evaluate are unused here but bench/tracer.py patches them
+from .expr import Expr, compile_fn, differentiate, evaluate
 from .flett import find_flett_points
 from .generalized import endpoint_slopes, endpoint_value, one_sided_slope, slopes_agree
 from .mvt_points import integral_mean
@@ -97,20 +97,18 @@ class ConditionVector:
 class _Context:
     """What the checkers share about one (f, interval, config).
 
-    ``sign_args``, f's abs()/sgn() arguments, serve the scan, the slopes,
-    f''(a+) and the integral mean. Each part is computed on its first read
-    and kept: the differentiability verdict (one ``differentiable_on_interior``
-    scan), the one-sided endpoint slopes, and (f(a), f(b)) from
-    `generalized.endpoint_value`. A part whose
-    computation raised SolverError raises that same error at every read,
-    so each checker still demotes to NotApplicable on its own.
+    Each part is computed on its first read and kept: the differentiability
+    verdict (one ``differentiable_on_interior`` scan), the one-sided
+    endpoint slopes, and (f(a), f(b)) from `generalized.endpoint_value`. A
+    part whose computation raised SolverError raises that same error at
+    every read, so each checker still demotes to NotApplicable on its own.
+    f's abs()/sgn() arguments are not kept: each read lists them off f's walk.
     """
 
-    __slots__ = ("f", "iv", "cfg", "sign_args", "_parts")
+    __slots__ = ("f", "iv", "cfg", "_parts")
 
     def __init__(self, f: Expr, iv: Interval, cfg: SolverConfig | None):
         self.f, self.iv, self.cfg = f, iv, cfg or DEFAULT_CONFIG
-        self.sign_args = sign_sensitive_args(f)
         self._parts: dict = {}  # name -> value, or the SolverError it raised
 
     def _part(self, name: str, make):
@@ -126,13 +124,11 @@ class _Context:
 
     @property
     def smooth(self) -> bool:
-        return self._part("smooth", lambda: differentiable_on_interior(
-            self.f, self.iv, self.cfg, self.sign_args))
+        return self._part("smooth", lambda: differentiable_on_interior(self.f, self.iv, self.cfg))
 
     @property
     def slopes(self) -> tuple[float | None, float | None]:
-        return self._part("slopes", lambda: endpoint_slopes(
-            self.f, self.iv, self.cfg, self.sign_args))
+        return self._part("slopes", lambda: endpoint_slopes(self.f, self.iv, self.cfg))
 
     @property
     def ends(self) -> tuple[float, float]:
@@ -187,7 +183,7 @@ def check_trahan(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verd
 
 
 def _tong_means(ctx: _Context) -> tuple[float, float]:
-    i = integral_mean(ctx.f, ctx.iv, ctx.cfg, ctx.sign_args)
+    i = integral_mean(ctx.f, ctx.iv, ctx.cfg)
     fa, fb = ctx.ends
     return 0.5 * (fa + fb), i
 
@@ -240,11 +236,10 @@ def phi1_prime_at_a(f: Expr, a: float,
                     cfg: SolverConfig | None = None) -> float | None:
     """Derivative of the extended difference quotient at its basepoint.
 
-    Taylor expansion pins it to f''(a+)/2: the one-sided slope of f' read
-    with f's abs()/sgn() arguments. None when it does not exist finitely.
+    Taylor expansion pins it to f''(a+)/2, the order-2 one-sided slope.
+    None when it does not exist finitely.
     """
-    v = one_sided_slope(differentiate(f), a, math.inf, cfg or DEFAULT_CONFIG,
-                        sign_sensitive_args(f))
+    v = one_sided_slope(f, a, math.inf, cfg or DEFAULT_CONFIG, order=2)
     return None if v is None else 0.5 * v
 
 
@@ -266,7 +261,7 @@ def _malesevic(ctx: _Context) -> tuple[Verdict, Verdict]:
     t1 = Verdict.NotApplicable if db is None else \
         _strict_negative(((db - s) / ctx.iv.width) * phib, cfg)
     # phi'(a) = f''(a+)/2, read as phi1_prime_at_a reads it
-    d2a = one_sided_slope(differentiate(ctx.f), ctx.iv.a, ctx.iv.b, cfg, ctx.sign_args)
+    d2a = one_sided_slope(ctx.f, ctx.iv.a, ctx.iv.b, cfg, order=2)
     m1 = Verdict.NotApplicable if d2a is None else _strict_negative(0.5 * d2a * phib, cfg)
     return t1, m1
 

@@ -2,9 +2,9 @@
 
 Function text is parsed by recursive descent into an immutable AST that can
 be evaluated on the extended real line, differentiated symbolically to any
-order, simplified, and printed back to parseable text. ``evaluate`` walks
-the tree once, for a single point, and costs less than a compile for a
-value read at a point or two. For many points, one lowering turns trees
+order, simplified, and printed back to parseable text. ``evaluate`` reads
+a single point off the tree's kept walk, and costs less than a compile
+for a value read at a point or two. For many points, one lowering turns trees
 into generated straight-line Python that evaluates each distinct
 subexpression once per point: ``compile_fn`` wraps one tree as a callable
 (quadrature), ``compile_terms`` wraps the terms of a residual as a
@@ -31,12 +31,12 @@ order past MAX_NODES distinct nodes is refused with ExpressionTooLarge:
 nodes grow about threefold an order, so the cap bounds each build's time
 and memory.
 
-Each node memoizes its own first derivative (``differentiate``) and its
-compiled callable (``compile_fn``) in two slots outside its fields, so every
-consumer of one tree shares one derivative chain and one compile per tree.
-The memo lives exactly as long as the node: a request that parses fresh
-trees starts with none, and equality, hashing, printing, pickling and
-copying see only the fields.
+Each node memoizes its first derivative (``differentiate``), its compiled
+callable (``compile_fn``) and its walk (``_postorder``) in three slots
+outside its fields, so every consumer of one tree shares one derivative
+chain, one compile and one walk. The memo lives exactly as long as the
+node: a request that parses fresh trees starts with none, and equality,
+hashing, printing, pickling and copying see only the fields.
 
 Generated code names a tree's constants ``c0, c1, ...`` by position, reads
 their values from the function's globals and moves signs into them
@@ -51,7 +51,7 @@ same source gives the same code. The same memo class keeps the scan grids
 (:func:`~mvtlab.numerics.grid_points`), bounded in points.
 
 Every pass over a tree (evaluation, lowering, differentiation and
-simplification, printing, substitution, the parser's depth check and
+simplification, printing, the parser's depth check and
 :func:`sign_sensitive_args`) is one loop over ``_postorder``, an iterative
 walk that lists each distinct node once, after its children. So every
 pass takes a tree of any depth and visits a shared subtree once. Only the
@@ -84,7 +84,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Bin", "Call",
     "ParseError", "ExpressionTooLarge", "FUNCTIONS", "MAX_DEPTH", "MAX_NODES",
     "parse", "unparse", "evaluate", "compile_fn", "compile_terms", "compile_panels",
-    "differentiate", "simplify", "substitute", "sign_sensitive_args",
+    "differentiate", "simplify", "sign_sensitive_args",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "asin", "acos", "atan",
@@ -106,9 +106,9 @@ MAX_NODES = 100_000
 class Expr:
     """Base node. All nodes are immutable, hashable, and comparable."""
 
-    # memo slots, set once by differentiate and compile_fn (see the module
-    # docstring); they are not dataclass fields
-    __slots__ = ("_derivative", "_compiled")
+    # memo slots, set once by differentiate, compile_fn and _postorder (see
+    # the module docstring); they are not dataclass fields
+    __slots__ = ("_derivative", "_compiled", "_walk")
 
     def __add__(self, other: Expr | float) -> Expr:
         return Bin("+", self, _coerce(other))
@@ -184,9 +184,11 @@ def _postorder(roots: Sequence[Expr]) -> list[Expr]:
     Children come left before right and the roots in order; a node that
     several parents share is listed once, at its first position. The walk
     keeps an explicit stack, so a tree of any depth walks: every pass over
-    a tree in this module is one loop over this list. Raises TypeError on
-    anything that is not an Expr node.
+    a tree in this module is one loop over this list. A lone root keeps
+    it, less the root (no cycle). Raises TypeError on a non-Expr node.
     """
+    if len(roots) == 1 and getattr(roots[0], "_walk", None) is not None:
+        return [*roots[0]._walk, roots[0]]
     out: list[Expr] = []
     seen: set[int] = set()
     stack: list[Expr | None] = list(reversed(roots))
@@ -211,6 +213,8 @@ def _postorder(roots: Sequence[Expr]) -> list[Expr]:
             listed(node)
         else:
             raise TypeError(f"not an Expr node: {node!r}")
+    if len(roots) == 1:
+        object.__setattr__(roots[0], "_walk", out[:-1])  # the node is frozen
     return out
 
 
@@ -318,9 +322,9 @@ def _fold_bin(op: str, a: float, b: float) -> float:
 def evaluate(e: Expr, x: float) -> float:
     """Evaluate ``e`` at ``x`` on the extended real line (nan = undefined).
 
-    Each distinct node, by identity, is evaluated once per call, so a tree
-    whose subtrees are shared (a derivative's are) costs its distinct
-    nodes, not its positions.
+    Each distinct node, by identity, is evaluated once per call, in the
+    order of the walk ``e`` keeps, so a tree whose subtrees are shared (a
+    derivative's are) costs its distinct nodes, not its positions.
     """
     x = float(x)
     value: dict[int, float] = {}
@@ -1103,29 +1107,6 @@ def simplify(e: Expr) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Structure utilities
-
-
-def substitute(e: Expr, replacement: Expr) -> Expr:
-    """Replace every occurrence of the variable with ``replacement``.
-
-    Each distinct node of ``e`` is copied once, so the copy shares what
-    ``e`` shares.
-    """
-    new: dict[int, Expr] = {}
-    for node in _postorder((e,)):
-        kind = type(node)
-        if kind is Const:
-            out = node
-        elif kind is Var:
-            out = replacement
-        elif kind is Neg:
-            out = Neg(new[id(node.child)])
-        elif kind is Bin:
-            out = Bin(node.op, new[id(node.left)], new[id(node.right)])
-        else:
-            out = Call(node.fn, new[id(node.arg)])
-        new[id(node)] = out
-    return new[id(e)]
 
 
 def sign_sensitive_args(e: Expr) -> list[Expr]:

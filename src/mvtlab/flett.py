@@ -17,7 +17,7 @@ from .expr import Const, Expr, Var, compile_fn, differentiate
 from .generalized import endpoint_slopes, endpoint_value, slopes_agree
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig, TheoremId,
+    DEFAULT_CONFIG, DomainError, Interval, Points, SolverConfig, TheoremId,
     one_sided_derivative, solve_residual,
 )
 
@@ -58,7 +58,7 @@ def flett_residual(f: Expr, a: float) -> Callable[[float], float]:
 
 def find_flett_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None, *,
                       slopes: tuple[float | None, float | None] | None = None
-                      ) -> list[PointResult]:
+                      ) -> Points:
     """All interior points where the tangent at x passes through (a, f(a)).
 
     ``slopes`` are f's one-sided endpoint slopes, from

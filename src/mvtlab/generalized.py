@@ -13,7 +13,7 @@ import math
 # compile_fn is unused here but bench/tracer.py patches it
 from .expr import Const, Expr, Var, compile_fn, differentiate, evaluate, sign_sensitive_args
 from .numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
+    DEFAULT_CONFIG, DomainError, Interval, Points, SolverConfig,
     TheoremId, close, one_sided_derivative, solve_residual,
 )
 
@@ -30,27 +30,25 @@ MAX_SUM_ORDER = 12
 
 
 def one_sided_slope(f: Expr, x: float, inward: float, cfg: SolverConfig,
-                    sign_args: list[Expr] | None = None) -> float | None:
-    """f'(x) read from the side of ``inward``; None where it does not exist finitely.
+                    order: int = 1) -> float | None:
+    """f's ``order``-th derivative at x from the side of ``inward``; None if not finite.
 
-    Where an abs()/sgn() argument of f is 0 at x, f' there holds sgn(0) = 0,
-    so the slope is read up to 4 ulps toward ``inward``, past the zero.
-    ``sign_args`` is ``sign_sensitive_args(f)``, for a caller that holds it;
-    f's list serves f's derivatives too (abs' = sgn(u)·u', sgn' = 0).
+    Where an abs()/sgn() argument of f is 0 at x, f's derivatives hold
+    sgn(0) = 0 there (abs' = sgn(u)·u', sgn' = 0), so the value is read up
+    to 4 ulps toward ``inward``, past the zero.
     """
-    args = sign_sensitive_args(f) if sign_args is None else sign_args
+    args = sign_sensitive_args(f)
     for _ in range(4):
         if all(evaluate(g, x) != 0.0 for g in args):
             break
         x = math.nextafter(x, inward)
-    return one_sided_derivative(f, x, cfg)
+    return one_sided_derivative(f if order == 1 else differentiate(f, order - 1), x, cfg)
 
 
-def endpoint_slopes(f: Expr, iv: Interval, cfg: SolverConfig,
-                    sign_args: list[Expr] | None = None) -> tuple[float | None, float | None]:
-    """(f'(a+), f'(b-)), each a :func:`one_sided_slope` with ``sign_args``."""
-    args = sign_sensitive_args(f) if sign_args is None else sign_args
-    return one_sided_slope(f, iv.a, iv.b, cfg, args), one_sided_slope(f, iv.b, iv.a, cfg, args)
+def endpoint_slopes(f: Expr, iv: Interval,
+                    cfg: SolverConfig) -> tuple[float | None, float | None]:
+    """(f'(a+), f'(b-)), each a :func:`one_sided_slope`."""
+    return one_sided_slope(f, iv.a, iv.b, cfg), one_sided_slope(f, iv.b, iv.a, cfg)
 
 
 def slopes_agree(slopes: tuple[float | None, float | None],
@@ -98,7 +96,7 @@ def pawlikowska_hypothesis(f: Expr, iv: Interval, n: int,
 
 
 def riedel_sahoo_points(f: Expr, iv: Interval,
-                        cfg: SolverConfig | None = None) -> list[PointResult]:
+                        cfg: SolverConfig | None = None) -> Points:
     """Roots of f(x) - f(a) - (x-a)f'(x) + (K/2)(x-a)^2, K the slope gap rate.
 
     K = (f'(b) - f'(a))/(b - a); when the endpoint slopes agree the
@@ -115,7 +113,7 @@ def riedel_sahoo_points(f: Expr, iv: Interval,
 
 
 def cakmak_tiryaki_points(f: Expr, iv: Interval,
-                          cfg: SolverConfig | None = None) -> list[PointResult]:
+                          cfg: SolverConfig | None = None) -> Points:
     """The same corrected identity anchored at b instead of a.
 
     Roots of f(b) - f(x) - (b-x)f'(x) - (K/2)(b-x)^2. Mirror image of

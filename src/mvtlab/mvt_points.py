@@ -14,7 +14,7 @@ import math
 from .expr import Const, Expr, compile_fn, differentiate, sign_sensitive_args
 from .generalized import endpoint_value
 from .numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, PointResult, Points, SolverConfig,
+    DEFAULT_CONFIG, DomainError, Interval, Points, SolverConfig,
     TheoremId, close, differentiable_on_interior, grid_points, integrate, solve_residual,
     tanh_sinh,
 )
@@ -43,7 +43,7 @@ def rolle_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Poin
                           hypothesis=hyp)
 
 
-def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> list[PointResult]:
+def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Points:
     """Points where f' equals the secant slope over [a, b].
 
     The hypothesis flag reports interior differentiability (grid test);
@@ -59,7 +59,7 @@ def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> l
 
 
 def cauchy_points(f: Expr, g: Expr, iv: Interval,
-                  cfg: SolverConfig | None = None) -> list[PointResult]:
+                  cfg: SolverConfig | None = None) -> Points:
     """Points where f'(x)(g(b)-g(a)) = g'(x)(f(b)-f(a)).
 
     With f = g (or g affine in f) the residual vanishes identically and the
@@ -76,28 +76,24 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
     return solve_residual((t1, t2), iv, cfg, TheoremId.CAUCHY, hypothesis=hyp)
 
 
-def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig,
-                  sign_args: list[Expr] | None = None) -> float:
+def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
     """The mean of f over [a, b]; DomainError if f is not finite on the closed grid.
 
     The mean is a :func:`~mvtlab.numerics.tanh_sinh` integral, or an
     :func:`~mvtlab.numerics.integrate` one when f has an abs() or sgn():
     tanh-sinh would not settle on the kink and fall back to it anyway.
-    ``sign_args`` is ``sign_sensitive_args(f)``, for a caller that holds it.
     """
     fc = compile_fn(f)
     for x in grid_points(iv, cfg, margin=0.0):
         if not math.isfinite(fc(x)):
             raise DomainError(f"f is not finite at x={x!r}; the mean value "
                               "identity needs a continuous integrand")
-    if sign_args is None:
-        sign_args = sign_sensitive_args(f)
-    rule = integrate if sign_args else tanh_sinh
+    rule = integrate if sign_sensitive_args(f) else tanh_sinh
     return rule(fc, iv.a, iv.b, cfg) / iv.width
 
 
 def integral_mvt_points(f: Expr, iv: Interval,
-                        cfg: SolverConfig | None = None) -> list[PointResult]:
+                        cfg: SolverConfig | None = None) -> Points:
     """Points where f equals its average value over [a, b].
 
     The guaranteed point may sit on the boundary, so the scan runs with the

@@ -4,8 +4,8 @@ Every theorem solver in this package reduces to the same loop: build a
 residual whose interior roots are the points claimed to exist, scan a
 uniform grid for sign changes, polish each bracket, and report.
 :func:`solve_residual` implements that loop once; the kernels around it
-(:func:`refine_root`, :func:`integrate`, :func:`tanh_sinh`,
-:func:`central_diff`) are exposed individually as well.
+(:func:`refine_root`, :func:`integrate`, :func:`tanh_sinh`) are exposed
+individually as well.
 
 Quadrature has two rules. :func:`integrate` is adaptive Simpson: the
 operator prefixes run it panel by panel, a few thousand panels an
@@ -40,7 +40,7 @@ __all__ = [
     "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "MAX_SCAN_POINTS",
     "PointResult", "Points",
     "grid_points", "refine_root", "integrate", "tanh_sinh",
-    "central_diff", "solve_residual", "tolerance", "close",
+    "solve_residual", "tolerance", "close",
     "one_sided_derivative", "differentiable_on_interior",
 ]
 
@@ -475,27 +475,6 @@ def tanh_sinh(F: Callable[[float], float], lo: float, hi: float,
     return integrate(F, lo, hi, cfg)
 
 
-def central_diff(F: Callable[[float], float], x: float, order: int = 1) -> float:
-    """Central finite difference of first or second order at x.
-
-    Step sizes follow the usual truncation/roundoff balance: eps^(1/3) for
-    order 1 and eps^(1/4) for order 2, scaled by max(1, |x|).
-    """
-    if order == 1:
-        h = _EPS ** (1.0 / 3.0) * max(1.0, abs(x))
-        hi, lo = F(x + h), F(x - h)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise DomainError(f"finite-difference stencil not finite near x={x!r}")
-        return (hi - lo) / (2.0 * h)
-    if order == 2:
-        h = _EPS ** 0.25 * max(1.0, abs(x))
-        hi, mid, lo = F(x + h), F(x), F(x - h)
-        if not (math.isfinite(hi) and math.isfinite(mid) and math.isfinite(lo)):
-            raise DomainError(f"finite-difference stencil not finite near x={x!r}")
-        return (hi - 2.0 * mid + lo) / (h * h)
-    raise ValueError("central_diff supports order 1 and 2 only")
-
-
 # ---------------------------------------------------------------------------
 # Shared residual search
 
@@ -677,20 +656,17 @@ def one_sided_derivative(f: Expr, x: float, cfg: SolverConfig) -> float | None:
     return v
 
 
-def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig,
-                               sign_args: list[Expr] | None = None) -> bool:
+def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig) -> bool:
     """Grid test for differentiability of f on the open interval.
 
     Fails when f itself or its symbolic derivative is non-finite (or the
     derivative is past cfg.singular_threshold) at any interior grid point,
     or when the argument of any abs()/sgn() inside f strictly changes sign
     there -- the symbolic derivative is blind to those kinks and jumps.
-    ``sign_args`` is ``sign_sensitive_args(f)``, for a caller that holds it.
     """
     xs = grid_points(iv, cfg)
-    sign_args = sign_sensitive_args(f) if sign_args is None else sign_args
     # the arguments are subtrees of f: their columns cost one append a point
-    grid = compile_terms((f, differentiate(f), *sign_args))
+    grid = compile_terms((f, differentiate(f), *sign_sensitive_args(f)))
     fv, dv, *args = grid(xs)
     if not (all(map(math.isfinite, fv)) and all(map(math.isfinite, dv))
             and max(map(abs, dv)) <= cfg.singular_threshold):

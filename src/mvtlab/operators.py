@@ -393,7 +393,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
 
 
 def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
-                    cfg: SolverConfig | None = None) -> list[PointResult]:
+                    cfg: SolverConfig | None = None) -> Points:
     """Roots of the four-term weighted/unweighted running-integral identity.
 
         R(t) = V_phi f(t)·int g - V_phi g(t)·int f

@@ -15,19 +15,17 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import record
+from conftest import central_diff, record, substitute
 from mvtlab.conditions import (
     Verdict, check_flett_condition, check_malesevic, classify, tong_means,
 )
-from mvtlab.expr import compile_fn, differentiate, parse, substitute
+from mvtlab.expr import compile_fn, differentiate, parse
 from mvtlab.flett import find_flett_points, meyers_points
 from mvtlab.generalized import (
     cakmak_tiryaki_points, pawlikowska_points, riedel_sahoo_points,
     second_order_points,
 )
-from mvtlab.numerics import (
-    Interval, SolverConfig, SolverError, TheoremId, central_diff,
-)
+from mvtlab.numerics import Interval, SolverConfig, SolverError, TheoremId
 from mvtlab.operators import (
     lupu_4_6_points, thm_4_9_points, thm_4_10_points, weighted_norm_point,
 )

@@ -9,13 +9,12 @@ import mvtlab.conditions
 import mvtlab.expr
 import mvtlab.flett
 import mvtlab.generalized
-import mvtlab.mvt_points
 import mvtlab.numerics
 from mvtlab.conditions import (
     ConditionVector, Verdict, check_flett_condition, check_malesevic,
     check_tong, check_trahan, classify, phi1, phi1_prime_at_a, tong_means,
 )
-from mvtlab.expr import parse
+from mvtlab.expr import differentiate, evaluate, parse, unparse
 from mvtlab.flett import find_flett_points
 from mvtlab.numerics import DomainError, Interval, SolverError
 
@@ -214,19 +213,25 @@ class TestSharedContext:
         cv = classify(parse("x^3"), Interval(-2.0 / 3.0, 1.0))
         assert cv.has_flett_point and len(calls) == 1
 
-    def test_classify_lists_the_sign_sensitive_arguments_once(self, monkeypatch):
-        # the scan, the slopes and the integral mean share one list
-        calls = []
-        listed = mvtlab.expr.sign_sensitive_args
+    def test_no_tree_is_walked_twice(self, monkeypatch):
+        # a single root keeps its walk, so the scan, the slopes, f''(a+),
+        # the integral mean and every evaluate, print or derive read it
+        walked = []  # holds the roots, so no id is reused
+        walk = mvtlab.expr._postorder
 
-        def counted(e):
-            calls.append(e)
-            return listed(e)
+        def recorded(roots):
+            if len(roots) == 1 and getattr(roots[0], "_walk", None) is None:
+                walked.append(roots[0])
+            return walk(roots)
 
-        for mod in (mvtlab.conditions, mvtlab.numerics, mvtlab.generalized, mvtlab.mvt_points):
-            monkeypatch.setattr(mod, "sign_sensitive_args", counted)
+        monkeypatch.setattr(mvtlab.expr, "_postorder", recorded)
         cv = classify(parse("abs(x-0.3)+x^3"), Interval(0.0, 1.0))
-        assert cv.m_of_f is not None and len(calls) == 1
+        assert cv.m_of_f is not None and walked
+        f = parse("exp(sin(x))*ln(x+2)")
+        assert evaluate(f, 0.5) == evaluate(f, 0.5)
+        assert unparse(f) == "exp(sin(x))*ln(x+2.0)"
+        differentiate(f, 3)
+        assert len({id(root) for root in walked}) == len(walked)
 
     @pytest.mark.parametrize("fn, a, b", CASES)
     def test_classify_matches_the_checkers_one_by_one(self, fn, a, b):

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import itertools
 import json
@@ -16,13 +17,13 @@ import pytest
 from hypothesis import given, seed, settings
 
 import mvtlab.expr
-from conftest import deadline, deep_abs_tree
+from conftest import deadline, deep_abs_tree, substitute
 from mvtlab.cli import main
 from mvtlab.expr import (
     Bin, Call, Const, ExpressionTooLarge, FUNCTIONS, MAX_DEPTH, MAX_NODES, Neg, ParseError, Var,
     compile_fn, compile_panels, compile_terms, differentiate, evaluate, parse,
     sign_sensitive_args,
-    simplify, substitute, unparse,
+    simplify, unparse,
 )
 
 
@@ -573,8 +574,22 @@ class TestMemo:
         assert repr(f) == repr(fresh) and unparse(f) == unparse(fresh)
         for back in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
             assert back == fresh and hash(back) == hash(fresh)
+            assert mvtlab.expr._postorder((back,))[-1] is back  # its own walk
             assert unparse(back) == unparse(fresh)
             assert differentiate(back, 2) == differentiate(f, 2)
+
+    def test_a_tree_is_freed_with_its_walks_without_the_cycle_collector(self):
+        # a kept walk lists every node but its root, so it never refers back
+        gc.collect()
+        gc.disable()
+        try:
+            f = parse("exp(sin(x))*ln(x+2)+abs(x-0.3)")
+            sign_sensitive_args(differentiate(f, 2))
+            assert evaluate(f, 0.5) == evaluate(f, 0.5) and unparse(f)
+            del f
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_a_request_builds_each_derivative_order_once(self, monkeypatch):
         # the solver, the endpoint hypothesis (and its one-sided derivative)

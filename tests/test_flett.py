@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from mvtlab.expr import evaluate, parse, substitute
+from conftest import substitute
+from mvtlab.expr import evaluate, parse
 from mvtlab.flett import (
     find_flett_points, flett_residual, meyers_hypothesis, meyers_points,
 )

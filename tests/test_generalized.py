@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from mvtlab.expr import parse, substitute
+from conftest import substitute
+from mvtlab.expr import parse
 from mvtlab.generalized import (
     MAX_SUM_ORDER, cakmak_tiryaki_points, endpoint_slopes, pawlikowska_hypothesis,
     pawlikowska_points, riedel_sahoo_points,

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, seed
 
 import mvtlab.numerics
-from conftest import deadline
+from conftest import central_diff, deadline
 from mvtlab.expr import Const, Var, compile_fn, differentiate, evaluate, parse
 from mvtlab.numerics import (
     DEFAULT_CONFIG, MAX_SCAN_POINTS, DomainError, Interval, PointResult, QuadratureError,
-    SolverConfig, TheoremId, central_diff, close, differentiable_on_interior,
+    SolverConfig, TheoremId, close, differentiable_on_interior,
     grid_points, integrate, one_sided_derivative, refine_root,
     solve_residual, tanh_sinh,
 )
