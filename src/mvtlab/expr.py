@@ -10,8 +10,9 @@ subexpression once per point: ``compile_fn`` wraps one tree as a callable
 (quadrature), ``compile_terms`` wraps the terms of a residual as a
 whole-grid loop (the grid scan, and root polishing on a one-point grid),
 and ``compile_panels`` wraps the integrands of running integrals as one
-loop that takes one Simpson step over every pair of grid panels (operator
-prefix builds), with ``compile_fn``'s callables as its point functions.
+loop that takes one step over every run of four grid panels, sampling
+only their nodes (operator prefix builds), with ``compile_fn``'s
+callables as its point functions.
 Input nested deeper than MAX_DEPTH levels is rejected by the parser.
 
 Generated code is plain arithmetic, which returns its helper's value bit
@@ -386,22 +387,29 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
             steps.append((by_key[key], plain, guarded or plain))
         return by_key[key]
 
+    def constant(node: Expr, neg: bool) -> str:
+        # the name of a constant's value, or of its negation; node is a
+        # Const, or Negs above one
+        node, flip = sign.get(id(node), (node, False))
+        v = -node.value if neg is not flip else node.value
+        key = ("const", repr(v))  # repr keeps 0.0 and -0.0 apart
+        if key not in by_key:
+            glb[by_key.setdefault(key, f"c{len(by_key)}{tag}")] = v
+        return by_key[key]
+
     def use(node: Expr, neg: bool = False) -> str:
         # the name of node's value, or of its negation, made on first use
+        # (it does not call itself: a nested function that does is a cycle)
         if type(node) is Neg:
             node, flip = sign[id(node)]
             neg = neg is not flip
         ref = ~id(node) if neg else id(node)
         if ref not in name_of:
             if type(node) is Const:
-                v = -node.value if ref < 0 else node.value
-                key = ("const", repr(v))  # repr keeps 0.0 and -0.0 apart
-                if key not in by_key:
-                    glb[by_key.setdefault(key, f"c{len(by_key)}{tag}")] = v
-                name_of[ref] = by_key[key]
+                name_of[ref] = constant(node, neg)
             elif id(node) in scaled:
                 c, v, left = scaled[id(node)]
-                a, b = (use(c, ref < 0), v) if left else (v, use(c, ref < 0))
+                a, b = (constant(c, neg), v) if left else (v, constant(c, neg))
                 name_of[ref] = local(("*", a, b), f"{a} * {b}")
             else:
                 name_of[ref] = local(("neg", name_of[id(node)]), f"-{name_of[id(node)]}")
@@ -502,12 +510,19 @@ def _try(glb: dict, kind: str, call: str, body: Callable[[bool], list[str]],
 
     ``call`` calls ``def {call}:`` over ``body(True)``, the guarded
     statements, which a stand-in in ``glb`` compiles on its first call.
+    The stand-in compiles them into a copy of ``glb`` as it is now, and
+    keeps the function it made out of that copy: holding ``glb``, or being
+    held by the globals it runs in, would make a reference cycle.
     """
     name = call[:call.index("(")]
-    def first(*args):
-        _run(f"def {call}:\n" + _indent(body(True), 1), kind, glb)
-        return glb[name](*args)
-    glb[name] = first
+    env, made = dict(glb), []
+
+    def slow(*args):
+        if not made:
+            _run(f"def {call}:\n" + _indent(body(True), 1), kind, env)
+            made.append(env.pop(name))
+        return made[0](*args)
+    glb[name] = slow
     return ["try:", *(f"    {line}" for line in body(False)),
             "except _fault:", f"    {prefix}{call}"]
 
@@ -534,7 +549,7 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
         body = _try(glb, "compile_fn", "slow(x)",
                     lambda guarded: lines(guarded) + [f"return {name}"], "return ")
         _run("def compiled(x):\n" + _indent(body, 1), "compile_fn", glb)
-        fn = glb["compiled"]
+        fn = glb.pop("compiled")  # held by its own globals, it would be a cycle
         object.__setattr__(e, "_compiled", fn)  # the node is frozen
     return fn
 
@@ -561,7 +576,7 @@ def compile_terms(exprs: Sequence[Expr]) -> Callable[[Iterable[float]], list[lis
            + _indent(body, 2)
            + f"    return [{', '.join(cols)}]\n")
     _run(src, "compile_terms", glb)
-    return glb["grid"]
+    return glb.pop("grid")
 
 
 _Fn = Expr | Callable[[float], float]
@@ -578,22 +593,26 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
     callable itself (None where there is no pointwise part).
 
     ``panels(ends, tol, fallback)`` is one generated loop over the panels
-    [ends[i-1], ends[i]]. It takes one Simpson step over each pair of
-    panels [a, b], [b, c] from ends[1] on: it evaluates the integrands at
-    the two panel midpoints, and the integrands and pointwise parts
-    together at b and at c, so a subexpression they share is computed
-    once; a pair's values at a are the previous pair's at c. Each
-    integrand's step compares Simpson over [a, c] on the nodes with
-    Simpson over each panel on its midpoint, with the error test of
-    :func:`~mvtlab.numerics.integrate` at tolerance ``tol``. A pair that
-    passes it with a finite result adds that result, Richardson-corrected,
-    and reads the running sum at b with the left panel's Simpson value; any
-    other pair, the first panel [ends[0], ends[1]] and an unpaired last
-    panel are integrated panel by panel as ``fallback(k, lo, hi)``. It
-    returns the prefixes, each integrand's running sum at every end past
-    ends[0], and the tables, that sum plus the pointwise part there (the
-    prefix where there is none). Samples equal the point functions' bit
-    for bit.
+    [ends[i-1], ends[i]]. It takes one step over each run of four panels
+    [a, b], [b, c], [c, d], [d, e] from ends[1] on, and samples the
+    integrands and pointwise parts together at the nodes b, c, d and e
+    only, so a subexpression they share is computed once; a step's values
+    at a are the previous step's at e. Each integrand's step compares
+    Simpson over [a, e] on a, c and e with Simpson over [a, c] and over
+    [c, e] on their three nodes, with the error test of
+    :func:`~mvtlab.numerics.integrate` at tolerance ``tol``. A step that
+    passes it with finite values adds the Richardson-corrected sum, and
+    reads the running sum at c with Simpson over [a, c], at b with the
+    one-sided cubic rule ``(b-a)(9fa+19fb-5fc+fd)/24`` and at d with the
+    centred one ``(d-c)(13(fc+fd)-fb-fe)/24`` past c. Both are exact on
+    cubics, like Simpson, with an error of order h^5 a panel on equally
+    spaced nodes (Davis & Rabinowitz, Methods of Numerical Integration,
+    ch. 2). Any other step, the first panel [ends[0], ends[1]] and the 0-3
+    panels left over past the last step are integrated panel by panel as
+    ``fallback(k, lo, hi)``. It returns the prefixes, each integrand's
+    running sum at every end past ends[0], and the tables, that sum plus
+    the pointwise part there (the prefix where there is none). Samples
+    equal the point functions' bit for bit.
     """
     glb = dict(_CODEGEN_GLOBALS, abs=abs, len=len, zip=zip)
     nq = len(integrands)
@@ -625,56 +644,66 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
                 lines.append(f"e{j}{tag} = ext{j}({x})")
         return lines, out
 
-    qs, ps = range(nq), range(nq, len(fns))
-    at_l, fl = lower(qs, "ml", "_ml")
-    at_b, fb = lower(range(len(fns)), "b", "_b")
-    at_r, fr = lower(qs, "mr", "_mr")
-    at_c, fc = lower(range(len(fns)), "c", "_c")
-    at_t, ft = lower(ps, "c", "_t")
-    head = ["a = ends[0]", "c = ends[1]", *at_c]
-    body = ["ml = 0.5 * (a + b)", "mr = 0.5 * (b + c)",
-            "wl = b - a", "wr = c - b", "w = c - a", *at_l, *at_b, *at_r, *at_c]
-    tail = ["c = ends[-1]", *at_t]
+    qs, every = range(nq), range(len(fns))
+    at_b, fb = lower(every, "b", "_b")
+    at_c, fc = lower(every, "c", "_c")
+    at_d, fd = lower(every, "d", "_d")
+    at_e, fe = lower(every, "e", "_e")
+    at_t, ft = lower(range(nq, len(fns)), "c", "_t")
+    head = ["a = ends[0]", "e = ends[1]", *at_e]
+    body = ["wb = b - a", "wl = c - a", "wd = d - c", "wr = e - c", "w = e - a",
+            *at_b, *at_c, *at_d, *at_e]
+    tail = at_t
     tables = []
     for k in qs:
+        fa, b, c, d, e = f"fa{k}", fb[k], fc[k], fd[k], fe[k]
         head += [f"prefix{k} = []", f"put{k} = prefix{k}.append",
-                 f"acc{k} = fallback({k}, a, c)", f"put{k}(acc{k})", f"fa{k} = {fc[k]}"]
-        # integrate()'s step over [a, c], with the panels for its halves
-        body += [f"whole = w * (fa{k} + 4.0 * {fb[k]} + {fc[k]}) / 6.0",
-                 f"sl = wl * (fa{k} + 4.0 * {fl[k]} + {fb[k]}) / 6.0",
-                 f"sr = wr * ({fb[k]} + 4.0 * {fr[k]} + {fc[k]}) / 6.0",
+                 f"acc{k} = fallback({k}, a, e)", f"put{k}(acc{k})", f"{fa} = {e}"]
+        # integrate()'s step over [a, e], with [a, c] and [c, e] for its halves
+        body += [f"sl = wl * ({fa} + 4.0 * {b} + {c}) / 6.0",
+                 f"sr = wr * ({c} + 4.0 * {d} + {e}) / 6.0",
+                 f"whole = w * ({fa} + 4.0 * {c} + {e}) / 6.0",
                  "delta = sl + sr - whole",
                  "part = sl + sr + delta / 15.0",
+                 f"lb = wb * (9.0 * {fa} + 19.0 * {b} - 5.0 * {c} + {d}) / 24.0",
+                 f"rd = wd * (13.0 * ({c} + {d}) - {b} - {e}) / 24.0",
                  # every sample enters sl or sr with a positive weight (or
-                 # makes it nan), so a finite part means finite samples
-                 # and finite sl and sr
+                 # makes it nan), so a finite part means finite samples; the
+                 # cubic rules' sums overflow sooner than Simpson's (a
+                 # constant 1e307), so lb and rd are checked too
                  "if abs(delta) <= 15.0 * (tol * (1.0 + abs(whole)))"
-                 " and part - part == 0.0:",
-                 f"    mid{k} = acc{k} + sl",
+                 " and part - part == lb - lb == rd - rd == 0.0:",
+                 f"    pb{k} = acc{k} + lb",
+                 f"    pc{k} = acc{k} + sl",
+                 f"    pd{k} = pc{k} + rd",
                  f"    acc{k} += part",
                  "else:",
-                 f"    mid{k} = acc{k} = acc{k} + fallback({k}, a, b)",
-                 f"    acc{k} += fallback({k}, b, c)",
-                 f"put{k}(mid{k})",
-                 f"put{k}(acc{k})",
-                 f"fa{k} = {fc[k]}"]
+                 f"    pb{k} = acc{k} = acc{k} + fallback({k}, a, b)",
+                 f"    pc{k} = acc{k} = acc{k} + fallback({k}, b, c)",
+                 f"    pd{k} = acc{k} = acc{k} + fallback({k}, c, d)",
+                 f"    acc{k} += fallback({k}, d, e)",
+                 *(f"put{k}({p}{k})" for p in ("pb", "pc", "pd", "acc")),
+                 f"{fa} = {e}"]
         tail += [f"acc{k} += fallback({k}, a, c)", f"put{k}(acc{k})"]
-        if fc[nq + k] is None:
+        if fe[nq + k] is None:
             tables.append(f"prefix{k}")
         else:
             head += [f"table{k} = []", f"tput{k} = table{k}.append",
-                     f"tput{k}({fc[nq + k]} + acc{k})"]
-            body += [f"tput{k}({fb[nq + k]} + mid{k})", f"tput{k}({fc[nq + k]} + acc{k})"]
+                     f"tput{k}({fe[nq + k]} + acc{k})"]
+            body += [f"tput{k}({f[nq + k]} + {p}{k})"
+                     for f, p in ((fb, "pb"), (fc, "pc"), (fd, "pd"), (fe, "acc"))]
             tail.append(f"tput{k}({ft[nq + k]} + acc{k})")
             tables.append(f"table{k}")
-    body.append("a = c")
-    src = ("def panels(ends, tol, fallback):\n" + _indent(head + ["a = c"], 1)
-           + "    for b, c in zip(ends[2::2], ends[3::2]):\n" + _indent(body, 2)
-           + "    if len(ends) % 2:  # an unpaired last panel\n" + _indent(tail, 2)
+    src = ("def panels(ends, tol, fallback):\n" + _indent(head + ["a = e"], 1)
+           + "    for b, c, d, e in zip(ends[2::4], ends[3::4], ends[4::4], ends[5::4]):\n"
+           + _indent(body + ["a = e"], 2)
+           + "    for c in ends[len(ends) - (len(ends) - 2) % 4:]:  # the panels left over\n"
+           + _indent(tail + ["a = c"], 2)
            + f"    return [{', '.join(f'prefix{k}' for k in qs)}], [{', '.join(tables)}]\n")
     _run(src, "compile_panels", glb)
+    panels = glb.pop("panels")
     points = [compile_fn(fn) if isinstance(fn, Expr) else fn for fn in fns]
-    return glb["panels"], points[:nq], points[nq:]
+    return panels, points[:nq], points[nq:]
 
 
 # ---------------------------------------------------------------------------

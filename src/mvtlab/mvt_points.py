@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 
-from .expr import Const, Expr, compile_fn, differentiate, sign_sensitive_args
+from .expr import Const, Expr, compile_fn, differentiate
 from .generalized import endpoint_value
+# integrate is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, Points, SolverConfig,
     TheoremId, close, differentiable_on_interior, grid_points, integrate, solve_residual,
-    tanh_sinh,
+    whole_integral,
 )
 
 __all__ = [
@@ -79,17 +80,14 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
 def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
     """The mean of f over [a, b]; DomainError if f is not finite on the closed grid.
 
-    The mean is a :func:`~mvtlab.numerics.tanh_sinh` integral, or an
-    :func:`~mvtlab.numerics.integrate` one when f has an abs() or sgn():
-    tanh-sinh would not settle on the kink and fall back to it anyway.
+    The integral is :func:`~mvtlab.numerics.whole_integral`'s.
     """
     fc = compile_fn(f)
     for x in grid_points(iv, cfg, margin=0.0):
         if not math.isfinite(fc(x)):
             raise DomainError(f"f is not finite at x={x!r}; the mean value "
                               "identity needs a continuous integrand")
-    rule = integrate if sign_sensitive_args(f) else tanh_sinh
-    return rule(fc, iv.a, iv.b, cfg) / iv.width
+    return whole_integral(fc, iv.a, iv.b, cfg, f) / iv.width
 
 
 def integral_mvt_points(f: Expr, iv: Interval,

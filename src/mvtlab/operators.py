@@ -13,23 +13,24 @@ fraction of a panel containing them.
 
 A solver builds all its operator values in one pass with
 :func:`operator_values`: one generated panel kernel
-(:func:`~mvtlab.expr.compile_panels`) runs over the grid's panels in
-pairs, evaluating every integrand at the two nodes and two panel
-midpoints of each pair and every pointwise part at its nodes, with the
-subexpressions they share computed once. For each pair of panels the
-kernel takes one Simpson step: Simpson over the pair on its nodes against
-Simpson over each panel on its midpoint, with the error test of
-:func:`~mvtlab.numerics.integrate`. A pair that passes adds the
-Richardson-corrected sum, and its middle node reads the left panel's
-Simpson value. A pair that fails, or has a non-finite sample, the margin
-panel from the interval's left end to the first node, and an unpaired
-last panel are integrated by ``integrate`` itself, panel by panel. The
-prefixes therefore agree with a running ``integrate`` per panel to
-quadrature roundoff, with half its integrand samples.
+(:func:`~mvtlab.expr.compile_panels`) runs over the grid's panels four at
+a time, evaluating every integrand and every pointwise part once at each
+node, with the subexpressions they share computed once. For each run of
+four panels the kernel takes one step: Simpson over the run on its two
+ends and middle node against Simpson over each half on its three nodes,
+with the error test of :func:`~mvtlab.numerics.integrate`. A step that
+passes adds the Richardson-corrected sum; its middle node reads the left
+half's Simpson value, and the two nodes between read cubic rules on four
+nodes (exact on cubics, error of order h^5 a panel). A step that fails,
+or has a non-finite value, the margin panel from the interval's left end
+to the first node, and the 0-3 panels left over past the last step are
+integrated by ``integrate`` itself, panel by panel. The prefixes therefore
+agree with a running ``integrate`` per panel to quadrature roundoff, with
+one integrand sample a node.
 
 Integrals over the whole interval (the coupling constants, thm-4.9's
 zero-mean total, the reported weighted norms) are one
-:func:`~mvtlab.numerics.tanh_sinh` integral each, not a prefix.
+:func:`~mvtlab.numerics.whole_integral` each, not a prefix.
 
 The identity solvers mirror the structure used elsewhere: multiply through
 so the residual is denominator-free, scan, refine, and stamp the theorem id
@@ -53,7 +54,7 @@ from .generalized import endpoint_slopes, endpoint_value
 from .numerics import (
     DEFAULT_CONFIG, DomainError, HypothesisError, Interval, NoRootFound,
     PointResult, Points, QuadratureError, SolverConfig, TheoremId, _fold, _scale, close,
-    grid_points, integrate, one_sided_derivative, solve_residual, tanh_sinh,
+    grid_points, integrate, one_sided_derivative, solve_residual, whole_integral,
 )
 
 __all__ = [
@@ -77,14 +78,15 @@ class OperatorValue:
     callables. The prefix cache is built eagerly on the scan grid
     ``grid_points(iv, cfg)`` -- the very floats solve_residual evaluates --
     with the partial panel from a to the first node folded into the first
-    prefix entry. The prefixes come from one Simpson step per pair of
-    adjacent panels, or from integrate() panel by panel where a pair fails
+    prefix entry. The prefixes come from one step per run of four
+    adjacent panels, or from integrate() panel by panel where a step fails
     its error test (see :func:`_build`); :func:`operator_values` builds
     several values with one generated panel kernel. It is immutable
-    afterwards, so evaluation is deterministic for a fixed config. A call reads the prefix at the last
-    node at or below its argument (the first node, for arguments left of
-    the grid), adds direct quadrature from there when off the node, and
-    the pointwise part; :meth:`column` reads the table of both instead.
+    afterwards, so evaluation is deterministic for a fixed config. A call
+    reads the prefix at the last node at or below its argument (the first
+    node, for arguments left of the grid), adds direct quadrature from
+    there when off the node, and the pointwise part; :meth:`column` reads
+    the table of both instead.
     """
 
     __slots__ = ("_pointwise", "_integrand", "_nodes", "_repeats",
@@ -171,9 +173,9 @@ def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
 
     Equal, value for value, to ``[OperatorValue(p, q, iv, cfg) for p, q in
     pairs]``, and it raises what the first of those builds to fail raises.
-    One generated panel kernel takes the paired Simpson steps of all the
+    One generated panel kernel takes the four-panel steps of all the
     integrands and evaluates the pointwise parts, so subexpressions they
-    share are evaluated once per sample.
+    share are evaluated once per node.
     """
     return [OperatorValue._of(state) for state in _build(pairs, iv, cfg)]
 
@@ -183,13 +185,13 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
     """Each pair's OperatorValue state, from one run of a panel kernel.
 
     Panel k runs from node k-1 to node k, panel 0 from iv.a to node 0. The
-    kernel (:func:`~mvtlab.expr.compile_panels`) takes one Simpson step
-    over each pair of panels from node 0 on, sampling the integrands at
-    the pair's nodes and panel midpoints and the pointwise parts at the
-    nodes only, and accepts it on integrate()'s error test with the
-    per-panel tolerance. The panels of a pair that fails, or has a
-    non-finite sample (whose arithmetic the error test alone does not
-    guard), panel 0 and an unpaired last panel go to integrate() itself.
+    kernel (:func:`~mvtlab.expr.compile_panels`) takes one step over each
+    run of four panels from node 0 on, sampling the integrands and the
+    pointwise parts at the nodes only, and accepts it on integrate()'s
+    error test with the per-panel tolerance. The panels of a step that
+    fails, or has a non-finite value (whose arithmetic the error test
+    alone does not guard), panel 0 and the 0-3 panels left over past the
+    last step go to integrate() itself.
     """
     cfg = cfg or DEFAULT_CONFIG
     nodes = grid_points(iv, cfg)
@@ -284,9 +286,8 @@ def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
     The pairs are coupled by c_f and c_g, the integrals of weighted(f) and
     weighted(g) over [0, 1]: c_f·(Tg)(x) = c_g·(Tf)(x), and likewise for S.
     """
-    fc, gc = compile_fn(f), compile_fn(g)
-    cf = tanh_sinh(weighted(fc), 0.0, 1.0, cfg)
-    cg = tanh_sinh(weighted(gc), 0.0, 1.0, cfg)
+    cf = whole_integral(weighted(compile_fn(f)), 0.0, 1.0, cfg, f)
+    cg = whole_integral(weighted(compile_fn(g)), 0.0, 1.0, cfg, g)
     tf, tg, sf, sg = operator_values(
         (_t_pair(f), _t_pair(g), _s_pair(f), _s_pair(g)), UNIT_INTERVAL, cfg)
     return ((_Scaled(tg, c=cf), _Scaled(tf, c=cg)),
@@ -380,7 +381,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
     cfg = cfg or DEFAULT_CONFIG
     _nonvanishing_derivative(g, iv, cfg, "g'")
     ga = endpoint_value(g, iv, "a", "g")
-    total = tanh_sinh(compile_fn(f), iv.a, iv.b, cfg)
+    total = whole_integral(compile_fn(f), iv.a, iv.b, cfg, f)
     scale = _scale(compile_terms((f,))(grid_points(iv, cfg, 0.0))) * iv.width
     if abs(total) > cfg.quad_tol * max(1.0, scale):
         raise HypothesisError(
@@ -406,8 +407,8 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     """
     cfg = cfg or DEFAULT_CONFIG
     _nonvanishing_derivative(phi, UNIT_INTERVAL, cfg, "the weight's derivative")
-    int_f = tanh_sinh(compile_fn(f), 0.0, 1.0, cfg)
-    int_g = tanh_sinh(compile_fn(g), 0.0, 1.0, cfg)
+    int_f = whole_integral(compile_fn(f), 0.0, 1.0, cfg, f)
+    int_g = whole_integral(compile_fn(g), 0.0, 1.0, cfg, g)
     phi0 = endpoint_value(phi, UNIT_INTERVAL, "a", "phi")
     vpf, vpg, vf, vg = operator_values(
         (_v_weighted_pair(phi, f), _v_weighted_pair(phi, g), (None, f), (None, g)),
@@ -444,8 +445,8 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
     phi0 = pc(0.0)
     if not math.isfinite(phi0) or abs(phi0) > cfg.residual_tol:
         raise HypothesisError(f"the weight must vanish at 0, got phi(0) = {phi0!r}")
-    int_f2 = tanh_sinh(lambda x: (v := fc(x)) * v, 0.0, 1.0, cfg)
-    int_g2 = tanh_sinh(lambda x: (v := gc(x)) * v, 0.0, 1.0, cfg)
+    int_f2 = whole_integral(lambda x: (v := fc(x)) * v, 0.0, 1.0, cfg, f)
+    int_g2 = whole_integral(lambda x: (v := gc(x)) * v, 0.0, 1.0, cfg, g)
     nf, ng = operator_values(
         (_v_weighted_pair(phi, f * f), _v_weighted_pair(phi, g * g)), UNIT_INTERVAL, cfg)
     t1 = _Scaled(nf, d=int_g2)
@@ -459,6 +460,6 @@ def weighted_norms(f: Expr, g: Expr, phi: Expr, xi: float,
     """The two phi-weighted prefix L2 norms over (0, xi), for reporting."""
     cfg = cfg or DEFAULT_CONFIG
     fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
-    a = tanh_sinh(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg)
-    b = tanh_sinh(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg)
+    a = whole_integral(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg, phi, f)
+    b = whole_integral(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg, phi, g)
     return math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))

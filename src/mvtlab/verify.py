@@ -8,9 +8,11 @@ hundredfold tighter tolerance for the operator identities. Agreement is
 therefore evidence about the point, not a tautology of the search form.
 
 The quadrature is a different rule from the search's, too: the search
-reads its running integrals from per-panel adaptive Simpson prefixes, while
-every side here is one :func:`~mvtlab.numerics.tanh_sinh` integral over
-[0, xi] (or [a, xi]), which shares no sample or error test with them.
+reads its running integrals from prefixes built on the scan grid's nodes,
+while every side here is one :func:`~mvtlab.numerics.whole_integral` over
+[0, xi] (or [a, xi]), a tanh-sinh integral, or adaptive Simpson for an
+integrand with a kink, at a hundredth of the tolerance, which shares no
+sample or error test with them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .expr import Expr, compile_fn, differentiate, evaluate
 from .generalized import endpoint_slopes
 # integrate is unused here but bench/tracer.py patches it
 from .numerics import (
-    DEFAULT_CONFIG, Interval, SolverConfig, TheoremId, integrate, tanh_sinh, tolerance,
+    DEFAULT_CONFIG, Interval, SolverConfig, TheoremId, integrate, tolerance, whole_integral,
 )
 
 __all__ = ["IdentityCheck", "Inputs", "Theorem", "THEOREMS", "verify_point"]
@@ -53,7 +55,7 @@ class Inputs:
     point (integrals over [0, 1], the slope gap) is made on first use and kept.
     ``quad_cfg`` is ``cfg`` at a hundredth of its quadrature tolerance: the
     quadrature identities' sides are recomputed at it, each by
-    :func:`~mvtlab.numerics.tanh_sinh`.
+    :func:`~mvtlab.numerics.whole_integral`.
     """
 
     def __init__(self, f: Expr, g: Expr | None, weight: Expr | None,
@@ -72,8 +74,8 @@ class Inputs:
     d2 = property(lambda self: partial(evaluate, differentiate(self.f, 2)))
     dg = property(lambda self: partial(evaluate, differentiate(self.g)))
 
-    def _over_unit(self, F: Callable[[float], float]) -> float:
-        return tanh_sinh(F, 0.0, 1.0, self.quad_cfg)
+    def _over_unit(self, F: Callable[[float], float], tree: Expr) -> float:
+        return whole_integral(F, 0.0, 1.0, self.quad_cfg, tree)
 
     @cached_property
     def slope_gap(self) -> float:
@@ -83,30 +85,30 @@ class Inputs:
 
     @cached_property
     def int_f(self) -> float:
-        return self._over_unit(self.fc)
+        return self._over_unit(self.fc, self.f)
 
     @cached_property
     def int_g(self) -> float:
-        return self._over_unit(self.gc)
+        return self._over_unit(self.gc, self.g)
 
     @cached_property
     def int_f2(self) -> float:
         fc = self.fc
-        return self._over_unit(lambda x: (v := fc(x)) * v)
+        return self._over_unit(lambda x: (v := fc(x)) * v, self.f)
 
     @cached_property
     def int_g2(self) -> float:
         gc = self.gc
-        return self._over_unit(lambda x: (v := gc(x)) * v)
+        return self._over_unit(lambda x: (v := gc(x)) * v, self.g)
 
     @cached_property
     def int_1mx_f(self) -> float:
         """The integral of (1-x)·f over [0, 1]."""
-        return self._over_unit(_one_minus_x(self.fc))
+        return self._over_unit(_one_minus_x(self.fc), self.f)
 
     @cached_property
     def int_1mx_g(self) -> float:
-        return self._over_unit(_one_minus_x(self.gc))
+        return self._over_unit(_one_minus_x(self.gc), self.g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,43 +153,46 @@ def _cauchy_flett(q: Inputs, xi: float) -> tuple[float, float]:
 
 
 def _thm_4_9(q: Inputs, xi: float) -> tuple[float, float]:
-    fc, gc, a, cfg = q.fc, q.gc, q.a, q.quad_cfg
-    return tanh_sinh(lambda x: fc(x) * gc(x), a, xi, cfg), gc(a) * tanh_sinh(fc, a, xi, cfg)
+    f, g, fc, gc, a, cfg = q.f, q.g, q.fc, q.gc, q.a, q.quad_cfg
+    return (whole_integral(lambda x: fc(x) * gc(x), a, xi, cfg, f, g),
+            gc(a) * whole_integral(fc, a, xi, cfg, f))
 
 
 # the identities below live on [0, 1] regardless of iv
 
 
 def _thm_4_10(q: Inputs, xi: float) -> tuple[float, float]:
-    fc, gc, pc, cfg = q.fc, q.gc, q.pc, q.quad_cfg
+    f, g, phi, fc, gc, pc, cfg = q.f, q.g, q.weight, q.fc, q.gc, q.pc, q.quad_cfg
     int_f, int_g = q.int_f, q.int_g
-    vpf = tanh_sinh(lambda x: pc(x) * fc(x), 0.0, xi, cfg)
-    vpg = tanh_sinh(lambda x: pc(x) * gc(x), 0.0, xi, cfg)
-    vf = tanh_sinh(fc, 0.0, xi, cfg)
-    vg = tanh_sinh(gc, 0.0, xi, cfg)
+    vpf = whole_integral(lambda x: pc(x) * fc(x), 0.0, xi, cfg, phi, f)
+    vpg = whole_integral(lambda x: pc(x) * gc(x), 0.0, xi, cfg, phi, g)
+    vf = whole_integral(fc, 0.0, xi, cfg, f)
+    vg = whole_integral(gc, 0.0, xi, cfg, g)
     return vpf * int_g - vpg * int_f, pc(0.0) * (vf * int_g - vg * int_f)
 
 
 def _weighted_norm(q: Inputs, xi: float) -> tuple[float, float]:
-    fc, gc, pc, cfg = q.fc, q.gc, q.pc, q.quad_cfg
-    lhs = tanh_sinh(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg) * q.int_g2
-    rhs = tanh_sinh(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg) * q.int_f2
+    f, g, phi, fc, gc, pc, cfg = q.f, q.g, q.weight, q.fc, q.gc, q.pc, q.quad_cfg
+    lhs = whole_integral(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg, phi, f) * q.int_g2
+    rhs = whole_integral(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg, phi, g) * q.int_f2
     return lhs, rhs
 
 
-def _t_of(q: Inputs, h, xi: float) -> float:
-    return h(xi) - tanh_sinh(h, 0.0, xi, q.quad_cfg)
+def _t_of(q: Inputs, h: Expr, xi: float) -> float:
+    hc = compile_fn(h)
+    return hc(xi) - whole_integral(hc, 0.0, xi, q.quad_cfg, h)
 
 
-def _s_of(q: Inputs, h, xi: float) -> float:
-    return xi * h(xi) - tanh_sinh(lambda x: x * h(x), 0.0, xi, q.quad_cfg)
+def _s_of(q: Inputs, h: Expr, xi: float) -> float:
+    hc = compile_fn(h)
+    return xi * hc(xi) - whole_integral(lambda x: x * hc(x), 0.0, xi, q.quad_cfg, h)
 
 
 def _coupled(op, constants):
     """Sides c_f·op(g)(xi) and c_g·op(f)(xi), (c_f, c_g) = constants(q)."""
     def sides(q: Inputs, xi: float) -> tuple[float, float]:
         cf, cg = constants(q)
-        return cf * op(q, q.gc, xi), cg * op(q, q.fc, xi)
+        return cf * op(q, q.g, xi), cg * op(q, q.f, xi)
     return sides
 
 
@@ -212,7 +217,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.CAUCHY: Theorem(lambda q, x: (
         q.d1(x) * (q.gc(q.b) - q.gc(q.a)), q.dg(x) * (q.fc(q.b) - q.fc(q.a))), needs_g=True),
     TheoremId.INTEGRAL_MVT: Theorem(lambda q, x: (
-        q.fc(x), tanh_sinh(q.fc, q.a, q.b, q.cfg) / q.w)),
+        q.fc(x), whole_integral(q.fc, q.a, q.b, q.cfg, q.f) / q.w)),
     # Flett's identity and the Meyers variants: f' equals a difference quotient
     TheoremId.FLETT: Theorem(lambda q, x: (q.d1(x), (q.fc(x) - q.fc(q.a)) / (x - q.a))),
     TheoremId.MEYERS_2_3: Theorem(lambda q, x: (q.d1(x), (q.fc(q.b) - q.fc(x)) / (q.b - x))),
@@ -239,7 +244,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
     TheoremId.WEIGHTED_NORM: Theorem(_weighted_norm, needs_g=True, needs_weight=True,
                                      **_OPERATOR),
     TheoremId.LUPU_4_6_T: Theorem(_coupled(_t_of, _plain), needs_g=True, **_OPERATOR),
-    TheoremId.LUPU_4_6_TS: Theorem(lambda q, x: (_t_of(q, q.fc, x), _s_of(q, q.fc, x)),
+    TheoremId.LUPU_4_6_TS: Theorem(lambda q, x: (_t_of(q, q.f, x), _s_of(q, q.f, x)),
                                    **_OPERATOR),
     TheoremId.LUPU_4_6_S: Theorem(_coupled(_s_of, _plain), needs_g=True, **_OPERATOR),
     TheoremId.LUPU_4_7_T: Theorem(_coupled(_t_of, _one_minus_x_weighted), needs_g=True,

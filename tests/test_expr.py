@@ -591,6 +591,31 @@ class TestMemo:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("build", ["compile_fn", "compile_terms", "compile_panels"])
+    def test_compiled_code_is_freed_without_the_cycle_collector(self, build):
+        # a generated function its own globals held, or a stand-in for its
+        # guarded body that held them, left each build to the cycle
+        # collector (64 objects a compile_fn); ln and sqrt raise below 0,
+        # so every build here compiles its guarded body too
+        ends = [-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        gc.collect()
+        gc.disable()
+        try:
+            f = parse("exp(sin(x))*ln(x+2)-1.5*sqrt(x)")
+            if build == "compile_fn":
+                fn = compile_fn(differentiate(f))
+                assert [math.isnan(fn(x)) for x in ends[:2]] == [True, True]
+            elif build == "compile_terms":
+                fn = compile_terms([f, differentiate(f)])
+                assert math.isnan(fn(ends)[0][0])
+            else:
+                fn = compile_panels([f, math.cos], [f, None])[0]
+                assert math.isnan(fn(ends, 1e-10, lambda k, a, b: b - a)[1][0][0])
+            del f, fn
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_a_request_builds_each_derivative_order_once(self, monkeypatch):
         # the solver, the endpoint hypothesis (and its one-sided derivative)
         # and the verification of every point walk the same chain; _d
@@ -664,7 +689,7 @@ class TestCodeMemo:
         assert not [name for name in panels.__globals__ if name.startswith("point")]
 
     def test_one_shape_shares_one_panel_kernel(self, codes):
-        ends = [0.0] + [i / 64 for i in range(1, 65)]
+        ends = [0.0] + [i / 256 for i in range(1, 257)]
         builds = []
         calls = []
 
@@ -682,9 +707,10 @@ class TestCodeMemo:
             apart, _, _ = compile_panels([compile_fn(f)], [compile_fn(g)])
             assert apart.__code__ is not panels.__code__
             assert panels(ends, 1e-10, fallback) == apart(ends, 1e-10, fallback)
-            # every pair's Simpson step passes here: only the first panel
-            # and the unpaired last one are handed over
-            assert calls == [(0, 0.0, 1 / 64), (0, 63 / 64, 1.0)] * 2
+            # every step over four panels passes here: only the first panel
+            # and the 3 left over past the last step are handed over
+            assert calls == [(0, 0.0, 1 / 256), (0, 253 / 256, 254 / 256),
+                             (0, 254 / 256, 255 / 256), (0, 255 / 256, 1.0)] * 2
             calls.clear()
             builds.append((panels, qs[0], ps[0]))
         for one, two in zip(*builds):

@@ -13,7 +13,7 @@ from mvtlab.numerics import (
     DEFAULT_CONFIG, MAX_SCAN_POINTS, DomainError, Interval, PointResult, QuadratureError,
     SolverConfig, TheoremId, close, differentiable_on_interior,
     grid_points, integrate, one_sided_derivative, refine_root,
-    solve_residual, tanh_sinh,
+    solve_residual, tanh_sinh, whole_integral,
 )
 
 CFG = DEFAULT_CONFIG
@@ -230,6 +230,46 @@ class TestTanhSinh:
         assert tanh_sinh(math.sin, 1.0, 1.0, CFG) == 0.0
         with pytest.raises(ValueError):
             tanh_sinh(math.sin, 1.0, 0.0, CFG)
+
+
+class TestWholeIntegral:
+    """tanh-sinh, or integrate() first for an integrand with a kink."""
+
+    @staticmethod
+    def _counted(F):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return F(x)
+
+        return counted, calls
+
+    def test_a_kink_goes_to_integrate_alone(self):
+        # tanh-sinh does not settle on a kink and hands it to integrate():
+        # 533 samples in all, where integrate() alone takes 105
+        f = parse("abs(x-0.3)")
+        F, calls = self._counted(compile_fn(f))
+        got = whole_integral(F, 0.0, 1.0, CFG, Var(), f)  # any tree with a kink
+        assert calls[0] == 105
+        G, via_tanh_sinh = self._counted(compile_fn(f))
+        assert got.hex() == tanh_sinh(G, 0.0, 1.0, CFG).hex() == integrate(F, 0.0, 1.0, CFG).hex()
+        assert via_tanh_sinh[0] == 533
+
+    def test_a_smooth_integrand_goes_to_tanh_sinh(self):
+        f = parse("exp(sin(x))*ln(x+2)")
+        F, calls = self._counted(compile_fn(f))
+        assert whole_integral(F, 0.0, 3.0, CFG, f) == tanh_sinh(F, 0.0, 3.0, CFG)
+        assert calls[0] <= 2 * 130
+
+    def test_what_integrate_cannot_take_goes_to_tanh_sinh(self):
+        # the square root at 1 defeats adaptive Simpson at 1e-12
+        f = parse("sqrt(abs(x-1))")
+        fc, tight = compile_fn(f), SolverConfig(quad_tol=1e-12)
+        with pytest.raises(QuadratureError):
+            integrate(fc, 0.0, 1.0, tight)
+        got = whole_integral(fc, 0.0, 1.0, tight, f)
+        assert got == tanh_sinh(fc, 0.0, 1.0, tight) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 class TestRefineRoot:

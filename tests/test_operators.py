@@ -1,5 +1,6 @@
 """Running-integral operators on [0, 1] and the identities built on them."""
 
+import bisect
 import contextlib
 import io
 import json
@@ -99,34 +100,39 @@ class TestOperatorValue:
 
 def running_prefix(F, iv, cfg):
     """The prefix the build must reproduce, written out independently of the
-    build: one Simpson step over each pair of panels from the first node on,
-    accepted on integrate()'s error test when its result is finite; the
-    margin panel, an unpaired last panel and both panels of any other pair
-    take one integrate() each."""
+    build: one step over each run of four panels from the first node on,
+    Simpson over the whole run against Simpson over each half, accepted on
+    integrate()'s error test when its result and the cubic rules for the
+    first and third panels are finite; the margin panel, the 0-3 panels
+    past the last run and all four panels of any other run take one
+    integrate() each."""
     nodes = grid_points(iv, cfg)
     panel_cfg = replace(cfg, quad_tol=cfg.quad_tol / len(nodes))
     acc = integrate(F, iv.a, nodes[0], panel_cfg)
     prefix = [acc]
     i = 0
-    while i + 2 < len(nodes):
-        a, b, c = nodes[i], nodes[i + 1], nodes[i + 2]
-        fa, fb, fc = F(a), F(b), F(c)
-        whole = (c - a) * (fa + 4.0 * fb + fc) / 6.0
-        sl = (b - a) * (fa + 4.0 * F(0.5 * (a + b)) + fb) / 6.0
-        sr = (c - b) * (fb + 4.0 * F(0.5 * (b + c)) + fc) / 6.0
+    while i + 4 < len(nodes):
+        a, b, c, d, e = nodes[i:i + 5]
+        fa, fb, fc, fd, fe = map(F, (a, b, c, d, e))
+        sl = (c - a) * (fa + 4.0 * fb + fc) / 6.0
+        sr = (e - c) * (fc + 4.0 * fd + fe) / 6.0
+        whole = (e - a) * (fa + 4.0 * fc + fe) / 6.0
         delta = sl + sr - whole
         eps = panel_cfg.quad_tol * (1.0 + abs(whole))
         part = sl + sr + delta / 15.0
-        if abs(delta) <= 15.0 * eps and math.isfinite(part):
-            prefix += [acc + sl, acc + part]
+        # the integrals over [a, b] and [c, d] of the cubics through a..d and b..e
+        ab = (b - a) * (9.0 * fa + 19.0 * fb - 5.0 * fc + fd) / 24.0
+        cd = (d - c) * (13.0 * (fc + fd) - fb - fe) / 24.0
+        if abs(delta) <= 15.0 * eps and all(map(math.isfinite, (part, ab, cd))):
+            prefix += [acc + ab, acc + sl, acc + sl + cd, acc + part]
             acc += part
         else:
-            mid = acc + integrate(F, a, b, panel_cfg)
-            acc = mid + integrate(F, b, c, panel_cfg)
-            prefix += [mid, acc]
-        i += 2
-    if i + 1 < len(nodes):
-        acc += integrate(F, nodes[i], nodes[i + 1], panel_cfg)
+            for lo, hi in zip(nodes[i:i + 4], nodes[i + 1:i + 5]):
+                acc += integrate(F, lo, hi, panel_cfg)
+                prefix.append(acc)
+        i += 4
+    for lo, hi in zip(nodes[i:], nodes[i + 1:]):
+        acc += integrate(F, lo, hi, panel_cfg)
         prefix.append(acc)
     return nodes, prefix
 
@@ -145,9 +151,10 @@ def per_panel_prefix(F, iv, cfg):
 
 def structural_panels(iv, cfg):
     """The panels every build hands to integrate(): the margin panel, and
-    the last panel when the panels past the first node do not pair up."""
+    the 0-3 panels past the last run of four from the first node on."""
     nodes = grid_points(iv, cfg)
-    return [(iv.a, nodes[0])] + ([(nodes[-2], nodes[-1])] if len(nodes) % 2 == 0 else [])
+    start = len(nodes) - 1 - (len(nodes) - 1) % 4
+    return [(iv.a, nodes[0])] + list(zip(nodes[start:], nodes[start + 1:]))
 
 
 def count_integrate(monkeypatch):
@@ -163,12 +170,12 @@ def count_integrate(monkeypatch):
 
 
 class TestBatchedBuild:
-    """The paired Simpson steps give running_prefix's prefixes bit for bit."""
+    """The steps over four panels give running_prefix's prefixes bit for bit."""
 
     @pytest.mark.parametrize("text,iv,cfg,fallbacks", [
         ("exp(0.7*x)", Interval(0.0, 1.0), SolverConfig(), False),
         ("sin(6*pi*x)", Interval(0.0, 1.0), SolverConfig(), False),
-        # the panels next to 0 fail the first error test
+        # the steps next to 0 fail the first error test
         ("sqrt(x)", Interval(0.0, 1.0), SolverConfig(), True),
         # 0/0 at the node x = 0
         ("sin(x)/x", Interval(-1.0, 1.0),
@@ -201,8 +208,11 @@ class TestBatchedBuild:
         got = v.column(grid_points(iv, cfg))
         assert all(abs(p - q) <= cfg.quad_tol * (1.0 + abs(q)) for p, q in zip(got, want))
 
-    def test_a_default_build_samples_twice_a_panel(self):
-        # a Simpson step per panel took 4 new samples a panel (16,385)
+    def test_a_default_build_samples_once_a_node(self):
+        # a Simpson step per panel took 4 new samples a panel (16,385), and
+        # one per pair of panels 2 (8,199); a step over four panels samples
+        # its nodes only: 4,093 of them, then integrate() takes 5 in the
+        # margin panel and 5 in each of the 3 panels left over
         calls = [0]
 
         def F(x):
@@ -210,15 +220,31 @@ class TestBatchedBuild:
             return math.exp(0.7 * x) * math.cos(3.0 * x)
 
         OperatorValue(None, F)
-        assert calls[0] <= 2 * len(grid_points(UNIT_INTERVAL, SolverConfig())) + 64
+        assert calls[0] == 4113 <= len(grid_points(UNIT_INTERVAL, SolverConfig())) + 64
+
+    def test_a_kink_hands_over_the_step_that_holds_it(self, monkeypatch):
+        # abs(x-0.3) is linear on every other step, which passes at roundoff
+        iv, cfg = UNIT_INTERVAL, SolverConfig()
+        nodes = grid_points(iv, cfg)
+        i = 4 * (bisect.bisect(nodes, 0.3) // 4)  # nodes[i] < 0.3 < nodes[i + 4]
+        assert nodes[i] < 0.3 < nodes[i + 4] and 0.3 not in nodes
+        f = parse("abs(x-0.3)")
+        calls = count_integrate(monkeypatch)
+        v = OperatorValue(None, f, iv, cfg)
+        structural = structural_panels(iv, cfg)
+        step = list(zip(nodes[i:i + 4], nodes[i + 1:i + 5]))
+        assert calls == structural[:1] + step + structural[1:]
+        assert _bits(v.column(nodes)) == _bits(running_prefix(compile_fn(f), iv, cfg)[1])
 
     @pytest.mark.parametrize("cfg", [
         SolverConfig(scan_points=8), SolverConfig(scan_points=9),
+        SolverConfig(scan_points=10), SolverConfig(scan_points=11),
         SolverConfig(scan_points=1001), SolverConfig(endpoint_margin=0.0),
-    ], ids=["8-points", "9-points", "1001-points", "no-margin"])
+    ], ids=["8-points", "9-points", "10-points", "11-points", "1001-points", "no-margin"])
     def test_odd_and_even_panel_counts_equal_the_reference(self, cfg):
-        # Simpson is exact on the cubic, so its pairs pass even on 8 points;
-        # sqrt(x) fails the test on the pairs next to 0
+        # 3, 0, 1, 2, 0 and 3 panels are left over past the last step. The
+        # steps' rules are exact on the cubic, so its steps pass even on 8
+        # points; sqrt(x) fails the test on the steps next to 0
         f, g = parse("sqrt(x)"), parse("1.2*x^3-0.5*x^2+x+0.3")
         gc = compile_fn(g)
         u, v = operator_values([(None, f), (g, g)], UNIT_INTERVAL, cfg)
@@ -270,20 +296,21 @@ class TestBatchedBuild:
 
     @staticmethod
     def _overflow_pairs(pole):
-        # F is -inf at every panel midpoint and 1e308 elsewhere. On each
-        # pair the node samples overflow the whole-pair estimate to inf, so
-        # the error test passes (eps = inf) although sl and sr are -inf;
-        # the non-finite result sends both panels to integrate(), which
-        # replaces the -inf by a one-sided sample and scales its
-        # overflowing sums down, or raises when that looks like a pole.
-        # (The margin panel is empty.)
+        # F is -inf at every panel midpoint and every odd node, and 1e308
+        # elsewhere. On the step over the first four panels the samples at
+        # its ends and middle node overflow the whole-step estimate to inf,
+        # so the error test passes (eps = inf) although sl and sr are -inf;
+        # the non-finite result sends its panels to integrate(), as it does
+        # the 3 panels left over, which replaces each -inf by a one-sided
+        # sample and scales its overflowing sums down, or raises when that
+        # looks like a pole. (The margin panel is empty.)
         cfg = SolverConfig(scan_points=8, endpoint_margin=0.0)
         nodes = grid_points(UNIT_INTERVAL, cfg)
         panels = list(zip(nodes, nodes[1:]))
         mids = [0.5 * (a + b) for a, b in panels]
 
         def F(x):
-            if x in mids:
+            if x in mids or x in nodes[1::2]:
                 return -math.inf
             if pole and abs(x - mids[0]) < 1e-6:
                 return 1.0 / (mids[0] - x)
@@ -298,6 +325,28 @@ class TestBatchedBuild:
         v = OperatorValue(None, F, UNIT_INTERVAL, cfg)
         assert calls == [(0.0, 0.0)] + panels
         assert [v(t) for t in nodes] == want
+
+    @pytest.mark.parametrize("at_nodes", [
+        # Simpson's sums reach 6e307, the cubic rules' 2.8e308 and 2.6e308
+        [1e307] * 9,
+        # on the first step Simpson's sum over the whole step reaches
+        # 1.9e308 (then eps = inf, and the error test passes) and no other
+        [0.0, 0.0, 1e307, 0.0, 1.5e308, 0.0, 0.0, 0.0, 0.0],
+    ], ids=["cubic-rules", "whole-step"])
+    def test_a_sum_that_overflows_takes_the_fallback(self, monkeypatch, at_nodes):
+        # F interpolates at_nodes linearly between the nodes k/8; a step that
+        # read an overflowing sum would put an infinity in the prefixes
+        cfg = SolverConfig(scan_points=9, endpoint_margin=0.0)
+
+        def F(x):
+            i = min(int(8.0 * x), 7)
+            return at_nodes[i] + (8.0 * x - i) * (at_nodes[i + 1] - at_nodes[i])
+
+        nodes, want = running_prefix(F, UNIT_INTERVAL, cfg)
+        calls = count_integrate(monkeypatch)
+        v = OperatorValue(None, F, UNIT_INTERVAL, cfg)
+        assert calls == [(0.0, 0.0)] + list(zip(nodes, nodes[1:]))
+        assert [v(t) for t in nodes] == want and all(map(math.isfinite, want))
 
     def test_nonfinite_sample_at_a_pole_raises(self):
         F, cfg, _ = self._overflow_pairs(pole=True)
@@ -404,8 +453,8 @@ class TestColumns:
     def test_a_repeated_node_reads_the_copy_a_call_reads(self):
         # the margin panel's integral is -0.0 (integrate()'s quarter-point
         # samples are so small that the products underflow); the first
-        # pair's left panel, zero-width up to the first node's second copy,
-        # adds its Simpson value +0.0, so the two copies' table entries
+        # step's first panel, zero-width up to the first node's second copy,
+        # adds its cubic rule's value +0.0, so the two copies' table entries
         # differ in sign, and a call at that node reads the first
         iv = Interval(1.0, 1.0 + 32 * 2.0 ** -52)
         cfg = SolverConfig(scan_points=64, endpoint_margin=0.25)
@@ -722,7 +771,7 @@ def test_whole_interval_samples_on_the_operator_list(monkeypatch):
         return whole
 
     for mod in (mvtlab.operators, mvtlab.verify, mvtlab.mvt_points):
-        monkeypatch.setattr(mod, "tanh_sinh", counted(mod.tanh_sinh))
+        monkeypatch.setattr(mod, "whole_integral", counted(mod.whole_integral))
     requests = request_list("operator", 1)
     for req in requests:
         with contextlib.redirect_stdout(io.StringIO()), \

@@ -5,9 +5,11 @@ theorem (the README examples and acceptance inputs) with the exit code and
 stdout captured while operator scans still ran one quadrature per scan
 point. Pointwise theorems must reproduce it byte for byte. The operator
 theorems now read their scan values from prefix integrals cached on the
-scan grid, built with one Simpson step per pair of grid panels (and
-adaptive Simpson panel by panel where a pair fails its error test), which
-moves results by quadrature roundoff only: they must keep the exit code,
+scan grid, built with one step per run of four grid panels on their
+nodes alone (Simpson against Simpson on the halves, with cubic rules for
+the nodes between, each exact on cubics; adaptive Simpson panel by panel
+where a step fails its error test), which moves results by quadrature
+roundoff only: they must keep the exit code,
 request block, groups, hypothesis and degenerate flags and point counts,
 with every xi (and reported weighted norm) within 1e-12. The residual at a
 point is roundoff-sized and is not compared.
