@@ -7,9 +7,10 @@ a single point off the tree's kept walk, and costs less than a compile
 for a value read at a point or two. For many points, one lowering turns trees
 into generated straight-line Python that evaluates each distinct
 subexpression once per point: ``compile_fn`` wraps one tree as a callable
-(quadrature), ``compile_terms`` wraps the terms of a residual as a
-whole-grid loop (the grid scan, and root polishing on a one-point grid),
-and ``compile_panels`` wraps the integrands of running integrals as one
+(quadrature), ``compile_residual`` folds a residual's terms into it and its
+scale in one whole-grid loop (the grid scan, and root polishing on a
+one-point grid), ``compile_terms`` gives trees' columns (smoothness
+checks), and ``compile_panels`` wraps the integrands of running integrals as one
 loop that takes one step over every run of four grid panels, sampling
 only their nodes (operator prefix builds), with ``compile_fn``'s
 callables as its point functions.
@@ -84,8 +85,8 @@ from typing import Callable, Hashable, Iterable, Sequence
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Bin", "Call",
     "ParseError", "ExpressionTooLarge", "FUNCTIONS", "MAX_DEPTH", "MAX_NODES",
-    "parse", "unparse", "evaluate", "compile_fn", "compile_terms", "compile_panels",
-    "differentiate", "simplify", "sign_sensitive_args",
+    "parse", "unparse", "evaluate", "compile_fn", "compile_terms", "compile_residual",
+    "compile_panels", "differentiate", "simplify", "sign_sensitive_args",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "asin", "acos", "atan",
@@ -362,7 +363,7 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
 
     One local per distinct subexpression across all roots; constants go to
     ``glb``; names end in ``tag``, so lowerings sharing one ``glb`` need
-    distinct tags; a ``var`` that is a bare name is read as it is.
+    distinct tags; ``var`` is the name of the float the statements read.
     ``lines(False)`` is plain arithmetic (bare math functions, ``a / b``,
     ``a ** k`` for a constant integer k in [1, 1023]); ``lines(True)``
     calls :func:`evaluate`'s helpers, for a point where the plain
@@ -449,8 +450,8 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
         elif kind is Neg:
             base, flip = sign.get(id(node.child), (node.child, False))
             sign[id(node)] = (base, not flip)
-        elif kind is Var:  # a loop's own variable needs no copy
-            name_of[id(node)] = var if var.isidentifier() else local(("x",), var)
+        elif kind is Var:
+            name_of[id(node)] = var
         # a constant is named by its first user
 
     def lines(guarded: bool) -> list[str]:
@@ -459,8 +460,8 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
     return lines, [use(r) for r in roots]
 
 
-# Characters of generated source whose code objects _code keeps; long benchmark
-# streams use 226k (pointwise), 250k (operator), 20k (classify) and 27k (high-order).
+# Characters of generated source whose code objects _code keeps; long seed-1 streams
+# use 295k (pointwise), 301k (operator), 26k (classify) and 30k (high-order).
 _CODE_MEMO = 2 ** 19
 
 
@@ -504,27 +505,32 @@ def _indent(lines: list[str], depth: int) -> str:
     return "".join(f"{pad}{line}\n" for line in lines)
 
 
-def _try(glb: dict, kind: str, call: str, body: Callable[[bool], list[str]],
-         prefix: str = "") -> list[str]:
-    """``body(False)`` as a ``try`` block whose ``except`` runs ``prefix + call``.
+def _block(exprs: Sequence[Expr], glb: dict, kind: str, x: str,
+           tag: str = "") -> tuple[list[str], list[str]]:
+    """Statements computing every expression at the float ``x``, and each one's name.
 
-    ``call`` calls ``def {call}:`` over ``body(True)``, the guarded
-    statements, which a stand-in in ``glb`` compiles on its first call.
-    The stand-in compiles them into a copy of ``glb`` as it is now, and
-    keeps the function it made out of that copy: holding ``glb``, or being
-    held by the globals it runs in, would make a reference cycle.
+    The plain lowering runs in ``try``; its ``except`` assigns the values from
+    ``slow{tag}({x})``, a stand-in that compiles the guarded lowering on first
+    call into a copy of ``glb`` and keeps the function it made: holding ``glb``,
+    or being held by the globals it runs in, would make a reference cycle.
     """
-    name = call[:call.index("(")]
-    env, made = dict(glb), []
+    block, names = _lower(exprs, glb, x, tag)
+    # the guarded function returns what the block defines, so not the point,
+    # nor constants: assigning a global makes it a local the plain block reads unbound
+    values = ", ".join(dict.fromkeys(n for n in names if n not in glb and n != x))
+    if not values:
+        return block(False), names
+    call, env, made = f"slow{tag}", dict(glb), []
 
-    def slow(*args):
+    def slow(v: float):
         if not made:
-            _run(f"def {call}:\n" + _indent(body(True), 1), kind, env)
-            made.append(env.pop(name))
-        return made[0](*args)
-    glb[name] = slow
-    return ["try:", *(f"    {line}" for line in body(False)),
-            "except _fault:", f"    {prefix}{call}"]
+            _run(f"def {call}({x}):\n" + _indent(block(True) + [f"return {values},"], 1),
+                 kind, env)
+            made.append(env.pop(call))
+        return made[0](v)
+    glb[call] = slow
+    return ["try:", *(f"    {line}" for line in block(False)),
+            "except _fault:", f"    {values}, = {call}({x})"], names
 
 
 def compile_fn(e: Expr) -> Callable[[float], float]:
@@ -545,17 +551,16 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     fn = getattr(e, "_compiled", None)
     if fn is None:
         glb = dict(_CODEGEN_GLOBALS)
-        lines, (name,) = _lower((e,), glb, "float(x)")
-        body = _try(glb, "compile_fn", "slow(x)",
-                    lambda guarded: lines(guarded) + [f"return {name}"], "return ")
-        _run("def compiled(x):\n" + _indent(body, 1), "compile_fn", glb)
+        body, (name,) = _block((e,), glb, "compile_fn", "x")
+        _run("def compiled(x):\n" + _indent(["x = float(x)", *body, f"return {name}"], 1),
+             "compile_fn", glb)
         fn = glb.pop("compiled")  # held by its own globals, it would be a cycle
         object.__setattr__(e, "_compiled", fn)  # the node is frozen
     return fn
 
 
 def compile_terms(exprs: Sequence[Expr]) -> Callable[[Iterable[float]], list[list[float]]]:
-    """Build ``grid`` for the terms of a residual.
+    """Build ``grid``, the columns of several expressions over a grid.
 
     ``grid(xs)`` evaluates every expression at every x of ``xs`` (floats)
     in one generated loop and returns one list of values per expression; a
@@ -564,19 +569,43 @@ def compile_terms(exprs: Sequence[Expr]) -> Callable[[Iterable[float]], list[lis
     guarded lowering. Values equal :func:`evaluate` bit for bit.
     """
     glb = dict(_CODEGEN_GLOBALS)
-    lines, names = _lower(exprs, glb, "x")
-    puts = ", ".join(f"put{i}" for i in range(len(names)))
-    body = _try(glb, "compile_terms", f"slow(x, {puts})", lambda guarded: lines(guarded)
-                + [f"put{i}({n})" for i, n in enumerate(names)])
+    body, names = _block(exprs, glb, "compile_terms", "x")
     cols = [f"col{i}" for i in range(len(names))]
     src = ("def grid(xs):\n"
            + _indent([f"{c} = []" for c in cols]
                      + [f"put{i} = {c}.append" for i, c in enumerate(cols)], 1)
            + "    for x in xs:\n"
-           + _indent(body, 2)
+           + _indent(body + [f"put{i}({n})" for i, n in enumerate(names)], 2)
            + f"    return [{', '.join(cols)}]\n")
     _run(src, "compile_terms", glb)
     return glb.pop("grid")
+
+
+def compile_residual(terms: Sequence[Expr]) -> Callable[[Iterable[float]], tuple]:
+    """Build ``scan`` for the residual terms[0] - terms[1] - ... - terms[-1].
+
+    ``scan(xs)`` is one generated loop over the floats ``xs``: at each x it
+    computes the terms as :func:`compile_terms` does and subtracts them left
+    to right. It returns ``(ys, scale, least)``: the residual at each x,
+    max(1, the largest finite |term|), tracked by comparisons that nan and
+    the infinities fail, and the least finite |residual| (inf for none).
+    Residuals equal the fold of :func:`evaluate`'s terms bit for bit.
+    """
+    glb = dict(_CODEGEN_GLOBALS)
+    body, names = _block(terms, glb, "compile_residual", "x")
+    bounds = {n: (f"if hi < {n} < inf: hi = {n}", f"if lo > {n} > ninf: lo = {n}") for n in names}
+    # a constant term's bounds are taken once, before the loop
+    fixed = [line for n, lines in bounds.items() if n in glb for line in lines]
+    moving = [line for n, lines in bounds.items() if n not in glb for line in lines]
+    src = ("def scan(xs):\n"
+           + _indent(['inf = float("inf")', "ninf = -inf", "hi, lo = 1.0, -1.0",
+                      "least, nleast = inf, ninf", "ys = []", "put = ys.append", *fixed], 1)
+           + "    for x in xs:\n"
+           + _indent([*body, *moving, f"r = {' - '.join(names)}", "if nleast < r < least:",
+                      "    least = fn_abs(r)", "    nleast = -least", "put(r)"], 2)
+           + "    return ys, hi if hi > -lo else -lo, least\n")
+    _run(src, "compile_residual", glb)
+    return glb.pop("scan")
 
 
 _Fn = Expr | Callable[[float], float]
@@ -626,14 +655,8 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
         # of the values (None for a missing pointwise part); the ends are
         # floats, so expressions read x as it is
         js = [j for j in js if fns[j] is not None]
-        block, names = _lower([fns[j] for j in js if isinstance(fns[j], Expr)], glb, x, tag)
-        lines = block(False)
-        # a guarded block recomputes what the block defines, so not the point,
-        # nor constants: assigning a global makes it a local the plain block reads unbound
-        values = ", ".join(dict.fromkeys(n for n in names if n not in glb and n != x))
-        if values:
-            lines = _try(glb, "compile_panels", f"slow{tag}({x})",
-                         lambda g: block(g) + ([f"return {values},"] if g else []), f"{values}, = ")
+        lines, names = _block([fns[j] for j in js if isinstance(fns[j], Expr)],
+                              glb, "compile_panels", x, tag)
         exprs = iter(names)
         out: list[str | None] = [None] * len(fns)
         for j in js:

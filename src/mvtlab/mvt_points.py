@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import Const, Expr, compile_fn, differentiate
+from .expr import Const, Expr, compile_fn, compile_terms, differentiate
 from .generalized import endpoint_value
 # integrate is unused here but bench/tracer.py patches it
 from .numerics import (
@@ -82,12 +82,12 @@ def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
 
     The integral is :func:`~mvtlab.numerics.whole_integral`'s.
     """
-    fc = compile_fn(f)
-    for x in grid_points(iv, cfg, margin=0.0):
-        if not math.isfinite(fc(x)):
-            raise DomainError(f"f is not finite at x={x!r}; the mean value "
-                              "identity needs a continuous integrand")
-    return whole_integral(fc, iv.a, iv.b, cfg, f) / iv.width
+    xs = grid_points(iv, cfg, margin=0.0)
+    finite = list(map(math.isfinite, compile_terms((f,))(xs)[0]))
+    if not all(finite):
+        raise DomainError(f"f is not finite at x={xs[finite.index(False)]!r}; the mean "
+                          "value identity needs a continuous integrand")
+    return whole_integral(compile_fn(f), iv.a, iv.b, cfg, f) / iv.width
 
 
 def integral_mvt_points(f: Expr, iv: Interval,

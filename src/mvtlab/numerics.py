@@ -34,7 +34,8 @@ from typing import Callable, Sequence
 
 # compile_fn is unused here but bench/tracer.py patches it
 from .expr import (
-    Expr, _Memo, compile_fn, compile_terms, differentiate, evaluate, sign_sensitive_args,
+    Expr, _Memo, compile_fn, compile_residual, compile_terms, differentiate, evaluate,
+    sign_sensitive_args,
 )
 
 __all__ = [
@@ -563,16 +564,15 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     running left to right, so a term that enters with a plus sign is passed
     negated: x - (-d) == x + d holds exactly in IEEE arithmetic. The terms
     are either all expressions or all callables. Expressions are compiled
-    together with :func:`~mvtlab.expr.compile_terms`, so the whole grid is
-    evaluated in one generated loop and subexpressions the terms share are
-    computed once per point. A callable that has a ``column`` method (an
-    operator value, or a solver's term over one) gives its whole grid
-    column, ``t.column(xs)``, which must equal ``[t(x) for x in xs]``; any
-    other callable is called once per grid point. The same values give the
-    residual and the scale, max(1, largest finite term magnitude on the
-    grid), against which "zero" is judged. Brent polishing and crossing
-    confirmation fold the terms at one point: the grid on that point for
-    expressions, one call of each callable.
+    together with :func:`~mvtlab.expr.compile_residual`, one generated loop
+    that keeps only the residual, its scale and its least magnitude. A
+    callable that has a ``column`` method (an operator value, or a solver's
+    term over one) gives its whole grid column, ``t.column(xs)``, which must
+    equal ``[t(x) for x in xs]``; any other callable is called once per grid
+    point. The same values give the residual and the scale, max(1, largest
+    finite term magnitude on the grid), against which "zero" is judged.
+    Brent polishing and crossing confirmation fold the terms at one point:
+    the loop on a one-point grid for expressions, one call of each callable.
     With ``closed=True`` the scan includes the endpoints (for identities
     whose point may sit on the boundary).
 
@@ -590,19 +590,18 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     """
     xs = grid_points(iv, cfg, 0.0 if closed else None)
     if isinstance(terms[0], Expr):
-        grid = compile_terms(terms)
-        cols = grid(xs)
+        scan = compile_residual(terms)
+        ys, scale, least = scan(xs)
 
         def F(x: float) -> float:
-            return _fold(grid((float(x),)))[0]
+            return scan((float(x),))[0][0]
     else:
         cols = [t.column(xs) if hasattr(t, "column") else [t(x) for x in xs]
                 for t in terms]
 
         def F(x: float) -> float:
             return _fold([[t(x)] for t in terms])[0]
-    ys = _fold(cols)
-    scale = _scale(cols)
+        ys, scale, least = _fold(cols), _scale(cols), 0.0  # 0.0: look for near points
     finite = sum(map(math.isfinite, ys))
     if finite < 2:
         raise DomainError("residual is not finite anywhere on the scan grid")
@@ -610,8 +609,8 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     noise = _NOISE_ULPS * _EPS * scale
 
     # finite and |y| <= thr; capping thr at the largest float keeps inf out
-    # even when thr itself overflowed
-    near = list(map(min(thr, sys.float_info.max).__ge__, map(abs, ys)))
+    # even when thr itself overflowed. No point is when least |y| is above thr.
+    near = list(map(min(thr, sys.float_info.max).__ge__, map(abs, ys))) if least <= thr else []
     if near.count(True) >= 0.99 * finite:
         mid = iv.midpoint
         return Points([PointResult(mid, F(mid), theorem_id, degenerate=True)], hypothesis)

@@ -21,10 +21,11 @@ from conftest import deadline, deep_abs_tree, substitute
 from mvtlab.cli import main
 from mvtlab.expr import (
     Bin, Call, Const, ExpressionTooLarge, FUNCTIONS, MAX_DEPTH, MAX_NODES, Neg, ParseError, Var,
-    compile_fn, compile_panels, compile_terms, differentiate, evaluate, parse,
+    compile_fn, compile_panels, compile_residual, compile_terms, differentiate, evaluate, parse,
     sign_sensitive_args,
     simplify, unparse,
 )
+from mvtlab.numerics import _fold, _scale
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -273,6 +274,73 @@ def test_plain_code_falls_back_where_it_raises(exprs, xs):
     for e, col in zip(exprs, grid(xs)):
         assert all(same_float(v, evaluate(e, x)) for x, v in zip(xs, col))
         assert all(same_float(compile_fn(e)(x), evaluate(e, x)) for x in xs)
+
+
+
+def assert_residual_folds_columns(terms, xs):
+    """compile_residual equals _fold and _scale over compile_terms' columns, bit for bit."""
+    scan = compile_residual(terms)
+    cols = compile_terms(terms)(xs)
+    want = _fold(cols)
+    ys, scale, least = scan(xs)
+    assert len(ys) == len(xs) and all(map(same_float, ys, want))
+    assert same_float(scale, _scale(cols))
+    assert same_float(least, min((abs(y) for y in want if math.isfinite(y)), default=math.inf))
+    # a one-point grid gives the residual at that point
+    assert all(same_float(scan([x])[0][0], y) for x, y in zip(xs, want))
+
+
+class TestCompileResidual:
+    """The fused scan loop: residual, scale and least |residual| in one pass."""
+
+    XS = [-2.0, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("texts", [
+        ["x^2 - 0.3"],                                          # one term
+        ["3*x^2 + 1", "2*x"],                                   # two
+        ["sin(x)", "x/3", "cos(2*x)", "0.25*x^3"],             # four
+        ["exp(x)", "2.5"],                                      # a Const term
+        ["1/x", "ln(x)"],                                       # raise at 0
+        ["sqrt(x) + 1", "sqrt(x-0.5)", "x"],                    # sqrt of a negative
+        ["ln(x) - 1/x", "exp(800*x)"],                          # -inf, inf and overflow
+    ])
+    def test_fold_and_scale_match_the_columns(self, texts):
+        assert_residual_folds_columns([parse(t) for t in texts], self.XS)
+
+    def test_a_leading_nan_does_not_hide_the_finite_maximum(self):
+        # sqrt(x) is nan first, then finite and largest: _scale's second look
+        terms = [parse("sqrt(x)*5"), parse("0.5")]
+        xs = [-1.0, 0.0, 4.0, math.inf]
+        assert_residual_folds_columns(terms, xs)
+        assert compile_residual(terms)(xs)[1] == 10.0
+
+    def test_no_finite_term_leaves_the_floor(self):
+        terms = [parse("ln(x)"), parse("1/x")]
+        xs = [-1.0, 0.0, -0.0, math.nan]
+        assert_residual_folds_columns(terms, xs)
+        assert compile_residual(terms)(xs)[1:] == (1.0, math.inf)
+
+    def test_constants_and_the_variable_as_terms(self):
+        for terms in ([Var()], [Const(-7.0), Var()], [Const(math.inf), Const(2.0)],
+                      [Neg(Const(3.0)), Neg(Var())]):
+            assert_residual_folds_columns(terms, self.XS)
+
+    def test_one_shape_shares_one_code_object(self, monkeypatch):
+        memo = mvtlab.expr._Memo(mvtlab.expr._CODE_MEMO, len)
+        monkeypatch.setattr(mvtlab.expr, "_code", memo)
+        s1, s2 = (compile_residual([parse(t), Const(c)])
+                  for t, c in (("3*x^2-1", 0.5), ("-2*x^2+7", -4.0)))
+        assert s1 is not s2 and s1.__code__ is s2.__code__
+        assert len(memo.items) == 1
+        assert s1([1.0]) == ([1.5], 2.0, 1.5) and s2([1.0]) == ([9.0], 5.0, 9.0)
+
+
+@seed(20214)
+@settings(max_examples=200)
+@given(st.lists(_raising_expr, min_size=1, max_size=4),
+       st.lists(_raising_x, min_size=1, max_size=8))
+def test_compile_residual_folds_compile_terms(terms, xs):
+    assert_residual_folds_columns(terms, xs)
 
 
 def assert_kernel_walks(q, p):
@@ -816,6 +884,30 @@ class TestCodeMemo:
                     assert main(list(req.argv)) in (0, 1, 2, 3)
             counts.append(len(compiled) - before)
         assert counts[0] <= 60 and counts[1] <= 10
+
+    def test_a_warm_pointwise_pass_compiles_nothing(self, codes, monkeypatch):
+        # every identity's scan, point functions and checks, twice over one
+        # slice: the memo holds every source the first pass made
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from workloads import request_list
+
+        compiled = []
+
+        def counted(*args):
+            compiled.append(args[0])
+            return compile(*args)
+
+        monkeypatch.setattr(mvtlab.expr, "compile", counted, raising=False)
+        requests = request_list("pointwise", 1)[:20]
+        counts = []
+        for _ in range(2):
+            before = len(compiled)
+            for req in requests:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert main(list(req.argv)) in (0, 1, 3)
+            counts.append(len(compiled) - before)
+        assert counts[0] > 0 and counts[1] == 0
 
 
 class TestSimplify:

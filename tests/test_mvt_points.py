@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import mvtlab.mvt_points
 from conftest import deep_abs_tree
 from mvtlab.expr import parse
 from mvtlab.mvt_points import (
@@ -118,6 +119,17 @@ class TestIntegralMvt:
     def test_discontinuous_raises(self):
         with pytest.raises(DomainError):
             integral_mvt_points(parse("ln(x)"), Interval(0.0, 1.0))
+
+    @pytest.mark.parametrize("text, x", [
+        ("ln(x)", "0.0"), ("1/(x-0.75) + 1/(x-0.25)", "0.25"), ("sqrt(0.5-x)", "0.625"),
+    ])
+    def test_the_error_names_the_first_non_finite_grid_point(self, monkeypatch, text, x):
+        # one column of f, read for finiteness: no point function is built
+        monkeypatch.setattr(mvtlab.mvt_points, "compile_fn", None)
+        with pytest.raises(DomainError) as err:
+            integral_mean(parse(text), Interval(0.0, 1.0), SolverConfig(scan_points=9))
+        assert str(err.value) == (f"f is not finite at x={x}; the mean value "
+                                  "identity needs a continuous integrand")
 
     def test_mean_of_a_deep_tree(self):
         # -|x - 0.5| under 5,000 levels of abs and Neg, past the recursion limit

@@ -6,6 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, seed
 
+import mvtlab.generalized
+import mvtlab.mvt_points
 import mvtlab.numerics
 from conftest import central_diff, deadline
 from mvtlab.expr import Const, Var, compile_fn, differentiate, evaluate, parse
@@ -15,6 +17,8 @@ from mvtlab.numerics import (
     grid_points, integrate, one_sided_derivative, refine_root,
     solve_residual, tanh_sinh, whole_integral,
 )
+from mvtlab.generalized import pawlikowska_points
+from mvtlab.mvt_points import lagrange_points
 
 CFG = DEFAULT_CONFIG
 
@@ -508,6 +512,61 @@ class TestExpressionTerms:
         assert [p.xi for p in want] == pytest.approx([3 ** -0.5], abs=1e-8)
         assert solve_residual((f, Const(mean)), iv, CFG, TheoremId.INTEGRAL_MVT,
                               closed=True) == want
+
+
+    @staticmethod
+    def both_branches(monkeypatch, module, solve, *args):
+        """The Points a solver's expression terms give, and those of their compile_fn callables."""
+        seen = []
+
+        def capture(terms, *rest, **kwargs):
+            seen.append((terms, rest, kwargs))
+            return solve_residual(terms, *rest, **kwargs)
+
+        monkeypatch.setattr(module, "solve_residual", capture)
+        solve(*args)
+        ((terms, rest, kwargs),) = seen
+        as_exprs = solve_residual(terms, *rest, **kwargs)
+        as_fns = solve_residual([compile_fn(t) for t in terms], *rest, **kwargs)
+        assert [repr(p) for p in as_exprs] == [repr(p) for p in as_fns]
+        assert as_exprs.hypothesis_satisfied == as_fns.hypothesis_satisfied
+        return as_exprs, (terms, rest, kwargs)
+
+    def test_degenerate_lagrange_on_a_linear_f(self, monkeypatch):
+        pts, _ = self.both_branches(monkeypatch, mvtlab.mvt_points, lagrange_points,
+                                    parse("3*x+1"), Interval(0.0, 1.0))
+        assert [(p.xi, p.degenerate) for p in pts] == [(0.5, True)]
+        assert pts.hypothesis_satisfied is True
+
+    def test_forced_zero_stretch_of_the_order_n_sum(self, monkeypatch):
+        pts, (terms, rest, kwargs) = self.both_branches(
+            monkeypatch, mvtlab.generalized, pawlikowska_points,
+            parse("exp(x)"), Interval(0.0, 1.0), 3)
+        assert not any(p.degenerate for p in pts)
+        # the stretch at a is there, and forced_zero is what drops it
+        del kwargs["forced_zero"]
+        kept = solve_residual(terms, *rest, **kwargs)
+        assert [p.degenerate for p in kept][:1] == [True] and kept[0].xi < 0.5
+
+    def test_exact_grid_point_zero(self, monkeypatch):
+        # x^3 - 0.125 is 0.0 exactly at the grid point 0.5
+        terms = (parse("x^3"), Const(0.125))
+        args = (Interval(0.0, 1.0), SolverConfig(scan_points=9), TheoremId.ROLLE)
+        pts = solve_residual(terms, *args, closed=True)
+        assert [repr(p) for p in pts] == [repr(PointResult(0.5, 0.0, TheoremId.ROLLE))]
+        fns = solve_residual([compile_fn(t) for t in terms], *args, closed=True)
+        assert [repr(p) for p in fns] == [repr(p) for p in pts]
+
+    def test_expression_terms_build_no_column(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a per-term column was built")
+
+        for name in ("compile_terms", "_fold", "_scale"):
+            monkeypatch.setattr(mvtlab.numerics, name, refuse)
+        f = parse("x^3-x")
+        pts = solve_residual((differentiate(f) * (Var() - -1.0), f), Interval(-1.0, 1.5),
+                             CFG, TheoremId.FLETT)
+        assert pts and not any(p.degenerate for p in pts)
 
 
 class TestBracketScan:
