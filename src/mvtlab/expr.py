@@ -9,7 +9,8 @@ into generated straight-line Python that evaluates each distinct
 subexpression once per point: ``compile_fn`` wraps one tree as a callable
 (quadrature), ``compile_residual`` folds a residual's terms into it and its
 scale in one whole-grid loop (the grid scan, and root polishing on a
-one-point grid), ``compile_terms`` gives trees' columns (smoothness
+one-point grid), reading terms that are callables, not trees, as one
+column each, ``compile_terms`` gives trees' columns (smoothness
 checks), and ``compile_panels`` wraps the integrands of running integrals as one
 loop that takes one step over every run of four grid panels, sampling
 only their nodes (operator prefix builds), with ``compile_fn``'s
@@ -347,7 +348,7 @@ def evaluate(e: Expr, x: float) -> float:
 
 
 # Names the generated code reads from its globals. Locals are x, t0, t1, ...
-# (and xs, col0, put0, ... in grid loops), constants c0, c1, ..., so none
+# (and xs, col0, put0, e0, ... in grid loops), constants c0, c1, ..., so none
 # of them can shadow these. ``_fault`` is what plain arithmetic raises.
 _CODEGEN_GLOBALS = {"__builtins__": {}, "float": float, "_div": _div, "_pow": _pow,
                     "_fault": (ArithmeticError, ValueError),
@@ -461,7 +462,7 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
 
 
 # Characters of generated source whose code objects _code keeps; long seed-1 streams
-# use 295k (pointwise), 301k (operator), 26k (classify) and 30k (high-order).
+# use 295k (pointwise), 303k (operator), 26k (classify) and 30k (high-order).
 _CODE_MEMO = 2 ** 19
 
 
@@ -581,34 +582,52 @@ def compile_terms(exprs: Sequence[Expr]) -> Callable[[Iterable[float]], list[lis
     return glb.pop("grid")
 
 
-def compile_residual(terms: Sequence[Expr]) -> Callable[[Iterable[float]], tuple]:
+_Fn = Expr | Callable[[float], float]
+
+
+def compile_residual(terms: Sequence[_Fn]) -> Callable[[Sequence[float]], tuple]:
     """Build ``scan`` for the residual terms[0] - terms[1] - ... - terms[-1].
 
-    ``scan(xs)`` is one generated loop over the floats ``xs``: at each x it
-    computes the terms as :func:`compile_terms` does and subtracts them left
-    to right. It returns ``(ys, scale, least)``: the residual at each x,
-    max(1, the largest finite |term|), tracked by comparisons that nan and
-    the infinities fail, and the least finite |residual| (inf for none).
-    Residuals equal the fold of :func:`evaluate`'s terms bit for bit.
+    The terms are expressions or plain callables. ``scan(xs)`` reads each
+    callable's column over the floats ``xs`` once, before its loop:
+    ``t.column(xs)``, which must equal ``[t(x) for x in xs]``, where t has
+    a ``column`` method, and one call a point otherwise. Then one generated
+    loop computes the expressions at each x as :func:`compile_terms` does,
+    and subtracts all the terms left to right. It returns ``(ys, scale,
+    least)``: the residual at each x, max(1, the largest finite |term|),
+    tracked by comparisons that nan and the infinities fail, and the least
+    finite |residual| (inf for none). Residuals equal the fold of the
+    terms' values (:func:`evaluate`'s, for expressions) bit for bit.
     """
-    glb = dict(_CODEGEN_GLOBALS)
-    body, names = _block(terms, glb, "compile_residual", "x")
+    glb = dict(_CODEGEN_GLOBALS, zip=zip)
+    body, expr_names = _block([t for t in terms if isinstance(t, Expr)], glb,
+                              "compile_residual", "x")
+    exprs, names, reads, cols = iter(expr_names), [], [], []
+    for j, t in enumerate(terms):
+        if isinstance(t, Expr):
+            names.append(next(exprs))
+            continue
+        glb[f"ext{j}"] = t
+        reads.append(f"col{j} = ext{j}.column(xs)" if hasattr(t, "column")
+                     else f"col{j} = [ext{j}(x) for x in xs]")
+        names.append(f"e{j}")
+        cols.append(j)
     bounds = {n: (f"if hi < {n} < inf: hi = {n}", f"if lo > {n} > ninf: lo = {n}") for n in names}
     # a constant term's bounds are taken once, before the loop
     fixed = [line for n, lines in bounds.items() if n in glb for line in lines]
     moving = [line for n, lines in bounds.items() if n not in glb for line in lines]
+    loop = "for x in xs:"
+    if cols:
+        loop = (f"for x, {', '.join(f'e{j}' for j in cols)}"
+                f" in zip(xs, {', '.join(f'col{j}' for j in cols)}):")
     src = ("def scan(xs):\n"
-           + _indent(['inf = float("inf")', "ninf = -inf", "hi, lo = 1.0, -1.0",
-                      "least, nleast = inf, ninf", "ys = []", "put = ys.append", *fixed], 1)
-           + "    for x in xs:\n"
+           + _indent([*reads, 'inf = float("inf")', "ninf = -inf", "hi, lo = 1.0, -1.0",
+                      "least, nleast = inf, ninf", "ys = []", "put = ys.append", *fixed, loop], 1)
            + _indent([*body, *moving, f"r = {' - '.join(names)}", "if nleast < r < least:",
                       "    least = fn_abs(r)", "    nleast = -least", "put(r)"], 2)
            + "    return ys, hi if hi > -lo else -lo, least\n")
     _run(src, "compile_residual", glb)
     return glb.pop("scan")
-
-
-_Fn = Expr | Callable[[float], float]
 
 
 def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -> tuple[

@@ -24,7 +24,6 @@ abs() or sgn(), tanh_sinh otherwise.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
@@ -533,26 +532,7 @@ def _confirmed_crossing(F: Callable[[float], float], root: float,
     return side(-1.0) * side(1.0) < 0.0
 
 
-def _scale(cols: Sequence[Sequence[float]]) -> float:
-    """max(1, largest finite magnitude in the columns): the size "zero" is judged by."""
-    scale = 1.0
-    for col in cols:
-        m = max(map(abs, col))
-        if not m < math.inf:  # an inf, or a leading nan, hides the finite maximum
-            m = max((v for v in map(abs, col) if v < math.inf), default=0.0)
-        scale = max(scale, m)
-    return scale
-
-
-def _fold(cols: Sequence[Sequence[float]]) -> Sequence[float]:
-    """cols[0] - cols[1] - ... - cols[-1] element by element, left to right: a residual."""
-    ys = cols[0]
-    for col in cols[1:]:
-        ys = list(map(operator.sub, ys, col))
-    return ys
-
-
-def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
+def solve_residual(terms: Sequence[Expr | Callable[[float], float]],
                    iv: Interval,
                    cfg: SolverConfig, theorem_id: TheoremId,
                    hypothesis: bool | None = None,
@@ -563,18 +543,17 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     The residual is terms[0] - terms[1] - ... - terms[-1], the subtractions
     running left to right, so a term that enters with a plus sign is passed
     negated: x - (-d) == x + d holds exactly in IEEE arithmetic. The terms
-    are either all expressions or all callables. Expressions are compiled
-    together with :func:`~mvtlab.expr.compile_residual`, one generated loop
+    are expressions or callables, in any mix, and
+    :func:`~mvtlab.expr.compile_residual` folds them in one generated loop
     that keeps only the residual, its scale and its least magnitude. A
     callable that has a ``column`` method (an operator value, or a solver's
     term over one) gives its whole grid column, ``t.column(xs)``, which must
     equal ``[t(x) for x in xs]``; any other callable is called once per grid
-    point. The same values give the residual and the scale, max(1, largest
-    finite term magnitude on the grid), against which "zero" is judged.
-    Brent polishing and crossing confirmation fold the terms at one point:
-    the loop on a one-point grid for expressions, one call of each callable.
-    With ``closed=True`` the scan includes the endpoints (for identities
-    whose point may sit on the boundary).
+    point. The scale, max(1, largest finite term magnitude on the grid), is
+    what "zero" is judged against. Brent polishing and crossing
+    confirmation run the same loop on a one-point grid. With
+    ``closed=True`` the scan includes the endpoints (for identities whose
+    point may sit on the boundary).
 
     Degenerate detection runs first: if the residual is near zero on at
     least 99% of the grid, or on a long contiguous stretch of it, that
@@ -589,19 +568,11 @@ def solve_residual(terms: Sequence[Expr] | Sequence[Callable[[float], float]],
     still reports it.
     """
     xs = grid_points(iv, cfg, 0.0 if closed else None)
-    if isinstance(terms[0], Expr):
-        scan = compile_residual(terms)
-        ys, scale, least = scan(xs)
+    scan = compile_residual(terms)
+    ys, scale, least = scan(xs)
 
-        def F(x: float) -> float:
-            return scan((float(x),))[0][0]
-    else:
-        cols = [t.column(xs) if hasattr(t, "column") else [t(x) for x in xs]
-                for t in terms]
-
-        def F(x: float) -> float:
-            return _fold([[t(x)] for t in terms])[0]
-        ys, scale, least = _fold(cols), _scale(cols), 0.0  # 0.0: look for near points
+    def F(x: float) -> float:
+        return scan((float(x),))[0][0]
     finite = sum(map(math.isfinite, ys))
     if finite < 2:
         raise DomainError("residual is not finite anywhere on the scan grid")

@@ -35,7 +35,9 @@ zero-mean total, the reported weighted norms) are one
 The identity solvers mirror the structure used elsewhere: multiply through
 so the residual is denominator-free, scan, refine, and stamp the theorem id
 on every located point. Their terms are operator values scaled by
-constants (``_Scaled``), whose scan columns are the values' columns scaled.
+constants (``_Scaled``). :func:`~mvtlab.expr.compile_residual` reads each
+term as one column, the value's column scaled, both over the whole grid
+and on the one-point grids of root polishing.
 The two-constant identities are searched per identity; a tuple result
 never mixes them.
 """
@@ -48,12 +50,14 @@ import operator
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .expr import Expr, Var, compile_fn, compile_panels, compile_terms, differentiate
+from .expr import (
+    Expr, Var, compile_fn, compile_panels, compile_residual, compile_terms, differentiate,
+)
 from .generalized import endpoint_slopes, endpoint_value
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
     DEFAULT_CONFIG, DomainError, HypothesisError, Interval, NoRootFound,
-    PointResult, Points, QuadratureError, SolverConfig, TheoremId, _fold, _scale, close,
+    PointResult, Points, QuadratureError, SolverConfig, TheoremId, close,
     grid_points, integrate, one_sided_derivative, solve_residual, whole_integral,
 )
 
@@ -155,15 +159,12 @@ class _Scaled:
         self.value, self.c, self.d, self.neg = value, c, d, neg
 
     def __call__(self, x: float) -> float:
-        return self._scale([self.value(x)])[0]
+        return self.column((x,))[0]
 
     def column(self, xs: Sequence[float]) -> list[float]:
-        return self._scale(self.value.column(xs))
-
-    def _scale(self, col: list[float]) -> list[float]:
         c, d = 1.0 if self.c is None else self.c, 1.0 if self.d is None else self.d
         d = -d if self.neg else d
-        return [c * v * d for v in col]
+        return [c * v * d for v in self.value.column(xs)]
 
 
 def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
@@ -261,7 +262,7 @@ def _no_root_error(t1: OperatorValue | _Scaled, t2: OperatorValue | _Scaled,
                    iv: Interval, cfg: SolverConfig, tid: TheoremId) -> NoRootFound:
     xs = grid_points(iv, cfg)
     best_x, best_v = math.nan, math.inf
-    for x, v in zip(xs, _fold([t1.column(xs), t2.column(xs)])):
+    for x, v in zip(xs, compile_residual((t1, t2))(xs)[0]):
         if math.isfinite(v) and abs(v) < best_v:
             best_x, best_v = x, abs(v)
     err = NoRootFound(f"no sign change found for {tid}; the smallest grid "
@@ -382,7 +383,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
     _nonvanishing_derivative(g, iv, cfg, "g'")
     ga = endpoint_value(g, iv, "a", "g")
     total = whole_integral(compile_fn(f), iv.a, iv.b, cfg, f)
-    scale = _scale(compile_terms((f,))(grid_points(iv, cfg, 0.0))) * iv.width
+    scale = compile_residual((f,))(grid_points(iv, cfg, 0.0))[1] * iv.width
     if abs(total) > cfg.quad_tol * max(1.0, scale):
         raise HypothesisError(
             f"integral of f over [{iv.a:g}, {iv.b:g}] is {total:.6g}, not 0; "

@@ -1,6 +1,8 @@
 """Acceptance scoreboard shared between test_acceptance and the reporter,
 and helpers shared between test modules, among them ``substitute`` (a
-tree with x replaced) and ``central_diff`` (a finite-difference oracle),
+tree with x replaced), ``central_diff`` (a finite-difference oracle) and
+``fold_columns`` and ``columns_scale`` (the residual and its scale, folded
+from term columns as a plain reference for the generated scan loop),
 which nothing outside the tests uses.
 
 test_acceptance records one entry per headline check; the hook below prints
@@ -9,6 +11,7 @@ them after the run so every session ends with a PASS/FAIL line per check.
 
 import contextlib
 import math
+import operator
 import signal
 import sys
 
@@ -96,3 +99,22 @@ def central_diff(F, x: float, order: int = 1) -> float:
             raise DomainError(f"finite-difference stencil not finite near x={x!r}")
         return (hi - 2.0 * mid + lo) / (h * h)
     raise ValueError("central_diff supports order 1 and 2 only")
+
+
+def columns_scale(cols) -> float:
+    """max(1, largest finite magnitude in the columns): the size "zero" is judged by."""
+    scale = 1.0
+    for col in cols:
+        m = max(map(abs, col))
+        if not m < math.inf:  # an inf, or a leading nan, hides the finite maximum
+            m = max((v for v in map(abs, col) if v < math.inf), default=0.0)
+        scale = max(scale, m)
+    return scale
+
+
+def fold_columns(cols):
+    """cols[0] - cols[1] - ... - cols[-1] element by element, left to right: a residual."""
+    ys = cols[0]
+    for col in cols[1:]:
+        ys = list(map(operator.sub, ys, col))
+    return ys

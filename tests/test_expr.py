@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 import mvtlab.expr
-from conftest import deadline, deep_abs_tree, substitute
+from conftest import columns_scale, deadline, deep_abs_tree, fold_columns, substitute
 from mvtlab.cli import main
 from mvtlab.expr import (
     Bin, Call, Const, ExpressionTooLarge, FUNCTIONS, MAX_DEPTH, MAX_NODES, Neg, ParseError, Var,
@@ -25,7 +25,6 @@ from mvtlab.expr import (
     sign_sensitive_args,
     simplify, unparse,
 )
-from mvtlab.numerics import _fold, _scale
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -277,17 +276,39 @@ def test_plain_code_falls_back_where_it_raises(exprs, xs):
 
 
 
+class Column:
+    """A term as a callable with a ``column`` method; keeps each grid it is handed."""
+
+    def __init__(self, e):
+        self.fn, self.grids = compile_fn(e), []
+
+    def __call__(self, x):
+        return self.fn(x)
+
+    def column(self, xs):
+        self.grids.append(xs)
+        return [self.fn(x) for x in xs]
+
+
 def assert_residual_folds_columns(terms, xs):
-    """compile_residual equals _fold and _scale over compile_terms' columns, bit for bit."""
-    scan = compile_residual(terms)
+    """compile_residual equals the reference fold and scale of the columns, bit for bit.
+
+    The terms go in as expressions, as compile_fn callables, as objects
+    with a ``column`` method, and as a mix of the three; a scan reads each
+    column once, over the grid itself.
+    """
     cols = compile_terms(terms)(xs)
-    want = _fold(cols)
-    ys, scale, least = scan(xs)
-    assert len(ys) == len(xs) and all(map(same_float, ys, want))
-    assert same_float(scale, _scale(cols))
-    assert same_float(least, min((abs(y) for y in want if math.isfinite(y)), default=math.inf))
-    # a one-point grid gives the residual at that point
-    assert all(same_float(scan([x])[0][0], y) for x, y in zip(xs, want))
+    want = fold_columns(cols)
+    least = min((abs(y) for y in want if math.isfinite(y)), default=math.inf)
+    mixed = [(t, compile_fn(t), Column(t))[i % 3] for i, t in enumerate(terms)]
+    for form in (terms, [compile_fn(t) for t in terms], [Column(t) for t in terms], mixed):
+        scan = compile_residual(form)
+        ys, scale, got = scan(xs)
+        assert len(ys) == len(xs) and all(map(same_float, ys, want))
+        assert same_float(scale, columns_scale(cols)) and same_float(got, least)
+        assert all(t.grids == [xs] and t.grids[0] is xs for t in form if isinstance(t, Column))
+        # a one-point grid gives the residual at that point
+        assert all(same_float(scan([x])[0][0], y) for x, y in zip(xs, want))
 
 
 class TestCompileResidual:
@@ -308,7 +329,7 @@ class TestCompileResidual:
         assert_residual_folds_columns([parse(t) for t in texts], self.XS)
 
     def test_a_leading_nan_does_not_hide_the_finite_maximum(self):
-        # sqrt(x) is nan first, then finite and largest: _scale's second look
+        # sqrt(x) is nan first, then finite and largest: columns_scale's second look
         terms = [parse("sqrt(x)*5"), parse("0.5")]
         xs = [-1.0, 0.0, 4.0, math.inf]
         assert_residual_folds_columns(terms, xs)
