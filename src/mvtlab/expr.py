@@ -17,10 +17,10 @@ only their nodes (operator prefix builds), with ``compile_fn``'s
 callables as its point functions.
 Input nested deeper than MAX_DEPTH levels is rejected by the parser.
 
-Generated code is plain arithmetic, which returns its helper's value bit
-for bit or raises where the helper gives nan or an infinity. It runs in
-``try``, and a point that raised is recomputed alone by a guarded
-lowering that calls the helpers, compiled on first need.
+Generated code is plain arithmetic, which returns :func:`evaluate`'s
+value bit for bit or raises where that is nan or an infinity. It runs in
+``try``, and a point where plain arithmetic raises is read by
+:func:`evaluate`'s walk.
 
 A derivative order is built in one pass (``_d``): every node it makes
 goes through simplify's rule for its kind, with its children already
@@ -77,6 +77,7 @@ through every operation (including ``1^nan``).
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from collections import OrderedDict
@@ -223,8 +224,8 @@ def _postorder(roots: Sequence[Expr]) -> list[Expr]:
 
 # ---------------------------------------------------------------------------
 # Extended-real arithmetic helpers. They define the semantics: evaluate()
-# calls them, and generated code calls them at the points where its plain
-# arithmetic raises (see _lower).
+# calls them, and so does generated code, through evaluate's walk, at the
+# points where its plain arithmetic raises (see _block).
 
 _NAN = math.nan
 _INF = math.inf
@@ -329,9 +330,14 @@ def evaluate(e: Expr, x: float) -> float:
     order of the walk ``e`` keeps, so a tree whose subtrees are shared (a
     derivative's are) costs its distinct nodes, not its positions.
     """
+    return _evaluate((e,), x)[0]
+
+
+def _evaluate(roots: Sequence[Expr], x: float) -> list[float]:
+    """:func:`evaluate` of every root at ``x``, in one walk over all of them."""
     x = float(x)
     value: dict[int, float] = {}
-    for node in _postorder((e,)):
+    for node in _postorder(roots):
         kind = type(node)
         if kind is Const:
             v = node.value
@@ -344,31 +350,32 @@ def evaluate(e: Expr, x: float) -> float:
         else:
             v = -value[id(node.child)]
         value[id(node)] = v
-    return value[id(e)]
+    return [value[id(r)] for r in roots]
 
 
 # Names the generated code reads from its globals. Locals are x, t0, t1, ...
-# (and xs, col0, put0, e0, ... in grid loops), constants c0, c1, ..., so none
-# of them can shadow these. ``_fault`` is what plain arithmetic raises.
-_CODEGEN_GLOBALS = {"__builtins__": {}, "float": float, "_div": _div, "_pow": _pow,
+# (and xs, col0, put0, e0, ... in grid loops), constants c0, c1, ..., the
+# fallback's trees roots, roots_b, ..., so none of them can shadow these.
+# ``_fault`` is what plain arithmetic raises.
+_CODEGEN_GLOBALS = {"__builtins__": {}, "float": float, "_pow": _pow, "_evaluate": _evaluate,
                     "_fault": (ArithmeticError, ValueError),
-                    **{f"fn_{name}": fn for name, fn in _FN_EVAL.items()},
                     "m_sin": math.sin, "m_cos": math.cos, "m_tan": math.tan,
                     "m_asin": math.asin, "m_acos": math.acos, "m_atan": math.atan,
-                    "m_exp": math.exp, "m_ln": math.log, "m_sqrt": math.sqrt}
+                    "m_exp": math.exp, "m_ln": math.log, "m_sqrt": math.sqrt,
+                    "m_abs": abs, "m_sgn": _sgn}
 
 
 def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
-        Callable[[bool], list[str]], list[str]]:
-    """``lines(guarded)``, statements that compute every root at ``var``, and each root's name.
+        list[str], list[str]]:
+    """Statements that compute every root at ``var``, and each root's name.
 
     One local per distinct subexpression across all roots; constants go to
     ``glb``; names end in ``tag``, so lowerings sharing one ``glb`` need
     distinct tags; ``var`` is the name of the float the statements read.
-    ``lines(False)`` is plain arithmetic (bare math functions, ``a / b``,
-    ``a ** k`` for a constant integer k in [1, 1023]); ``lines(True)``
-    calls :func:`evaluate`'s helpers, for a point where the plain
-    statements raised. ``lines`` holds text, so keeps no tree alive.
+    The statements are plain arithmetic (bare math functions, ``a / b``,
+    ``a ** k`` for a constant integer k in [1, 1023]), which give
+    :func:`evaluate`'s values or raise; a point where they raise is read
+    by :func:`evaluate`'s walk (see :func:`_block`).
 
     The text does not depend on the constants' signs: a constant, a Neg and
     a product with a constant factor are named at first use, in the sign
@@ -377,16 +384,16 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
     exact but for a nan's sign bit: IEEE 754 defines ``a - b`` as
     ``a + (-b)``, and rounding is sign-symmetric, so ``(-c)*v == -(c*v)``.
     """
-    steps: list[tuple[str, str, str]] = []  # (name, plain rhs, guarded rhs)
+    lines: list[str] = []
     by_key: dict[tuple, str] = {}  # structural key -> local or constant name
     name_of: dict[int, str] = {}  # id(node) -> its value's name; ~id(node) -> its negation's
     sign: dict[int, tuple[Expr, bool]] = {}  # id(Neg) -> (first node below not a Neg, negated)
     scaled: dict[int, tuple[Expr, str, bool]] = {}  # id(c*v) -> (c, v's name, c on the left)
 
-    def local(key: tuple, plain: str, guarded: str = "") -> str:
+    def local(key: tuple, rhs: str) -> str:
         if key not in by_key:
             by_key[key] = f"t{len(by_key)}{tag}"
-            steps.append((by_key[key], plain, guarded or plain))
+            lines.append(f"{by_key[key]} = {rhs}")
         return by_key[key]
 
     def constant(node: Expr, neg: bool) -> str:
@@ -433,21 +440,15 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
                 neg = op == "-" and (wneg or type(wb) is Const or id(wb) in scaled)
             a = name_of.get(id(u)) or use(u)
             op, b = ("+", use(w, True)) if neg else (op, name_of.get(id(w)) or use(w))
-            if op in "+-*":
-                plain = guarded = f"{a} {op} {b}"
-            elif op == "/":
-                plain, guarded = f"{a} / {b}", f"_div({a}, {b})"
-            else:
-                guarded = plain = f"_pow({a}, {b})"
+            rhs = f"{a} {op} {b}"
+            if op == "^":
                 k = w.value if type(w) is Const else 0.0
-                if 1.0 <= k <= 1023.0 and k == math.floor(k):
-                    plain = f"{a} ** {int(k)}"
-            name_of[id(node)] = local((op, a, b), plain, guarded)
+                rhs = (f"{a} ** {int(k)}" if 1.0 <= k <= 1023.0 and k == math.floor(k)
+                       else f"_pow({a}, {b})")
+            name_of[id(node)] = local((op, a, b), rhs)
         elif kind is Call:
             a = name_of.get(id(node.arg)) or use(node.arg)
-            guarded = f"fn_{node.fn}({a})"
-            plain = f"m_{node.fn}({a})" if f"m_{node.fn}" in glb else guarded
-            name_of[id(node)] = local((node.fn, a), plain, guarded)
+            name_of[id(node)] = local((node.fn, a), f"m_{node.fn}({a})")
         elif kind is Neg:
             base, flip = sign.get(id(node.child), (node.child, False))
             sign[id(node)] = (base, not flip)
@@ -455,14 +456,12 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
             name_of[id(node)] = var
         # a constant is named by its first user
 
-    def lines(guarded: bool) -> list[str]:
-        return [f"{name} = {rhs[guarded]}" for name, *rhs in steps]
-
     return lines, [use(r) for r in roots]
 
 
-# Characters of generated source whose code objects _code keeps; long seed-1 streams
-# use 295k (pointwise), 303k (operator), 26k (classify) and 30k (high-order).
+# Characters of generated source whose code objects _code keeps. The seed-1
+# request lists use 189k (pointwise), 179k (operator), 21k (classify) and 31k
+# (high-order); the first 1,500 requests of those streams 298k, 427k, 21k and 35k.
 _CODE_MEMO = 2 ** 19
 
 
@@ -506,32 +505,28 @@ def _indent(lines: list[str], depth: int) -> str:
     return "".join(f"{pad}{line}\n" for line in lines)
 
 
-def _block(exprs: Sequence[Expr], glb: dict, kind: str, x: str,
+def _block(exprs: Sequence[Expr], glb: dict, x: str,
            tag: str = "") -> tuple[list[str], list[str]]:
     """Statements computing every expression at the float ``x``, and each one's name.
 
-    The plain lowering runs in ``try``; its ``except`` assigns the values from
-    ``slow{tag}({x})``, a stand-in that compiles the guarded lowering on first
-    call into a copy of ``glb`` and keeps the function it made: holding ``glb``,
-    or being held by the globals it runs in, would make a reference cycle.
+    The plain lowering runs in ``try``; a point where it raises is read by
+    :func:`evaluate`'s walk: its ``except`` assigns the values of
+    ``_evaluate(roots{tag}, {x})``. ``roots{tag}`` holds shallow copies of
+    the expressions, which carry none of their memo slots: a tree that held
+    its own compiled callable would be a reference cycle.
     """
-    block, names = _lower(exprs, glb, x, tag)
-    # the guarded function returns what the block defines, so not the point,
-    # nor constants: assigning a global makes it a local the plain block reads unbound
-    values = ", ".join(dict.fromkeys(n for n in names if n not in glb and n != x))
-    if not values:
-        return block(False), names
-    call, env, made = f"slow{tag}", dict(glb), []
-
-    def slow(v: float):
-        if not made:
-            _run(f"def {call}({x}):\n" + _indent(block(True) + [f"return {values},"], 1),
-                 kind, env)
-            made.append(env.pop(call))
-        return made[0](v)
-    glb[call] = slow
-    return ["try:", *(f"    {line}" for line in block(False)),
-            "except _fault:", f"    {values}, = {call}({x})"], names
+    lines, names = _lower(exprs, glb, x, tag)
+    # the walk reads what the block defines, so not the point, nor constants:
+    # assigning a global makes it a local the plain block reads unbound
+    roots: dict[str, Expr] = {}
+    for n, e in zip(names, exprs):
+        if n not in glb and n != x:
+            roots.setdefault(n, e)
+    if not roots:
+        return lines, names
+    glb[f"roots{tag}"] = tuple(map(copy.copy, roots.values()))
+    return ["try:", *(f"    {line}" for line in lines),
+            "except _fault:", f"    {', '.join(roots)}, = _evaluate(roots{tag}, {x})"], names
 
 
 def compile_fn(e: Expr) -> Callable[[float], float]:
@@ -542,8 +537,8 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     local variable per distinct subexpression, so a subtree that a
     derivative repeats many times is evaluated once per call, and a call
     costs no per-node dispatch. The function runs plain arithmetic (see
-    :func:`_lower`); at a point where that raises, it returns the guarded
-    lowering's value instead, a second function compiled on first need.
+    :func:`_lower`); a point where that raises is read by
+    :func:`evaluate`'s walk.
 
     The callable is memoized on ``e`` for as long as the node lives. A tree
     of the same shape, whatever its constants, gets a new callable over
@@ -552,7 +547,7 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     fn = getattr(e, "_compiled", None)
     if fn is None:
         glb = dict(_CODEGEN_GLOBALS)
-        body, (name,) = _block((e,), glb, "compile_fn", "x")
+        body, (name,) = _block((e,), glb, "x")
         _run("def compiled(x):\n" + _indent(["x = float(x)", *body, f"return {name}"], 1),
              "compile_fn", glb)
         fn = glb.pop("compiled")  # held by its own globals, it would be a cycle
@@ -566,11 +561,11 @@ def compile_terms(exprs: Sequence[Expr]) -> Callable[[Iterable[float]], list[lis
     ``grid(xs)`` evaluates every expression at every x of ``xs`` (floats)
     in one generated loop and returns one list of values per expression; a
     subexpression common to several expressions is computed once per
-    point, and a point where plain arithmetic raises is recomputed by the
-    guarded lowering. Values equal :func:`evaluate` bit for bit.
+    point, and a point where plain arithmetic raises is read by
+    :func:`evaluate`'s walk. Values equal :func:`evaluate` bit for bit.
     """
     glb = dict(_CODEGEN_GLOBALS)
-    body, names = _block(exprs, glb, "compile_terms", "x")
+    body, names = _block(exprs, glb, "x")
     cols = [f"col{i}" for i in range(len(names))]
     src = ("def grid(xs):\n"
            + _indent([f"{c} = []" for c in cols]
@@ -600,8 +595,7 @@ def compile_residual(terms: Sequence[_Fn]) -> Callable[[Sequence[float]], tuple]
     terms' values (:func:`evaluate`'s, for expressions) bit for bit.
     """
     glb = dict(_CODEGEN_GLOBALS, zip=zip)
-    body, expr_names = _block([t for t in terms if isinstance(t, Expr)], glb,
-                              "compile_residual", "x")
+    body, expr_names = _block([t for t in terms if isinstance(t, Expr)], glb, "x")
     exprs, names, reads, cols = iter(expr_names), [], [], []
     for j, t in enumerate(terms):
         if isinstance(t, Expr):
@@ -624,7 +618,7 @@ def compile_residual(terms: Sequence[_Fn]) -> Callable[[Sequence[float]], tuple]
            + _indent([*reads, 'inf = float("inf")', "ninf = -inf", "hi, lo = 1.0, -1.0",
                       "least, nleast = inf, ninf", "ys = []", "put = ys.append", *fixed, loop], 1)
            + _indent([*body, *moving, f"r = {' - '.join(names)}", "if nleast < r < least:",
-                      "    least = fn_abs(r)", "    nleast = -least", "put(r)"], 2)
+                      "    least = m_abs(r)", "    nleast = -least", "put(r)"], 2)
            + "    return ys, hi if hi > -lo else -lo, least\n")
     _run(src, "compile_residual", glb)
     return glb.pop("scan")
@@ -674,8 +668,7 @@ def compile_panels(integrands: Sequence[_Fn], pointwise: Sequence[_Fn | None]) -
         # of the values (None for a missing pointwise part); the ends are
         # floats, so expressions read x as it is
         js = [j for j in js if fns[j] is not None]
-        lines, names = _block([fns[j] for j in js if isinstance(fns[j], Expr)],
-                              glb, "compile_panels", x, tag)
+        lines, names = _block([fns[j] for j in js if isinstance(fns[j], Expr)], glb, x, tag)
         exprs = iter(names)
         out: list[str | None] = [None] * len(fns)
         for j in js:

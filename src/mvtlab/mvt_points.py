@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import Const, Expr, compile_fn, compile_terms, differentiate
+from .expr import Const, Expr, compile_fn, differentiate
 from .generalized import endpoint_value
 # integrate is unused here but bench/tracer.py patches it
 from .numerics import (
@@ -80,14 +80,15 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
 def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
     """The mean of f over [a, b]; DomainError if f is not finite on the closed grid.
 
-    The integral is :func:`~mvtlab.numerics.whole_integral`'s.
+    The integral is :func:`~mvtlab.numerics.whole_integral`'s, over the
+    same compiled f that the grid check reads.
     """
-    xs = grid_points(iv, cfg, margin=0.0)
-    finite = list(map(math.isfinite, compile_terms((f,))(xs)[0]))
+    fc, xs = compile_fn(f), grid_points(iv, cfg, margin=0.0)
+    finite = list(map(math.isfinite, map(fc, xs)))
     if not all(finite):
         raise DomainError(f"f is not finite at x={xs[finite.index(False)]!r}; the mean "
                           "value identity needs a continuous integrand")
-    return whole_integral(compile_fn(f), iv.a, iv.b, cfg, f) / iv.width
+    return whole_integral(fc, iv.a, iv.b, cfg, f) / iv.width
 
 
 def integral_mvt_points(f: Expr, iv: Interval,

@@ -267,8 +267,8 @@ _raising_x = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(
 @given(st.lists(_raising_expr, min_size=1, max_size=3),
        st.lists(_raising_x, min_size=1, max_size=8))
 def test_plain_code_falls_back_where_it_raises(exprs, xs):
-    # the grid mixes raising and clean points; only the raising ones take
-    # the guarded path, and every value equals evaluate's
+    # the grid mixes raising and clean points; only the raising ones are
+    # read by evaluate's walk, and every value equals evaluate's
     grid = compile_terms(exprs)
     for e, col in zip(exprs, grid(xs)):
         assert all(same_float(v, evaluate(e, x)) for x, v in zip(xs, col))
@@ -451,7 +451,7 @@ _scaled_difference = st.builds(
 def test_both_sign_forms_compile_to_evaluate_s_values(exprs, xs):
     # lowering moves signs into constants and turns subtractions into
     # additions; on either form every compiled value equals evaluate's,
-    # at clean points and at points that take the guarded fallback
+    # at clean points and at points that evaluate's walk reads
     others = [other_sign_form(e) for e in exprs]
     for e, o in zip(exprs, others):
         assert all(same_float(evaluate(o, x), evaluate(e, x)) for x in xs)
@@ -495,8 +495,7 @@ class TestCompile:
 
     def test_a_negated_operand_costs_a_statement_only_when_also_used_plainly(self):
         def lowered(src):
-            lines, _ = mvtlab.expr._lower((parse(src),), {}, "x")
-            return lines(False)
+            return mvtlab.expr._lower((parse(src),), {}, "x")[0]
 
         # u - c*v is u + c'*v: one product, unless a parent also reads c*v
         assert sum(" * " in line for line in lowered("x - 1.5*x")) == 1
@@ -523,7 +522,7 @@ class TestCompile:
             value = re.sub(r"\w+", lambda m: held.get(m[0], consts.get(m[0], m[0])), rhs)
             assert value not in values, value
             values[value] = held[name.strip()] = f"#{len(values)}"
-        apart = [len(mvtlab.expr._lower((d,), {}, "x")[0](False)) for d in (d1, d2)]
+        apart = [len(mvtlab.expr._lower((d,), {}, "x")[0]) for d in (d1, d2)]
         assert len(values) < sum(apart)
 
 
@@ -680,12 +679,13 @@ class TestMemo:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("build", ["compile_fn", "compile_terms", "compile_panels"])
+    @pytest.mark.parametrize("build", ["compile_fn", "compile_terms", "compile_residual",
+                                       "compile_panels"])
     def test_compiled_code_is_freed_without_the_cycle_collector(self, build):
-        # a generated function its own globals held, or a stand-in for its
-        # guarded body that held them, left each build to the cycle
-        # collector (64 objects a compile_fn); ln and sqrt raise below 0,
-        # so every build here compiles its guarded body too
+        # a generated function its own globals held, or a fallback that held
+        # the tree whose memo holds the function, left each build to the
+        # cycle collector (64 objects a compile_fn); ln and sqrt raise
+        # below 0, so every build here reads a point by evaluate's walk
         ends = [-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         gc.collect()
         gc.disable()
@@ -696,6 +696,9 @@ class TestMemo:
                 assert [math.isnan(fn(x)) for x in ends[:2]] == [True, True]
             elif build == "compile_terms":
                 fn = compile_terms([f, differentiate(f)])
+                assert math.isnan(fn(ends)[0][0])
+            elif build == "compile_residual":
+                fn = compile_residual([f, differentiate(f), math.cos])
                 assert math.isnan(fn(ends)[0][0])
             else:
                 fn = compile_panels([f, math.cos], [f, None])[0]
@@ -757,17 +760,15 @@ class TestCodeMemo:
             for t, col in zip(ts, grid(self.XS)):
                 assert all(same_float(v, evaluate(t, x)) for x, v in zip(self.XS, col))
 
-    def test_the_guarded_body_compiles_on_first_need(self, codes):
+    def test_a_raising_point_compiles_nothing(self, codes):
+        # the grid mixes raising and clean points; evaluate's walk reads
+        # the raising ones, so the one source stays the only one
         f, g = parse("ln(x)/x+x^3"), parse("sqrt(x)+asin(x)")
         grid = compile_terms([f, g])
-        clean = [0.25, 0.5, 0.75, 1.0]
-        assert grid(clean) == [[evaluate(t, x) for x in clean] for t in (f, g)]
-        assert len(codes.items) == 1
-        # a raising point compiles the guarded body once, for that point only
-        mixed = [-1.0, 0.0, 0.5, 2.0]
+        mixed = [-1.0, 0.0, 0.25, 0.5, 2.0, 1.0]
         for t, col in zip((f, g), grid(mixed)):
             assert all(same_float(v, evaluate(t, x)) for x, v in zip(mixed, col))
-        assert len(codes.items) == 2
+        assert len(codes.items) == 1
 
     def test_panel_point_functions_are_the_trees_compiled_callables(self):
         f, g = parse("exp(0.7*x)"), parse("x^3+0.3")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-import mvtlab.mvt_points
+import mvtlab.expr
 from conftest import deep_abs_tree
 from mvtlab.expr import parse
 from mvtlab.mvt_points import (
@@ -123,13 +123,27 @@ class TestIntegralMvt:
     @pytest.mark.parametrize("text, x", [
         ("ln(x)", "0.0"), ("1/(x-0.75) + 1/(x-0.25)", "0.25"), ("sqrt(0.5-x)", "0.625"),
     ])
-    def test_the_error_names_the_first_non_finite_grid_point(self, monkeypatch, text, x):
-        # one column of f, read for finiteness: no point function is built
-        monkeypatch.setattr(mvtlab.mvt_points, "compile_fn", None)
+    def test_the_error_names_the_first_non_finite_grid_point(self, text, x):
         with pytest.raises(DomainError) as err:
             integral_mean(parse(text), Interval(0.0, 1.0), SolverConfig(scan_points=9))
         assert str(err.value) == (f"f is not finite at x={x}; the mean value "
                                   "identity needs a continuous integrand")
+
+    def test_a_fresh_f_is_lowered_once(self, monkeypatch):
+        # the finiteness check and the integral read one compiled f
+        lowered = []
+        original = mvtlab.expr._lower
+
+        def counted(roots, *args):
+            lowered.append(roots)
+            return original(roots, *args)
+
+        monkeypatch.setattr(mvtlab.expr, "_lower", counted)
+        f = parse("exp(0.3*x)*sin(x)")
+        mean = integral_mean(f, Interval(0.0, 1.0), SolverConfig(scan_points=64))
+        assert [len(roots) for roots in lowered] == [1] and lowered[0][0] is f
+        exact = (math.exp(0.3) * (0.3 * math.sin(1.0) - math.cos(1.0)) + 1.0) / 1.09
+        assert mean == pytest.approx(exact, rel=1e-12)
 
     def test_mean_of_a_deep_tree(self):
         # -|x - 0.5| under 5,000 levels of abs and Neg, past the recursion limit
