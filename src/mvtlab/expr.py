@@ -3,7 +3,7 @@
 Function text is parsed by recursive descent into an immutable AST that can
 be evaluated on the extended real line, differentiated symbolically to any
 order, simplified, and printed back to parseable text. ``evaluate`` reads
-a single point off the tree's kept walk, and costs less than a compile
+a single point off the tree's kept steps, and costs less than a compile
 for a value read at a point or two. For many points, one lowering turns trees
 into generated straight-line Python that evaluates each distinct
 subexpression once per point: ``compile_fn`` wraps one tree as a callable
@@ -17,10 +17,9 @@ only their nodes (operator prefix builds), with ``compile_fn``'s
 callables as its point functions.
 Input nested deeper than MAX_DEPTH levels is rejected by the parser.
 
-Generated code is plain arithmetic, which returns :func:`evaluate`'s
-value bit for bit or raises where that is nan or an infinity. It runs in
-``try``, and a point where plain arithmetic raises is read by
-:func:`evaluate`'s walk.
+Generated code is plain arithmetic, which gives :func:`evaluate`'s value bit
+for bit or raises where that is nan or an infinity. It runs in ``try``, and a
+point where it raises is read by :func:`evaluate`'s walk (``_steps``).
 
 A derivative order is built in one pass (``_d``): every node it makes
 goes through simplify's rule for its kind, with its children already
@@ -35,9 +34,9 @@ nodes grow about threefold an order, so the cap bounds each build's time
 and memory.
 
 Each node memoizes its first derivative (``differentiate``), its compiled
-callable (``compile_fn``) and its walk (``_postorder``) in three slots
-outside its fields, so every consumer of one tree shares one derivative
-chain, one compile and one walk. The memo lives exactly as long as the
+callable (``compile_fn``), its walk (``_postorder``) and its steps for
+``evaluate`` (``_steps``) in four slots outside its fields, so every
+consumer of one tree shares each. The memo lives exactly as long as the
 node: a request that parses fresh trees starts with none, and equality,
 hashing, printing, pickling and copying see only the fields.
 
@@ -77,11 +76,11 @@ through every operation (including ``1^nan``).
 
 from __future__ import annotations
 
-import copy
 import math
+import operator
 import re
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Sequence
 
 __all__ = [
@@ -110,9 +109,9 @@ MAX_NODES = 100_000
 class Expr:
     """Base node. All nodes are immutable, hashable, and comparable."""
 
-    # memo slots, set once by differentiate, compile_fn and _postorder (see
-    # the module docstring); they are not dataclass fields
-    __slots__ = ("_derivative", "_compiled", "_walk")
+    # memo slots, set once by differentiate, compile_fn, _postorder and
+    # _steps (see the module docstring); they are not dataclass fields
+    __slots__ = ("_derivative", "_compiled", "_walk", "_steps")
 
     def __add__(self, other: Expr | float) -> Expr:
         return Bin("+", self, _coerce(other))
@@ -223,9 +222,8 @@ def _postorder(roots: Sequence[Expr]) -> list[Expr]:
 
 
 # ---------------------------------------------------------------------------
-# Extended-real arithmetic helpers. They define the semantics: evaluate()
-# calls them, and so does generated code, through evaluate's walk, at the
-# points where its plain arithmetic raises (see _block).
+# Extended-real arithmetic helpers. They define the semantics: evaluate() calls
+# them, and so does generated code where its plain arithmetic raises (see _block).
 
 _NAN = math.nan
 _INF = math.inf
@@ -310,55 +308,64 @@ _FN_EVAL: dict[str, Callable[[float], float]] = {
 }
 
 
-def _fold_bin(op: str, a: float, b: float) -> float:
-    """The binary operator ``op`` (one of + - * / ^) on two values."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return _div(a, b)
-    return _pow(a, b)
+_BIN_EVAL = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
 
 
 def evaluate(e: Expr, x: float) -> float:
     """Evaluate ``e`` at ``x`` on the extended real line (nan = undefined).
 
-    Each distinct node, by identity, is evaluated once per call, in the
-    order of the walk ``e`` keeps, so a tree whose subtrees are shared (a
-    derivative's are) costs its distinct nodes, not its positions.
+    Each distinct node, by identity, is evaluated once a call (see
+    :func:`_steps`), so a derivative costs its node objects, not its positions.
     """
-    return _evaluate((e,), x)[0]
+    return _evaluate(_steps(e), x)
 
 
-def _evaluate(roots: Sequence[Expr], x: float) -> list[float]:
-    """:func:`evaluate` of every root at ``x``, in one walk over all of them."""
+def _steps(e: Expr) -> list[tuple]:
+    """``e`` as the steps :func:`_evaluate` runs, memoized on ``e``.
+
+    One step per distinct node, in the order of ``_postorder``: ``(fn, a,
+    b)`` is fn of the values of steps a and b, or of step a's alone where b
+    is None; ``(None, v, None)`` is the constant v and ``(None, None,
+    None)`` the point. Steps name no node, so what keeps them keeps no tree.
+    """
+    steps = getattr(e, "_steps", None)
+    if steps is None:
+        walk = _postorder((e,))
+        at = {id(node): i for i, node in enumerate(walk)}  # id(node) -> its step
+        steps = []
+        for node in walk:
+            kind = type(node)
+            if kind is Bin:
+                steps.append((_BIN_EVAL[node.op], at[id(node.left)], at[id(node.right)]))
+            elif kind is Call:
+                steps.append((_FN_EVAL[node.fn], at[id(node.arg)], None))
+            elif kind is Neg:
+                steps.append((operator.neg, at[id(node.child)], None))
+            else:
+                steps.append((None, node.value if kind is Const else None, None))
+        object.__setattr__(e, "_steps", steps)  # the node is frozen
+    return steps
+
+
+def _evaluate(steps: list[tuple], x: float) -> float:
+    """The value at ``x`` of the last of :func:`_steps`."""
     x = float(x)
-    value: dict[int, float] = {}
-    for node in _postorder(roots):
-        kind = type(node)
-        if kind is Const:
-            v = node.value
-        elif kind is Var:
-            v = x
-        elif kind is Bin:
-            v = _fold_bin(node.op, value[id(node.left)], value[id(node.right)])
-        elif kind is Call:
-            v = _FN_EVAL[node.fn](value[id(node.arg)])
+    value: list[float] = []
+    for fn, a, b in steps:
+        if b is not None:
+            value.append(fn(value[a], value[b]))
+        elif fn is not None:
+            value.append(fn(value[a]))
         else:
-            v = -value[id(node.child)]
-        value[id(node)] = v
-    return [value[id(r)] for r in roots]
+            value.append(x if a is None else a)
+    return value[-1]
 
 
-# Names the generated code reads from its globals. Locals are x, t0, t1, ...
-# (and xs, col0, put0, e0, ... in grid loops), constants c0, c1, ..., the
-# fallback's trees roots, roots_b, ..., so none of them can shadow these.
-# ``_fault`` is what plain arithmetic raises.
+# Names the generated code reads from its globals; ``_fault`` is what plain
+# arithmetic raises. Its locals (x, t0, ..., and xs, col0, put0, e0, ... in grid loops),
+# constants (c0, c1, ...) and fallback steps (program, program_b, ...) cannot shadow these.
 _CODEGEN_GLOBALS = {"__builtins__": {}, "float": float, "_pow": _pow, "_evaluate": _evaluate,
-                    "_fault": (ArithmeticError, ValueError),
+                    "_fault": (ArithmeticError, ValueError), "map": map,
                     "m_sin": math.sin, "m_cos": math.cos, "m_tan": math.tan,
                     "m_asin": math.asin, "m_acos": math.acos, "m_atan": math.atan,
                     "m_exp": math.exp, "m_ln": math.log, "m_sqrt": math.sqrt,
@@ -459,9 +466,8 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
     return lines, [use(r) for r in roots]
 
 
-# Characters of generated source whose code objects _code keeps. The seed-1
-# request lists use 189k (pointwise), 179k (operator), 21k (classify) and 31k
-# (high-order); the first 1,500 requests of those streams 298k, 427k, 21k and 35k.
+# Characters of generated source whose code objects _code keeps. The first 1,500
+# seed-1 requests use 303k (pointwise), 434k (operator), 21k (classify), 35k (high-order).
 _CODE_MEMO = 2 ** 19
 
 
@@ -509,24 +515,20 @@ def _block(exprs: Sequence[Expr], glb: dict, x: str,
            tag: str = "") -> tuple[list[str], list[str]]:
     """Statements computing every expression at the float ``x``, and each one's name.
 
-    The plain lowering runs in ``try``; a point where it raises is read by
-    :func:`evaluate`'s walk: its ``except`` assigns the values of
-    ``_evaluate(roots{tag}, {x})``. ``roots{tag}`` holds shallow copies of
-    the expressions, which carry none of their memo slots: a tree that held
-    its own compiled callable would be a reference cycle.
+    The plain lowering runs in ``try``; its ``except`` reads the values by
+    :func:`evaluate`'s walk, over the :func:`_steps` held in ``program{tag}``,
+    which name no node: a compiled callable that reached its tree, or the
+    tree's memoized derivatives, would be a reference cycle.
     """
     lines, names = _lower(exprs, glb, x, tag)
-    # the walk reads what the block defines, so not the point, nor constants:
-    # assigning a global makes it a local the plain block reads unbound
-    roots: dict[str, Expr] = {}
-    for n, e in zip(names, exprs):
-        if n not in glb and n != x:
-            roots.setdefault(n, e)
+    # the fallback assigns what the block defines, so not the point, nor
+    # constants: assigning a global makes it a local the plain block reads unbound
+    roots = {n: e for n, e in zip(names, exprs) if n not in glb and n != x}
     if not roots:
         return lines, names
-    glb[f"roots{tag}"] = tuple(map(copy.copy, roots.values()))
-    return ["try:", *(f"    {line}" for line in lines),
-            "except _fault:", f"    {', '.join(roots)}, = _evaluate(roots{tag}, {x})"], names
+    glb[f"program{tag}"] = tuple(map(_steps, roots.values()))
+    return ["try:", *(f"    {line}" for line in lines), "except _fault:",
+            f"    {', '.join(roots)}, = map(_evaluate, program{tag}, ({x},) * {len(roots)})"], names
 
 
 def compile_fn(e: Expr) -> Callable[[float], float]:
@@ -984,7 +986,9 @@ def _simplify_and_derive(e: Expr, derive: bool) -> tuple[Expr, Expr | None]:
     derivatives. The derivative equals ``simplify`` of the textbook rules'
     tree, but the operands the rules repeat (the product rule names u and
     v twice) are shared objects, not copies. A node that its rule leaves
-    as it is, children included, is its own copy.
+    as it is, children included, is its own copy, but for the root: the
+    derivatives of exp(u), sqrt(u) and u^v hold the copy, and the root's
+    derivative memo holding the root would be a reference cycle.
     """
     simple: dict[int, Expr] = {}
     derived: dict[int, Expr] = {}
@@ -998,6 +1002,8 @@ def _simplify_and_derive(e: Expr, derive: bool) -> tuple[Expr, Expr | None]:
             out = _neg(simple[id(node.child)], node)
         else:
             out = node
+        if derive and node is e and out is node:
+            out = replace(node)  # not the root: its derivative memo would hold it
         simple[id(node)] = out
         if derive:
             derived[id(node)] = _derivative(node, out, simple, derived)
@@ -1113,7 +1119,7 @@ def _call(fn: str, a: Expr, same: Call | None = None) -> Expr:
 
 def _bin(op: str, l: Expr, r: Expr, same: Bin | None = None) -> Expr:
     if isinstance(l, Const) and isinstance(r, Const):
-        v = _fold_bin(op, l.value, r.value)
+        v = _BIN_EVAL[op](l.value, r.value)
         if math.isfinite(v):
             return Const(v)
     if op == "+":

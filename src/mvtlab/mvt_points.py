@@ -80,8 +80,7 @@ def cauchy_points(f: Expr, g: Expr, iv: Interval,
 def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
     """The mean of f over [a, b]; DomainError if f is not finite on the closed grid.
 
-    The integral is :func:`~mvtlab.numerics.whole_integral`'s, over the
-    same compiled f that the grid check reads.
+    The integral is :func:`~mvtlab.numerics.whole_integral`'s, of the compiled f the check reads.
     """
     fc, xs = compile_fn(f), grid_points(iv, cfg, margin=0.0)
     finite = list(map(math.isfinite, map(fc, xs)))

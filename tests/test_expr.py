@@ -629,8 +629,20 @@ class TestDifferentiation:
         assert out == parse("sin(x)+-sin(x)") and out.left is out.right.child
 
 
+def _nodes_held(fn) -> list:
+    """The expression nodes among a generated function's globals, tuples opened."""
+    held, stack = [], list(fn.__globals__.values())
+    while stack:
+        v = stack.pop()
+        if isinstance(v, tuple):
+            stack.extend(v)
+        elif isinstance(v, mvtlab.expr.Expr):
+            held.append(v)
+    return held
+
+
 class TestMemo:
-    """differentiate and compile_fn keep their results on the node."""
+    """differentiate, compile_fn and evaluate keep their results on the node."""
 
     SOURCES = ["exp(sin(x))*ln(x+2)", "-x^-0.5/(1-x)", "abs(x)*sgn(x-1)+2^x"]
 
@@ -644,6 +656,14 @@ class TestMemo:
         assert compile_fn(f) is compile_fn(f)
         d = differentiate(f)
         assert compile_fn(d) is compile_fn(differentiate(f))
+
+    def test_a_tree_is_read_into_steps_once(self, monkeypatch):
+        # evaluate and the generated code's fallback run the steps the root keeps
+        d = differentiate(parse("exp(sin(x))*ln(x+2)"), 2)
+        v = evaluate(d, 0.5)
+        assert compile_fn(d).__globals__["program"][0] is mvtlab.expr._steps(d)
+        monkeypatch.setattr(mvtlab.expr, "_postorder", None)  # no second walk
+        assert evaluate(d, 0.5) == v and math.isnan(evaluate(d, -3.0))
 
     def test_the_memo_belongs_to_the_node_not_its_value(self):
         # equal trees parsed apart keep memos of their own
@@ -667,14 +687,19 @@ class TestMemo:
             assert differentiate(back, 2) == differentiate(f, 2)
 
     def test_a_tree_is_freed_with_its_walks_without_the_cycle_collector(self):
-        # a kept walk lists every node but its root, so it never refers back
+        # a kept walk lists every node but its root, so it never refers back;
+        # nor does a derivative of exp(u), sqrt(u) or u^v hold the root that
+        # keeps it as its derivative memo
         gc.collect()
         gc.disable()
         try:
             f = parse("exp(sin(x))*ln(x+2)+abs(x-0.3)")
             sign_sensitive_args(differentiate(f, 2))
             assert evaluate(f, 0.5) == evaluate(f, 0.5) and unparse(f)
-            del f
+            roots = [parse(text) for text in ("exp(2*x)", "sqrt(x+1)", "x^x")]
+            assert [evaluate(differentiate(g, 2), 1.0) for g in roots] == pytest.approx(
+                [4.0 * math.exp(2.0), -0.25 * 2.0 ** -1.5, 2.0])
+            del f, roots
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -682,18 +707,24 @@ class TestMemo:
     @pytest.mark.parametrize("build", ["compile_fn", "compile_terms", "compile_residual",
                                        "compile_panels"])
     def test_compiled_code_is_freed_without_the_cycle_collector(self, build):
-        # a generated function its own globals held, or a fallback that held
-        # the tree whose memo holds the function, left each build to the
-        # cycle collector (64 objects a compile_fn); ln and sqrt raise
-        # below 0, so every build here reads a point by evaluate's walk
+        # a generated function its own globals held left each build to the
+        # cycle collector (64 objects a compile_fn), and so would a fallback
+        # holding nodes whose memos reach the compile_fn callable, so the
+        # generated code holds no node at all; ln and sqrt raise below 0 and
+        # exp past 709.78, so every build here reads a point by evaluate's walk
         ends = [-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         gc.collect()
         gc.disable()
         try:
             f = parse("exp(sin(x))*ln(x+2)-1.5*sqrt(x)")
             if build == "compile_fn":
-                fn = compile_fn(differentiate(f))
+                # the derivatives of exp(u) and sqrt(u) hold the node's copy
+                fn, fe, fs = (compile_fn(differentiate(g))
+                              for g in (f, parse("exp(2*x)"), parse("sqrt(x+1)")))
                 assert [math.isnan(fn(x)) for x in ends[:2]] == [True, True]
+                assert fe(400.0) == math.inf and math.isnan(fs(-3.0))
+                assert _nodes_held(fe) == _nodes_held(fs) == []
+                del fe, fs
             elif build == "compile_terms":
                 fn = compile_terms([f, differentiate(f)])
                 assert math.isnan(fn(ends)[0][0])
@@ -703,6 +734,7 @@ class TestMemo:
             else:
                 fn = compile_panels([f, math.cos], [f, None])[0]
                 assert math.isnan(fn(ends, 1e-10, lambda k, a, b: b - a)[1][0][0])
+            assert _nodes_held(fn) == []
             del f, fn
             assert gc.collect() == 0
         finally:
