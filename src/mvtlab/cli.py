@@ -15,6 +15,7 @@ points fail re-verification).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -45,8 +46,7 @@ from .verify import THEOREMS, Inputs, _check, verify_point
 
 __all__ = ["main"]
 
-_CONFIG_FIELDS = ("scan_points", "root_tol", "residual_tol", "quad_tol",
-                  "endpoint_margin", "singular_threshold")
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SolverConfig))
 
 
 def _flett_family(tid: TheoremId):

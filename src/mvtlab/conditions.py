@@ -13,13 +13,15 @@ Checkers that need derivatives demote to NotApplicable when the derivative
 fails to exist, either at an endpoint or anywhere on the interior grid.
 Endpoint derivatives are one-sided, f'(a+), f'(b-) and f''(a+), each read
 by `generalized.one_sided_slope`; `phi1` and `phi1_prime_at_a` read from
-the right, giving nan and None where that value does not exist finitely.
+the right, giving nan and None where that value does not exist finitely,
+and the m1 test reads phi'(a) through `phi1_prime_at_a`.
 
 `classify` checks differentiability once: the slope-based checkers read one
 shared verdict, one pair of endpoint slopes and one pair of endpoint values,
 held by a private per-request context, and the point scan's hypothesis
 flag reads the same slopes. Each public ``check_*`` function
-builds its own context, so it gives the verdict classify would.
+builds its own context, so it gives the verdict classify would. Every
+``cfg`` defaults to ``DEFAULT_CONFIG``.
 
 `mvtlab corpus` runs classify on each record of a UTF-8 file (a file that
 is not UTF-8 exits 2). A numeric ``expect`` value matches within 1e-9 under
@@ -103,12 +105,14 @@ class _Context:
     part whose computation raised SolverError raises that same error at
     every read, so each checker still demotes to NotApplicable on its own.
     f's abs()/sgn() arguments are not kept: each read lists them off f's walk.
+    The config is always given: the public checkers default theirs to
+    ``DEFAULT_CONFIG``.
     """
 
     __slots__ = ("f", "iv", "cfg", "_parts")
 
-    def __init__(self, f: Expr, iv: Interval, cfg: SolverConfig | None):
-        self.f, self.iv, self.cfg = f, iv, cfg or DEFAULT_CONFIG
+    def __init__(self, f: Expr, iv: Interval, cfg: SolverConfig):
+        self.f, self.iv, self.cfg = f, iv, cfg
         self._parts: dict = {}  # name -> value, or the SolverError it raised
 
     def _part(self, name: str, make):
@@ -151,8 +155,7 @@ def _flett(ctx: _Context) -> Verdict:
     return Verdict.Satisfied if agree else Verdict.NotSatisfied
 
 
-def check_flett_condition(f: Expr, iv: Interval,
-                          cfg: SolverConfig | None = None) -> Verdict:
+def check_flett_condition(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Equal one-sided endpoint slopes, within residual_tol of each other."""
     return _flett(_Context(f, iv, cfg))
 
@@ -173,7 +176,7 @@ def _trahan(ctx: _Context) -> tuple[Verdict, Verdict | None]:
     return (Verdict.Satisfied if p > 0.0 else Verdict.NotSatisfied), None
 
 
-def check_trahan(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verdict:
+def check_trahan(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Sign test on (f'(b) - s)(f'(a) - s) with s the secant slope.
 
     Nonnegative product passes; an exactly zero product is still a pass,
@@ -188,8 +191,7 @@ def _tong_means(ctx: _Context) -> tuple[float, float]:
     return 0.5 * (fa + fb), i
 
 
-def tong_means(f: Expr, iv: Interval,
-               cfg: SolverConfig | None = None) -> tuple[float, float]:
+def tong_means(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """(M, I): endpoint mean and integral mean of f over the interval.
 
     Raises DomainError when f is not finite on the closed grid.
@@ -197,7 +199,7 @@ def tong_means(f: Expr, iv: Interval,
     return _tong_means(_Context(f, iv, cfg))
 
 
-def check_tong(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Verdict:
+def check_tong(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Whether the endpoint mean equals the integral mean."""
     ctx = _Context(f, iv, cfg)
     try:
@@ -232,14 +234,13 @@ def phi1(f: Expr, a: float):
     return phi
 
 
-def phi1_prime_at_a(f: Expr, a: float,
-                    cfg: SolverConfig | None = None) -> float | None:
+def phi1_prime_at_a(f: Expr, a: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float | None:
     """Derivative of the extended difference quotient at its basepoint.
 
     Taylor expansion pins it to f''(a+)/2, the order-2 one-sided slope.
     None when it does not exist finitely.
     """
-    v = one_sided_slope(f, a, math.inf, cfg or DEFAULT_CONFIG, order=2)
+    v = one_sided_slope(f, a, math.inf, cfg, order=2)
     return None if v is None else 0.5 * v
 
 
@@ -260,14 +261,13 @@ def _malesevic(ctx: _Context) -> tuple[Verdict, Verdict]:
     phib = s - da
     t1 = Verdict.NotApplicable if db is None else \
         _strict_negative(((db - s) / ctx.iv.width) * phib, cfg)
-    # phi'(a) = f''(a+)/2, read as phi1_prime_at_a reads it
-    d2a = one_sided_slope(ctx.f, ctx.iv.a, ctx.iv.b, cfg, order=2)
-    m1 = Verdict.NotApplicable if d2a is None else _strict_negative(0.5 * d2a * phib, cfg)
+    dpa = phi1_prime_at_a(ctx.f, ctx.iv.a, cfg)
+    m1 = Verdict.NotApplicable if dpa is None else _strict_negative(dpa * phib, cfg)
     return t1, m1
 
 
 def check_malesevic(f: Expr, iv: Interval,
-                    cfg: SolverConfig | None = None) -> tuple[Verdict, Verdict]:
+                    cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[Verdict, Verdict]:
     """The two product tests on the recentred difference quotient phi.
 
     Returns (t1, m1) where t1 tests phi'(b)·phi(b) < 0 and m1 tests
@@ -285,8 +285,7 @@ def _guarded(check, ctx: _Context, fallback):
         return fallback
 
 
-def classify(f: Expr, iv: Interval,
-             cfg: SolverConfig | None = None) -> ConditionVector:
+def classify(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> ConditionVector:
     """Run every checker and the point scan; never raises on checker failure.
 
     The checkers share one context, so f is scanned for differentiability

@@ -56,7 +56,7 @@ def flett_residual(f: Expr, a: float) -> Callable[[float], float]:
     return lambda x: d1(x) * (x - a) - (fc(x) - fa)
 
 
-def find_flett_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None, *,
+def find_flett_points(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG, *,
                       slopes: tuple[float | None, float | None] | None = None
                       ) -> Points:
     """All interior points where the tangent at x passes through (a, f(a)).
@@ -89,7 +89,7 @@ def _variant_terms(tid: TheoremId, f: Expr, iv: Interval) -> tuple[Expr, Expr]:
 
 
 def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
-                      cfg: SolverConfig | None = None, *,
+                      cfg: SolverConfig = DEFAULT_CONFIG, *,
                       slopes: tuple[float | None, float | None] | None = None
                       ) -> bool | None:
     """Evaluate the sufficient condition attached to the variant.
@@ -103,7 +103,6 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
     finitely. ``slopes``, when given, are f's endpoint slopes as
     :func:`~mvtlab.generalized.endpoint_slopes` reads them.
     """
-    cfg = cfg or DEFAULT_CONFIG
     tid = _variant(v)
     da, db = slopes = endpoint_slopes(f, iv, cfg) if slopes is None else slopes
     if tid in (TheoremId.FLETT, TheoremId.MEYERS_2_3, TheoremId.MEYERS_2_4,
@@ -126,7 +125,7 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
 
 
 def meyers_points(v: TheoremId | str, f: Expr, iv: Interval,
-                  cfg: SolverConfig | None = None, *,
+                  cfg: SolverConfig = DEFAULT_CONFIG, *,
                   slopes: tuple[float | None, float | None] | None = None) -> Points:
     """Interior roots of the variant residual, with the hypothesis flag.
 
@@ -134,7 +133,6 @@ def meyers_points(v: TheoremId | str, f: Expr, iv: Interval,
     ``meyers_points(TheoremId.MEYERS_2_3, f, iv)`` or ``"meyers-2.3"``.
     ``slopes`` go to :func:`meyers_hypothesis`.
     """
-    cfg = cfg or DEFAULT_CONFIG
     tid = _variant(v)
     t1, t2 = _variant_terms(tid, f, iv)
     hyp = meyers_hypothesis(tid, f, iv, cfg, slopes=slopes)

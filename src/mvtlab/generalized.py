@@ -84,26 +84,23 @@ def _slope_gap_rate(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
 
 
 def pawlikowska_hypothesis(f: Expr, iv: Interval, n: int,
-                           cfg: SolverConfig | None = None) -> bool | None:
+                           cfg: SolverConfig = DEFAULT_CONFIG) -> bool | None:
     """Whether the n-th derivatives at the endpoints agree, one-sided.
 
     n = 1 is Flett's hypothesis, n = 2 the second-order one; None when
     either value does not exist finitely.
     """
-    cfg = cfg or DEFAULT_CONFIG
     pre = f if n == 1 else differentiate(f, n - 1)
     return slopes_agree(endpoint_slopes(pre, iv, cfg), cfg)
 
 
-def riedel_sahoo_points(f: Expr, iv: Interval,
-                        cfg: SolverConfig | None = None) -> Points:
+def riedel_sahoo_points(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Roots of f(x) - f(a) - (x-a)f'(x) + (K/2)(x-a)^2, K the slope gap rate.
 
     K = (f'(b) - f'(a))/(b - a); when the endpoint slopes agree the
     correction vanishes and the root set is the Flett one. Quadratics
     satisfy the identity everywhere and come back degenerate.
     """
-    cfg = cfg or DEFAULT_CONFIG
     fa = endpoint_value(f, iv, "a")
     k = _slope_gap_rate(f, iv, cfg)
     h = Var() - iv.a
@@ -112,14 +109,12 @@ def riedel_sahoo_points(f: Expr, iv: Interval,
     return solve_residual((t1, t2), iv, cfg, TheoremId.RIEDEL_SAHOO)
 
 
-def cakmak_tiryaki_points(f: Expr, iv: Interval,
-                          cfg: SolverConfig | None = None) -> Points:
+def cakmak_tiryaki_points(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """The same corrected identity anchored at b instead of a.
 
     Roots of f(b) - f(x) - (b-x)f'(x) - (K/2)(b-x)^2. Mirror image of
     riedel_sahoo_points under x -> a+b-x.
     """
-    cfg = cfg or DEFAULT_CONFIG
     fb = endpoint_value(f, iv, "b")
     k = _slope_gap_rate(f, iv, cfg)
     h = iv.b - Var()
@@ -129,7 +124,7 @@ def cakmak_tiryaki_points(f: Expr, iv: Interval,
 
 
 def second_order_points(variant: str, f: Expr, iv: Interval,
-                        cfg: SolverConfig | None = None) -> Points:
+                        cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Identities with a second-derivative correction at the point itself.
 
     variant "anchored_at_a": roots of
@@ -140,7 +135,6 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
     stretch touching it is not reported. The sufficient hypothesis
     f''(a) = f''(b) is reported as a flag.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if variant not in ("anchored_at_a", "anchored_at_b"):
         raise ValueError(f"variant must be 'anchored_at_a' or 'anchored_at_b', got {variant!r}")
     d1 = differentiate(f)
@@ -162,7 +156,7 @@ def second_order_points(variant: str, f: Expr, iv: Interval,
 
 
 def pawlikowska_points(f: Expr, iv: Interval, n: int,
-                       cfg: SolverConfig | None = None) -> Points:
+                       cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Roots of the order-n alternating sum identity anchored at a.
 
         f(x) - f(a) = sum_{i=1}^{n} ((-1)^(i+1) / i!) (x-a)^i f^(i)(x)
@@ -173,7 +167,6 @@ def pawlikowska_points(f: Expr, iv: Interval, n: int,
     not reported. The flag reports f^(n)(a) = f^(n)(b) with one-sided
     endpoint evaluation.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > MAX_SUM_ORDER:

@@ -26,9 +26,8 @@ __all__ = [
 ]
 
 
-def rolle_hypothesis(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> bool | None:
+def rolle_hypothesis(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> bool | None:
     """Whether f(a) = f(b) within tolerance (None if an endpoint blows up)."""
-    cfg = cfg or DEFAULT_CONFIG
     try:
         fa, fb = endpoint_value(f, iv, "a"), endpoint_value(f, iv, "b")
     except DomainError:
@@ -36,22 +35,20 @@ def rolle_hypothesis(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> 
     return close(fa, fb, cfg.residual_tol)
 
 
-def rolle_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Points:
+def rolle_points(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Interior zeros of f'. Reported whether or not f(a) = f(b) holds."""
-    cfg = cfg or DEFAULT_CONFIG
     hyp = rolle_hypothesis(f, iv, cfg)
     return solve_residual((differentiate(f),), iv, cfg, TheoremId.ROLLE,
                           hypothesis=hyp)
 
 
-def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> Points:
+def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Points where f' equals the secant slope over [a, b].
 
     The hypothesis flag reports interior differentiability (grid test);
     linear f makes the residual vanish identically and is reported as
     degenerate.
     """
-    cfg = cfg or DEFAULT_CONFIG
     fa, fb = endpoint_value(f, iv, "a"), endpoint_value(f, iv, "b")
     slope = (fb - fa) / iv.width
     hyp = True if differentiable_on_interior(f, iv, cfg) else None
@@ -59,14 +56,12 @@ def lagrange_points(f: Expr, iv: Interval, cfg: SolverConfig | None = None) -> P
                           TheoremId.LAGRANGE, hypothesis=hyp)
 
 
-def cauchy_points(f: Expr, g: Expr, iv: Interval,
-                  cfg: SolverConfig | None = None) -> Points:
+def cauchy_points(f: Expr, g: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Points where f'(x)(g(b)-g(a)) = g'(x)(f(b)-f(a)).
 
     With f = g (or g affine in f) the residual vanishes identically and the
     result is a single degenerate representative.
     """
-    cfg = cfg or DEFAULT_CONFIG
     fa, fb = endpoint_value(f, iv, "a"), endpoint_value(f, iv, "b")
     ga, gb = endpoint_value(g, iv, "a", "g"), endpoint_value(g, iv, "b", "g")
     dfv, dgv = fb - fa, gb - ga
@@ -90,14 +85,12 @@ def integral_mean(f: Expr, iv: Interval, cfg: SolverConfig) -> float:
     return whole_integral(fc, iv.a, iv.b, cfg, f) / iv.width
 
 
-def integral_mvt_points(f: Expr, iv: Interval,
-                        cfg: SolverConfig | None = None) -> Points:
+def integral_mvt_points(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Points where f equals its average value over [a, b].
 
     The guaranteed point may sit on the boundary, so the scan runs with the
     endpoints included; f must be finite on the whole closed grid.
     """
-    cfg = cfg or DEFAULT_CONFIG
     mean = integral_mean(f, iv, cfg)
     return solve_residual((f, Const(mean)), iv, cfg, TheoremId.INTEGRAL_MVT,
                           closed=True)

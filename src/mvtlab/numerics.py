@@ -137,8 +137,11 @@ class SolverConfig:
 
     ``endpoint_margin`` is a fraction of the interval width: scans run over
     [a + m*(b-a), b - m*(b-a)] so that open-interval theorems never report
-    an endpoint. ``singular_threshold`` is the magnitude past which a
-    derivative is treated as effectively infinite.
+    an endpoint. A positive margin that rounds away (an interval far from 0
+    and a few ulps wide) still keeps the scan at least one ulp inside, and
+    an interval with no float inside raises DomainError.
+    ``singular_threshold`` is the magnitude past which a derivative is
+    treated as effectively infinite.
     """
 
     scan_points: int = 4096
@@ -234,6 +237,10 @@ _float_indices = _Memo(2 ** 14, lambda n: n)
 def _grid(iv: Interval, n: int, m: float) -> list[float]:
     lo = iv.a + m * iv.width
     hi = iv.b - m * iv.width
+    if m > 0.0:
+        lo, hi = max(lo, math.nextafter(iv.a, iv.b)), min(hi, math.nextafter(iv.b, iv.a))
+        if lo > hi:
+            raise DomainError(f"no float lies strictly between {iv.a!r} and {iv.b!r}")
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in _float_indices(n, lambda: list(map(float, range(n))))]
 
@@ -587,30 +594,25 @@ def solve_residual(terms: Sequence[Expr | Callable[[float], float]],
         return Points([PointResult(mid, F(mid), theorem_id, degenerate=True)], hypothesis)
 
     results = Points(hypothesis_satisfied=hypothesis)
-    # near[i0:i1] is a stretch of near points, and a run when it is long
-    ends = _flips([False, *near, False])
-    stretches = list(zip(ends[::2], ends[1::2]))
+    lo, hi = xs[0], xs[-1]
+    step = xs[1] - xs[0]
     min_len = max(3, cfg.scan_points // 100)
     run_members: set[int] = set()
-    for i0, i1 in stretches:
+    # near[i0:i1] is a stretch of near points, and a run when it is long
+    ends = _flips([False, *near, False])
+    for i0, i1 in zip(ends[::2], ends[1::2]):
         if i1 - i0 < min_len:
+            # an exact grid-point zero never enters a bracket, so report it
+            # directly when the sign genuinely flips across it; thr >= 0, so it is near
+            for i in range(i0, i1):
+                if ys[i] == 0.0 and _confirmed_crossing(F, xs[i], lo, hi, step, noise):
+                    results.append(PointResult(xs[i], 0.0, theorem_id))
             continue
         run_members.update(range(i0, i1))
         if (i0 == 0 and forced_zero == iv.a) or (i1 == len(xs) and forced_zero == iv.b):
             continue
         k = (i0 + i1 - 1) // 2
         results.append(PointResult(xs[k], ys[k], theorem_id, degenerate=True))
-
-    lo, hi = xs[0], xs[-1]
-    step = xs[1] - xs[0]
-    # an exact grid-point zero never enters a bracket, so report it directly
-    # when the sign genuinely flips across it; thr >= 0, so it is near
-    for i0, i1 in stretches:
-        if i1 - i0 >= min_len:
-            continue  # a run
-        for i in range(i0, i1):
-            if ys[i] == 0.0 and _confirmed_crossing(F, xs[i], lo, hi, step, noise):
-                results.append(PointResult(xs[i], 0.0, theorem_id))
 
     # a bracket needs y < 0 on exactly one side; the loop checks the rest
     for i in _flips([y < 0.0 for y in ys]):
@@ -653,7 +655,8 @@ def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig) -> bool
     Fails when f itself or its symbolic derivative is non-finite (or the
     derivative is past cfg.singular_threshold) at any interior grid point,
     or when the argument of any abs()/sgn() inside f strictly changes sign
-    there -- the symbolic derivative is blind to those kinks and jumps.
+    there, that is when its column holds finite nonzero values of both
+    signs -- the symbolic derivative is blind to those kinks and jumps.
     """
     xs = grid_points(iv, cfg)
     # the arguments are subtrees of f: their columns cost one append a point
@@ -662,13 +665,6 @@ def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig) -> bool
     if not (all(map(math.isfinite, fv)) and all(map(math.isfinite, dv))
             and max(map(abs, dv)) <= cfg.singular_threshold):
         return False
-    for col in args:
-        last = 0.0  # last nonzero sign seen
-        for v in col:
-            if not math.isfinite(v) or v == 0.0:
-                continue
-            s = 1.0 if v > 0.0 else -1.0
-            if last != 0.0 and s != last:
-                return False
-            last = s
-    return True
+    inf = math.inf
+    return not any(any(0.0 < v < inf for v in col) and any(-inf < v < 0.0 for v in col)
+                   for col in args)

@@ -97,7 +97,7 @@ class OperatorValue:
                  "_prefix", "_table", "_panel_cfg")
 
     def __init__(self, pointwise: _Fn | None, integrand: _Fn,
-                 iv: Interval = UNIT_INTERVAL, cfg: SolverConfig | None = None):
+                 iv: Interval = UNIT_INTERVAL, cfg: SolverConfig = DEFAULT_CONFIG):
         (state,) = _build(((pointwise, integrand),), iv, cfg)
         self._set(*state)
 
@@ -144,32 +144,30 @@ class OperatorValue:
 
 
 class _Scaled:
-    """x -> c * value(x) * d, negated when ``neg``: a solver's residual term.
+    """x -> c * value(x) * d: a solver's residual term.
 
-    The products run left to right, and a factor given as None is left
-    out. The scan column is the value's column put through the same
-    operations in one pass, ``(c*v)*d`` with a missing factor read as 1.0
-    and the sign folded into d, exactly (``1.0*v == v``, ``v*-d == -(v*d)``).
+    The products run left to right, ``(c*v)*d``, over the value's column in
+    one pass. A factor left at its default 1.0 changes nothing, exactly
+    (``1.0*v == v``), and a term that enters negated passes -d
+    (``v*-d == -(v*d)``).
     """
 
-    __slots__ = ("value", "c", "d", "neg")
+    __slots__ = ("value", "c", "d")
 
-    def __init__(self, value: OperatorValue, c: float | None = None,
-                 d: float | None = None, neg: bool = False):
-        self.value, self.c, self.d, self.neg = value, c, d, neg
+    def __init__(self, value: OperatorValue, c: float = 1.0, d: float = 1.0):
+        self.value, self.c, self.d = value, c, d
 
     def __call__(self, x: float) -> float:
         return self.column((x,))[0]
 
     def column(self, xs: Sequence[float]) -> list[float]:
-        c, d = 1.0 if self.c is None else self.c, 1.0 if self.d is None else self.d
-        d = -d if self.neg else d
+        c, d = self.c, self.d
         return [c * v * d for v in self.value.column(xs)]
 
 
 def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
                     iv: Interval = UNIT_INTERVAL,
-                    cfg: SolverConfig | None = None) -> list[OperatorValue]:
+                    cfg: SolverConfig = DEFAULT_CONFIG) -> list[OperatorValue]:
     """One OperatorValue per (pointwise, integrand) pair, built in one pass.
 
     Equal, value for value, to ``[OperatorValue(p, q, iv, cfg) for p, q in
@@ -182,7 +180,7 @@ def operator_values(pairs: Sequence[tuple[_Fn | None, _Fn]],
 
 
 def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
-           cfg: SolverConfig | None) -> list[tuple]:
+           cfg: SolverConfig) -> list[tuple]:
     """Each pair's OperatorValue state, from one run of a panel kernel.
 
     Panel k runs from node k-1 to node k, panel 0 from iv.a to node 0. The
@@ -194,7 +192,6 @@ def _build(pairs: Sequence[tuple[_Fn | None, _Fn]], iv: Interval,
     alone does not guard), panel 0 and the 0-3 panels left over past the
     last step go to integrate() itself.
     """
-    cfg = cfg or DEFAULT_CONFIG
     nodes = grid_points(iv, cfg)
     # per-panel tolerance divided down so the accumulated prefix error
     # stays near the configured quadrature tolerance
@@ -237,23 +234,22 @@ def _v_weighted_pair(phi: Expr, psi: Expr) -> tuple[None, Expr]:
     return None, phi * psi
 
 
-def apply_T(phi: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
+def apply_T(phi: Expr, cfg: SolverConfig = DEFAULT_CONFIG) -> OperatorValue:
     """t -> phi(t) - integral of phi over [0, t]."""
     return OperatorValue(*_t_pair(phi), UNIT_INTERVAL, cfg)
 
 
-def apply_S(psi: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
+def apply_S(psi: Expr, cfg: SolverConfig = DEFAULT_CONFIG) -> OperatorValue:
     """t -> t*psi(t) - integral of x*psi(x) over [0, t]."""
     return OperatorValue(*_s_pair(psi), UNIT_INTERVAL, cfg)
 
 
-def apply_V(f: Expr, cfg: SolverConfig | None = None) -> OperatorValue:
+def apply_V(f: Expr, cfg: SolverConfig = DEFAULT_CONFIG) -> OperatorValue:
     """t -> integral of f over [0, t]."""
     return OperatorValue(None, f, UNIT_INTERVAL, cfg)
 
 
-def apply_V_weighted(phi: Expr, psi: Expr,
-                     cfg: SolverConfig | None = None) -> OperatorValue:
+def apply_V_weighted(phi: Expr, psi: Expr, cfg: SolverConfig = DEFAULT_CONFIG) -> OperatorValue:
     """t -> integral of phi(x)*psi(x) over [0, t]."""
     return OperatorValue(*_v_weighted_pair(phi, psi), UNIT_INTERVAL, cfg)
 
@@ -296,7 +292,7 @@ def _coupled_terms(f: Expr, g: Expr, weighted, cfg: SolverConfig):
 
 
 def lupu_4_6_points(f: Expr, g: Expr,
-                    cfg: SolverConfig | None = None
+                    cfg: SolverConfig = DEFAULT_CONFIG
                     ) -> tuple[PointResult, PointResult, PointResult]:
     """The three identities coupling T, S and plain integrals on [0, 1].
 
@@ -308,7 +304,6 @@ def lupu_4_6_points(f: Expr, g: Expr,
     one may come back degenerate (f = g collapses xi1 and xi3) while the
     others carry genuine roots.
     """
-    cfg = cfg or DEFAULT_CONFIG
     t_pair, s_pair, tf, sf = _coupled_terms(f, g, lambda h: h, cfg)
     return (_points(*t_pair, TheoremId.LUPU_4_6_T, cfg)[0],
             _points(tf, sf, TheoremId.LUPU_4_6_TS, cfg)[0],
@@ -316,7 +311,7 @@ def lupu_4_6_points(f: Expr, g: Expr,
 
 
 def lupu_4_7_points(f: Expr, g: Expr,
-                    cfg: SolverConfig | None = None
+                    cfg: SolverConfig = DEFAULT_CONFIG
                     ) -> tuple[PointResult, PointResult]:
     """The (1-x)-weighted versions of the two coupling identities.
 
@@ -324,7 +319,6 @@ def lupu_4_7_points(f: Expr, g: Expr,
     int (1-x) f(x) dx and int (1-x) g(x) dx over [0, 1], for the T pair and
     the S pair.
     """
-    cfg = cfg or DEFAULT_CONFIG
     t_pair, s_pair, _, _ = _coupled_terms(f, g, lambda h: lambda x: (1.0 - x) * h(x), cfg)
     return (_points(*t_pair, TheoremId.LUPU_4_7_T, cfg)[0],
             _points(*s_pair, TheoremId.LUPU_4_7_S, cfg)[0])
@@ -343,9 +337,8 @@ def _nonvanishing_derivative(h: Expr, iv: Interval, cfg: SolverConfig,
 
 
 def cauchy_flett_hypothesis(f: Expr, g: Expr, iv: Interval,
-                            cfg: SolverConfig | None = None) -> bool | None:
+                            cfg: SolverConfig = DEFAULT_CONFIG) -> bool | None:
     """Whether f'/g' agrees at the two endpoints (one-sided values)."""
-    cfg = cfg or DEFAULT_CONFIG
     da, db = endpoint_slopes(f, iv, cfg)
     ea, eb = endpoint_slopes(g, iv, cfg)
     if None in (da, db, ea, eb) or ea == 0.0 or eb == 0.0:
@@ -354,13 +347,12 @@ def cauchy_flett_hypothesis(f: Expr, g: Expr, iv: Interval,
 
 
 def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
-                        cfg: SolverConfig | None = None) -> Points:
+                        cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Two-function tangent-chord points: (f(x)-f(a)) g'(x) = f'(x) (g(x)-g(a)).
 
     g' must be nonzero across the scan grid so the identity's quotient form
     is meaningful. The flag reports whether f'/g' agrees at both endpoints.
     """
-    cfg = cfg or DEFAULT_CONFIG
     fa, ga = endpoint_value(f, iv, "a"), endpoint_value(g, iv, "a", "g")
     dg = _nonvanishing_derivative(g, iv, cfg, "g'")
     hyp = cauchy_flett_hypothesis(f, g, iv, cfg)
@@ -370,8 +362,7 @@ def cauchy_flett_points(f: Expr, g: Expr, iv: Interval,
                           hypothesis=hyp)
 
 
-def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
-                   cfg: SolverConfig | None = None) -> Points:
+def thm_4_9_points(f: Expr, g: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Roots of R(t) = int_a^t f·g - g(a)·int_a^t f, for zero-mean f.
 
     The zero-mean membership is a hard precondition: a nonzero integral of
@@ -379,7 +370,6 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
     rather than reporting points of a vacuous identity. g' must be nonzero
     on the grid.
     """
-    cfg = cfg or DEFAULT_CONFIG
     _nonvanishing_derivative(g, iv, cfg, "g'")
     ga = endpoint_value(g, iv, "a", "g")
     total = whole_integral(compile_fn(f), iv.a, iv.b, cfg, f)
@@ -394,8 +384,7 @@ def thm_4_9_points(f: Expr, g: Expr, iv: Interval,
                           hypothesis=True)
 
 
-def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
-                    cfg: SolverConfig | None = None) -> Points:
+def thm_4_10_points(f: Expr, g: Expr, phi: Expr, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Roots of the four-term weighted/unweighted running-integral identity.
 
         R(t) = V_phi f(t)·int g - V_phi g(t)·int f
@@ -406,7 +395,6 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     finite value ("phi(a) is not finite" otherwise), with phi(0) = 0
     reducing the residual to its first two terms.
     """
-    cfg = cfg or DEFAULT_CONFIG
     _nonvanishing_derivative(phi, UNIT_INTERVAL, cfg, "the weight's derivative")
     int_f = whole_integral(compile_fn(f), 0.0, 1.0, cfg, f)
     int_g = whole_integral(compile_fn(g), 0.0, 1.0, cfg, g)
@@ -418,13 +406,13 @@ def thm_4_10_points(f: Expr, g: Expr, phi: Expr,
     t2 = _Scaled(vpg, d=int_f)
     t3 = _Scaled(vf, c=phi0, d=int_g)
     # t4 enters with a plus sign, so it is folded in negated
-    neg_t4 = _Scaled(vg, c=phi0, d=int_f, neg=True)
+    neg_t4 = _Scaled(vg, c=phi0, d=-int_f)
     return solve_residual((t1, t2, t3, neg_t4), UNIT_INTERVAL, cfg,
                           TheoremId.THM_4_10)
 
 
 def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
-                        cfg: SolverConfig | None = None) -> PointResult:
+                        cfg: SolverConfig = DEFAULT_CONFIG) -> PointResult:
     """Point where the phi-weighted prefix norms of f and g balance.
 
     Locates a sign change of
@@ -440,7 +428,6 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
     representative. Companion values for reporting come from
     weighted_norms().
     """
-    cfg = cfg or DEFAULT_CONFIG
     fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
     _nonvanishing_derivative(phi, UNIT_INTERVAL, cfg, "the weight's derivative")
     phi0 = pc(0.0)
@@ -457,9 +444,8 @@ def weighted_norm_point(f: Expr, g: Expr, phi: Expr,
 
 
 def weighted_norms(f: Expr, g: Expr, phi: Expr, xi: float,
-                   cfg: SolverConfig | None = None) -> tuple[float, float]:
+                   cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """The two phi-weighted prefix L2 norms over (0, xi), for reporting."""
-    cfg = cfg or DEFAULT_CONFIG
     fc, gc, pc = compile_fn(f), compile_fn(g), compile_fn(phi)
     a = whole_integral(lambda x: pc(x) * ((v := fc(x)) * v), 0.0, xi, cfg, phi, f)
     b = whole_integral(lambda x: pc(x) * ((v := gc(x)) * v), 0.0, xi, cfg, phi, g)

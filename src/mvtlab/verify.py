@@ -142,14 +142,15 @@ def _pawlikowska(q: Inputs, xi: float) -> tuple[float, float]:
 
 
 def _cauchy_flett(q: Inputs, xi: float) -> tuple[float, float]:
-    fc, gc, dg, a = q.fc, q.gc, q.dg, q.a
-    lhs = (fc(xi) - fc(a)) / (gc(xi) - gc(a))
-    rhs = q.d1(xi) / dg(xi)
-    if math.isfinite(lhs) and math.isfinite(rhs):
-        return lhs, rhs
-    # quotient blew up (shared root of both numerators); fall back to
-    # the multiplied-through form
-    return (fc(xi) - fc(a)) * dg(xi), q.d1(xi) * (gc(xi) - gc(a))
+    fc, gc, a = q.fc, q.gc, q.a
+    chord_f, chord_g, df, dg = fc(xi) - fc(a), gc(xi) - gc(a), q.d1(xi), q.dg(xi)
+    if chord_g and dg:
+        lhs, rhs = chord_f / chord_g, df / dg
+        if math.isfinite(lhs) and math.isfinite(rhs):
+            return lhs, rhs
+    # a denominator is 0, or a quotient blew up (shared root of both
+    # numerators): fall back to the multiplied-through form
+    return chord_f * dg, df * chord_g
 
 
 def _thm_4_9(q: Inputs, xi: float) -> tuple[float, float]:
@@ -257,7 +258,7 @@ THEOREMS: dict[TheoremId, Theorem] = {
 def verify_point(theorem_id: TheoremId | str, xi: float, f: Expr,
                  g: Expr | None = None, weight: Expr | None = None,
                  iv: Interval | None = None, n: int = 1,
-                 cfg: SolverConfig | None = None) -> IdentityCheck:
+                 cfg: SolverConfig = DEFAULT_CONFIG) -> IdentityCheck:
     """Evaluate both sides of the named identity at xi and compare.
 
     Agreement is judged relative to max(1, |lhs|, |rhs|): residual_tol for
@@ -270,8 +271,7 @@ def verify_point(theorem_id: TheoremId | str, xi: float, f: Expr,
         raise ValueError(f"{tid} needs g")
     if thm.needs_weight and weight is None:
         raise ValueError(f"{tid} needs a weight")
-    return _check(tid, Inputs(f, g, weight, iv or Interval(0.0, 1.0), n,
-                              cfg or DEFAULT_CONFIG), xi)
+    return _check(tid, Inputs(f, g, weight, iv or Interval(0.0, 1.0), n, cfg), xi)
 
 
 def _check(tid: TheoremId, q: Inputs, xi: float) -> IdentityCheck:

@@ -2,8 +2,10 @@
 and helpers shared between test modules, among them ``substitute`` (a
 tree with x replaced), ``central_diff`` (a finite-difference oracle) and
 ``fold_columns`` and ``columns_scale`` (the residual and its scale, folded
-from term columns as a plain reference for the generated scan loop),
-which nothing outside the tests uses.
+from term columns as a plain reference for the generated scan loop) and
+``holds_both_signs`` (a sign-tracking loop, the reference for the kink
+test of ``differentiable_on_interior``), which nothing outside the tests
+uses.
 
 test_acceptance records one entry per headline check; the hook below prints
 them after the run so every session ends with a PASS/FAIL line per check.
@@ -110,6 +112,19 @@ def columns_scale(cols) -> float:
             m = max((v for v in map(abs, col) if v < math.inf), default=0.0)
         scale = max(scale, m)
     return scale
+
+
+def holds_both_signs(col) -> bool:
+    """Whether a column holds finite nonzero values of both signs, by tracking the last sign."""
+    last = 0.0  # last nonzero sign seen
+    for v in col:
+        if not math.isfinite(v) or v == 0.0:
+            continue
+        s = 1.0 if v > 0.0 else -1.0
+        if last != 0.0 and s != last:
+            return True
+        last = s
+    return False
 
 
 def fold_columns(cols):

@@ -26,6 +26,7 @@ import tempfile
 import time
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, seed, settings
 
 from mvtlab.cli import _CONFIG_FIELDS, _SOLVES, main
@@ -57,8 +58,13 @@ _soup = st.lists(st.sampled_from(["x", "1", "+", "-", "*", "/", "^", "(", ")", "
 
 _endpoint = st.sampled_from(["0", "1", "-1", "pi", "-pi/2", "1e300", "-1e308", "1e308",
                              "1e999", "x", "", "nan", "1/0", "0/0", "sin("])
-_interval = st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 4.0)).map(
-    lambda aw: (repr(aw[0]), repr(aw[0] + aw[1])))
+# (a, width): near 0; far from 0 and a few ulps to a few hundred ulps wide,
+# where the endpoint margin rounds away; and about 1e-300 wide
+_interval = st.one_of(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 4.0)),
+    st.tuples(st.floats(1e15, 1e17) | st.floats(-1e17, -1e15), st.floats(1.0, 1e3)),
+    st.tuples(st.sampled_from([0.0, -1e-300, 1e-300]), st.floats(1e-301, 1e-299)),
+).map(lambda aw: (repr(aw[0]), repr(aw[0] + aw[1])))
 
 
 # corpus records: JSON values of every type for the endpoints and the
@@ -185,6 +191,22 @@ def test_every_request_ends_in_a_documented_exit_code():
     start = time.perf_counter()
     _ends_in_a_documented_exit_code()
     assert time.perf_counter() - start < BUDGET_S
+
+
+@pytest.mark.parametrize("argv,want", [
+    # the 1e-9 endpoint margin rounds away: the scan stays a ulp inside
+    (["flett", "--fn", "sin(x)", "--a=1e17", "--b=100000000000000100"], 1),
+    (["meyers-2.3", "--fn", "x^2", "--a=1e15", "--b=1000000000000001"], 3),
+    # one ulp wide: no float lies inside, so there is no open scan
+    (["flett", "--fn", "sin(x)", "--a=1e17", "--b=100000000000000016"], 3),
+    # g(xi) - g(a) is 0 in the first, g'(xi) in the second: the multiplied-
+    # through sides are compared
+    (["cauchy-flett", "--fn", "sin(x)", "--gn", "exp(x)", "-a", "0", "-b", "1e-300"], 0),
+    (["cauchy-flett", "--fn", "(x-0.25)^3", "--gn", "(x-0.25)^2+1", "-a", "0", "-b", "1"], 0),
+])
+def test_an_endpoint_or_a_vanishing_denominator_is_no_traceback(argv, want):
+    code, err = _run(["solve", *argv, "--stable"])
+    assert (code, "Traceback" in err) == (want, False), err
 
 
 # Deep nests and high orders: up to MAX_DEPTH functions nested around x,

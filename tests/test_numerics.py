@@ -9,7 +9,7 @@ from hypothesis import given, seed
 import mvtlab.generalized
 import mvtlab.mvt_points
 import mvtlab.numerics
-from conftest import central_diff, deadline
+from conftest import central_diff, deadline, holds_both_signs
 from mvtlab.expr import Const, Var, compile_fn, differentiate, evaluate, parse
 from mvtlab.numerics import (
     DEFAULT_CONFIG, MAX_SCAN_POINTS, DomainError, Interval, PointResult, QuadratureError,
@@ -83,6 +83,19 @@ class TestGrid:
         xs = grid_points(Interval(-2.0, 3.0), CFG, margin=0.0)
         assert xs[0] == -2.0
         assert xs[-1] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("a,b", [(1e17, 1e17 + 96.0), (-1e15 - 1.0, -1e15),
+                                     (1.0, 1.0 + 2.0 ** -51)])
+    def test_a_margin_that_rounds_away_stays_a_ulp_inside(self, a, b):
+        # the 1e-9 margin is under half an ulp of a here
+        iv = Interval(a, b)
+        xs = grid_points(iv, CFG)
+        assert (xs[0], xs[-1]) == (math.nextafter(a, b), math.nextafter(b, a))
+        assert grid_points(iv, CFG, 0.0)[::len(xs) - 1] == [a, b]
+
+    def test_an_interval_with_no_float_inside_has_no_open_grid(self):
+        with pytest.raises(DomainError, match="no float lies strictly between"):
+            grid_points(Interval(1.0, math.nextafter(1.0, 2.0)), CFG)
 
     def test_a_grid_is_built_once_and_shared(self):
         iv = Interval(0.0, 1.0)
@@ -684,6 +697,21 @@ class TestSmoothnessChecks:
                             lambda e: calls.append("compile_fn"))
         assert differentiable_on_interior(parse(text), Interval(a, b), CFG) is want
         assert calls == ["compile_terms"]
+
+
+_sign_column = st.lists(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+                                  st.floats()), max_size=8)
+
+
+@seed(27)
+@given(st.lists(_sign_column, max_size=3))
+def test_the_kink_rule_matches_the_sign_tracking_loop(cols):
+    # f and f' read finite here, so the abs()/sgn() argument columns alone decide
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mvtlab.numerics, "compile_terms",
+                   lambda exprs: lambda xs: [[1.0], [1.0], *cols])
+        smooth = differentiable_on_interior(parse("x"), Interval(0.0, 1.0), CFG)
+    assert smooth is not any(map(holds_both_signs, cols))
 
 
 def test_point_result_defaults():

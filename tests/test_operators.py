@@ -475,7 +475,7 @@ class TestColumns:
         terms = [(_Scaled(v, c=c), lambda t: c * v(t)),
                  (_Scaled(v, d=d), lambda t: v(t) * d),
                  (_Scaled(v, c=c, d=d), lambda t: c * v(t) * d),
-                 (_Scaled(v, c=c, d=d, neg=True), lambda t: -(c * v(t) * d))]
+                 (_Scaled(v, c=c, d=-d), lambda t: -(c * v(t) * d))]
         for term, written in terms:
             assert _bits(term.column(nodes)) == _bits([written(t) for t in nodes])
             assert _bits([term(t) for t in SAMPLE_TS]) == _bits([written(t) for t in SAMPLE_TS])
@@ -484,9 +484,11 @@ class TestColumns:
     @pytest.mark.parametrize("d", [None, 0.1, -7.0, 0.0, -0.0])
     @pytest.mark.parametrize("c", [None, 1.0 / 3.0, -2.5, 0.0, -0.0])
     def test_a_scaled_column_is_the_products_in_one_pass(self, c, d, neg):
-        # one pass reads a missing factor as 1.0 and folds the sign into d;
-        # each value equals c * v, then * d, then negated, signed zeros and
-        # infinities included (a nan's sign is never read)
+        # a factor given as None is left at its default, 1.0, and a term
+        # with ``neg`` is given -d (-1.0 for a default d), as a term that
+        # enters negated is; each value equals c * v, then * d, then
+        # negated, signed zeros and infinities included (a nan's sign is
+        # never read)
         col = [-0.0, 0.0, 1.5, -3.25, 1e308, -1e-310, 5e-324, math.inf, -math.inf, math.nan]
 
         class Value:  # an OperatorValue's two reads, over the column above
@@ -504,7 +506,10 @@ class TestColumns:
         def bits(values):
             return ["nan" if math.isnan(v) else v.hex() for v in values]
 
-        term = _Scaled(Value(), c=c, d=d, neg=neg)
+        factors = {k: v for k, v in (("c", c), ("d", d)) if v is not None}
+        if neg:
+            factors["d"] = -factors.get("d", 1.0)
+        term = _Scaled(Value(), **factors)
         xs = [float(i) for i in range(len(col))]
         assert bits(term.column(xs)) == bits([term(x) for x in xs]) == bits(map(written, col))
 
@@ -637,6 +642,32 @@ class TestLupu47:
         assert xi2.xi == pytest.approx((7.0 - math.sqrt(31.0)) / 3.0, abs=1e-9)
         assert xi1.theorem_id is TheoremId.LUPU_4_7_T
         assert xi2.theorem_id is TheoremId.LUPU_4_7_S
+
+
+def _solve_groups(argv):
+    """(exit code, {theorem id: degenerate}) of one ``solve`` request."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["solve", *argv, "--stable"])
+    return code, {r["theorem_id"]: r["degenerate"] for r in json.loads(out.getvalue())["results"]}
+
+
+class TestCoupledTermsApart:
+    # c_f·Tg and c_g·Tf are built and scaled apart. Fused by linearity into
+    # T(c_f·g - c_g·f), the integrand cancels to the roundoff of two
+    # products as large as 4e14, and its quadrature ends both requests in
+    # QuadratureError.
+    def test_lupu_4_6_on_proportional_exponentials(self):
+        code, groups = _solve_groups(["lupu-4.6", "--fn", "1e6*exp(3*x)",
+                                      "--gn", "3e6*exp(3*x)+1e-3"])
+        assert code == 0
+        assert groups == {"lupu-4.6-t": True, "lupu-4.6-ts": False, "lupu-4.6-s": True}
+
+    def test_lupu_4_7_on_proportional_quadratics(self):
+        code, groups = _solve_groups(["lupu-4.7", "--fn", "1e5*(x^2+1)",
+                                      "--gn", "7e5*(x^2+1)"])
+        assert code == 0
+        assert groups == {"lupu-4.7-t": True, "lupu-4.7-s": True}
 
 
 class TestThm49:
