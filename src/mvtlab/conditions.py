@@ -16,12 +16,12 @@ by `generalized.one_sided_slope`; `phi1` and `phi1_prime_at_a` read from
 the right, giving nan and None where that value does not exist finitely,
 and the m1 test reads phi'(a) through `phi1_prime_at_a`.
 
-`classify` checks differentiability once: the slope-based checkers read one
-shared verdict, one pair of endpoint slopes and one pair of endpoint values,
-held by a private per-request context, and the point scan's hypothesis
-flag reads the same slopes. Each public ``check_*`` function
-builds its own context, so it gives the verdict classify would. Every
-``cfg`` defaults to ``DEFAULT_CONFIG``.
+`classify` makes one grid pass over f, held by a private per-request context:
+one generated loop folds the Flett residual for the point scan and gives the
+columns the differentiability verdict reads. The slope-based checkers share
+that verdict, one pair of endpoint slopes and one of endpoint values. Each
+public ``check_*`` function builds its own context, so it gives the verdict
+classify would. Every ``cfg`` defaults to ``DEFAULT_CONFIG``.
 
 `mvtlab corpus` runs classify on each record of a UTF-8 file (a file that
 is not UTF-8 exits 2). A numeric ``expect`` value matches within 1e-9 under
@@ -34,15 +34,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-# differentiate and evaluate are unused here but bench/tracer.py patches them
-from .expr import Expr, compile_fn, differentiate, evaluate
-from .flett import find_flett_points
+# evaluate and find_flett_points are unused here but bench/tracer.py patches them
+from .expr import Expr, compile_fn, compile_residual, differentiate, evaluate, sign_sensitive_args
+from .flett import _variant_terms, find_flett_points
 from .generalized import endpoint_slopes, endpoint_value, one_sided_slope, slopes_agree
 from .mvt_points import integral_mean
 # integrate and one_sided_derivative are unused here but bench/tracer.py patches them
 from .numerics import (
-    DEFAULT_CONFIG, DomainError, Interval, SolverConfig, SolverError,
-    close, differentiable_on_interior, integrate, one_sided_derivative, tolerance,
+    DEFAULT_CONFIG, DomainError, Interval, SolverConfig, SolverError, TheoremId,
+    close, differentiable_on_interior, grid_points, integrate, one_sided_derivative,
+    scan_roots, smooth_columns, tolerance,
 )
 
 __all__ = [
@@ -99,12 +100,15 @@ class ConditionVector:
 class _Context:
     """What the checkers share about one (f, interval, config).
 
-    Each part is computed on its first read and kept: the differentiability
-    verdict (one ``differentiable_on_interior`` scan), the one-sided
-    endpoint slopes, and (f(a), f(b)) from `generalized.endpoint_value`. A
-    part whose computation raised SolverError raises that same error at
-    every read, so each checker still demotes to NotApplicable on its own.
-    f's abs()/sgn() arguments are not kept: each read lists them off f's walk.
+    Each part is computed on its first read and kept: the grid pass, the
+    differentiability verdict, the one-sided endpoint slopes, and (f(a),
+    f(b)) from `generalized.endpoint_value`. The grid pass is one
+    `expr.compile_residual` loop over ``grid_points(iv, cfg)``: it folds the
+    Flett residual and gives the columns of f, f' and f's abs()/sgn()
+    arguments to `numerics.smooth_columns`, or, where f(a) is not finite,
+    is None, and `numerics.differentiable_on_interior` judges. A part whose
+    computation raised SolverError raises it again at every read, so each
+    checker still demotes to NotApplicable on its own.
     The config is always given: the public checkers default theirs to
     ``DEFAULT_CONFIG``.
     """
@@ -127,8 +131,23 @@ class _Context:
         return value
 
     @property
+    def scan(self) -> tuple | None:
+        """(scan, xs, scan(xs)), or None where f(a) is not finite."""
+        return self._part("scan", self._grid_pass)
+
+    def _grid_pass(self) -> tuple | None:
+        f, xs = self.f, grid_points(self.iv, self.cfg)
+        try:
+            terms = _variant_terms(TheoremId.FLETT, f, self.iv)
+        except DomainError:
+            return None
+        scan = compile_residual(terms, (f, differentiate(f), *sign_sensitive_args(f)))
+        return scan, xs, scan(xs)
+
+    @property
     def smooth(self) -> bool:
-        return self._part("smooth", lambda: differentiable_on_interior(self.f, self.iv, self.cfg))
+        return self._part("smooth", lambda: differentiable_on_interior(self.f, self.iv, self.cfg)
+                          if self.scan is None else smooth_columns(self.scan[2][3:], self.cfg))
 
     @property
     def slopes(self) -> tuple[float | None, float | None]:
@@ -288,10 +307,10 @@ def _guarded(check, ctx: _Context, fallback):
 def classify(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> ConditionVector:
     """Run every checker and the point scan; never raises on checker failure.
 
-    The checkers share one context, so f is scanned for differentiability
-    once and its endpoint slopes are read once. A checker that errors out internally is reported NotApplicable;
-    the point scan failing (f not even evaluable near an endpoint) reports
-    has_flett_point = False rather than aborting the vector.
+    The checkers and the point scan share one context: one grid pass over f,
+    one read of its endpoint slopes. A checker that errors out internally is
+    reported NotApplicable; the point scan failing (f not even evaluable
+    near an endpoint) reports has_flett_point = False, not aborting the vector.
     """
     ctx = _Context(f, iv, cfg)
     flett_v = _guarded(_flett, ctx, Verdict.NotApplicable)
@@ -299,8 +318,8 @@ def classify(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Condi
     m, i = _guarded(_tong_means, ctx, (None, None))
     tong_v = Verdict.NotApplicable if m is None else _tong_verdict(m, i, ctx.cfg)
     t1_v, m1_v = _guarded(_malesevic, ctx, (Verdict.NotApplicable, Verdict.NotApplicable))
-    has_point = _guarded(lambda c: bool(find_flett_points(f, iv, c.cfg, slopes=c.slopes)),
-                         ctx, False)
+    has_point = _guarded(lambda c: c.scan is not None
+                         and bool(scan_roots(*c.scan, c.iv, c.cfg, TheoremId.FLETT)), ctx, False)
     return ConditionVector(flett=flett_v, trahan=trahan_v, tong=tong_v,
                            malesevic_t1=t1_v, malesevic_m1=m1_v,
                            has_flett_point=has_point, m_of_f=m, i_of_f=i,

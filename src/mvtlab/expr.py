@@ -10,11 +10,11 @@ subexpression once per point: ``compile_fn`` wraps one tree as a callable
 (quadrature), ``compile_residual`` folds a residual's terms into it and its
 scale in one whole-grid loop (the grid scan, and root polishing on a
 one-point grid), reading terms that are callables, not trees, as one
-column each, ``compile_terms`` gives trees' columns (smoothness
-checks), and ``compile_panels`` wraps the integrands of running integrals as one
-loop that takes one step over every run of four grid panels, sampling
-only their nodes (operator prefix builds), with ``compile_fn``'s
-callables as its point functions.
+column each and giving extra trees' columns (classify's smoothness check),
+``compile_terms`` gives trees' columns (other smoothness checks), and
+``compile_panels`` wraps running integrals' integrands as one loop that
+takes one step over every run of four grid panels, sampling only their
+nodes (operator prefix builds), with ``compile_fn``'s callables as its point functions.
 Input nested deeper than MAX_DEPTH levels is rejected by the parser.
 
 Generated code is plain arithmetic, which gives :func:`evaluate`'s value bit
@@ -362,7 +362,7 @@ def _evaluate(steps: list[tuple], x: float) -> float:
 
 
 # Names the generated code reads from its globals; ``_fault`` is what plain
-# arithmetic raises. Its locals (x, t0, ..., and xs, col0, put0, e0, ... in grid loops),
+# arithmetic raises. Its locals (x, t0, ..., and xs, col0, put0, e0, out0, ... in grid loops),
 # constants (c0, c1, ...) and fallback steps (program, program_b, ...) cannot shadow these.
 _CODEGEN_GLOBALS = {"__builtins__": {}, "float": float, "_pow": _pow, "_evaluate": _evaluate,
                     "_fault": (ArithmeticError, ValueError), "map": map,
@@ -467,7 +467,7 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
 
 
 # Characters of generated source whose code objects _code keeps. The first 1,500
-# seed-1 requests use 303k (pointwise), 434k (operator), 21k (classify), 35k (high-order).
+# seed-1 requests use 303k (pointwise), 434k (operator), 16k (classify), 35k (high-order).
 _CODE_MEMO = 2 ** 19
 
 
@@ -582,7 +582,8 @@ def compile_terms(exprs: Sequence[Expr]) -> Callable[[Iterable[float]], list[lis
 _Fn = Expr | Callable[[float], float]
 
 
-def compile_residual(terms: Sequence[_Fn]) -> Callable[[Sequence[float]], tuple]:
+def compile_residual(terms: Sequence[_Fn],
+                     columns: Sequence[Expr] = ()) -> Callable[[Sequence[float]], tuple]:
     """Build ``scan`` for the residual terms[0] - terms[1] - ... - terms[-1].
 
     The terms are expressions or plain callables. ``scan(xs)`` reads each
@@ -591,13 +592,15 @@ def compile_residual(terms: Sequence[_Fn]) -> Callable[[Sequence[float]], tuple]
     a ``column`` method, and one call a point otherwise. Then one generated
     loop computes the expressions at each x as :func:`compile_terms` does,
     and subtracts all the terms left to right. It returns ``(ys, scale,
-    least)``: the residual at each x, max(1, the largest finite |term|),
-    tracked by comparisons that nan and the infinities fail, and the least
-    finite |residual| (inf for none). Residuals equal the fold of the
-    terms' values (:func:`evaluate`'s, for expressions) bit for bit.
+    least, *cols)``: the residual at each x, max(1, the largest finite
+    |term|), tracked by comparisons that nan and the infinities fail, the
+    least finite |residual| (inf for none), and :func:`compile_terms`'s
+    column of each of ``columns``, lowered with the terms, so a subtree they
+    share is computed once a point. Residuals equal the fold of the terms'
+    values (:func:`evaluate`'s, for expressions) bit for bit.
     """
     glb = dict(_CODEGEN_GLOBALS, zip=zip)
-    body, expr_names = _block([t for t in terms if isinstance(t, Expr)], glb, "x")
+    body, expr_names = _block([*(t for t in terms if isinstance(t, Expr)), *columns], glb, "x")
     exprs, names, reads, cols = iter(expr_names), [], [], []
     for j, t in enumerate(terms):
         if isinstance(t, Expr):
@@ -616,12 +619,15 @@ def compile_residual(terms: Sequence[_Fn]) -> Callable[[Sequence[float]], tuple]
     if cols:
         loop = (f"for x, {', '.join(f'e{j}' for j in cols)}"
                 f" in zip(xs, {', '.join(f'col{j}' for j in cols)}):")
+    outs = range(len(columns))  # exprs holds the columns' names now
     src = ("def scan(xs):\n"
            + _indent([*reads, 'inf = float("inf")', "ninf = -inf", "hi, lo = 1.0, -1.0",
-                      "least, nleast = inf, ninf", "ys = []", "put = ys.append", *fixed, loop], 1)
+                      "least, nleast = inf, ninf", "ys = []", "put = ys.append",
+                      *(f"out{i} = []; put{i} = out{i}.append" for i in outs), *fixed, loop], 1)
            + _indent([*body, *moving, f"r = {' - '.join(names)}", "if nleast < r < least:",
-                      "    least = m_abs(r)", "    nleast = -least", "put(r)"], 2)
-           + "    return ys, hi if hi > -lo else -lo, least\n")
+                      "    least = m_abs(r)", "    nleast = -least", "put(r)",
+                      *(f"put{i}({n})" for i, n in enumerate(exprs))], 2)
+           + f"    return ys, hi if hi > -lo else -lo, least{''.join(f', out{i}' for i in outs)}\n")
     _run(src, "compile_residual", glb)
     return glb.pop("scan")
 

@@ -56,16 +56,9 @@ def flett_residual(f: Expr, a: float) -> Callable[[float], float]:
     return lambda x: d1(x) * (x - a) - (fc(x) - fa)
 
 
-def find_flett_points(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG, *,
-                      slopes: tuple[float | None, float | None] | None = None
-                      ) -> Points:
-    """All interior points where the tangent at x passes through (a, f(a)).
-
-    ``slopes`` are f's one-sided endpoint slopes, from
-    :func:`~mvtlab.generalized.endpoint_slopes`, for a caller that holds
-    them already; the hypothesis flag then reads them instead.
-    """
-    return meyers_points(TheoremId.FLETT, f, iv, cfg, slopes=slopes)
+def find_flett_points(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
+    """All interior points where the tangent at x passes through (a, f(a))."""
+    return meyers_points(TheoremId.FLETT, f, iv, cfg)
 
 
 def _variant_terms(tid: TheoremId, f: Expr, iv: Interval) -> tuple[Expr, Expr]:
@@ -89,9 +82,7 @@ def _variant_terms(tid: TheoremId, f: Expr, iv: Interval) -> tuple[Expr, Expr]:
 
 
 def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
-                      cfg: SolverConfig = DEFAULT_CONFIG, *,
-                      slopes: tuple[float | None, float | None] | None = None
-                      ) -> bool | None:
+                      cfg: SolverConfig = DEFAULT_CONFIG) -> bool | None:
     """Evaluate the sufficient condition attached to the variant.
 
     ``v`` is a Flett-family :class:`~mvtlab.numerics.TheoremId` or its
@@ -100,11 +91,10 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
     lands exactly on zero reports False here (the Trahan checker in the
     conditions module is the place boundary cases get their own verdict).
     None means an endpoint derivative the predicate needs does not exist
-    finitely. ``slopes``, when given, are f's endpoint slopes as
-    :func:`~mvtlab.generalized.endpoint_slopes` reads them.
+    finitely.
     """
     tid = _variant(v)
-    da, db = slopes = endpoint_slopes(f, iv, cfg) if slopes is None else slopes
+    da, db = slopes = endpoint_slopes(f, iv, cfg)
     if tid in (TheoremId.FLETT, TheoremId.MEYERS_2_3, TheoremId.MEYERS_2_4,
                TheoremId.MEYERS_2_5):
         return slopes_agree(slopes, cfg)
@@ -125,15 +115,13 @@ def meyers_hypothesis(v: TheoremId | str, f: Expr, iv: Interval,
 
 
 def meyers_points(v: TheoremId | str, f: Expr, iv: Interval,
-                  cfg: SolverConfig = DEFAULT_CONFIG, *,
-                  slopes: tuple[float | None, float | None] | None = None) -> Points:
+                  cfg: SolverConfig = DEFAULT_CONFIG) -> Points:
     """Interior roots of the variant residual, with the hypothesis flag.
 
     ``v`` is a Flett-family theorem id or its string value, e.g.
     ``meyers_points(TheoremId.MEYERS_2_3, f, iv)`` or ``"meyers-2.3"``.
-    ``slopes`` go to :func:`meyers_hypothesis`.
     """
     tid = _variant(v)
     t1, t2 = _variant_terms(tid, f, iv)
-    hyp = meyers_hypothesis(tid, f, iv, cfg, slopes=slopes)
+    hyp = meyers_hypothesis(tid, f, iv, cfg)
     return solve_residual((t1, t2), iv, cfg, tid, hypothesis=hyp)

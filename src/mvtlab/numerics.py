@@ -42,8 +42,8 @@ __all__ = [
     "TheoremId", "Interval", "SolverConfig", "DEFAULT_CONFIG", "MAX_SCAN_POINTS",
     "PointResult", "Points",
     "grid_points", "refine_root", "integrate", "tanh_sinh", "whole_integral",
-    "solve_residual", "tolerance", "close",
-    "one_sided_derivative", "differentiable_on_interior",
+    "solve_residual", "scan_roots", "tolerance", "close",
+    "one_sided_derivative", "differentiable_on_interior", "smooth_columns",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -448,10 +448,11 @@ def tanh_sinh(F: Callable[[float], float], lo: float, hi: float,
     singularities such as sqrt(1-x) do not slow it, since no node lies on
     an endpoint (Takahasi & Mori, Publ. RIMS 9, 1974). It halves the step
     from h = 1 down to 2**-6 and accepts level k >= 2 when
-    |I_k - I_(k-1)| <= cfg.quad_tol * (1 + |I_k|), and when the outermost
-    term on each side is that small too: an integrand unbounded at an
-    endpoint (1/sqrt(x) at 0) fails that test at every level. Nodes that
-    round onto an endpoint are skipped.
+    |I_k - I_(k-1)| <= cfg.quad_tol * (min(1, hi - lo) + |I_k|), the
+    absolute part shrinking with an interval narrower than 1, and when the
+    outermost term on each side is that small too: an integrand unbounded
+    at an endpoint (1/sqrt(x) at 0) fails that test at every level. Nodes
+    that round onto an endpoint are skipped.
 
     Any non-finite sample, or a last level that has not settled (a kink,
     a pole no node lands on, an unbounded endpoint), hands the integral to
@@ -477,7 +478,7 @@ def tanh_sinh(F: Callable[[float], float], lo: float, hi: float,
         est = r * s * 2.0 ** -k
         if not math.isfinite(est):
             break
-        eps = cfg.quad_tol * (1.0 + abs(est))
+        eps = cfg.quad_tol * (min(1.0, hi - lo) + abs(est))
         if k >= 2 and abs(est - prev) <= eps and r * max(abs(left), abs(right)) <= eps:
             return est
         prev = est
@@ -550,17 +551,15 @@ def solve_residual(terms: Sequence[Expr | Callable[[float], float]],
     The residual is terms[0] - terms[1] - ... - terms[-1], the subtractions
     running left to right, so a term that enters with a plus sign is passed
     negated: x - (-d) == x + d holds exactly in IEEE arithmetic. The terms
-    are expressions or callables, in any mix, and
+    are expressions or callables, in any mix (a callable's ``column``
+    method, as an operator value has, gives its grid column), and
     :func:`~mvtlab.expr.compile_residual` folds them in one generated loop
-    that keeps only the residual, its scale and its least magnitude. A
-    callable that has a ``column`` method (an operator value, or a solver's
-    term over one) gives its whole grid column, ``t.column(xs)``, which must
-    equal ``[t(x) for x in xs]``; any other callable is called once per grid
-    point. The scale, max(1, largest finite term magnitude on the grid), is
-    what "zero" is judged against. Brent polishing and crossing
-    confirmation run the same loop on a one-point grid. With
-    ``closed=True`` the scan includes the endpoints (for identities whose
-    point may sit on the boundary).
+    that keeps only the residual, its scale and its least magnitude, which
+    :func:`scan_roots` searches. The scale, max(1, largest finite term
+    magnitude on the grid), is what "zero" is judged against. Brent
+    polishing and crossing confirmation run the same loop on a one-point
+    grid. With ``closed=True`` the scan includes the endpoints (for
+    identities whose point may sit on the boundary).
 
     Degenerate detection runs first: if the residual is near zero on at
     least 99% of the grid, or on a long contiguous stretch of it, that
@@ -576,7 +575,14 @@ def solve_residual(terms: Sequence[Expr | Callable[[float], float]],
     """
     xs = grid_points(iv, cfg, 0.0 if closed else None)
     scan = compile_residual(terms)
-    ys, scale, least = scan(xs)
+    return scan_roots(scan, xs, scan(xs), iv, cfg, theorem_id, hypothesis, forced_zero)
+
+
+def scan_roots(scan: Callable[[Sequence[float]], tuple], xs: list[float], scanned: tuple,
+               iv: Interval, cfg: SolverConfig, theorem_id: TheoremId,
+               hypothesis: bool | None = None, forced_zero: float | None = None) -> Points:
+    """:func:`solve_residual`'s root search, given ``scanned``, what ``scan`` returned on ``xs``."""
+    ys, scale, least = scanned[:3]
 
     def F(x: float) -> float:
         return scan((float(x),))[0][0]
@@ -650,18 +656,22 @@ def one_sided_derivative(f: Expr, x: float, cfg: SolverConfig) -> float | None:
 
 
 def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig) -> bool:
-    """Grid test for differentiability of f on the open interval.
-
-    Fails when f itself or its symbolic derivative is non-finite (or the
-    derivative is past cfg.singular_threshold) at any interior grid point,
-    or when the argument of any abs()/sgn() inside f strictly changes sign
-    there, that is when its column holds finite nonzero values of both
-    signs -- the symbolic derivative is blind to those kinks and jumps.
-    """
-    xs = grid_points(iv, cfg)
+    """Grid test for differentiability of f on the open interval, by :func:`smooth_columns`."""
     # the arguments are subtrees of f: their columns cost one append a point
     grid = compile_terms((f, differentiate(f), *sign_sensitive_args(f)))
-    fv, dv, *args = grid(xs)
+    return smooth_columns(grid(grid_points(iv, cfg)), cfg)
+
+
+def smooth_columns(columns: Sequence[list[float]], cfg: SolverConfig) -> bool:
+    """Whether the grid columns of f, f' and f's abs()/sgn() arguments are smooth.
+
+    Fails when f itself or its symbolic derivative is non-finite (or the
+    derivative is past cfg.singular_threshold) at any grid point, or when
+    an argument strictly changes sign there, that is when its column
+    holds finite nonzero values of both signs -- the symbolic derivative
+    is blind to those kinks and jumps.
+    """
+    fv, dv, *args = columns
     if not (all(map(math.isfinite, fv)) and all(map(math.isfinite, dv))
             and max(map(abs, dv)) <= cfg.singular_threshold):
         return False

@@ -3,7 +3,9 @@
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed, settings
 
 import mvtlab.conditions
 import mvtlab.expr
@@ -16,7 +18,11 @@ from mvtlab.conditions import (
 )
 from mvtlab.expr import differentiate, evaluate, parse, unparse
 from mvtlab.flett import find_flett_points
-from mvtlab.numerics import DomainError, Interval, SolverError
+from mvtlab.mvt_points import integral_mvt_points
+from mvtlab.numerics import (
+    DEFAULT_CONFIG, DomainError, Interval, SolverConfig, SolverError, differentiable_on_interior,
+    grid_points,
+)
 
 S = Verdict.Satisfied
 N = Verdict.NotSatisfied
@@ -90,6 +96,18 @@ class TestTong:
 
     def test_nonfinite_grid_demotes(self):
         assert check_tong(parse("ln(x)"), Interval(-1.0, 1.0)) is NA
+
+    @pytest.mark.parametrize("b, i", [
+        (1.000000000001, 1.0000000000009999),      # read 0.99993040007812761
+        (1.0000000000000002, 1.0),                 # one ulp wide: read pi/16
+        (1.000000000000001, 1.0000000000000013),
+    ])
+    def test_narrow_intervals_keep_the_integral_mean(self, b, i):
+        # x^2 on [1, b]: M and I both lie within a few ulps of 1, and the
+        # integral-mvt scan finds f at its mean
+        cv = classify(parse("x^2"), Interval(1.0, b))
+        assert cv.i_of_f == i and cv.tong is S
+        assert integral_mvt_points(parse("x^2"), Interval(1.0, b))
 
 
 class TestMalesevic:
@@ -172,35 +190,94 @@ class TestClassify:
         assert "trahan_detail" not in d
 
 
+COARSE = SolverConfig(scan_points=256)
+
+
+def assert_classify_matches_the_checkers(f, iv, cfg):
+    """classify's vector equals the public checkers' one by one, and its
+    shared grid pass judges smoothness as differentiable_on_interior does."""
+
+    def alone(check, failed):
+        # classify's contract: a checker that raises reads NotApplicable
+        try:
+            return check(f, iv, cfg)
+        except SolverError:
+            return failed
+
+    m, i = alone(tong_means, (None, None))
+    want = (alone(check_flett_condition, NA), alone(check_trahan, NA),
+            alone(check_tong, NA), *alone(check_malesevic, (NA, NA)),
+            bool(alone(find_flett_points, [])), m, i)
+    cv = classify(f, iv, cfg)
+    assert vec(cv) + (cv.m_of_f, cv.i_of_f) == want
+    ctx = mvtlab.conditions._Context(f, iv, cfg)
+    assert alone(lambda *_: ctx.smooth, None) is alone(differentiable_on_interior, None)
+
+
+_coef = st.integers(-30, 30).map(lambda k: k / 10.0)
+_poly = st.lists(_coef, min_size=1, max_size=6).map(
+    lambda cs: " + ".join(f"({c!r})*x^{k}" for k, c in enumerate(cs)))
+
+
+@st.composite
+def _drawn_case(draw):
+    """(f, a, b): a polynomial, one with an abs() kink, asin or sqrt on
+    [-1, 1] where f' blows up at the ends, or one with a pole at a."""
+    kind = draw(st.sampled_from(["poly", "kink", "ends", "pole"]))
+    p = draw(_poly)
+    if kind == "ends":
+        g = draw(st.sampled_from(["asin(x)", "sqrt(1-x^2)", "sqrt(x+1)", "x*asin(x)"]))
+        return f"{g} + {p}", -1.0, 1.0
+    a = draw(st.integers(-20, 10)) / 10.0
+    b = a + draw(st.integers(1, 30)) / 10.0
+    if kind == "kink":
+        k = draw(st.integers(int(10 * a) - 5, int(10 * b) + 5)) / 10.0
+        return f"{p} + ({draw(_coef)!r})*abs(x - ({k!r}))", a, b
+    if kind == "pole":
+        return f"{p} + 1/(x - ({a!r}))", a, b
+    return p, a, b
+
+
 class TestSharedContext:
-    """classify runs the checkers on one context: one differentiability scan."""
+    """classify runs the checkers on one context: one grid pass a request."""
 
     CASES = [("x^3", -2.0 / 3.0, 1.0), ("asin(x)", -1.0, 1.0), ("abs(x-0.3)", 0.0, 1.0),
              ("1/(x-0.5)", 0.0, 0.9), ("sqrt(x)", 0.0, 1.0), ("ln(x)", 0.0, 1.0),
              ("2", 0.0, 1.0)]
 
     @staticmethod
-    def counted_scans(monkeypatch, raises=None):
-        calls = []
-        scan = mvtlab.conditions.differentiable_on_interior
+    def counted_builds(monkeypatch):
+        """Each compile_terms or compile_residual build, as (kind, the grids its loop ran on)."""
+        builds = []
+        run = mvtlab.expr._run
 
-        def counted(*args):
-            calls.append(args)
-            if raises is not None:
-                raise raises
-            return scan(*args)
+        def counted(src, kind, glb):
+            run(src, kind, glb)
+            if kind in ("compile_terms", "compile_residual"):
+                name = "grid" if kind == "compile_terms" else "scan"
+                loop, grids = glb[name], []
+                builds.append((kind, grids))
+                glb[name] = lambda xs: (grids.append(xs), loop(xs))[1]
 
-        monkeypatch.setattr(mvtlab.conditions, "differentiable_on_interior", counted)
-        return calls
+        monkeypatch.setattr(mvtlab.expr, "_run", counted)
+        return builds
 
     @pytest.mark.parametrize("fn, a, b", CASES)
     def test_classify_scans_once(self, monkeypatch, fn, a, b):
-        calls = self.counted_scans(monkeypatch)
-        classify(parse(fn), Interval(a, b))
-        assert len(calls) == 1
+        # one generated loop over the open grid; Brent polishing and the
+        # crossing checks rerun it on one point at a time. ln(x) has no
+        # finite f(a), so no Flett residual: differentiable_on_interior's
+        # compile_terms loop is the one
+        builds = self.counted_builds(monkeypatch)
+        iv = Interval(a, b)
+        classify(parse(fn), iv)
+        ((kind, grids),) = builds
+        assert kind == ("compile_terms" if fn == "ln(x)" else "compile_residual")
+        assert grids[0] is grid_points(iv, DEFAULT_CONFIG)
+        assert all(len(xs) == 1 for xs in grids[1:])
 
     def test_classify_reads_the_endpoint_slopes_once(self, monkeypatch):
-        # the point scan's hypothesis flag reads the context's slopes
+        # the checkers read the context's slopes; the point scan reads none
         calls = []
         slopes = mvtlab.generalized.endpoint_slopes
 
@@ -235,28 +312,41 @@ class TestSharedContext:
 
     @pytest.mark.parametrize("fn, a, b", CASES)
     def test_classify_matches_the_checkers_one_by_one(self, fn, a, b):
-        f, iv = parse(fn), Interval(a, b)
+        assert_classify_matches_the_checkers(parse(fn), Interval(a, b), DEFAULT_CONFIG)
 
-        def alone(check, failed):
-            # classify's contract: a checker that raises reads NotApplicable
-            try:
-                return check(f, iv)
-            except SolverError:
-                return failed
-
-        m, i = alone(tong_means, (None, None))
-        want = (alone(check_flett_condition, NA), alone(check_trahan, NA),
-                alone(check_tong, NA), *alone(check_malesevic, (NA, NA)),
-                bool(alone(find_flett_points, [])), m, i)
-        cv = classify(f, iv)
-        assert vec(cv) + (cv.m_of_f, cv.i_of_f) == want
+    @seed(2028)
+    @settings(max_examples=60, deadline=None)
+    @given(_drawn_case())
+    def test_classify_matches_the_checkers_on_drawn_inputs(self, case):
+        fn, a, b = case
+        assert_classify_matches_the_checkers(parse(fn), Interval(a, b), COARSE)
 
     def test_a_scan_that_raises_demotes_every_reader(self, monkeypatch):
-        calls = self.counted_scans(monkeypatch, raises=DomainError("no scan"))
+        calls = []
+
+        def raising(*args):
+            calls.append(args)
+            raise DomainError("no scan")
+
+        monkeypatch.setattr(mvtlab.conditions, "compile_residual", raising)
         cv = classify(parse("x^3"), Interval(-1.0, 1.0))
         assert len(calls) == 1
         assert (cv.flett, cv.trahan, cv.malesevic_t1, cv.malesevic_m1) == (NA,) * 4
-        # the checkers that need no scan still run
-        assert cv.tong is S and cv.has_flett_point is True
+        # the point search reads the same scan, so it finds no point
+        assert cv.has_flett_point is False
+        # the Tong check needs no scan and still runs
+        assert cv.tong is S
         with pytest.raises(DomainError):
             check_trahan(parse("x^3"), Interval(-1.0, 1.0))
+
+    def test_an_interval_with_no_float_inside_demotes_every_reader(self):
+        # the one real input where the scan raises: its grid has no point
+        iv = Interval(1.0, math.nextafter(1.0, 2.0))
+        cv = classify(parse("x^3"), iv)
+        assert (cv.flett, cv.trahan, cv.malesevic_t1, cv.malesevic_m1) == (NA,) * 4
+        assert cv.has_flett_point is False and cv.tong is S
+        with pytest.raises(DomainError):
+            differentiable_on_interior(parse("x^3"), iv, DEFAULT_CONFIG)
+        with pytest.raises(DomainError):
+            find_flett_points(parse("x^3"), iv)
+

@@ -20,7 +20,7 @@ import mvtlab.expr
 from conftest import columns_scale, deadline, deep_abs_tree, fold_columns, substitute
 from mvtlab.cli import main
 from mvtlab.expr import (
-    Bin, Call, Const, ExpressionTooLarge, FUNCTIONS, MAX_DEPTH, MAX_NODES, Neg, ParseError, Var,
+    Bin, Call, Const, Expr, ExpressionTooLarge, FUNCTIONS, MAX_DEPTH, MAX_NODES, Neg, ParseError, Var,
     compile_fn, compile_panels, compile_residual, compile_terms, differentiate, evaluate, parse,
     sign_sensitive_args,
     simplify, unparse,
@@ -362,6 +362,93 @@ class TestCompileResidual:
        st.lists(_raising_x, min_size=1, max_size=8))
 def test_compile_residual_folds_compile_terms(terms, xs):
     assert_residual_folds_columns(terms, xs)
+
+
+def residual_source(terms, columns=()):
+    """(source, scan): what compile_residual(terms, columns) generates, and its scan."""
+    got, run = [], mvtlab.expr._run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mvtlab.expr, "_run", lambda src, kind, glb: (got.append(src),
+                                                                  run(src, kind, glb)))
+        scan = compile_residual(terms, columns)
+    return got[0], scan
+
+
+# compile_residual's source for one mix of terms (an expression, a column,
+# a constant and a callable) with no extra columns, as the solvers build
+# their scans: their code-memo entries must not change
+_GOLDEN_SCAN = """def scan(xs):
+    col1 = ext1.column(xs)
+    col3 = [ext3(x) for x in xs]
+    inf = float("inf")
+    ninf = -inf
+    hi, lo = 1.0, -1.0
+    least, nleast = inf, ninf
+    ys = []
+    put = ys.append
+    if hi < c7 < inf: hi = c7
+    if lo > c7 > ninf: lo = c7
+    for x, e1, e3 in zip(xs, col1, col3):
+        try:
+            t1 = x ** 2
+            t2 = m_sin(x)
+            t3 = t2 / x
+            t5 = c4 * t1
+            t6 = t5 - t3
+        except _fault:
+            t6, = map(_evaluate, program, (x,) * 1)
+        if hi < t6 < inf: hi = t6
+        if lo > t6 > ninf: lo = t6
+        if hi < e1 < inf: hi = e1
+        if lo > e1 > ninf: lo = e1
+        if hi < e3 < inf: hi = e3
+        if lo > e3 > ninf: lo = e3
+        r = t6 - e1 - c7 - e3
+        if nleast < r < least:
+            least = m_abs(r)
+            nleast = -least
+        put(r)
+    return ys, hi if hi > -lo else -lo, least
+"""
+
+
+def test_a_scan_without_columns_keeps_its_source():
+    # the solvers' scans keep their code-memo entries
+    terms = [parse("3*x^2-sin(x)/x"), Column(parse("x")), Const(2.5), math.cos]
+    assert residual_source(terms)[0] == _GOLDEN_SCAN
+
+
+def _column_free(src):
+    # the lines a scan's extra columns add, and the return line, left out
+    return [line for line in src.splitlines()
+            if not re.search(r"\b(out|put)\d|^    return ", line)]
+
+
+@seed(2028)
+@settings(max_examples=200)
+@given(st.lists(_raising_expr, min_size=1, max_size=3), st.lists(_raising_expr, max_size=3),
+       st.lists(_raising_x, min_size=1, max_size=8), st.booleans())
+def test_compile_residual_columns_equal_compile_terms(terms, drawn, xs, callable_first):
+    # columns drawn apart from the terms, the terms' subtrees and the terms
+    # themselves, which the loop computes once a point
+    form = [compile_fn(terms[0]), *terms[1:]] if callable_first else terms
+    columns = [*drawn, *(t.left for t in terms if type(t) is Bin), *terms]
+    src, scan = residual_source(form)
+    scan_cols = compile_residual(form, columns)
+    want, got = scan(xs), scan_cols(xs)
+    assert len(got) == 3 + len(columns)
+    assert all(map(same_float, got[0], want[0])) and len(got[0]) == len(xs)
+    assert same_float(got[1], want[1]) and same_float(got[2], want[2])
+    for col, ref in zip(got[3:], compile_terms(columns)(xs)):
+        assert len(col) == len(xs) and all(map(same_float, col, ref))
+    # a one-point grid, as Brent polishing runs it
+    assert all(same_float(scan_cols([x])[0][0], y) for x, y in zip(xs, want[0]))
+    # columns the lowering already names add only their own lines
+    exprs = [t for t in form if isinstance(t, Expr)]
+    same_roots = residual_source(form, exprs)[0]
+    assert _column_free(same_roots) == _column_free(src)
+    assert same_roots.splitlines()[-1] == src.splitlines()[-1] + "".join(
+        f", out{i}" for i in range(len(exprs)))
 
 
 def assert_kernel_walks(q, p):
