@@ -17,11 +17,11 @@ the right, giving nan and None where that value does not exist finitely,
 and the m1 test reads phi'(a) through `phi1_prime_at_a`.
 
 `classify` makes one grid pass over f, held by a private per-request context:
-one generated loop folds the Flett residual for the point scan and gives the
-columns the differentiability verdict reads. The slope-based checkers share
-that verdict, one pair of endpoint slopes and one of endpoint values. Each
-public ``check_*`` function builds its own context, so it gives the verdict
-classify would. Every ``cfg`` defaults to ``DEFAULT_CONFIG``.
+one generated loop folds the Flett residual for the point scan (where f(a) is
+finite) and gives the columns the differentiability verdict reads. The
+slope-based checkers share that verdict, one pair of endpoint slopes and one
+of endpoint values. Each public ``check_*`` function builds its own context,
+so it gives the verdict classify would. Every ``cfg`` defaults to ``DEFAULT_CONFIG``.
 
 `mvtlab corpus` runs classify on each record of a UTF-8 file (a file that
 is not UTF-8 exits 2). A numeric ``expect`` value matches within 1e-9 under
@@ -39,7 +39,8 @@ from .expr import Expr, compile_fn, compile_residual, differentiate, evaluate, s
 from .flett import _variant_terms, find_flett_points
 from .generalized import endpoint_slopes, endpoint_value, one_sided_slope, slopes_agree
 from .mvt_points import integral_mean
-# integrate and one_sided_derivative are unused here but bench/tracer.py patches them
+# integrate, differentiable_on_interior and one_sided_derivative are unused here
+# but bench/tracer.py patches them
 from .numerics import (
     DEFAULT_CONFIG, DomainError, Interval, SolverConfig, SolverError, TheoremId,
     close, differentiable_on_interior, grid_points, integrate, one_sided_derivative,
@@ -104,11 +105,11 @@ class _Context:
     differentiability verdict, the one-sided endpoint slopes, and (f(a),
     f(b)) from `generalized.endpoint_value`. The grid pass is one
     `expr.compile_residual` loop over ``grid_points(iv, cfg)``: it folds the
-    Flett residual and gives the columns of f, f' and f's abs()/sgn()
-    arguments to `numerics.smooth_columns`, or, where f(a) is not finite,
-    is None, and `numerics.differentiable_on_interior` judges. A part whose
-    computation raised SolverError raises it again at every read, so each
-    checker still demotes to NotApplicable on its own.
+    Flett residual, which has no terms where f(a) is not finite, and gives
+    the columns of f, f' and f's abs()/sgn() arguments to
+    `numerics.smooth_columns`. A part whose computation raised SolverError
+    raises it again at every read, so each checker still demotes to
+    NotApplicable on its own.
     The config is always given: the public checkers default theirs to
     ``DEFAULT_CONFIG``.
     """
@@ -131,23 +132,22 @@ class _Context:
         return value
 
     @property
-    def scan(self) -> tuple | None:
-        """(scan, xs, scan(xs)), or None where f(a) is not finite."""
+    def scan(self) -> tuple:
+        """(scan, xs, scan(xs)); the scan has no terms where f(a) is not finite."""
         return self._part("scan", self._grid_pass)
 
-    def _grid_pass(self) -> tuple | None:
+    def _grid_pass(self) -> tuple:
         f, xs = self.f, grid_points(self.iv, self.cfg)
         try:
             terms = _variant_terms(TheoremId.FLETT, f, self.iv)
         except DomainError:
-            return None
+            terms = ()
         scan = compile_residual(terms, (f, differentiate(f), *sign_sensitive_args(f)))
         return scan, xs, scan(xs)
 
     @property
     def smooth(self) -> bool:
-        return self._part("smooth", lambda: differentiable_on_interior(self.f, self.iv, self.cfg)
-                          if self.scan is None else smooth_columns(self.scan[2][3:], self.cfg))
+        return self._part("smooth", lambda: smooth_columns(self.scan[2][3:], self.cfg))
 
     @property
     def slopes(self) -> tuple[float | None, float | None]:
@@ -318,8 +318,8 @@ def classify(f: Expr, iv: Interval, cfg: SolverConfig = DEFAULT_CONFIG) -> Condi
     m, i = _guarded(_tong_means, ctx, (None, None))
     tong_v = Verdict.NotApplicable if m is None else _tong_verdict(m, i, ctx.cfg)
     t1_v, m1_v = _guarded(_malesevic, ctx, (Verdict.NotApplicable, Verdict.NotApplicable))
-    has_point = _guarded(lambda c: c.scan is not None
-                         and bool(scan_roots(*c.scan, c.iv, c.cfg, TheoremId.FLETT)), ctx, False)
+    has_point = _guarded(lambda c: bool(scan_roots(*c.scan, c.iv, c.cfg, TheoremId.FLETT)),
+                         ctx, False)
     return ConditionVector(flett=flett_v, trahan=trahan_v, tong=tong_v,
                            malesevic_t1=t1_v, malesevic_m1=m1_v,
                            has_flett_point=has_point, m_of_f=m, i_of_f=i,

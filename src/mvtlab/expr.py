@@ -10,11 +10,11 @@ subexpression once per point: ``compile_fn`` wraps one tree as a callable
 (quadrature), ``compile_residual`` folds a residual's terms into it and its
 scale in one whole-grid loop (the grid scan, and root polishing on a
 one-point grid), reading terms that are callables, not trees, as one
-column each and giving extra trees' columns (classify's smoothness check),
-``compile_terms`` gives trees' columns (other smoothness checks), and
-``compile_panels`` wraps running integrals' integrands as one loop that
-takes one step over every run of four grid panels, sampling only their
-nodes (operator prefix builds), with ``compile_fn``'s callables as its point functions.
+column each and giving extra trees' columns (the smoothness checks, whose
+loops may hold no terms at all), and ``compile_panels`` wraps running
+integrals' integrands as one loop that takes one step over every run of
+four grid panels, sampling only their nodes (operator prefix builds),
+with ``compile_fn``'s callables as its point functions.
 Input nested deeper than MAX_DEPTH levels is rejected by the parser.
 
 Generated code is plain arithmetic, which gives :func:`evaluate`'s value bit
@@ -86,7 +86,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Bin", "Call",
     "ParseError", "ExpressionTooLarge", "FUNCTIONS", "MAX_DEPTH", "MAX_NODES",
-    "parse", "unparse", "evaluate", "compile_fn", "compile_terms", "compile_residual",
+    "parse", "unparse", "evaluate", "compile_fn", "compile_residual",
     "compile_panels", "differentiate", "simplify", "sign_sensitive_args",
 ]
 
@@ -467,7 +467,7 @@ def _lower(roots: Sequence[Expr], glb: dict, var: str, tag: str = "") -> tuple[
 
 
 # Characters of generated source whose code objects _code keeps. The first 1,500
-# seed-1 requests use 303k (pointwise), 434k (operator), 16k (classify), 35k (high-order).
+# seed-1 requests use 305k (pointwise), 434k (operator), 16k (classify), 35k (high-order).
 _CODE_MEMO = 2 ** 19
 
 
@@ -557,28 +557,6 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     return fn
 
 
-def compile_terms(exprs: Sequence[Expr]) -> Callable[[Iterable[float]], list[list[float]]]:
-    """Build ``grid``, the columns of several expressions over a grid.
-
-    ``grid(xs)`` evaluates every expression at every x of ``xs`` (floats)
-    in one generated loop and returns one list of values per expression; a
-    subexpression common to several expressions is computed once per
-    point, and a point where plain arithmetic raises is read by
-    :func:`evaluate`'s walk. Values equal :func:`evaluate` bit for bit.
-    """
-    glb = dict(_CODEGEN_GLOBALS)
-    body, names = _block(exprs, glb, "x")
-    cols = [f"col{i}" for i in range(len(names))]
-    src = ("def grid(xs):\n"
-           + _indent([f"{c} = []" for c in cols]
-                     + [f"put{i} = {c}.append" for i, c in enumerate(cols)], 1)
-           + "    for x in xs:\n"
-           + _indent(body + [f"put{i}({n})" for i, n in enumerate(names)], 2)
-           + f"    return [{', '.join(cols)}]\n")
-    _run(src, "compile_terms", glb)
-    return glb.pop("grid")
-
-
 _Fn = Expr | Callable[[float], float]
 
 
@@ -590,14 +568,15 @@ def compile_residual(terms: Sequence[_Fn],
     callable's column over the floats ``xs`` once, before its loop:
     ``t.column(xs)``, which must equal ``[t(x) for x in xs]``, where t has
     a ``column`` method, and one call a point otherwise. Then one generated
-    loop computes the expressions at each x as :func:`compile_terms` does,
-    and subtracts all the terms left to right. It returns ``(ys, scale,
-    least, *cols)``: the residual at each x, max(1, the largest finite
-    |term|), tracked by comparisons that nan and the infinities fail, the
-    least finite |residual| (inf for none), and :func:`compile_terms`'s
+    loop computes the expressions at each x, a subexpression common to
+    several once a point, and subtracts all the terms left to right. It
+    returns ``(ys, scale, least, *cols)``: the residual at each x, max(1,
+    the largest finite |term|), tracked by comparisons that nan and the
+    infinities fail, the least finite |residual| (inf for none), and the
     column of each of ``columns``, lowered with the terms, so a subtree they
     share is computed once a point. Residuals equal the fold of the terms'
-    values (:func:`evaluate`'s, for expressions) bit for bit.
+    values (:func:`evaluate`'s, for expressions) bit for bit, and columns
+    equal :func:`evaluate`'s. With no terms, ``scan(xs)`` is ``([], 1.0, inf, *cols)``.
     """
     glb = dict(_CODEGEN_GLOBALS, zip=zip)
     body, expr_names = _block([*(t for t in terms if isinstance(t, Expr)), *columns], glb, "x")
@@ -624,8 +603,9 @@ def compile_residual(terms: Sequence[_Fn],
            + _indent([*reads, 'inf = float("inf")', "ninf = -inf", "hi, lo = 1.0, -1.0",
                       "least, nleast = inf, ninf", "ys = []", "put = ys.append",
                       *(f"out{i} = []; put{i} = out{i}.append" for i in outs), *fixed, loop], 1)
-           + _indent([*body, *moving, f"r = {' - '.join(names)}", "if nleast < r < least:",
-                      "    least = m_abs(r)", "    nleast = -least", "put(r)",
+           + _indent([*body, *moving, *([f"r = {' - '.join(names)}", "if nleast < r < least:",
+                                         "    least = m_abs(r)", "    nleast = -least",
+                                         "put(r)"] if names else []),
                       *(f"put{i}({n})" for i, n in enumerate(exprs))], 2)
            + f"    return ys, hi if hi > -lo else -lo, least{''.join(f', out{i}' for i in outs)}\n")
     _run(src, "compile_residual", glb)

@@ -33,8 +33,7 @@ from typing import Callable, Sequence
 
 # compile_fn is unused here but bench/tracer.py patches it
 from .expr import (
-    Expr, _Memo, compile_fn, compile_residual, compile_terms, differentiate, evaluate,
-    sign_sensitive_args,
+    Expr, _Memo, compile_fn, compile_residual, differentiate, evaluate, sign_sensitive_args,
 )
 
 __all__ = [
@@ -656,10 +655,13 @@ def one_sided_derivative(f: Expr, x: float, cfg: SolverConfig) -> float | None:
 
 
 def differentiable_on_interior(f: Expr, iv: Interval, cfg: SolverConfig) -> bool:
-    """Grid test for differentiability of f on the open interval, by :func:`smooth_columns`."""
+    """Grid test for differentiability of f on the open interval, by :func:`smooth_columns`.
+
+    The columns come from a :func:`~mvtlab.expr.compile_residual` loop with no terms.
+    """
     # the arguments are subtrees of f: their columns cost one append a point
-    grid = compile_terms((f, differentiate(f), *sign_sensitive_args(f)))
-    return smooth_columns(grid(grid_points(iv, cfg)), cfg)
+    scan = compile_residual((), (f, differentiate(f), *sign_sensitive_args(f)))
+    return smooth_columns(scan(grid_points(iv, cfg))[3:], cfg)
 
 
 def smooth_columns(columns: Sequence[list[float]], cfg: SolverConfig) -> bool:

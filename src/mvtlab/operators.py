@@ -50,9 +50,7 @@ import operator
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .expr import (
-    Expr, Var, compile_fn, compile_panels, compile_residual, compile_terms, differentiate,
-)
+from .expr import Expr, Var, compile_fn, compile_panels, compile_residual, differentiate
 from .generalized import endpoint_slopes, endpoint_value
 # one_sided_derivative is unused here but bench/tracer.py patches it
 from .numerics import (
@@ -329,7 +327,7 @@ def _nonvanishing_derivative(h: Expr, iv: Interval, cfg: SolverConfig,
     """h', once it is checked finite and nonzero at every scan-grid point."""
     dh = differentiate(h)
     xs = grid_points(iv, cfg)
-    (dv,) = compile_terms((dh,))(xs)
+    dv = compile_residual((), (dh,))(xs)[3]
     for x, v in zip(xs, dv):
         if not (v and math.isfinite(v)):
             raise DomainError(f"{name} vanishes or is not finite at x = {x!r}")

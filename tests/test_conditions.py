@@ -247,17 +247,16 @@ class TestSharedContext:
 
     @staticmethod
     def counted_builds(monkeypatch):
-        """Each compile_terms or compile_residual build, as (kind, the grids its loop ran on)."""
+        """Each compile_residual build, as (its source, the grids its loop ran on)."""
         builds = []
         run = mvtlab.expr._run
 
         def counted(src, kind, glb):
             run(src, kind, glb)
-            if kind in ("compile_terms", "compile_residual"):
-                name = "grid" if kind == "compile_terms" else "scan"
-                loop, grids = glb[name], []
-                builds.append((kind, grids))
-                glb[name] = lambda xs: (grids.append(xs), loop(xs))[1]
+            if kind == "compile_residual":
+                loop, grids = glb["scan"], []
+                builds.append((src, grids))
+                glb["scan"] = lambda xs: (grids.append(xs), loop(xs))[1]
 
         monkeypatch.setattr(mvtlab.expr, "_run", counted)
         return builds
@@ -266,15 +265,17 @@ class TestSharedContext:
     def test_classify_scans_once(self, monkeypatch, fn, a, b):
         # one generated loop over the open grid; Brent polishing and the
         # crossing checks rerun it on one point at a time. ln(x) has no
-        # finite f(a), so no Flett residual: differentiable_on_interior's
-        # compile_terms loop is the one
+        # finite f(a), so no Flett residual: its loop has no terms, gives
+        # the columns alone and is never rerun
         builds = self.counted_builds(monkeypatch)
+        monkeypatch.setattr(mvtlab.conditions, "differentiable_on_interior", None)
         iv = Interval(a, b)
         classify(parse(fn), iv)
-        ((kind, grids),) = builds
-        assert kind == ("compile_terms" if fn == "ln(x)" else "compile_residual")
+        ((src, grids),) = builds
+        assert ("put(r)" in src) is (fn != "ln(x)")
         assert grids[0] is grid_points(iv, DEFAULT_CONFIG)
         assert all(len(xs) == 1 for xs in grids[1:])
+        assert fn != "ln(x)" or len(grids) == 1
 
     def test_classify_reads_the_endpoint_slopes_once(self, monkeypatch):
         # the checkers read the context's slopes; the point scan reads none

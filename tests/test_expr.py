@@ -21,7 +21,7 @@ from conftest import columns_scale, deadline, deep_abs_tree, fold_columns, subst
 from mvtlab.cli import main
 from mvtlab.expr import (
     Bin, Call, Const, Expr, ExpressionTooLarge, FUNCTIONS, MAX_DEPTH, MAX_NODES, Neg, ParseError, Var,
-    compile_fn, compile_panels, compile_residual, compile_terms, differentiate, evaluate, parse,
+    compile_fn, compile_panels, compile_residual, differentiate, evaluate, parse,
     sign_sensitive_args,
     simplify, unparse,
 )
@@ -236,12 +236,12 @@ def test_compile_matches_evaluate(e, x):
 
 @seed(20212)
 @given(st.lists(_any_expr, min_size=1, max_size=3), st.lists(_any_x, max_size=6))
-def test_compile_terms_matches_compile_fn(exprs, xs):
-    grid = compile_terms(exprs)
+def test_term_free_scan_columns_match_compile_fn(exprs, xs):
+    scanned = compile_residual((), exprs)(xs)
     fns = [compile_fn(e) for e in exprs]
-    cols = grid(xs)
-    assert len(cols) == len(exprs)
-    for fn, col in zip(fns, cols):
+    # no terms: no residual, the floor scale and no least |residual|
+    assert scanned[:3] == ([], 1.0, math.inf) and len(scanned) == 3 + len(exprs)
+    for fn, col in zip(fns, scanned[3:]):
         assert len(col) == len(xs)
         assert all(same_float(v, fn(x)) for x, v in zip(xs, col))
 
@@ -269,8 +269,8 @@ _raising_x = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(
 def test_plain_code_falls_back_where_it_raises(exprs, xs):
     # the grid mixes raising and clean points; only the raising ones are
     # read by evaluate's walk, and every value equals evaluate's
-    grid = compile_terms(exprs)
-    for e, col in zip(exprs, grid(xs)):
+    scan = compile_residual((), exprs)
+    for e, col in zip(exprs, scan(xs)[3:]):
         assert all(same_float(v, evaluate(e, x)) for x, v in zip(xs, col))
         assert all(same_float(compile_fn(e)(x), evaluate(e, x)) for x in xs)
 
@@ -297,7 +297,7 @@ def assert_residual_folds_columns(terms, xs):
     with a ``column`` method, and as a mix of the three; a scan reads each
     column once, over the grid itself.
     """
-    cols = compile_terms(terms)(xs)
+    cols = [[evaluate(t, x) for x in xs] for t in terms]
     want = fold_columns(cols)
     least = min((abs(y) for y in want if math.isfinite(y)), default=math.inf)
     mixed = [(t, compile_fn(t), Column(t))[i % 3] for i, t in enumerate(terms)]
@@ -360,7 +360,7 @@ class TestCompileResidual:
 @settings(max_examples=200)
 @given(st.lists(_raising_expr, min_size=1, max_size=4),
        st.lists(_raising_x, min_size=1, max_size=8))
-def test_compile_residual_folds_compile_terms(terms, xs):
+def test_compile_residual_folds_evaluate_s_columns(terms, xs):
     assert_residual_folds_columns(terms, xs)
 
 
@@ -418,6 +418,41 @@ def test_a_scan_without_columns_keeps_its_source():
     assert residual_source(terms)[0] == _GOLDEN_SCAN
 
 
+# compile_residual's source with no terms, as the smoothness checks build
+# their scans: the loop computes the columns and folds no residual
+_GOLDEN_COLUMNS = """def scan(xs):
+    inf = float("inf")
+    ninf = -inf
+    hi, lo = 1.0, -1.0
+    least, nleast = inf, ninf
+    ys = []
+    put = ys.append
+    out0 = []; put0 = out0.append
+    out1 = []; put1 = out1.append
+    for x in xs:
+        try:
+            t1 = x ** 2
+            t2 = m_sin(x)
+            t3 = t2 / x
+            t5 = c4 * t1
+            t6 = t5 - t3
+        except _fault:
+            t6, = map(_evaluate, program, (x,) * 1)
+        put0(t6)
+        put1(x)
+    return ys, hi if hi > -lo else -lo, least, out0, out1
+"""
+
+
+def test_a_scan_without_terms_folds_no_residual():
+    f, xs = parse("3*x^2-sin(x)/x"), [0.5, 2.0]
+    src, scan = residual_source((), [f, Var()])
+    assert src == _GOLDEN_COLUMNS
+    loop = src[src.index("for x in xs:"):src.index("    return ")].splitlines()
+    assert not [line for line in loop if re.search(r"\br =|least|put\(r\)", line)]
+    assert scan(xs) == ([], 1.0, math.inf, [evaluate(f, x) for x in xs], xs)
+
+
 def _column_free(src):
     # the lines a scan's extra columns add, and the return line, left out
     return [line for line in src.splitlines()
@@ -428,7 +463,7 @@ def _column_free(src):
 @settings(max_examples=200)
 @given(st.lists(_raising_expr, min_size=1, max_size=3), st.lists(_raising_expr, max_size=3),
        st.lists(_raising_x, min_size=1, max_size=8), st.booleans())
-def test_compile_residual_columns_equal_compile_terms(terms, drawn, xs, callable_first):
+def test_compile_residual_columns_equal_evaluate(terms, drawn, xs, callable_first):
     # columns drawn apart from the terms, the terms' subtrees and the terms
     # themselves, which the loop computes once a point
     form = [compile_fn(terms[0]), *terms[1:]] if callable_first else terms
@@ -439,8 +474,10 @@ def test_compile_residual_columns_equal_compile_terms(terms, drawn, xs, callable
     assert len(got) == 3 + len(columns)
     assert all(map(same_float, got[0], want[0])) and len(got[0]) == len(xs)
     assert same_float(got[1], want[1]) and same_float(got[2], want[2])
-    for col, ref in zip(got[3:], compile_terms(columns)(xs)):
-        assert len(col) == len(xs) and all(map(same_float, col, ref))
+    # each column is evaluate's, and the one a scan with no terms gives
+    for col, c, free in zip(got[3:], columns, compile_residual((), columns)(xs)[3:]):
+        assert len(col) == len(xs) and all(same_float(v, evaluate(c, x)) for x, v in zip(xs, col))
+        assert all(map(same_float, free, col))
     # a one-point grid, as Brent polishing runs it
     assert all(same_float(scan_cols([x])[0][0], y) for x, y in zip(xs, want[0]))
     # columns the lowering already names add only their own lines
@@ -543,8 +580,8 @@ def test_both_sign_forms_compile_to_evaluate_s_values(exprs, xs):
     for e, o in zip(exprs, others):
         assert all(same_float(evaluate(o, x), evaluate(e, x)) for x in xs)
     for form in (exprs, others):
-        grid = compile_terms(form)
-        for e, col in zip(form, grid(xs)):
+        scan = compile_residual((), form)
+        for e, col in zip(form, scan(xs)[3:]):
             assert all(same_float(v, evaluate(e, x)) for x, v in zip(xs, col))
             assert all(same_float(compile_fn(e)(x), evaluate(e, x)) for x in xs)
         assert_kernel_walks(form[0], form[1] if len(form) > 1 else None)
@@ -599,7 +636,7 @@ class TestCompile:
         monkeypatch.setattr(mvtlab.expr, "_code", memo)
         d1 = differentiate(parse("exp(sin(x))*ln(x+2)"), 4)
         d2 = differentiate(d1)
-        grid = compile_terms([d1, d2])
+        grid = compile_residual((), [d1, d2])
         (src,) = memo.items
         body = src[src.index("try:"):src.index("except _fault:")].splitlines()[1:]
         consts = {k: repr(v) for k, v in grid.__globals__.items() if type(v) is float}
@@ -791,7 +828,7 @@ class TestMemo:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("build", ["compile_fn", "compile_terms", "compile_residual",
+    @pytest.mark.parametrize("build", ["compile_fn", "term_free_scan", "compile_residual",
                                        "compile_panels"])
     def test_compiled_code_is_freed_without_the_cycle_collector(self, build):
         # a generated function its own globals held left each build to the
@@ -812,9 +849,9 @@ class TestMemo:
                 assert fe(400.0) == math.inf and math.isnan(fs(-3.0))
                 assert _nodes_held(fe) == _nodes_held(fs) == []
                 del fe, fs
-            elif build == "compile_terms":
-                fn = compile_terms([f, differentiate(f)])
-                assert math.isnan(fn(ends)[0][0])
+            elif build == "term_free_scan":
+                fn = compile_residual((), [f, differentiate(f)])
+                assert math.isnan(fn(ends)[3][0])
             elif build == "compile_residual":
                 fn = compile_residual([f, differentiate(f), math.cos])
                 assert math.isnan(fn(ends)[0][0])
@@ -873,19 +910,19 @@ class TestCodeMemo:
 
     def test_one_shape_shares_one_grid(self, codes):
         trees = [[t, differentiate(t)] for t in (parse(s) for s in self.SHAPE)]
-        grid1, grid2 = (compile_terms(ts) for ts in trees)
+        grid1, grid2 = (compile_residual((), ts) for ts in trees)
         assert grid1 is not grid2 and grid1.__code__ is grid2.__code__
         for ts, grid in ((trees[0], grid1), (trees[1], grid2)):
-            for t, col in zip(ts, grid(self.XS)):
+            for t, col in zip(ts, grid(self.XS)[3:]):
                 assert all(same_float(v, evaluate(t, x)) for x, v in zip(self.XS, col))
 
     def test_a_raising_point_compiles_nothing(self, codes):
         # the grid mixes raising and clean points; evaluate's walk reads
         # the raising ones, so the one source stays the only one
         f, g = parse("ln(x)/x+x^3"), parse("sqrt(x)+asin(x)")
-        grid = compile_terms([f, g])
+        grid = compile_residual((), [f, g])
         mixed = [-1.0, 0.0, 0.25, 0.5, 2.0, 1.0]
-        for t, col in zip((f, g), grid(mixed)):
+        for t, col in zip((f, g), grid(mixed)[3:]):
             assert all(same_float(v, evaluate(t, x)) for x, v in zip(mixed, col))
         assert len(codes.items) == 1
 
@@ -945,7 +982,7 @@ class TestCodeMemo:
         trees = [parse(f"{s0}0.7{s1}1.3*(x{sh}1.9){s2}2.9*(x{sh}1.9)^2{s3}0.45*(x{sh}1.9)^3")
                  for s0, s1, s2, s3, sh in itertools.product(("", "-"), *["+-"] * 4)]
         fns = [compile_fn(t) for t in trees]
-        grids = [compile_terms([t, differentiate(t)]) for t in trees]
+        grids = [compile_residual((), [t, differentiate(t)]) for t in trees]
         kernels = [compile_panels([t], [differentiate(t)])[0] for t in trees]
         for made in (fns, grids, kernels):
             assert len(made) == 32 and len({fn.__code__ for fn in made}) == 1
@@ -953,7 +990,7 @@ class TestCodeMemo:
         assert len(codes.items) == 4
         for t, fn, grid in zip(trees, fns, grids):
             assert all(same_float(fn(x), evaluate(t, x)) for x in self.XS)
-            for e, col in zip((t, differentiate(t)), grid(self.XS)):
+            for e, col in zip((t, differentiate(t)), grid(self.XS)[3:]):
                 assert all(same_float(v, evaluate(e, x)) for x, v in zip(self.XS, col))
 
     def test_the_held_source_stays_within_the_bound(self, monkeypatch):

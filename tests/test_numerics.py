@@ -571,14 +571,20 @@ class TestExpressionTerms:
         assert [repr(p) for p in fns] == [repr(p) for p in pts]
 
     def test_expression_terms_build_no_column(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a per-term column was built")
+        builds = []
+        original = mvtlab.numerics.compile_residual
 
-        monkeypatch.setattr(mvtlab.numerics, "compile_terms", refuse)
+        def compile_residual(terms, columns=()):
+            builds.append((terms, columns))
+            return original(terms, columns)
+
+        monkeypatch.setattr(mvtlab.numerics, "compile_residual", compile_residual)
         f = parse("x^3-x")
-        pts = solve_residual((differentiate(f) * (Var() - -1.0), f), Interval(-1.0, 1.5),
-                             CFG, TheoremId.FLETT)
+        terms = (differentiate(f) * (Var() - -1.0), f)
+        pts = solve_residual(terms, Interval(-1.0, 1.5), CFG, TheoremId.FLETT)
         assert pts and not any(p.degenerate for p in pts)
+        # the one build is the scan over the terms, and it keeps no column
+        assert len(builds) == 1 and builds[0][0] is terms and builds[0][1] == ()
 
 
 class TestBracketScan:
@@ -686,17 +692,18 @@ class TestSmoothnessChecks:
     ])
     def test_kinks_are_read_from_the_one_grid_pass(self, monkeypatch, text, a, b, want):
         calls = []
-        original = mvtlab.numerics.compile_terms
+        original = mvtlab.numerics.compile_residual
 
-        def compile_terms(exprs):
-            calls.append("compile_terms")
-            return original(exprs)
+        def compile_residual(terms, columns=()):
+            calls.append(("compile_residual", len(terms)))
+            return original(terms, columns)
 
-        monkeypatch.setattr(mvtlab.numerics, "compile_terms", compile_terms)
+        monkeypatch.setattr(mvtlab.numerics, "compile_residual", compile_residual)
         monkeypatch.setattr(mvtlab.numerics, "compile_fn",
                             lambda e: calls.append("compile_fn"))
         assert differentiable_on_interior(parse(text), Interval(a, b), CFG) is want
-        assert calls == ["compile_terms"]
+        # one scan with no terms: its columns are all the check reads
+        assert calls == [("compile_residual", 0)]
 
 
 _sign_column = st.lists(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
@@ -708,8 +715,8 @@ _sign_column = st.lists(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf
 def test_the_kink_rule_matches_the_sign_tracking_loop(cols):
     # f and f' read finite here, so the abs()/sgn() argument columns alone decide
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mvtlab.numerics, "compile_terms",
-                   lambda exprs: lambda xs: [[1.0], [1.0], *cols])
+        mp.setattr(mvtlab.numerics, "compile_residual",
+                   lambda terms, columns: lambda xs: ([], 1.0, math.inf, [1.0], [1.0], *cols))
         smooth = differentiable_on_interior(parse("x"), Interval(0.0, 1.0), CFG)
     assert smooth is not any(map(holds_both_signs, cols))
 
